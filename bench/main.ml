@@ -60,16 +60,6 @@ let hist_percentiles name =
         ("p90", j_f (Obs.Metrics.percentile h 0.90));
         ("p99", j_f (Obs.Metrics.percentile h 0.99)) ]
 
-let point_json (p : Postplace.Experiment.point) =
-  j_obj
-    [ ("scheme", j_s p.Postplace.Experiment.scheme);
-      ("area_overhead_pct", j_f p.area_overhead_pct);
-      ("temp_reduction_pct", j_f p.temp_reduction_pct);
-      ("gradient_reduction_pct", j_f p.gradient_reduction_pct);
-      ("peak_rise_k", j_f p.peak_rise_k);
-      ("timing_overhead_pct", j_f p.timing_overhead_pct);
-      ("hpwl_um", j_f p.hpwl_um) ]
-
 (* --- FIG 5 ------------------------------------------------------------- *)
 
 let run_fig5 () =
@@ -150,7 +140,7 @@ let run_fig6 () =
   j_obj
     [ ("base_thermal", Thermal.Metrics.to_json base.Postplace.Flow.metrics);
       ("hotspots", j_i (List.length base.Postplace.Flow.hotspots));
-      ("points", j_list (List.map point_json points));
+      ("points", j_list (List.map Postplace.Experiment.point_to_json points));
       ("checks",
        j_obj
          [ ("eri_above_default", j_b eri_above);
@@ -619,9 +609,9 @@ let run_perf () =
    quadratic plan append, sequential candidates). *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Obs.Clock.now () -. t0)
 
 (* The seed's greedy_rows, reproduced verbatim as a baseline: quadratic
    [plan @ ...] growth, uncached mesh builds, cold solves, one extra final
@@ -1675,9 +1665,9 @@ let trials = ref 1
    diff runs without scraping stdout; appends one ledger record per
    suite so the perf trajectory accumulates across invocations. *)
 let run_and_emit (name, f) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let summaries = List.init !trials (fun _ -> f ()) in
-  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let elapsed_ms = (Obs.Clock.now () -. t0) *. 1e3 in
   let summary =
     match summaries with
     | [ one ] -> one
@@ -1694,25 +1684,17 @@ let run_and_emit (name, f) =
   output_char oc '\n';
   close_out oc;
   Printf.printf "[wrote %s]\n" path;
-  match Obs.Ledger.resolve_path () with
-  | None -> ()
-  | Some ledger ->
-    let record =
-      Obs.Ledger.make_record
-        ~command:("bench:" ^ name)
-        ~fingerprint:
-          (Printf.sprintf "bench=%s|trials=%d|jobs=%d" name !trials
-             (Parallel.Pool.jobs ()))
-        ~config:
-          [ ("experiment", j_s name); ("trials", j_i !trials);
-            ("jobs", j_i (Parallel.Pool.jobs ())) ]
-        ~phases_ms:[ ("bench_ms", elapsed_ms); ("total_ms", elapsed_ms) ]
-        ~metrics:(Obs.Metrics.summary_json ()) ~outcome:"ok" ~exit_code:0 ()
-    in
-    (try Obs.Ledger.append ~path:ledger record
-     with e ->
-       Printf.eprintf "bench: cannot append to ledger %s: %s\n" ledger
-         (Printexc.to_string e))
+  Obs.Ledger.append_or_warn ~prog:"bench" (Obs.Ledger.resolve_path ())
+    (Obs.Ledger.make_record
+       ~command:("bench:" ^ name)
+       ~fingerprint:
+         (Printf.sprintf "bench=%s|trials=%d|jobs=%d" name !trials
+            (Parallel.Pool.jobs ()))
+       ~config:
+         [ ("experiment", j_s name); ("trials", j_i !trials);
+           ("jobs", j_i (Parallel.Pool.jobs ())) ]
+       ~phases_ms:[ ("bench_ms", elapsed_ms); ("total_ms", elapsed_ms) ]
+       ~metrics:(Obs.Metrics.summary_json ()) ~outcome:"ok" ~exit_code:0 ())
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -29,20 +29,24 @@
    THERMOPLACE_FAULTS arms fault injection. *)
 
 open Cmdliner
+module Flow = Postplace.Flow
+module Job = Serve.Job
+module Json = Obs.Json
 
 (* --- run ledger context ---------------------------------------------------
 
    Process-global because a thermoplace invocation is exactly one run:
-   the subcommand fills it in as the run unfolds (fingerprint once the
-   flow exists, phases as they complete, peak/plan hash once known) and
-   the structured-error boundary flushes one ledger record on every
-   exit path — success, invariant failure, or solver breakdown. *)
+   the subcommand fills it in as the run unfolds (fingerprint, phases as
+   they complete, peak/plan hash once known) and the structured-error
+   boundary flushes one ledger record on every exit path — success,
+   invariant failure, or solver breakdown. Phases are timed on the
+   monotonic Obs.Clock. *)
 
 module Run = struct
   let command = ref ""
   let ledger_path : string option ref = ref None
   let fingerprint = ref ""
-  let config : (string * Obs.Json.t) list ref = ref []
+  let config : (string * Json.t) list ref = ref []
   let phases : (string * float) list ref = ref []
   let peak_rise_k : float option ref = ref None
   let plan_hash : string option ref = ref None
@@ -57,33 +61,19 @@ module Run = struct
     phases := [];
     peak_rise_k := None;
     plan_hash := None;
-    t0 := Unix.gettimeofday ();
+    t0 := Obs.Clock.now ();
     recorded := false
 
   let phase name f =
-    let s = Unix.gettimeofday () in
+    let s = Obs.Clock.now () in
     let r = f () in
-    phases := !phases @ [ (name ^ "_ms", (Unix.gettimeofday () -. s) *. 1e3) ];
+    phases := !phases @ [ (name ^ "_ms", (Obs.Clock.now () -. s) *. 1e3) ];
     r
 
-  let set_fingerprint fp = fingerprint := fp
   let set_peak k = peak_rise_k := Some k
 
-  (* Committed-plan identity: the MD5 of the canonical plan rendering,
-     so "did these two configs commit the same plan?" is one string
-     comparison in [history diff]. *)
-  let set_plan inserted_after =
-    plan_hash :=
-      Some
-        (Digest.to_hex
-           (Digest.string
-              (String.concat "," (List.map string_of_int inserted_after))))
-
   let record ?error ~outcome ~exit_code () =
-    match !ledger_path with
-    | None -> ()
-    | Some _ when !recorded -> ()
-    | Some path ->
+    if not !recorded then begin
       recorded := true;
       let cg_iterations =
         Option.map
@@ -91,20 +81,15 @@ module Run = struct
           (Obs.Metrics.histogram "thermal.cg.iterations")
       in
       let phases_ms =
-        !phases
-        @ [ ("total_ms", (Unix.gettimeofday () -. !t0) *. 1e3) ]
+        !phases @ [ ("total_ms", (Obs.Clock.now () -. !t0) *. 1e3) ]
       in
-      let record =
-        Obs.Ledger.make_record ~command:!command ~fingerprint:!fingerprint
-          ~config:!config ~phases_ms ?cg_iterations
-          ?peak_rise_k:!peak_rise_k ?plan_hash:!plan_hash
-          ~metrics:(Obs.Metrics.summary_json ()) ?error ~outcome ~exit_code
-          ()
-      in
-      (try Obs.Ledger.append ~path record
-       with e ->
-         Printf.eprintf "thermoplace: cannot append to ledger %s: %s\n" path
-           (Printexc.to_string e))
+      Obs.Ledger.append_or_warn ~prog:"thermoplace" !ledger_path
+        (Obs.Ledger.make_record ~command:!command ~fingerprint:!fingerprint
+           ~config:!config ~phases_ms ?cg_iterations
+           ?peak_rise_k:!peak_rise_k ?plan_hash:!plan_hash
+           ~metrics:(Obs.Metrics.summary_json ()) ?error ~outcome ~exit_code
+           ())
+    end
 end
 
 (* Catch structured errors at the subcommand boundary and turn them into
@@ -128,33 +113,33 @@ let with_structured_errors run =
 (* Range errors surface as Cmdliner parse errors (usage + message) instead
    of a downstream Invalid_argument from the flow internals. *)
 
+let bad fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt
+
 let int_min ~min name =
   let parse s =
     match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "%s: expected an integer, got %S" name s))
-    | Some v when v < min ->
-      Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" name min v))
+    | None -> bad "%s: expected an integer, got %S" name s
+    | Some v when v < min -> bad "%s must be >= %d (got %d)" name min v
     | Some v -> Ok v
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let float_range ?min_exclusive ?max_inclusive ~min name =
+let float_range ?(min_exclusive = Float.neg_infinity)
+    ?(max_inclusive = Float.infinity) ~min name =
   let parse s =
     match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "%s: expected a number, got %S" name s))
-    | Some v when Float.is_nan v ->
-      Error (`Msg (Printf.sprintf "%s: nan is not a valid value" name))
-    | Some v when v < min ->
-      Error (`Msg (Printf.sprintf "%s must be >= %g (got %g)" name min v))
-    | Some v when (match min_exclusive with Some lo -> v <= lo | None -> false) ->
-      Error (`Msg (Printf.sprintf "%s must be > %g (got %g)" name
-                     (Option.get min_exclusive) v))
-    | Some v when (match max_inclusive with Some hi -> v > hi | None -> false) ->
-      Error (`Msg (Printf.sprintf "%s must be <= %g (got %g)" name
-                     (Option.get max_inclusive) v))
+    | None -> bad "%s: expected a number, got %S" name s
+    | Some v when Float.is_nan v -> bad "%s: nan is not a valid value" name
+    | Some v when v < min -> bad "%s must be >= %g (got %g)" name min v
+    | Some v when v <= min_exclusive ->
+      bad "%s must be > %g (got %g)" name min_exclusive v
+    | Some v when v > max_inclusive ->
+      bad "%s must be <= %g (got %g)" name max_inclusive v
     | Some v -> Ok v
   in
   Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+
+let names table = Arg.enum (List.map (fun n -> (n, n)) table)
 
 (* --- shared options ------------------------------------------------------ *)
 
@@ -181,11 +166,7 @@ let test_set =
      hotspots), $(b,concentrated) (test set 2, one large hotspot), or \
      $(b,small) (tiny 3-unit smoke benchmark)."
   in
-  let sets =
-    [ ("scattered", "scattered"); ("concentrated", "concentrated");
-      ("small", "small") ]
-  in
-  Arg.(value & opt (enum sets) "scattered"
+  Arg.(value & opt (names Postplace.Experiment.test_set_names) "scattered"
        & info [ "test-set"; "t" ] ~docv:"SET" ~doc)
 
 let precond_arg =
@@ -196,14 +177,8 @@ let precond_arg =
      debugging overrides; all choices produce the same temperatures to \
      solver tolerance."
   in
-  let preconds = List.map (fun n -> (n, n)) Postplace.Flow.precond_names in
-  Arg.(value & opt (enum preconds) "auto"
+  Arg.(value & opt (names Flow.precond_names) "auto"
        & info [ "precond" ] ~docv:"P" ~doc)
-
-let precond_choice name =
-  match Postplace.Flow.precond_of_name name with
-  | Ok c -> c
-  | Error _ -> assert false (* the enum converter rejects everything else *)
 
 let screen_arg =
   let doc =
@@ -213,15 +188,8 @@ let screen_arg =
      (full solve for every candidate). The emitted plan is bit-identical \
      across tiers whenever the blur leader set contains the exact winner."
   in
-  let screens = [ ("auto", "auto"); ("fft", "fft"); ("exact", "exact") ] in
-  Arg.(value & opt (enum screens) "auto"
+  Arg.(value & opt (names Flow.screen_names) "auto"
        & info [ "screen" ] ~docv:"S" ~doc)
-
-let screen_choice = function
-  | "auto" -> Postplace.Flow.Screen_auto
-  | "fft" -> Postplace.Flow.Screen_fft
-  | "exact" -> Postplace.Flow.Screen_exact
-  | _ -> assert false (* the enum converter rejects everything else *)
 
 let guide_arg =
   let doc =
@@ -231,13 +199,8 @@ let guide_arg =
      candidate from the dT_peak/d(power) map; only the committed chunk \
      is confirmed exactly — far fewer solves at matched quality)."
   in
-  let guides = [ ("peak", "peak"); ("gradient", "gradient") ] in
-  Arg.(value & opt (enum guides) "peak" & info [ "guide" ] ~docv:"G" ~doc)
-
-let guide_choice = function
-  | "peak" -> Postplace.Flow.Guide_peak
-  | "gradient" -> Postplace.Flow.Guide_gradient
-  | _ -> assert false (* the enum converter rejects everything else *)
+  Arg.(value & opt (names Flow.guide_names) "peak"
+       & info [ "guide" ] ~docv:"G" ~doc)
 
 let cache_slots_arg =
   let doc =
@@ -248,9 +211,6 @@ let cache_slots_arg =
   in
   Arg.(value & opt (some (int_min ~min:1 "--cache-slots")) None
        & info [ "cache-slots" ] ~docv:"N" ~doc)
-
-let apply_cache_slots slots =
-  Option.iter Thermal.Mesh.set_cache_capacity slots
 
 let jobs_arg =
   let doc =
@@ -299,120 +259,151 @@ let ledger_arg =
   in
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
-let prepare ?(screen = "auto") ?(guide = "peak") ~seed ~cycles ~utilization
-    ~test_set ~precond () =
-  let precond = precond_choice precond in
-  let screen = screen_choice screen in
-  let guide = guide_choice guide in
-  match test_set with
-  | "scattered" ->
-    let bench = Netgen.Benchmark.nine_unit () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ~precond
-      ~screen ~guide bench
-      (Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ])
-  | "concentrated" ->
-    let bench = Netgen.Benchmark.nine_unit () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ~precond
-      ~screen ~guide bench (Logicsim.Workload.concentrated_hotspot ~hot_unit:2)
-  | "small" ->
-    let bench = Netgen.Benchmark.small () in
-    Postplace.Flow.prepare ~seed ~utilization ~sim_cycles:cycles ~precond
-      ~screen ~guide bench
-      (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ])
-  | _ -> assert false (* the enum converter rejects everything else *)
+type obs = {
+  trace : bool; report : string option; perfetto : string option;
+  prom : string option; ledger : string option;
+}
 
-(* --- observability wiring ------------------------------------------------- *)
+let obs_t =
+  let make trace report perfetto prom ledger =
+    { trace; report; perfetto; prom; ledger }
+  in
+  Term.(const make $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
+        $ ledger_arg)
 
-let obs_begin ~command ~ledger ~config ~trace ~report ~perfetto =
-  if trace || report <> None || perfetto <> None then
+(* The options every flow subcommand shares: the problem a serve request
+   would name, plus the observability outputs. *)
+type common = {
+  seed : int; cycles : int; utilization : float; test_set : string;
+  precond : string; obs : obs;
+}
+
+let common_t =
+  let make seed cycles utilization test_set precond obs =
+    { seed; cycles; utilization; test_set; precond; obs }
+  in
+  Term.(const make $ seed $ cycles $ utilization $ test_set $ precond_arg
+        $ obs_t)
+
+type pool = { jobs : int; cache_slots : int option }
+
+let pool_t =
+  Term.(const (fun jobs cache_slots -> { jobs; cache_slots }) $ jobs_arg
+        $ cache_slots_arg)
+
+let use_pool p =
+  Parallel.Pool.set_jobs p.jobs;
+  Option.iter Thermal.Mesh.set_cache_capacity p.cache_slots
+
+let cache_slots_json () =
+  ("cache_slots", Json.Int (Thermal.Mesh.cache_capacity ()))
+
+(* --- the run harness -------------------------------------------------------- *)
+
+let obs_begin ~command ~obs ~config =
+  if obs.trace || obs.report <> None || obs.perfetto <> None then
     Obs.Trace.set_enabled true;
   Obs.Trace.reset ();
   Obs.Metrics.reset ();
   Obs.Log.reset ();
   Thermal.Cg.clear_histories ();
-  Run.begin_ ~command ~ledger ~config
-
-let base_config ~seed ~cycles ~utilization ~test_set ~precond =
-  [ ("seed", Obs.Json.Int seed);
-    ("cycles", Obs.Json.Int cycles);
-    ("utilization", Obs.Json.Float utilization);
-    ("test_set", Obs.Json.String test_set);
-    ("precond", Obs.Json.String precond) ]
-
-let eval_json (ev : Postplace.Flow.evaluation) =
-  Obs.Json.Obj
-    [ ("thermal", Thermal.Metrics.to_json ev.Postplace.Flow.metrics);
-      ("hotspots",
-       Obs.Json.List
-         (List.map Postplace.Hotspot.to_json ev.Postplace.Flow.hotspots));
-      ("critical_ps",
-       Obs.Json.Float ev.Postplace.Flow.timing.Sta.Timing.critical_ps);
-      ("hpwl_um",
-       Obs.Json.Float (Place.Placement.hpwl ev.Postplace.Flow.placement));
-      ("placement_utilization",
-       Obs.Json.Float
-         (Place.Placement.utilization ev.Postplace.Flow.placement)) ]
+  Run.begin_ ~command ~ledger:obs.ledger ~config
 
 (* Returns the process exit status so an unwritable --report, --perfetto
    or --prom path surfaces as a clean error instead of an uncaught
    Sys_error. *)
-let obs_end ~command ~trace ~report ~perfetto ~prom ~config ~sections =
-  if trace then Format.eprintf "%a" Obs.Trace.pp_tree ();
-  let prom_status =
-    match prom with
+let obs_end ~command ~obs ~config ~sections =
+  if obs.trace then Format.eprintf "%a" Obs.Trace.pp_tree ();
+  let write what path f =
+    match path with
     | None -> 0
-    | Some path ->
-      (match Obs.Prom.write_file path with
-       | () ->
-         Printf.printf "wrote prometheus metrics %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write prometheus metrics: %s\n"
-           msg;
-         1)
+    | Some path -> (
+      match f path with
+      | () ->
+        Printf.printf "wrote %s %s\n" what path;
+        0
+      | exception Sys_error msg ->
+        Printf.eprintf "thermoplace: cannot write %s: %s\n" what msg;
+        1)
   in
-  let perfetto_status =
-    match perfetto with
-    | None -> 0
-    | Some path ->
-      (match Obs.Perfetto.write_file path with
-       | () ->
-         Printf.printf "wrote perfetto trace %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write perfetto trace: %s\n" msg;
-         1)
+  let prom = write "prometheus metrics" obs.prom Obs.Prom.write_file in
+  let perfetto = write "perfetto trace" obs.perfetto Obs.Perfetto.write_file in
+  let report =
+    write "report" obs.report (fun path ->
+        let sections =
+          sections @ [ ("convergence", Thermal.Cg.histories_json ()) ]
+        in
+        Obs.Report.write_file path
+          (Obs.Report.make ~command ~config ~sections ()))
   in
-  let report_status =
-    match report with
-    | None -> 0
-    | Some path ->
-      let sections =
-        sections @ [ ("convergence", Thermal.Cg.histories_json ()) ]
-      in
-      (match
-         Obs.Report.write_file path
-           (Obs.Report.make ~command ~config ~sections ())
-       with
-       | () ->
-         Printf.printf "wrote report %s\n" path;
-         0
-       | exception Sys_error msg ->
-         Printf.eprintf "thermoplace: cannot write report: %s\n" msg;
-         1)
+  if report <> 0 then report else if perfetto <> 0 then perfetto else prom
+
+(* One flow subcommand run. The options become the [Serve.Job.request] a
+   served job would carry, so the run fingerprints as serve batches
+   ([…|set=…|cycles=…], then [extra]) and prepares the same flow, timed
+   as the [prepare] phase. Structured errors, the observability outputs
+   and the ledger record wrap [body], which returns the report sections
+   and the exit status. *)
+let run_job ~command (c : common) ?(config = []) ?(extra = []) ?technique
+    ?screen ?guide ?overhead ?rows body =
+  with_structured_errors @@ fun () ->
+  let config =
+    [ ("seed", Json.Int c.seed); ("cycles", Json.Int c.cycles);
+      ("utilization", Json.Float c.utilization);
+      ("test_set", Json.String c.test_set);
+      ("precond", Json.String c.precond) ]
+    @ config
   in
-  if report_status <> 0 then report_status
-  else if perfetto_status <> 0 then perfetto_status
-  else prom_status
+  obs_begin ~command ~obs:c.obs ~config;
+  let req =
+    match
+      Job.make ~test_set:c.test_set ?technique ~seed:c.seed ~cycles:c.cycles
+        ~utilization:c.utilization ~precond:c.precond ?screen ?guide
+        ?overhead ?rows command
+    with
+    | Ok req -> req
+    | Error msg -> invalid_arg msg (* the converters enforce the same rules *)
+  in
+  Run.fingerprint := Job.fingerprint ~extra req;
+  let flow = Run.phase "prepare" (fun () -> Job.prepare_flow req) in
+  let sections, status = body req flow in
+  let written = obs_end ~command ~obs:c.obs ~config ~sections in
+  if written <> 0 then written else status
+
+let eval_json (ev : Flow.evaluation) =
+  Json.Obj
+    [ ("thermal", Thermal.Metrics.to_json ev.Flow.metrics);
+      ("hotspots", Json.List (List.map Postplace.Hotspot.to_json ev.Flow.hotspots));
+      ("critical_ps", Json.Float ev.Flow.timing.Sta.Timing.critical_ps);
+      ("hpwl_um", Json.Float (Place.Placement.hpwl ev.Flow.placement));
+      ("placement_utilization",
+       Json.Float (Place.Placement.utilization ev.Flow.placement)) ]
+
+let evaluate_base flow =
+  let base =
+    Run.phase "evaluate" (fun () -> Flow.evaluate flow flow.Flow.base_placement)
+  in
+  Run.set_peak base.Flow.metrics.Thermal.Metrics.peak_rise_k;
+  base
+
+(* Apply the request's technique with the serve executor, timed as
+   [phase], and score it, timed as [evaluate_after]; the ledger takes the
+   committed plan's hash and the scored peak. *)
+let apply_and_score ~phase ~flow ~base req =
+  let applied = Run.phase phase (fun () -> Job.apply ~flow ~base req) in
+  Run.plan_hash := Option.map Job.plan_digest applied.Job.plan;
+  let ex =
+    Run.phase "evaluate_after" (fun () -> Job.score ~flow ~base req applied)
+  in
+  Run.set_peak ex.Job.peak_rise_k;
+  (applied, ex)
 
 (* --- flow ---------------------------------------------------------------- *)
 
 let technique_arg =
   let doc = "Technique to apply: $(b,none), $(b,default), $(b,eri), $(b,hw)." in
-  let techniques =
-    [ ("none", "none"); ("default", "default"); ("eri", "eri"); ("hw", "hw") ]
-  in
-  Arg.(value & opt (enum techniques) "eri"
+  let techniques = "none" :: List.filter (( <> ) "optimize") Job.technique_names in
+  Arg.(value & opt (names techniques) "eri"
        & info [ "technique" ] ~docv:"T" ~doc)
 
 let overhead_arg =
@@ -421,141 +412,67 @@ let overhead_arg =
        & opt (float_range ~min:0.0 ~max_inclusive:4.0 "--overhead") 0.2
        & info [ "overhead" ] ~docv:"F" ~doc)
 
-let run_flow seed cycles utilization test_set precond cache_slots technique
-    overhead jobs trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("technique", Obs.Json.String technique);
-        ("overhead", Obs.Json.Float overhead);
-        ("jobs", Obs.Json.Int jobs);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
-  in
-  obs_begin ~command:"flow" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint
-       ~extra:[ ("technique", technique); ("jobs", string_of_int jobs) ]
-       flow);
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  Format.printf "base: %a@." Place.Placement.pp_summary
-    base.Postplace.Flow.placement;
-  Format.printf "base thermal: %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
-  let transformed =
-    Run.phase "technique" @@ fun () ->
-    match technique with
-    | "none" -> None
-    | "default" ->
-      Some
-        (Postplace.Flow.apply_default flow
-           ~utilization:(utilization /. (1.0 +. overhead)))
-    | "eri" ->
-      let rows =
-        max 1
-          (int_of_float
-             (overhead
-              *. float_of_int
-                   flow.Postplace.Flow.base_placement.Place.Placement.fp
-                     .Place.Floorplan.num_rows))
-      in
-      let r = Postplace.Flow.apply_eri flow ~base ~rows in
-      Run.set_plan r.Postplace.Technique.inserted_after;
-      Some r.Postplace.Technique.eri_placement
-    | "hw" ->
-      let d =
-        Postplace.Flow.apply_default flow
-          ~utilization:(utilization /. (1.0 +. overhead))
-      in
-      let de = Postplace.Flow.evaluate flow d in
-      Some (Postplace.Flow.apply_hw flow ~on:de ())
-    | _ -> assert false
-  in
-  let result_section =
-    match transformed with
-    | None -> []
-    | Some pl ->
-      let ev =
-        Run.phase "evaluate_after" @@ fun () ->
-        Postplace.Flow.evaluate flow pl
-      in
-      Run.set_peak ev.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-      let area_pct =
-        Postplace.Technique.area_overhead_pct
-          ~base:base.Postplace.Flow.placement pl
-      in
-      let red_pct =
-        Thermal.Metrics.reduction_pct ~before:base.Postplace.Flow.metrics
-          ~after:ev.Postplace.Flow.metrics
-      in
+let run_flow c pool technique overhead =
+  use_pool pool;
+  run_job ~command:"flow" c
+    ~config:
+      [ ("technique", Json.String technique);
+        ("overhead", Json.Float overhead); ("jobs", Json.Int pool.jobs);
+        cache_slots_json () ]
+    ~extra:[ ("technique", technique); ("jobs", string_of_int pool.jobs) ]
+    ?technique:(if technique = "none" then None else Some technique)
+    ~overhead
+  @@ fun req flow ->
+  let base = evaluate_base flow in
+  Format.printf "base: %a@." Place.Placement.pp_summary base.Flow.placement;
+  Format.printf "base thermal: %a@." Thermal.Metrics.pp base.Flow.metrics;
+  let result =
+    (* "none" still records its (empty) technique phase in the ledger *)
+    if technique = "none" then Run.phase "technique" (fun () -> [])
+    else begin
+      let _, ex = apply_and_score ~phase:"technique" ~flow ~base req in
+      let ev = ex.Job.after in
       let timing_pct =
-        Sta.Timing.overhead_pct ~before:base.Postplace.Flow.timing
-          ~after:ev.Postplace.Flow.timing
+        Sta.Timing.overhead_pct ~before:base.Flow.timing ~after:ev.Flow.timing
       in
       Format.printf "after %s: %a@." technique Thermal.Metrics.pp
-        ev.Postplace.Flow.metrics;
+        ev.Flow.metrics;
       Format.printf
         "area overhead %.1f%%, peak reduction %.2f%%, timing %+0.2f%%@."
-        area_pct red_pct timing_pct;
+        ex.Job.area_overhead_pct ex.Job.reduction_pct timing_pct;
       [ ("result",
-         Obs.Json.Obj
-           [ ("scheme", Obs.Json.String technique);
-             ("area_overhead_pct", Obs.Json.Float area_pct);
-             ("peak_reduction_pct", Obs.Json.Float red_pct);
+         Json.Obj
+           [ ("scheme", Json.String technique);
+             ("area_overhead_pct", Json.Float ex.Job.area_overhead_pct);
+             ("peak_reduction_pct", Json.Float ex.Job.reduction_pct);
              ("gradient_reduction_pct",
-              Obs.Json.Float
+              Json.Float
                 (Thermal.Metrics.gradient_reduction_pct
-                   ~before:base.Postplace.Flow.metrics
-                   ~after:ev.Postplace.Flow.metrics));
-             ("timing_overhead_pct", Obs.Json.Float timing_pct);
+                   ~before:base.Flow.metrics ~after:ev.Flow.metrics));
+             ("timing_overhead_pct", Json.Float timing_pct);
              ("after", eval_json ev) ]) ]
+    end
   in
-  obs_end ~command:"flow" ~trace ~report ~perfetto ~prom ~config
-    ~sections:([ ("base", eval_json base) ] @ result_section)
+  (("base", eval_json base) :: result, 0)
 
 (* --- report ---------------------------------------------------------------- *)
 
-let run_report seed cycles utilization test_set precond trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"report" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
-  let nl = flow.Postplace.Flow.bench.Netgen.Benchmark.netlist in
-  Format.printf "%a@."
-    Netlist.Stats.pp
-    (Netlist.Stats.compute flow.Postplace.Flow.tech nl);
+let run_report c =
+  run_job ~command:"report" c @@ fun _ flow ->
+  let nl = flow.Flow.bench.Netgen.Benchmark.netlist in
+  Format.printf "%a@." Netlist.Stats.pp (Netlist.Stats.compute flow.Flow.tech nl);
   Array.iter
     (fun u ->
        let cells = Netlist.Types.cells_of_unit nl u.Netgen.Benchmark.tag in
        Format.printf "unit %d %-8s %6d cells  %s@." u.Netgen.Benchmark.tag
          u.Netgen.Benchmark.unit_name (List.length cells)
          u.Netgen.Benchmark.description)
-    flow.Postplace.Flow.bench.Netgen.Benchmark.units;
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  Format.printf "placement: %a@." Place.Placement.pp_summary
-    base.Postplace.Flow.placement;
-  Format.printf "thermal:   %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
+    flow.Flow.bench.Netgen.Benchmark.units;
+  let base = evaluate_base flow in
+  Format.printf "placement: %a@." Place.Placement.pp_summary base.Flow.placement;
+  Format.printf "thermal:   %a@." Thermal.Metrics.pp base.Flow.metrics;
   Format.printf "critical path: %.0f ps@."
-    base.Postplace.Flow.timing.Sta.Timing.critical_ps;
+    base.Flow.timing.Sta.Timing.critical_ps;
   Format.printf "hotspots:@.";
   List.iteri
     (fun i h ->
@@ -564,9 +481,8 @@ let run_report seed cycles utilization test_set precond trace report
          (Postplace.Hotspot.tile_count h)
          (List.length h.Postplace.Hotspot.cells)
          h.Postplace.Hotspot.peak_rise_k)
-    base.Postplace.Flow.hotspots;
-  obs_end ~command:"report" ~trace ~report ~perfetto ~prom ~config
-    ~sections:[ ("base", eval_json base) ]
+    base.Flow.hotspots;
+  ([ ("base", eval_json base) ], 0)
 
 (* --- maps ------------------------------------------------------------------- *)
 
@@ -574,20 +490,13 @@ let ascii_arg =
   let doc = "Render maps as terminal shading instead of numeric matrices." in
   Arg.(value & flag & info [ "ascii" ] ~doc)
 
-let run_maps seed cycles utilization test_set precond ascii trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"maps" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_maps c ascii =
+  run_job ~command:"maps" c @@ fun _ flow ->
   let power, thermal =
-    Run.phase "maps" @@ fun () -> Postplace.Experiment.fig5_maps flow
+    Run.phase "maps" (fun () -> Postplace.Experiment.fig5_maps flow)
   in
-  Run.set_peak (Thermal.Metrics.of_map thermal).Thermal.Metrics.peak_rise_k;
+  let metrics = Thermal.Metrics.of_map thermal in
+  Run.set_peak metrics.Thermal.Metrics.peak_rise_k;
   let dump name g =
     Format.printf "# %s (%dx%d, top row first)@." name (Geo.Grid.nx g)
       (Geo.Grid.ny g);
@@ -596,9 +505,7 @@ let run_maps seed cycles utilization test_set precond ascii trace report
   in
   dump "power [W/tile]" power;
   dump "thermal rise [K]" thermal;
-  obs_end ~command:"maps" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      [ ("thermal", Thermal.Metrics.to_json (Thermal.Metrics.of_map thermal)) ]
+  ([ ("thermal", Thermal.Metrics.to_json metrics) ], 0)
 
 (* --- export ------------------------------------------------------------------ *)
 
@@ -606,44 +513,28 @@ let outdir_arg =
   let doc = "Directory for the exported files (created if missing)." in
   Arg.(value & opt string "export" & info [ "outdir"; "o" ] ~docv:"DIR" ~doc)
 
-let run_export seed cycles utilization test_set precond outdir trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("outdir", Obs.Json.String outdir) ]
-  in
-  obs_begin ~command:"export" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_export c outdir =
+  run_job ~command:"export" c ~config:[ ("outdir", Json.String outdir) ]
+  @@ fun _ flow ->
   if not (Sys.file_exists outdir) then Unix.mkdir outdir 0o755;
-  let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
-  in
-  Run.set_peak base.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  let pl = base.Postplace.Flow.placement in
-  let nl = flow.Postplace.Flow.bench.Netgen.Benchmark.netlist in
+  let base = evaluate_base flow in
+  let pl = base.Flow.placement in
+  let nl = flow.Flow.bench.Netgen.Benchmark.netlist in
   let path name = Filename.concat outdir name in
   let fillers, problem =
     Run.phase "export" @@ fun () ->
     Netlist.Verilog.write_file (path "design.v") ~module_name:"design" nl;
-    Celllib.Lef.write_file (path "cells.lef") flow.Postplace.Flow.tech;
+    Celllib.Lef.write_file (path "cells.lef") flow.Flow.tech;
     let fillers = Place.Filler.fill pl in
     Place.Def_writer.write_file (path "design.def") ~fillers pl;
     let problem =
-      Thermal.Mesh.build flow.Postplace.Flow.mesh_config
-        ~power:base.Postplace.Flow.power_map
+      Thermal.Mesh.build flow.Flow.mesh_config ~power:base.Flow.power_map
     in
     Thermal.Spice.write_file (path "thermal.sp") problem;
     let overlay =
-      { Place.Svg.heat = Some base.Postplace.Flow.thermal_map;
+      { Place.Svg.heat = Some base.Flow.thermal_map;
         outlines =
-          List.map (fun h -> h.Postplace.Hotspot.rect)
-            base.Postplace.Flow.hotspots }
+          List.map (fun h -> h.Postplace.Hotspot.rect) base.Flow.hotspots }
     in
     Place.Svg.write_file (path "layout.svg") ~fillers ~overlay pl;
     (fillers, problem)
@@ -655,20 +546,9 @@ let run_export seed cycles utilization test_set precond outdir trace report
     (Netlist.Types.num_cells nl)
     (List.length fillers)
     (Thermal.Spice.count_resistors problem);
-  obs_end ~command:"export" ~trace ~report ~perfetto ~prom ~config
-    ~sections:[ ("base", eval_json base) ]
+  ([ ("base", eval_json base) ], 0)
 
 (* --- sweep ------------------------------------------------------------------- *)
-
-let point_json (p : Postplace.Experiment.point) =
-  Obs.Json.Obj
-    [ ("scheme", Obs.Json.String p.Postplace.Experiment.scheme);
-      ("area_overhead_pct", Obs.Json.Float p.area_overhead_pct);
-      ("temp_reduction_pct", Obs.Json.Float p.temp_reduction_pct);
-      ("gradient_reduction_pct", Obs.Json.Float p.gradient_reduction_pct);
-      ("peak_rise_k", Obs.Json.Float p.peak_rise_k);
-      ("timing_overhead_pct", Obs.Json.Float p.timing_overhead_pct);
-      ("hpwl_um", Obs.Json.Float p.hpwl_um) ]
 
 let checkpoint_arg =
   let doc =
@@ -680,46 +560,26 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-let run_sweep seed cycles utilization test_set precond cache_slots jobs
-    checkpoint trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("jobs", Obs.Json.Int jobs);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
-  in
-  obs_begin ~command:"sweep" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint ~extra:[ ("jobs", string_of_int jobs) ] flow);
-  let fig6 =
-    Run.phase "sweep" @@ fun () -> Postplace.Experiment.run_fig6 ?checkpoint flow
-  in
-  Run.set_peak
-    fig6.Postplace.Experiment.base_eval.Postplace.Flow.metrics
-      .Thermal.Metrics.peak_rise_k;
-  let points =
-    fig6.Postplace.Experiment.default_points
-    @ fig6.Postplace.Experiment.eri_points
-    @ fig6.Postplace.Experiment.hw_points
-  in
+let run_sweep c pool checkpoint =
+  use_pool pool;
+  run_job ~command:"sweep" c
+    ~config:[ ("jobs", Json.Int pool.jobs); cache_slots_json () ]
+    ~extra:[ ("jobs", string_of_int pool.jobs) ]
+  @@ fun _ flow ->
+  let module E = Postplace.Experiment in
+  let fig6 = Run.phase "sweep" (fun () -> E.run_fig6 ?checkpoint flow) in
+  Run.set_peak fig6.E.base_eval.Flow.metrics.Thermal.Metrics.peak_rise_k;
+  let points = fig6.E.default_points @ fig6.E.eri_points @ fig6.E.hw_points in
   Format.printf "%-10s %12s %14s %12s@." "scheme" "overhead[%]"
     "reduction[%]" "timing[+%]";
   List.iter
-    (fun (p : Postplace.Experiment.point) ->
-       Format.printf "%-10s %12.2f %14.2f %12.2f@."
-         p.Postplace.Experiment.scheme p.area_overhead_pct
-         p.temp_reduction_pct p.timing_overhead_pct)
+    (fun (p : E.point) ->
+       Format.printf "%-10s %12.2f %14.2f %12.2f@." p.E.scheme
+         p.E.area_overhead_pct p.E.temp_reduction_pct p.E.timing_overhead_pct)
     points;
-  obs_end ~command:"sweep" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      [ ("base", eval_json fig6.Postplace.Experiment.base_eval);
-        ("points", Obs.Json.List (List.map point_json points)) ]
+  ([ ("base", eval_json fig6.E.base_eval);
+     ("points", Json.List (List.map E.point_to_json points)) ],
+   0)
 
 (* --- optimize ---------------------------------------------------------------- *)
 
@@ -728,131 +588,84 @@ let rows_arg =
   Arg.(value & opt (int_min ~min:1 "--rows") 2
        & info [ "rows" ] ~docv:"N" ~doc)
 
-let run_optimize seed cycles utilization test_set precond screen guide
-    cache_slots rows jobs trace report perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  Parallel.Pool.set_jobs jobs;
-  apply_cache_slots cache_slots;
-  let config =
-    base_config ~seed ~cycles ~utilization ~test_set ~precond
-    @ [ ("rows", Obs.Json.Int rows); ("jobs", Obs.Json.Int jobs);
-        ("screen", Obs.Json.String screen);
-        ("guide", Obs.Json.String guide);
-        ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
-  in
-  obs_begin ~command:"optimize" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~screen ~guide ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint
-    (Postplace.Flow.fingerprint
-       ~extra:
-         [ ("rows", string_of_int rows); ("jobs", string_of_int jobs);
-           ("cache_slots",
-            string_of_int (Thermal.Mesh.cache_capacity ())) ]
-       flow);
+(* Under the gradient guide, the base placement's sensitivity map: where a
+   watt buys the most peak temperature. *)
+let sensitivity_sections flow =
+  match flow.Flow.guide with
+  | Flow.Guide_peak -> []
+  | Flow.Guide_gradient ->
+    let adj =
+      Run.phase "sensitivity" (fun () ->
+          Flow.sensitivity flow flow.Flow.base_placement)
+    in
+    let sens = adj.Thermal.Adjoint.sensitivity in
+    let ix, iy = Geo.Grid.argmax sens in
+    let gap =
+      adj.Thermal.Adjoint.smoothed_peak_k -. adj.Thermal.Adjoint.peak_rise_k
+    in
+    Format.printf
+      "adjoint sensitivity: peak %.3f K/W at tile (%d, %d), smoothing gap \
+       %.3f K@."
+      (Geo.Grid.max_value sens) ix iy gap;
+    [ ("sensitivity",
+       Json.Obj
+         [ ("peak_k_per_w", Json.Float (Geo.Grid.max_value sens));
+           ("argmax_ix", Json.Int ix);
+           ("argmax_iy", Json.Int iy);
+           ("smoothed_peak_k", Json.Float adj.Thermal.Adjoint.smoothed_peak_k);
+           ("smoothing_gap_k", Json.Float gap);
+           ("cg_iterations", Json.Int adj.Thermal.Adjoint.cg_iterations) ]) ]
+
+let run_optimize c pool screen guide rows =
+  use_pool pool;
+  run_job ~command:"optimize" c
+    ~config:
+      [ ("rows", Json.Int rows); ("jobs", Json.Int pool.jobs);
+        ("screen", Json.String screen); ("guide", Json.String guide);
+        cache_slots_json () ]
+    ~extra:
+      [ ("rows", string_of_int rows); ("jobs", string_of_int pool.jobs);
+        ("cache_slots", string_of_int (Thermal.Mesh.cache_capacity ())) ]
+    ~technique:"optimize" ~screen ~guide ~rows
+  @@ fun req flow ->
   let base =
-    Run.phase "evaluate" @@ fun () ->
-    Postplace.Flow.evaluate flow flow.Postplace.Flow.base_placement
+    Run.phase "evaluate" (fun () -> Flow.evaluate flow flow.Flow.base_placement)
   in
-  Format.printf "base thermal: %a@." Thermal.Metrics.pp
-    base.Postplace.Flow.metrics;
-  (* under the gradient guide, surface the base placement's sensitivity
-     map before optimizing: where a watt buys the most peak temperature *)
-  let sens_sections =
-    match flow.Postplace.Flow.guide with
-    | Postplace.Flow.Guide_peak -> []
-    | Postplace.Flow.Guide_gradient ->
-      let adj =
-        Run.phase "sensitivity" @@ fun () ->
-        Postplace.Flow.sensitivity flow flow.Postplace.Flow.base_placement
-      in
-      let sens = adj.Thermal.Adjoint.sensitivity in
-      let ix, iy = Geo.Grid.argmax sens in
-      let gap =
-        adj.Thermal.Adjoint.smoothed_peak_k
-        -. adj.Thermal.Adjoint.peak_rise_k
-      in
-      Format.printf
-        "adjoint sensitivity: peak %.3f K/W at tile (%d, %d), smoothing \
-         gap %.3f K@."
-        (Geo.Grid.max_value sens) ix iy gap;
-      [ ("sensitivity",
-         Obs.Json.Obj
-           [ ("peak_k_per_w", Obs.Json.Float (Geo.Grid.max_value sens));
-             ("argmax_ix", Obs.Json.Int ix);
-             ("argmax_iy", Obs.Json.Int iy);
-             ("smoothed_peak_k",
-              Obs.Json.Float adj.Thermal.Adjoint.smoothed_peak_k);
-             ("smoothing_gap_k", Obs.Json.Float gap);
-             ("cg_iterations",
-              Obs.Json.Int adj.Thermal.Adjoint.cg_iterations) ]) ]
-  in
-  let r =
-    Run.phase "optimize" @@ fun () ->
-    Postplace.Optimizer.greedy_rows flow ~rows ()
-  in
-  Run.set_plan
-    r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-  let pl = r.Postplace.Optimizer.plan.Postplace.Technique.eri_placement in
-  let ev =
-    Run.phase "evaluate_after" @@ fun () -> Postplace.Flow.evaluate flow pl
-  in
-  Run.set_peak ev.Postplace.Flow.metrics.Thermal.Metrics.peak_rise_k;
-  let area_pct =
-    Postplace.Technique.area_overhead_pct ~base:base.Postplace.Flow.placement
-      pl
-  in
-  let red_pct =
-    Thermal.Metrics.reduction_pct ~before:base.Postplace.Flow.metrics
-      ~after:ev.Postplace.Flow.metrics
-  in
-  Format.printf "optimized: %a@." Thermal.Metrics.pp
-    ev.Postplace.Flow.metrics;
+  Format.printf "base thermal: %a@." Thermal.Metrics.pp base.Flow.metrics;
+  let sens_sections = sensitivity_sections flow in
+  let applied, ex = apply_and_score ~phase:"optimize" ~flow ~base req in
+  let r = Option.get applied.Job.optimizer in
+  let module O = Postplace.Optimizer in
+  Format.printf "optimized: %a@." Thermal.Metrics.pp ex.Job.after.Flow.metrics;
   Format.printf
     "rows %d, evaluations %d (adjoint %d), area overhead %.1f%%, peak \
      reduction %.2f%%@."
-    rows r.Postplace.Optimizer.evaluations
-    r.Postplace.Optimizer.adjoint_evaluations area_pct red_pct;
-  obs_end ~command:"optimize" ~trace ~report ~perfetto ~prom ~config
-    ~sections:
-      ([ ("base", eval_json base) ]
-       @ sens_sections
-       @ [ ("result",
-         Obs.Json.Obj
-           [ ("rows", Obs.Json.Int rows);
-             ("evaluations", Obs.Json.Int r.Postplace.Optimizer.evaluations);
-             ("blur_evaluations",
-              Obs.Json.Int r.Postplace.Optimizer.blur_evaluations);
-             ("adjoint_evaluations",
-              Obs.Json.Int r.Postplace.Optimizer.adjoint_evaluations);
-             ("predicted_peak_k",
-              Obs.Json.Float r.Postplace.Optimizer.predicted_peak_k);
-             ("inserted_after",
-              Obs.Json.List
-                (List.map (fun i -> Obs.Json.Int i)
-                   r.Postplace.Optimizer.plan.Postplace.Technique
-                     .inserted_after));
-             ("area_overhead_pct", Obs.Json.Float area_pct);
-             ("peak_reduction_pct", Obs.Json.Float red_pct);
-             ("after", eval_json ev) ]) ])
+    rows r.O.evaluations r.O.adjoint_evaluations ex.Job.area_overhead_pct
+    ex.Job.reduction_pct;
+  ((("base", eval_json base) :: sens_sections)
+   @ [ ("result",
+        Json.Obj
+          [ ("rows", Json.Int rows);
+            ("evaluations", Json.Int r.O.evaluations);
+            ("blur_evaluations", Json.Int r.O.blur_evaluations);
+            ("adjoint_evaluations", Json.Int r.O.adjoint_evaluations);
+            ("predicted_peak_k", Json.Float r.O.predicted_peak_k);
+            ("inserted_after",
+             Json.List
+               (List.map (fun i -> Json.Int i)
+                  r.O.plan.Postplace.Technique.inserted_after));
+            ("area_overhead_pct", Json.Float ex.Job.area_overhead_pct);
+            ("peak_reduction_pct", Json.Float ex.Job.reduction_pct);
+            ("after", eval_json ex.Job.after) ]) ],
+   0)
 
 (* --- check ------------------------------------------------------------------- *)
 
-let run_check seed cycles utilization test_set precond trace report
-    perfetto prom ledger =
-  with_structured_errors @@ fun () ->
-  let config = base_config ~seed ~cycles ~utilization ~test_set ~precond in
-  obs_begin ~command:"check" ~ledger ~config ~trace ~report ~perfetto;
-  let flow =
-    Run.phase "prepare" @@ fun () ->
-    prepare ~seed ~cycles ~utilization ~test_set ~precond ()
-  in
-  Run.set_fingerprint (Postplace.Flow.fingerprint flow);
+let run_check c =
+  run_job ~command:"check" c @@ fun _ flow ->
   let outcomes =
-    Run.phase "check" @@ fun () ->
-    Postplace.Flow.check_design flow flow.Postplace.Flow.base_placement
+    Run.phase "check" (fun () ->
+        Flow.check_design flow flow.Flow.base_placement)
   in
   List.iter
     (fun (o : Robust.Validate.outcome) ->
@@ -868,26 +681,20 @@ let run_check seed cycles utilization test_set precond trace report
     (List.length outcomes - List.length failures)
     (List.length outcomes);
   let outcome_json (o : Robust.Validate.outcome) =
-    Obs.Json.Obj
-      [ ("check", Obs.Json.String o.Robust.Validate.check_name);
+    Json.Obj
+      [ ("check", Json.String o.Robust.Validate.check_name);
         ("failure",
-         match o.Robust.Validate.failure with
-         | None -> Obs.Json.Null
-         | Some d -> Obs.Json.String d) ]
+         Option.fold ~none:Json.Null ~some:(fun d -> Json.String d)
+           o.Robust.Validate.failure) ]
   in
-  let status =
-    obs_end ~command:"check" ~trace ~report ~perfetto ~prom ~config
-      ~sections:[ ("checks", Obs.Json.List (List.map outcome_json outcomes)) ]
-  in
-  if status <> 0 then status
-  else
+  ( [ ("checks", Json.List (List.map outcome_json outcomes)) ],
     match failures with
     | [] -> 0
     | o :: _ ->
       Robust.Error.exit_code
         (Robust.Error.Invariant_violation
            { check = o.Robust.Validate.check_name;
-             detail = Option.value o.Robust.Validate.failure ~default:"" })
+             detail = Option.value o.Robust.Validate.failure ~default:"" }) )
 
 (* --- serve ------------------------------------------------------------------- *)
 
@@ -941,37 +748,31 @@ let retry_base_ms_arg =
        & info [ "retry-base-ms" ] ~docv:"MS" ~doc)
 
 let run_serve input output queue_cap flow_slots max_retries retry_base_ms
-    jobs cache_slots trace report perfetto prom ledger =
+    pool obs =
   with_structured_errors @@ fun () ->
-  apply_cache_slots cache_slots;
+  Option.iter Thermal.Mesh.set_cache_capacity pool.cache_slots;
   let config =
-    [ ("input", Obs.Json.String input);
-      ("output", Obs.Json.String output);
-      ("queue_cap", Obs.Json.Int queue_cap);
-      ("flow_slots", Obs.Json.Int flow_slots);
-      ("max_retries", Obs.Json.Int max_retries);
-      ("retry_base_ms", Obs.Json.Float retry_base_ms);
-      ("jobs", Obs.Json.Int jobs);
-      ("cache_slots", Obs.Json.Int (Thermal.Mesh.cache_capacity ())) ]
+    [ ("input", Json.String input); ("output", Json.String output);
+      ("queue_cap", Json.Int queue_cap); ("flow_slots", Json.Int flow_slots);
+      ("max_retries", Json.Int max_retries);
+      ("retry_base_ms", Json.Float retry_base_ms);
+      ("jobs", Json.Int pool.jobs); cache_slots_json () ]
   in
-  obs_begin ~command:"serve" ~ledger ~config ~trace ~report ~perfetto;
+  obs_begin ~command:"serve" ~obs ~config;
+  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
   let in_fd =
     if input = "-" then Unix.stdin
     else
       try Unix.openfile input [ Unix.O_RDONLY ] 0
       with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "thermoplace: cannot open %s: %s\n" input
-          (Unix.error_message e);
-        exit 2
+        fail "thermoplace: cannot open %s: %s" input (Unix.error_message e)
   in
   let out_ch, close_output =
     if output = "-" then (stdout, fun () -> flush stdout)
     else
       match open_out output with
       | oc -> (oc, fun () -> close_out oc)
-      | exception Sys_error msg ->
-        Printf.eprintf "thermoplace: cannot open output: %s\n" msg;
-        exit 2
+      | exception Sys_error msg -> fail "thermoplace: cannot open output: %s" msg
   in
   (* Per-job ledger records go to the same ledger as this run's own
      summary record, so `history list --job ID` sees both sides. *)
@@ -991,15 +792,15 @@ let run_serve input output queue_cap flow_slots max_retries retry_base_ms
         close_output ();
         if input <> "-" then Unix.close in_fd)
       (fun () ->
-         Parallel.Pool.with_pool ~jobs @@ fun () ->
+         Parallel.Pool.with_pool ~jobs:pool.jobs @@ fun () ->
          Run.phase "serve" @@ fun () ->
          Serve.Server.run ~config:server_config ~input:in_fd ~output:out_ch
            ())
   in
   (* The summary goes to stderr: stdout may be the response stream. *)
   Printf.eprintf "thermoplace: serve summary %s\n"
-    (Obs.Json.to_string (Serve.Server.summary_json summary));
-  obs_end ~command:"serve" ~trace ~report ~perfetto ~prom ~config
+    (Json.to_string (Serve.Server.summary_json summary));
+  obs_end ~command:"serve" ~obs ~config
     ~sections:[ ("summary", Serve.Server.summary_json summary) ]
 
 let serve_cmd =
@@ -1012,9 +813,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve $ input_arg $ output_arg $ queue_cap_arg
-          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ jobs_arg
-          $ cache_slots_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ pool_t
+          $ obs_t)
 
 (* --- history ----------------------------------------------------------------- *)
 
@@ -1053,13 +853,21 @@ let filter_job job records =
   | None -> records
   | Some id -> List.filter (fun r -> Obs.Ledger.job_id r = Some id) records
 
-let load_ledger ledger =
-  match Obs.Ledger.resolve_path ?path:ledger () with
-  | None -> Error "ledger disabled (path \"none\")"
-  | Some path ->
-    (match Obs.Ledger.load path with
-     | Ok records -> Ok (path, records)
-     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+exception History of string
+
+(* Run [f] over the loaded ledger; a disabled or unreadable ledger, or a
+   record index out of range, is one error line and exit 1. *)
+let with_ledger ledger f =
+  try
+    match Obs.Ledger.resolve_path ?path:ledger () with
+    | None -> raise (History "ledger disabled (path \"none\")")
+    | Some path -> (
+      match Obs.Ledger.load path with
+      | Ok records -> f path records
+      | Error msg -> raise (History (Printf.sprintf "%s: %s" path msg)))
+  with History msg ->
+    Printf.eprintf "thermoplace: history: %s\n" msg;
+    1
 
 let take_last n l =
   match n with
@@ -1072,8 +880,9 @@ let nth_record records idx =
   let n = List.length records in
   let i = if idx < 0 then n + idx else idx in
   if i < 0 || i >= n then
-    Error (Printf.sprintf "record %d out of range (ledger has %d)" idx n)
-  else Ok (i, List.nth records i)
+    raise
+      (History (Printf.sprintf "record %d out of range (ledger has %d)" idx n));
+  (i, List.nth records i)
 
 let format_time ts =
   if Float.is_nan ts then "?"
@@ -1082,16 +891,6 @@ let format_time ts =
     Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" (tm.Unix.tm_year + 1900)
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
       tm.Unix.tm_sec
-
-let total_ms r =
-  List.assoc_opt "total_ms" (Obs.Ledger.phases_ms r)
-
-let with_ledger ledger f =
-  match load_ledger ledger with
-  | Error msg ->
-    Printf.eprintf "thermoplace: history: %s\n" msg;
-    1
-  | Ok (path, records) -> f path records
 
 let run_history_list ledger last job =
   with_ledger ledger @@ fun path records ->
@@ -1105,7 +904,7 @@ let run_history_list ledger last job =
          (format_time (Obs.Ledger.timestamp_s r))
          (Obs.Ledger.command r) (Obs.Ledger.outcome r)
          (Obs.Ledger.exit_code r)
-         (match total_ms r with
+         (match List.assoc_opt "total_ms" (Obs.Ledger.phases_ms r) with
           | Some ms -> Printf.sprintf "%.1fms" ms
           | None -> "-")
          (Obs.Ledger.fingerprint r)
@@ -1117,99 +916,74 @@ let run_history_list ledger last job =
 
 let run_history_show ledger idx =
   with_ledger ledger @@ fun _path records ->
-  match nth_record records idx with
-  | Error msg ->
-    Printf.eprintf "thermoplace: history: %s\n" msg;
-    1
-  | Ok (_, r) ->
-    print_endline (Obs.Json.to_string ~pretty:true r);
-    0
+  print_endline (Obs.Json.to_string ~pretty:true (snd (nth_record records idx)));
+  0
 
 let run_history_diff ledger job idx_a idx_b =
   with_ledger ledger @@ fun _path records ->
   let records = filter_job job records in
-  match (nth_record records idx_a, nth_record records idx_b) with
-  | Error msg, _ | _, Error msg ->
-    Printf.eprintf "thermoplace: history: %s\n" msg;
-    1
-  | Ok (ia, a), Ok (ib, b) ->
-    Printf.printf "a: #%d %s %s  %s\n" ia (format_time (Obs.Ledger.timestamp_s a))
-      (Obs.Ledger.command a) (Obs.Ledger.fingerprint a);
-    Printf.printf "b: #%d %s %s  %s\n" ib (format_time (Obs.Ledger.timestamp_s b))
-      (Obs.Ledger.command b) (Obs.Ledger.fingerprint b);
-    (* config delta: union of keys, a's order first *)
-    let cfg_a = Obs.Ledger.config_fields a in
-    let cfg_b = Obs.Ledger.config_fields b in
-    let keys =
-      List.map fst cfg_a
-      @ List.filter (fun k -> not (List.mem_assoc k cfg_a)) (List.map fst cfg_b)
-    in
-    let render = function
-      | None -> "-"
-      | Some j -> Obs.Json.to_string j
-    in
-    let changed =
-      List.filter
-        (fun k -> List.assoc_opt k cfg_a <> List.assoc_opt k cfg_b)
-        keys
-    in
-    if changed = [] then print_endline "config: identical"
-    else begin
-      print_endline "config:";
-      List.iter
-        (fun k ->
-           Printf.printf "  %-14s %s -> %s\n" k
-             (render (List.assoc_opt k cfg_a))
-             (render (List.assoc_opt k cfg_b)))
-        changed
-    end;
-    (* per-phase timing delta *)
-    let ph_a = Obs.Ledger.phases_ms a in
-    let ph_b = Obs.Ledger.phases_ms b in
-    let phase_keys =
-      List.map fst ph_a
-      @ List.filter (fun k -> not (List.mem_assoc k ph_a)) (List.map fst ph_b)
-    in
-    if phase_keys <> [] then begin
-      Printf.printf "%-18s %12s %12s %10s\n" "phase" "a[ms]" "b[ms]" "delta";
-      List.iter
-        (fun k ->
-           match (List.assoc_opt k ph_a, List.assoc_opt k ph_b) with
-           | Some va, Some vb ->
-             let pct =
-               if va > 0.0 then Printf.sprintf "%+.1f%%" ((vb -. va) /. va *. 100.0)
-               else "-"
-             in
-             Printf.printf "%-18s %12.1f %12.1f %10s\n" k va vb pct
-           | Some va, None -> Printf.printf "%-18s %12.1f %12s %10s\n" k va "-" "-"
-           | None, Some vb -> Printf.printf "%-18s %12s %12.1f %10s\n" k "-" vb "-"
-           | None, None -> ())
-        phase_keys
-    end;
-    let scalar name get render =
-      match (get a, get b) with
-      | None, None -> ()
-      | va, vb when va = vb ->
-        Printf.printf "%-18s %s (same)\n" name (render va)
-      | va, vb ->
-        Printf.printf "%-18s %s -> %s\n" name (render va) (render vb)
-    in
-    let render_float = function
-      | None -> "-"
-      | Some v -> Printf.sprintf "%.6g" v
-    in
-    let render_str = function None -> "-" | Some s -> s in
-    scalar "cg_iterations"
-      (fun r -> Option.bind (Obs.Json.member "cg_iterations" r) Obs.Json.to_float)
-      render_float;
-    scalar "peak_rise_k"
-      (fun r -> Option.bind (Obs.Json.member "peak_rise_k" r) Obs.Json.to_float)
-      render_float;
-    scalar "plan_hash"
-      (fun r ->
-         Option.bind (Obs.Json.member "plan_hash" r) Obs.Json.to_string_opt)
-      render_str;
-    0
+  let ia, a = nth_record records idx_a in
+  let ib, b = nth_record records idx_b in
+  List.iter
+    (fun (tag, i, r) ->
+       Printf.printf "%s: #%d %s %s  %s\n" tag i
+         (format_time (Obs.Ledger.timestamp_s r))
+         (Obs.Ledger.command r) (Obs.Ledger.fingerprint r))
+    [ ("a", ia, a); ("b", ib, b) ];
+  (* union of both records' keys, a's order first *)
+  let keys fa fb =
+    List.map fst fa
+    @ List.filter (fun k -> not (List.mem_assoc k fa)) (List.map fst fb)
+  in
+  let cell render v = Option.fold ~none:"-" ~some:render v in
+  (* config delta *)
+  let cfg_a = Obs.Ledger.config_fields a in
+  let cfg_b = Obs.Ledger.config_fields b in
+  let changed =
+    List.filter
+      (fun k -> List.assoc_opt k cfg_a <> List.assoc_opt k cfg_b)
+      (keys cfg_a cfg_b)
+  in
+  if changed = [] then print_endline "config: identical"
+  else begin
+    print_endline "config:";
+    List.iter
+      (fun k ->
+         let render cfg = cell Obs.Json.to_string (List.assoc_opt k cfg) in
+         Printf.printf "  %-14s %s -> %s\n" k (render cfg_a) (render cfg_b))
+      changed
+  end;
+  (* per-phase timing delta *)
+  let ph_a = Obs.Ledger.phases_ms a in
+  let ph_b = Obs.Ledger.phases_ms b in
+  let phase_keys = keys ph_a ph_b in
+  if phase_keys <> [] then begin
+    Printf.printf "%-18s %12s %12s %10s\n" "phase" "a[ms]" "b[ms]" "delta";
+    List.iter
+      (fun k ->
+         let va = List.assoc_opt k ph_a and vb = List.assoc_opt k ph_b in
+         let pct =
+           match (va, vb) with
+           | Some va, Some vb when va > 0.0 ->
+             Printf.sprintf "%+.1f%%" ((vb -. va) /. va *. 100.0)
+           | _ -> "-"
+         in
+         let ms = cell (Printf.sprintf "%.1f") in
+         Printf.printf "%-18s %12s %12s %10s\n" k (ms va) (ms vb) pct)
+      phase_keys
+  end;
+  let scalar name read render =
+    let get r = Option.bind (Obs.Json.member name r) read in
+    match (get a, get b) with
+    | None, None -> ()
+    | va, vb when va = vb -> Printf.printf "%-18s %s (same)\n" name (cell render va)
+    | va, vb ->
+      Printf.printf "%-18s %s -> %s\n" name (cell render va) (cell render vb)
+  in
+  scalar "cg_iterations" Obs.Json.to_float (Printf.sprintf "%.6g");
+  scalar "peak_rise_k" Obs.Json.to_float (Printf.sprintf "%.6g");
+  scalar "plan_hash" Obs.Json.to_string_opt Fun.id;
+  0
 
 (* A trend key is a phases_ms entry first, then any numeric top-level
    record field (peak_rise_k, cg_iterations, exit_code...). *)
@@ -1232,27 +1006,21 @@ let run_history_trend ledger key last =
       (fun r -> Option.map (fun v -> (r, v)) (trend_value key r))
       (take_last last records)
   in
-  (match points with
-   | [] -> Printf.printf "no records carry key %S\n" key
-   | points ->
-     let vmax =
-       List.fold_left (fun m (_, v) -> Float.max m v) Float.neg_infinity
-         points
-     in
-     Printf.printf "%-20s %12s  %-30s %s\n" "time" key "" "fingerprint";
-     List.iter
-       (fun (r, v) ->
-          let width =
-            if vmax > 0.0 then
-              int_of_float (Float.round (v /. vmax *. 30.0))
-            else 0
-          in
-          Printf.printf "%-20s %12.2f  %-30s %s\n"
-            (format_time (Obs.Ledger.timestamp_s r))
-            v
-            (String.make (max 0 (min 30 width)) '#')
-            (Obs.Ledger.fingerprint r))
-       points);
+  let vmax = List.fold_left (fun m (_, v) -> Float.max m v) 0.0 points in
+  if points = [] then Printf.printf "no records carry key %S\n" key
+  else Printf.printf "%-20s %12s  %-30s %s\n" "time" key "" "fingerprint";
+  List.iter
+    (fun (r, v) ->
+       let width =
+         if vmax > 0.0 then int_of_float (Float.round (v /. vmax *. 30.0))
+         else 0
+       in
+       Printf.printf "%-20s %12.2f  %-30s %s\n"
+         (format_time (Obs.Ledger.timestamp_s r))
+         v
+         (String.make (max 0 (min 30 width)) '#')
+         (Obs.Ledger.fingerprint r))
+    points;
   0
 
 let history_cmd =
@@ -1292,31 +1060,20 @@ let history_cmd =
 let flow_cmd =
   let doc = "Run the flow and apply one temperature-reduction technique." in
   Cmd.v (Cmd.info "flow" ~doc)
-    Term.(const run_flow $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ cache_slots_arg $ technique_arg $ overhead_arg
-          $ jobs_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+    Term.(const run_flow $ common_t $ pool_t $ technique_arg $ overhead_arg)
 
 let report_cmd =
   let doc = "Print netlist, placement, power and thermal summaries." in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run_report $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const run_report $ common_t)
 
 let maps_cmd =
   let doc = "Dump power and thermal maps (Fig. 5 data)." in
-  Cmd.v (Cmd.info "maps" ~doc)
-    Term.(const run_maps $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ ascii_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+  Cmd.v (Cmd.info "maps" ~doc) Term.(const run_maps $ common_t $ ascii_arg)
 
 let sweep_cmd =
   let doc = "Reduction-vs-overhead sweep for all three schemes (Fig. 6)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run_sweep $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ cache_slots_arg $ jobs_arg $ checkpoint_arg
-          $ trace_arg $ report_arg $ perfetto_arg $ prom_arg $ ledger_arg)
+    Term.(const run_sweep $ common_t $ pool_t $ checkpoint_arg)
 
 let check_cmd =
   let doc =
@@ -1324,10 +1081,7 @@ let check_cmd =
      containment, power-map sanity, mesh-matrix SPD structure, bounded \
      temperatures) and exit non-zero on any violation."
   in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run_check $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ trace_arg $ report_arg $ perfetto_arg $ prom_arg
-          $ ledger_arg)
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run_check $ common_t)
 
 let optimize_cmd =
   let doc =
@@ -1336,10 +1090,8 @@ let optimize_cmd =
      domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const run_optimize $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ screen_arg $ guide_arg $ cache_slots_arg
-          $ rows_arg $ jobs_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+    Term.(const run_optimize $ common_t $ pool_t $ screen_arg $ guide_arg
+          $ rows_arg)
 
 let export_cmd =
   let doc =
@@ -1347,9 +1099,7 @@ let export_cmd =
      netlist and an SVG layout with hotspot overlay."
   in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const run_export $ seed $ cycles $ utilization $ test_set
-          $ precond_arg $ outdir_arg $ trace_arg $ report_arg $ perfetto_arg
-          $ prom_arg $ ledger_arg)
+    Term.(const run_export $ common_t $ outdir_arg)
 
 let () =
   (match Robust.Faults.init_from_env () with

@@ -1,17 +1,38 @@
-let test_set_1 ?(seed = 42) ?(sim_cycles = 1000) ?precond ?screen ?guide () =
-  let bench = Netgen.Benchmark.nine_unit () in
-  (* mul16a (0), div16 (4), add64 (6) and cmp32 (8) sit in different
-     corners/edges of the 3x3 region grid -> four scattered hotspots *)
-  let workload =
-    Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ]
-  in
-  Flow.prepare ~seed ~sim_cycles ?precond ?screen ?guide bench workload
+(* The test-set table: name -> (benchmark, workload). *)
+let test_sets =
+  [ ("scattered",
+     fun () ->
+       (* mul16a (0), div16 (4), add64 (6) and cmp32 (8) sit in different
+          corners/edges of the 3x3 region grid -> four scattered hotspots *)
+       ( Netgen.Benchmark.nine_unit (),
+         Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ] ));
+    ("concentrated",
+     fun () ->
+       (* mul20 (tag 2) is the largest unit: one big concentrated hotspot *)
+       ( Netgen.Benchmark.nine_unit (),
+         Logicsim.Workload.concentrated_hotspot ~hot_unit:2 ));
+    ("small",
+     fun () ->
+       ( Netgen.Benchmark.small (),
+         Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ] )) ]
 
-let test_set_2 ?(seed = 42) ?(sim_cycles = 1000) ?precond ?screen ?guide () =
-  let bench = Netgen.Benchmark.nine_unit () in
-  (* mul20 (tag 2) is the largest unit: one big concentrated hotspot *)
-  let workload = Logicsim.Workload.concentrated_hotspot ~hot_unit:2 in
-  Flow.prepare ~seed ~sim_cycles ?precond ?screen ?guide bench workload
+let test_set_names = List.map fst test_sets
+
+let prepare_test_set ?seed ?utilization ?sim_cycles ?precond ?screen ?guide
+    name =
+  match List.assoc_opt name test_sets with
+  | None ->
+    invalid_arg (Printf.sprintf "Experiment: unknown test set %S" name)
+  | Some make ->
+    let bench, workload = make () in
+    Flow.prepare ?seed ?utilization ?sim_cycles ?precond ?screen ?guide bench
+      workload
+
+let test_set_1 ?seed ?sim_cycles ?precond ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide "scattered"
+
+let test_set_2 ?seed ?sim_cycles ?precond ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide "concentrated"
 
 type point = {
   scheme : string;
@@ -136,11 +157,7 @@ type fig6 = {
 
 let default_overheads = [ 0.05; 0.10; 0.15; 0.20; 0.25; 0.30; 0.35; 0.40 ]
 
-let rows_for_overhead flow frac =
-  let base_rows =
-    flow.Flow.base_placement.Place.Placement.fp.Place.Floorplan.num_rows
-  in
-  max 1 (int_of_float (Float.round (frac *. float_of_int base_rows)))
+let rows_for_overhead = Flow.rows_for_overhead ~nearest:true
 
 (* The key names everything a checkpointed point depends on, including
    the preconditioner (points are equal only to solver tolerance across

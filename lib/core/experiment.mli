@@ -4,6 +4,19 @@
     to one table or figure of the evaluation section (plus the in-text
     claims). The bench executable formats these results. *)
 
+val test_set_names : string list
+(** The test-set table's names: ["scattered"] (test set 1),
+    ["concentrated"] (test set 2) and ["small"] (a 3-unit smoke
+    benchmark with one hot unit). The CLI's [--test-set] and the serve
+    request's [test_set] both resolve here. *)
+
+val prepare_test_set : ?seed:int -> ?utilization:float -> ?sim_cycles:int ->
+  ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
+  ?guide:Flow.guide_choice -> string -> Flow.t
+(** Prepare the named test set's benchmark and workload with
+    {!Flow.prepare} (whose defaults apply). Raises [Invalid_argument] for
+    a name not in {!test_set_names}. *)
+
 val test_set_1 : ?seed:int -> ?sim_cycles:int ->
   ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
   ?guide:Flow.guide_choice -> unit -> Flow.t
@@ -12,13 +25,13 @@ val test_set_1 : ?seed:int -> ?sim_cycles:int ->
     are nearly idle. [?precond] selects the thermal-solve preconditioner
     for every evaluation in the flow, [?screen] the optimizer's
     candidate-screening tier and [?guide] its candidate-ranking signal
-    (see [Flow.prepare]). *)
+    (see [Flow.prepare]). Equivalent to [prepare_test_set "scattered"]. *)
 
 val test_set_2 : ?seed:int -> ?sim_cycles:int ->
   ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
   ?guide:Flow.guide_choice -> unit -> Flow.t
 (** One large concentrated hotspot: the 20x20 multiplier (the biggest unit)
-    runs hot. *)
+    runs hot. Equivalent to [prepare_test_set "concentrated"]. *)
 
 (** One point of the Fig. 6 temperature-reduction/area-overhead plot. *)
 type point = {

@@ -2,16 +2,28 @@ module P = Place.Placement
 
 type screen_choice = Screen_auto | Screen_fft | Screen_exact
 
-let screen_choice_name = function
-  | Screen_auto -> "auto"
-  | Screen_fft -> "fft"
-  | Screen_exact -> "exact"
-
 type guide_choice = Guide_peak | Guide_gradient
 
-let guide_choice_name = function
-  | Guide_peak -> "peak"
-  | Guide_gradient -> "gradient"
+(* One name table per choice: the CLI's option parsers, the serve request
+   codec and the fingerprint all spell choices through these. *)
+let of_name kind table s =
+  match List.assoc_opt s table with
+  | Some c -> Ok c
+  | None -> Error (Printf.sprintf "unknown %s %S" kind s)
+
+let name_of table c = fst (List.find (fun (_, c') -> c' = c) table)
+
+let screens =
+  [ ("auto", Screen_auto); ("fft", Screen_fft); ("exact", Screen_exact) ]
+
+let screen_names = List.map fst screens
+let screen_of_name = of_name "screen" screens
+let screen_choice_name = name_of screens
+
+let guides = [ ("peak", Guide_peak); ("gradient", Guide_gradient) ]
+let guide_names = List.map fst guides
+let guide_of_name = of_name "guide" guides
+let guide_choice_name = name_of guides
 
 type t = {
   bench : Netgen.Benchmark.t;
@@ -44,11 +56,7 @@ let preconds =
       ("mg", Pc_mg) ]
 
 let precond_names = List.map fst preconds
-
-let precond_of_name s =
-  match List.assoc_opt s preconds with
-  | Some c -> Ok c
-  | None -> Error (Printf.sprintf "unknown precond %S" s)
+let precond_of_name = of_name "precond" preconds
 
 let mesh_name t = mesh_config_name t.mesh_config
 
@@ -276,6 +284,12 @@ let apply_power_aware t ~utilization =
     ~positions:t.positions
     ~from_core:t.base_placement.P.fp.Place.Floorplan.core ~utilization
     (Geo.Rng.create (t.seed + 11))
+
+let rows_for_overhead ?(nearest = false) t frac =
+  let rows =
+    frac *. float_of_int t.base_placement.P.fp.Place.Floorplan.num_rows
+  in
+  max 1 (int_of_float (if nearest then Float.round rows else rows))
 
 let apply_eri t ~base ~rows =
   ignore t;

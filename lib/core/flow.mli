@@ -21,6 +21,13 @@ type screen_choice = Screen_auto | Screen_fft | Screen_exact
 val screen_choice_name : screen_choice -> string
 (** ["auto"], ["fft"] or ["exact"] — for reports and config echoes. *)
 
+val screen_of_name : string -> (screen_choice, string) result
+(** Parse a CLI / serve-request screen name; anything else is an [Error]
+    naming the bad value. *)
+
+val screen_names : string list
+(** Every name {!screen_of_name} accepts, ["auto"] first. *)
+
 type guide_choice = Guide_peak | Guide_gradient
 (** How the optimizer ranks whitespace-allocation candidates.
     [Guide_peak] (the paper's scheme) evaluates candidates by their
@@ -33,6 +40,12 @@ type guide_choice = Guide_peak | Guide_gradient
 
 val guide_choice_name : guide_choice -> string
 (** ["peak"] or ["gradient"] — for reports and config echoes. *)
+
+val guide_of_name : string -> (guide_choice, string) result
+(** Parse a CLI / serve-request guide name, as {!screen_of_name}. *)
+
+val guide_names : string list
+(** Every name {!guide_of_name} accepts, ["peak"] first. *)
 
 type t = {
   bench : Netgen.Benchmark.t;
@@ -186,6 +199,13 @@ val check_design : t -> Place.Placement.t -> Robust.Validate.outcome list
 
 val apply_default : t -> utilization:float -> Place.Placement.t
 (** The Default scheme at a given utilization factor. *)
+
+val rows_for_overhead : ?nearest:bool -> t -> float -> int
+(** The ERI row count for an area-overhead fraction of the base
+    placement's rows, at least 1. Rounded down by default, the CLI and
+    serve rule, so the budget stays within the overhead; [~nearest:true]
+    rounds to the closest row count, the paper experiments' rule for
+    placing each point nearest its overhead. *)
 
 val apply_eri : t -> base:evaluation -> rows:int -> Technique.eri_result
 (** ERI with [rows] extra rows next to [base]'s hotspots. *)

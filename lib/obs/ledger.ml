@@ -93,6 +93,15 @@ let append ~path record =
        if n <> Bytes.length bytes then
          failwith "Obs.Ledger.append: short write")
 
+let append_or_warn ~prog path record =
+  match path with
+  | None -> ()
+  | Some path -> (
+    try append ~path record
+    with e ->
+      Printf.eprintf "%s: cannot append to ledger %s: %s\n" prog path
+        (Printexc.to_string e))
+
 let load path =
   if not (Sys.file_exists path) then Ok []
   else begin

@@ -55,6 +55,12 @@ val append : path:string -> Json.t -> unit
     missing. Raises [Invalid_argument] on an invalid record and
     [Unix.Unix_error] / [Failure] on I/O failure. *)
 
+val append_or_warn : prog:string -> string option -> Json.t -> unit
+(** {!append} to the resolved path ([None] — the ledger is disabled —
+    does nothing). A failed append is reported on stderr as
+    ["PROG: cannot append to ledger PATH: ERROR"] and never raises: a
+    ledger problem must not fail the run it records. *)
+
 val load : string -> (Json.t list, string) result
 (** Parse every non-blank line, oldest first. A missing file is an empty
     ledger; a malformed or schema-incompatible line is an [Error]

@@ -1,20 +1,28 @@
-(* One serve job: the JSONL request codec, the pre-prepare fingerprint,
-   and the (deterministic) technique execution against a prepared flow.
+(* One job: the JSONL request codec, the pre-prepare fingerprint, and the
+   (deterministic) technique execution against a prepared flow. The
+   thermoplace CLI describes its runs as requests too, so a CLI run and
+   a served job share one test-set table, one fingerprint and one
+   executor.
 
    A request is one line of JSON. Parsing is strict where it matters —
-   enums, ranges, the fault spec — because an invalid request must fail
-   fast at admission, never after a prepared flow was paid for, and must
-   never be retried. *)
+   field names, enums, ranges, the fault spec — because an invalid
+   request must fail fast at admission, never after a prepared flow was
+   paid for, and must never be retried. *)
 
 module Flow = Postplace.Flow
 
 type technique = Default | Eri | Hw | Optimize
 
-let technique_name = function
-  | Default -> "default"
-  | Eri -> "eri"
-  | Hw -> "hw"
-  | Optimize -> "optimize"
+let techniques =
+  [ ("default", Default); ("eri", Eri); ("hw", Hw); ("optimize", Optimize) ]
+
+let technique_names = List.map fst techniques
+let technique_name t = fst (List.find (fun (_, t') -> t' = t) techniques)
+
+let technique_of_name s =
+  match List.assoc_opt s techniques with
+  | Some t -> Ok t
+  | None -> Error (Printf.sprintf "unknown technique %S" s)
 
 type request = {
   id : string;
@@ -39,51 +47,56 @@ type request = {
 
 let ( let* ) = Result.bind
 
-let technique_of_string = function
-  | "default" -> Ok Default
-  | "eri" -> Ok Eri
-  | "hw" -> Ok Hw
-  | "optimize" -> Ok Optimize
-  | s -> Error (Printf.sprintf "unknown technique %S" s)
+let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
+    ?(cycles = 1000) ?(utilization = 0.85) ?(precond = "auto")
+    ?(screen = "auto") ?(guide = "peak") ?(overhead = 0.2) ?rows
+    ?deadline_ms ?max_retries ?(faults = "") id =
+  let tag r = Result.map_error (fun m -> id ^ ": " ^ m) r in
+  let require ok msg = if ok then Ok () else Error (id ^ ": " ^ msg) in
+  let at_least lo = function Some v -> v >= lo | None -> true in
+  let* () =
+    require
+      (List.mem test_set Postplace.Experiment.test_set_names)
+      (Printf.sprintf "unknown test_set %S" test_set)
+  in
+  let* technique_v = tag (technique_of_name technique) in
+  let* () = require (cycles >= 1) "cycles must be >= 1" in
+  let* () =
+    require
+      (utilization > 0.0 && utilization <= 1.0)
+      "utilization must be in (0, 1]"
+  in
+  let* precond_v = tag (Flow.precond_of_name precond) in
+  let* screen_v = tag (Flow.screen_of_name screen) in
+  let* guide_v = tag (Flow.guide_of_name guide) in
+  let* () =
+    require (overhead >= 0.0 && overhead <= 4.0) "overhead must be in [0, 4]"
+  in
+  let* () = require (at_least 1 rows) "rows must be >= 1" in
+  let* () =
+    require
+      (match deadline_ms with Some d -> d > 0.0 | None -> true)
+      "deadline_ms must be > 0"
+  in
+  let* () = require (at_least 0 max_retries) "max_retries must be >= 0" in
+  let* faults_v =
+    Result.map_error
+      (fun m -> id ^ ": bad faults spec: " ^ m)
+      (Robust.Faults.parse_spec faults)
+  in
+  Ok
+    { id; test_set; technique = technique_v; seed; cycles; utilization;
+      precond = precond_v; precond_name = precond; screen = screen_v;
+      screen_name = screen; guide = guide_v; guide_name = guide; overhead;
+      rows; deadline_ms; max_retries; faults = faults_v;
+      faults_spec = faults }
 
-let screen_of_string = function
-  | "auto" -> Ok Flow.Screen_auto
-  | "fft" -> Ok Flow.Screen_fft
-  | "exact" -> Ok Flow.Screen_exact
-  | s -> Error (Printf.sprintf "unknown screen %S" s)
+let fields =
+  [ "id"; "test_set"; "technique"; "seed"; "cycles"; "utilization";
+    "precond"; "screen"; "guide"; "overhead"; "rows"; "deadline_ms";
+    "max_retries"; "faults" ]
 
-let guide_of_string = function
-  | "peak" -> Ok Flow.Guide_peak
-  | "gradient" -> Ok Flow.Guide_gradient
-  | s -> Error (Printf.sprintf "unknown guide %S" s)
-
-let test_sets = [ "scattered"; "concentrated"; "small" ]
-
-let field_str json name ~default =
-  match Obs.Json.member name json with
-  | None -> Ok default
-  | Some j -> (
-    match Obs.Json.to_string_opt j with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %S must be a string" name))
-
-let field_int json name ~default =
-  match Obs.Json.member name json with
-  | None -> Ok default
-  | Some j -> (
-    match Obs.Json.to_int j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "field %S must be an integer" name))
-
-let field_float json name ~default =
-  match Obs.Json.member name json with
-  | None -> Ok default
-  | Some j -> (
-    match Obs.Json.to_float j with
-    | Some v when Float.is_finite v -> Ok v
-    | _ -> Error (Printf.sprintf "field %S must be a finite number" name))
-
-let field_opt json name to_v ~kind =
+let field json name to_v ~kind =
   match Obs.Json.member name json with
   | None -> Ok None
   | Some j -> (
@@ -93,84 +106,40 @@ let field_opt json name to_v ~kind =
 
 let request_of_json json =
   match json with
-  | Obs.Json.Obj _ ->
+  | Obs.Json.Obj members ->
     let* id =
       match Option.bind (Obs.Json.member "id" json) Obs.Json.to_string_opt with
       | Some s when String.trim s <> "" -> Ok s
       | Some _ -> Error "field \"id\" must be a non-empty string"
       | None -> Error "missing string field \"id\""
     in
-    let fail fmt = Printf.ksprintf (fun m -> Error (id ^ ": " ^ m)) fmt in
-    let* test_set = field_str json "test_set" ~default:"small" in
     let* () =
-      if List.mem test_set test_sets then Ok ()
-      else fail "unknown test_set %S" test_set
+      match List.find_opt (fun (k, _) -> not (List.mem k fields)) members with
+      | Some (k, _) -> Error (Printf.sprintf "%s: unknown field %S" id k)
+      | None -> Ok ()
     in
-    let* technique_s = field_str json "technique" ~default:"eri" in
-    let* technique =
-      Result.map_error (fun m -> id ^ ": " ^ m) (technique_of_string technique_s)
+    let str name = field json name Obs.Json.to_string_opt ~kind:"a string" in
+    let int name = field json name Obs.Json.to_int ~kind:"an integer" in
+    let num name =
+      field json name ~kind:"a finite number" (fun j ->
+          Option.bind (Obs.Json.to_float j) (fun v ->
+              if Float.is_finite v then Some v else None))
     in
-    let* seed = field_int json "seed" ~default:42 in
-    let* cycles = field_int json "cycles" ~default:1000 in
-    let* () = if cycles >= 1 then Ok () else fail "cycles must be >= 1" in
-    let* utilization = field_float json "utilization" ~default:0.85 in
-    let* () =
-      if utilization > 0.0 && utilization <= 1.0 then Ok ()
-      else fail "utilization must be in (0, 1]"
-    in
-    let* precond_name = field_str json "precond" ~default:"auto" in
-    let* precond =
-      Result.map_error (fun m -> id ^ ": " ^ m) (Flow.precond_of_name precond_name)
-    in
-    let* screen_name = field_str json "screen" ~default:"auto" in
-    let* screen =
-      Result.map_error (fun m -> id ^ ": " ^ m) (screen_of_string screen_name)
-    in
-    let* guide_name = field_str json "guide" ~default:"peak" in
-    let* guide =
-      Result.map_error (fun m -> id ^ ": " ^ m) (guide_of_string guide_name)
-    in
-    let* overhead = field_float json "overhead" ~default:0.2 in
-    let* () =
-      if overhead >= 0.0 && overhead <= 4.0 then Ok ()
-      else fail "overhead must be in [0, 4]"
-    in
-    let* rows = field_opt json "rows" Obs.Json.to_int ~kind:"an integer" in
-    let* () =
-      match rows with
-      | Some r when r < 1 -> fail "rows must be >= 1"
-      | _ -> Ok ()
-    in
-    let* deadline_ms =
-      field_opt json "deadline_ms"
-        (fun j ->
-           match Obs.Json.to_float j with
-           | Some v when Float.is_finite v -> Some v
-           | _ -> None)
-        ~kind:"a finite number"
-    in
-    let* () =
-      match deadline_ms with
-      | Some d when d <= 0.0 -> fail "deadline_ms must be > 0"
-      | _ -> Ok ()
-    in
-    let* max_retries =
-      field_opt json "max_retries" Obs.Json.to_int ~kind:"an integer"
-    in
-    let* () =
-      match max_retries with
-      | Some r when r < 0 -> fail "max_retries must be >= 0"
-      | _ -> Ok ()
-    in
-    let* faults_spec = field_str json "faults" ~default:"" in
-    let* faults =
-      Result.map_error (fun m -> id ^ ": bad faults spec: " ^ m)
-        (Robust.Faults.parse_spec faults_spec)
-    in
-    Ok
-      { id; test_set; technique; seed; cycles; utilization; precond;
-        precond_name; screen; screen_name; guide; guide_name; overhead;
-        rows; deadline_ms; max_retries; faults; faults_spec }
+    let* test_set = str "test_set" in
+    let* technique = str "technique" in
+    let* seed = int "seed" in
+    let* cycles = int "cycles" in
+    let* utilization = num "utilization" in
+    let* precond = str "precond" in
+    let* screen = str "screen" in
+    let* guide = str "guide" in
+    let* overhead = num "overhead" in
+    let* rows = int "rows" in
+    let* deadline_ms = num "deadline_ms" in
+    let* max_retries = int "max_retries" in
+    let* faults = str "faults" in
+    make ?test_set ?technique ?seed ?cycles ?utilization ?precond ?screen
+      ?guide ?overhead ?rows ?deadline_ms ?max_retries ?faults id
   | _ -> Error "request is not a JSON object"
 
 let request_of_line line =
@@ -206,33 +175,27 @@ let config_json r =
 (* The batching identity: everything [prepare_flow] consumes. Computable
    without preparing anything, which is the whole point — the server
    groups queued jobs on this string before paying for a flow. *)
-let fingerprint r =
+let fingerprint ?(extra = []) r =
   Flow.config_fingerprint ~mesh_config:Thermal.Mesh.default_config
     ~precond:r.precond ~screen:r.screen ~guide:r.guide ~seed:r.seed
     ~utilization:r.utilization
-    ~extra:[ ("set", r.test_set); ("cycles", string_of_int r.cycles) ]
+    ~extra:
+      ([ ("set", r.test_set); ("cycles", string_of_int r.cycles) ] @ extra)
     ()
 
-(* Same test-set -> (benchmark, workload) mapping as the CLI. *)
 let prepare_flow r =
-  let prep bench workload =
-    Flow.prepare ~seed:r.seed ~utilization:r.utilization
-      ~sim_cycles:r.cycles ~precond:r.precond ~screen:r.screen
-      ~guide:r.guide bench workload
-  in
-  match r.test_set with
-  | "scattered" ->
-    prep (Netgen.Benchmark.nine_unit ())
-      (Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ])
-  | "concentrated" ->
-    prep (Netgen.Benchmark.nine_unit ())
-      (Logicsim.Workload.concentrated_hotspot ~hot_unit:2)
-  | "small" ->
-    prep (Netgen.Benchmark.small ())
-      (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ])
-  | _ -> assert false (* request_of_json validated the enum *)
+  Postplace.Experiment.prepare_test_set ~seed:r.seed
+    ~utilization:r.utilization ~sim_cycles:r.cycles ~precond:r.precond
+    ~screen:r.screen ~guide:r.guide r.test_set
+
+type applied = {
+  placement : Place.Placement.t;
+  plan : int list option;
+  optimizer : Postplace.Optimizer.result option;
+}
 
 type executed = {
+  after : Flow.evaluation;
   peak_rise_k : float;
   reduction_pct : float;
   area_overhead_pct : float;
@@ -244,76 +207,74 @@ let plan_digest inserted_after =
   Digest.to_hex
     (Digest.string (String.concat "," (List.map string_of_int inserted_after)))
 
-let derived_rows r (flow : Flow.t) =
-  match r.rows with
-  | Some rows -> rows
-  | None ->
-    max 1
-      (int_of_float
-         (r.overhead
-          *. float_of_int
-               flow.Flow.base_placement.Place.Placement.fp
-                 .Place.Floorplan.num_rows))
-
-(* Execute the technique. Everything in [result_json] is a deterministic
-   function of the request (no wall-clock, no queue state), so CI can
-   compare fault-armed and fault-free runs of the same file field by
-   field and expect bit identity for unaffected jobs. *)
-let execute ~(flow : Flow.t) ~(base : Flow.evaluation) r =
-  let eval pl = Flow.evaluate flow pl in
-  let finish ?plan ?(extra = []) pl =
-    let ev = eval pl in
-    let peak = ev.Flow.metrics.Thermal.Metrics.peak_rise_k in
-    let reduction =
-      Thermal.Metrics.reduction_pct ~before:base.Flow.metrics
-        ~after:ev.Flow.metrics
-    in
-    let area =
-      Postplace.Technique.area_overhead_pct ~base:base.Flow.placement pl
-    in
-    let plan_hash = Option.map plan_digest plan in
-    let result_json =
-      Obs.Json.Obj
-        ([ ("technique", Obs.Json.String (technique_name r.technique));
-           ("base_peak_rise_k",
-            Obs.Json.Float base.Flow.metrics.Thermal.Metrics.peak_rise_k);
-           ("peak_rise_k", Obs.Json.Float peak);
-           ("peak_reduction_pct", Obs.Json.Float reduction);
-           ("area_overhead_pct", Obs.Json.Float area) ]
-         @ (match plan_hash with
-            | Some h -> [ ("plan_hash", Obs.Json.String h) ]
-            | None -> [])
-         @ extra)
-    in
-    { peak_rise_k = peak; reduction_pct = reduction;
-      area_overhead_pct = area; plan_hash; result_json }
+(* Default relaxes utilization by the overhead; HW decorates that Default
+   placement's hotspots; ERI spends [rows] or, without it, the overhead's
+   row count rounded down; optimize spends [rows] (2 by default). *)
+let apply ~(flow : Flow.t) ~(base : Flow.evaluation) r =
+  let default () =
+    Flow.apply_default flow
+      ~utilization:(r.utilization /. (1.0 +. r.overhead))
   in
+  let placed placement = { placement; plan = None; optimizer = None } in
   match r.technique with
-  | Default ->
-    finish
-      (Flow.apply_default flow
-         ~utilization:(r.utilization /. (1.0 +. r.overhead)))
+  | Default -> placed (default ())
   | Eri ->
-    let rows = derived_rows r flow in
-    let res = Flow.apply_eri flow ~base ~rows in
-    finish ~plan:res.Postplace.Technique.inserted_after
-      res.Postplace.Technique.eri_placement
-  | Hw ->
-    let d =
-      Flow.apply_default flow
-        ~utilization:(r.utilization /. (1.0 +. r.overhead))
+    let rows =
+      match r.rows with
+      | Some rows -> rows
+      | None -> Flow.rows_for_overhead flow r.overhead
     in
-    let de = eval d in
-    finish (Flow.apply_hw flow ~on:de ())
+    let res = Flow.apply_eri flow ~base ~rows in
+    { placement = res.Postplace.Technique.eri_placement;
+      plan = Some res.Postplace.Technique.inserted_after; optimizer = None }
+  | Hw ->
+    placed (Flow.apply_hw flow ~on:(Flow.evaluate flow (default ())) ())
   | Optimize ->
-    let rows = match r.rows with Some rows -> rows | None -> 2 in
+    let rows = Option.value r.rows ~default:2 in
     let res = Postplace.Optimizer.greedy_rows flow ~rows () in
-    finish
-      ~plan:res.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
-      ~extra:
-        [ ("evaluations", Obs.Json.Int res.Postplace.Optimizer.evaluations);
-          ("blur_evaluations",
-           Obs.Json.Int res.Postplace.Optimizer.blur_evaluations);
-          ("adjoint_evaluations",
-           Obs.Json.Int res.Postplace.Optimizer.adjoint_evaluations) ]
-      res.Postplace.Optimizer.plan.Postplace.Technique.eri_placement
+    let plan = res.Postplace.Optimizer.plan in
+    { placement = plan.Postplace.Technique.eri_placement;
+      plan = Some plan.Postplace.Technique.inserted_after;
+      optimizer = Some res }
+
+(* Everything in [result_json] is a deterministic function of the request
+   (no wall-clock, no queue state), so CI can compare fault-armed and
+   fault-free runs of the same file field by field and expect bit
+   identity for unaffected jobs. *)
+let score ~(flow : Flow.t) ~(base : Flow.evaluation) r applied =
+  let ev = Flow.evaluate flow applied.placement in
+  let peak = ev.Flow.metrics.Thermal.Metrics.peak_rise_k in
+  let reduction =
+    Thermal.Metrics.reduction_pct ~before:base.Flow.metrics
+      ~after:ev.Flow.metrics
+  in
+  let area =
+    Postplace.Technique.area_overhead_pct ~base:base.Flow.placement
+      applied.placement
+  in
+  let plan_hash = Option.map plan_digest applied.plan in
+  let result_json =
+    Obs.Json.Obj
+      ([ ("technique", Obs.Json.String (technique_name r.technique));
+         ("base_peak_rise_k",
+          Obs.Json.Float base.Flow.metrics.Thermal.Metrics.peak_rise_k);
+         ("peak_rise_k", Obs.Json.Float peak);
+         ("peak_reduction_pct", Obs.Json.Float reduction);
+         ("area_overhead_pct", Obs.Json.Float area) ]
+       @ (match plan_hash with
+          | Some h -> [ ("plan_hash", Obs.Json.String h) ]
+          | None -> [])
+       @
+       match applied.optimizer with
+       | None -> []
+       | Some res ->
+         [ ("evaluations", Obs.Json.Int res.Postplace.Optimizer.evaluations);
+           ("blur_evaluations",
+            Obs.Json.Int res.Postplace.Optimizer.blur_evaluations);
+           ("adjoint_evaluations",
+            Obs.Json.Int res.Postplace.Optimizer.adjoint_evaluations) ])
+  in
+  { after = ev; peak_rise_k = peak; reduction_pct = reduction;
+    area_overhead_pct = area; plan_hash; result_json }
+
+let execute ~flow ~base r = score ~flow ~base r (apply ~flow ~base r)

@@ -1,4 +1,4 @@
-(** One serve job: JSONL request codec, batching fingerprint, execution.
+(** One job: JSONL request codec, batching fingerprint, execution.
 
     A request is one line of JSON:
 
@@ -10,18 +10,29 @@
     v}
 
     Only [id] is required; everything else has the CLI's defaults.
-    Parsing is strict (unknown enum values, out-of-range numbers and
-    malformed fault specs are admission errors) because an invalid
-    request must be rejected before a flow is paid for, and is never
-    retried. *)
+    Parsing is strict (unknown fields, unknown enum values,
+    out-of-range numbers and malformed fault specs are admission
+    errors) because an invalid request must be rejected before a flow
+    is paid for, and is never retried.
+
+    The [thermoplace] CLI describes each run as a request too, so its
+    runs and served jobs share the test-set table, the fingerprint and
+    the technique executor. *)
 
 type technique = Default | Eri | Hw | Optimize
 
 val technique_name : technique -> string
 
+val technique_of_name : string -> (technique, string) result
+(** Parse a technique name; anything else is an [Error] naming it. *)
+
+val technique_names : string list
+(** ["default"; "eri"; "hw"; "optimize"]. *)
+
 type request = {
   id : string;
-  test_set : string;             (** scattered | concentrated | small *)
+  test_set : string;
+  (** a {!Postplace.Experiment.test_set_names} entry *)
   technique : technique;
   seed : int;
   cycles : int;
@@ -47,36 +58,80 @@ type request = {
   faults_spec : string;          (** raw spec, echoed in records *)
 }
 
+val make :
+  ?test_set:string -> ?technique:string -> ?seed:int -> ?cycles:int ->
+  ?utilization:float -> ?precond:string -> ?screen:string ->
+  ?guide:string -> ?overhead:float -> ?rows:int -> ?deadline_ms:float ->
+  ?max_retries:int -> ?faults:string -> string ->
+  (request, string) result
+(** [make id] validates a request from its spelled values: enum names
+    against their tables, numbers against their ranges, the fault spec
+    against {!Robust.Faults.parse_spec}. Errors name the job id.
+    Defaults: test set ["small"], technique ["eri"], seed 42, 1000
+    cycles, utilization 0.85, precond ["auto"], screen ["auto"], guide
+    ["peak"], overhead 0.2, no faults. *)
+
 val request_of_json : Obs.Json.t -> (request, string) result
+(** Decode and {!make} one request. A field outside the schema above is
+    an error naming it. *)
+
 val request_of_line : string -> (request, string) result
 val request_to_json : request -> Obs.Json.t
 
 val config_json : request -> (string * Obs.Json.t) list
 (** Request echo (without [id]) for the per-job ledger record. *)
 
-val fingerprint : request -> string
+val fingerprint : ?extra:(string * string) list -> request -> string
 (** The batching identity — {!Postplace.Flow.config_fingerprint} over
-    the request plus [set]/[cycles] extras. Computable without preparing
-    a flow; equal fingerprints share one prepared flow and its cached
-    base evaluation. *)
+    the request plus [set]/[cycles] extras, then [extra] in order.
+    Computable without preparing a flow; equal fingerprints share one
+    prepared flow and its cached base evaluation. *)
 
 val prepare_flow : request -> Postplace.Flow.t
-(** Prepare the flow for this request (same test-set mapping as the
-    CLI). Expensive — the server caches the result per fingerprint. *)
+(** Prepare the request's test set
+    ({!Postplace.Experiment.prepare_test_set}). Expensive — the server
+    caches the result per fingerprint. *)
+
+(** A technique's transformed placement, before it is scored. *)
+type applied = {
+  placement : Place.Placement.t;
+  plan : int list option;      (** ERI/optimize inserted-after rows *)
+  optimizer : Postplace.Optimizer.result option;  (** optimize only *)
+}
+
+val apply :
+  flow:Postplace.Flow.t -> base:Postplace.Flow.evaluation -> request ->
+  applied
+(** Apply the request's technique to the prepared flow. Default relaxes
+    the utilization by [overhead]; HW decorates that Default placement's
+    hotspots; ERI inserts [rows] rows or, without [rows],
+    {!Postplace.Flow.rows_for_overhead} of [overhead]; optimize runs the
+    greedy row-budget optimizer over [rows] (default 2). Raises
+    [Robust.Error.Error] on structured failure. *)
 
 type executed = {
+  after : Postplace.Flow.evaluation;  (** the transformed placement's *)
   peak_rise_k : float;
   reduction_pct : float;
   area_overhead_pct : float;
-  plan_hash : string option;   (** ERI/optimize committed-plan MD5 *)
+  plan_hash : string option;   (** {!plan_digest} of [applied.plan] *)
   result_json : Obs.Json.t;
   (** deterministic result payload for the response line — a pure
       function of the request, never of timing or queue state *)
 }
 
+val score :
+  flow:Postplace.Flow.t -> base:Postplace.Flow.evaluation -> request ->
+  applied -> executed
+(** Evaluate an applied technique against the base evaluation. *)
+
 val execute :
   flow:Postplace.Flow.t -> base:Postplace.Flow.evaluation -> request ->
   executed
-(** Run the request's technique against a prepared flow and its base
-    evaluation. Raises [Robust.Error.Error] on structured failure (the
-    server's retry/deadline machinery wraps this call). *)
+(** {!apply} then {!score}. Raises [Robust.Error.Error] on structured
+    failure (the server's retry/deadline machinery wraps this call). *)
+
+val plan_digest : int list -> string
+(** Committed-plan identity: the MD5 hex of the comma-joined
+    inserted-after rows, so "did these two runs commit the same plan?"
+    is one string comparison. *)

@@ -87,12 +87,11 @@ module Watchdog = struct
     let stop =
       Mutex.protect t.m (fun () ->
           (match t.armed with
-           | Some (at, job_id, deadline_ms, t0)
-             when Unix.gettimeofday () >= at ->
+           | Some (at, job_id, deadline_ms, t0) when Obs.Clock.now () >= at ->
              Robust.Cancel.request
                (Robust.Error.Deadline_exceeded
                   { job_id;
-                    elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3;
+                    elapsed_ms = (Obs.Clock.now () -. t0) *. 1e3;
                     deadline_ms });
              t.armed <- None
            | _ -> ());
@@ -202,18 +201,9 @@ let run ?(config = default_config) ~input ~output () =
   let count_outcome outcome =
     Obs.Metrics.count "serve.jobs" ~labels:[ ("outcome", outcome) ]
   in
-  let ledger_append record =
-    match config.ledger with
-    | None -> ()
-    | Some path -> (
-      try Obs.Ledger.append ~path record
-      with e ->
-        Printf.eprintf "serve: cannot append to ledger %s: %s\n" path
-          (Printexc.to_string e))
-  in
   let job_record ?job_id ?config:(cfg = []) ?peak_rise_k ?plan_hash ?error
       ~fingerprint ~elapsed_ms ~outcome ~exit_code () =
-    ledger_append
+    Obs.Ledger.append_or_warn ~prog:"serve" config.ledger
       (Obs.Ledger.make_record ~command:"serve.job" ?job_id ~config:cfg
          ~phases_ms:[ ("job_ms", elapsed_ms) ] ?peak_rise_k ?plan_hash
          ?error ~fingerprint ~outcome ~exit_code ())
@@ -299,7 +289,7 @@ let run ?(config = default_config) ~input ~output () =
       v
   in
   let execute_job (req : Job.request) =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let fp = Job.fingerprint req in
     let max_retries =
       match req.Job.max_retries with
@@ -344,7 +334,7 @@ let run ?(config = default_config) ~input ~output () =
         else (Error e, attempt)
     in
     let result, attempts = attempt_loop 1 in
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+    let elapsed_ms = (Obs.Clock.now () -. t0) *. 1e3 in
     Obs.Metrics.observe "serve.job.latency_ms"
       ~labels:[ ("technique", Job.technique_name req.Job.technique) ]
       elapsed_ms;

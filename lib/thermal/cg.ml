@@ -104,41 +104,21 @@ let history_json h =
 let histories_json () =
   Obs.Json.List (List.map history_json (recent_histories ()))
 
-(* Vector ops are chunked on a fixed grid (independent of the pool size)
-   and reductions combine per-chunk partials in chunk-index order, so a
-   parallel solve is bit-identical to a sequential one: same partial sums,
-   same combination order, same rounding. A chunk of a few thousand
-   elements is microseconds of work — far below the pool handoff cost —
-   so the chunk loop only goes to the pool for large systems; below the
-   threshold it runs inline over the *same* grid, which keeps the
-   arithmetic identical across the threshold as well. *)
+(* Dot products sum fixed 2048-element chunks, then add the chunk sums
+   in order: the rounding every committed result was produced with. *)
 let vec_chunk = 2048
-let par_min_n = 200_000
 
-let n_chunks n = (n + vec_chunk - 1) / vec_chunk
-
-let for_chunks n f =
-  if n >= par_min_n then Parallel.Pool.parallel_for ~chunks:(n_chunks n) f
-  else for c = 0 to n_chunks n - 1 do f c done
-
-let par_iter_chunks n f =
-  for_chunks n (fun c ->
-      let lo = c * vec_chunk in
-      let hi = min n (lo + vec_chunk) - 1 in
-      f lo hi)
-
-(* [partials] is per-solve scratch of length [n_chunks n]. *)
-let dot partials a b =
+let dot a b =
   let n = Array.length a in
-  let chunks = n_chunks n in
-  for_chunks n (fun c ->
-      let lo = c * vec_chunk in
-      let hi = min n (lo + vec_chunk) - 1 in
-      let acc = ref 0.0 in
-      for i = lo to hi do acc := !acc +. (a.(i) *. b.(i)) done;
-      partials.(c) <- !acc);
   let acc = ref 0.0 in
-  for c = 0 to chunks - 1 do acc := !acc +. partials.(c) done;
+  for c = 0 to (n - 1) / vec_chunk do
+    let lo = c * vec_chunk in
+    let part = ref 0.0 in
+    for i = lo to min n (lo + vec_chunk) - 1 do
+      part := !part +. (a.(i) *. b.(i))
+    done;
+    acc := !acc +. !part
+  done;
   !acc
 
 (* Per-solve telemetry: iteration count and final residual feed histograms
@@ -202,8 +182,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
        breakdown = Some "injected: cg_stall" },
      rlog)
   else begin
-  let partials = Array.make (n_chunks n) 0.0 in
-  let norm a = sqrt (dot partials a a) in
+  let norm a = sqrt (dot a a) in
   (* The hierarchy is immutable and shared; the scratch vectors are ours
      alone, so concurrent pooled solves do not race. *)
   let mg_ws =
@@ -212,9 +191,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
   let apply_precond r z =
     incr applies;
     match precond with
-    | Jacobi ->
-      par_iter_chunks n (fun lo hi ->
-          for i = lo to hi do z.(i) <- r.(i) /. diag.(i) done)
+    | Jacobi -> for i = 0 to n - 1 do z.(i) <- r.(i) /. diag.(i) done
     | Ssor omega -> Sparse.ssor_apply m ~diag ~omega r z
     | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
   in
@@ -225,9 +202,8 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     | None -> Array.make n 0.0
   in
   let r = Array.make n 0.0 in
-  Sparse.mul_par m x r;
-  par_iter_chunks n (fun lo hi ->
-      for i = lo to hi do r.(i) <- b.(i) -. r.(i) done);
+  Sparse.mul m x r;
+  for i = 0 to n - 1 do r.(i) <- b.(i) -. r.(i) done;
   let bnorm = norm b in
   if bnorm = 0.0 then
     ({ x = Array.make n 0.0; iterations = 0; residual = 0.0;
@@ -238,7 +214,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     apply_precond r z;
     let p = Array.copy z in
     let ap = Array.make n 0.0 in
-    let rz = ref (dot partials r z) in
+    let rz = ref (dot r z) in
     let iterations = ref 0 in
     let rn0 = norm r /. bnorm in
     log_push rlog rn0;
@@ -254,18 +230,17 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
          only between flow phases — an MG-preconditioned solve may take
          fewer than twenty iterations in all *)
       Robust.Cancel.check ();
-      Sparse.mul_par m p ap;
-      let pap = dot partials p ap in
+      Sparse.mul m p ap;
+      let pap = dot p ap in
       if not (Float.is_finite pap) || pap <= 0.0 then
         breakdown :=
           Some (Printf.sprintf "non-positive curvature (pAp = %g)" pap)
       else begin
         let alpha = !rz /. pap in
-        par_iter_chunks n (fun lo hi ->
-            for i = lo to hi do
-              x.(i) <- x.(i) +. (alpha *. p.(i));
-              r.(i) <- r.(i) -. (alpha *. ap.(i))
-            done);
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) +. (alpha *. p.(i));
+          r.(i) <- r.(i) -. (alpha *. ap.(i))
+        done;
         let rn = norm r in
         if not (Float.is_finite rn) then
           breakdown := Some "non-finite residual"
@@ -290,17 +265,16 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
             if rn /. bnorm <= tol then converged := true
             else begin
               apply_precond r z;
-              let rz' = dot partials r z in
+              let rz' = dot r z in
               if not (Float.is_finite rz') || Float.abs rz' <= 1e-300 then
                 breakdown :=
                   Some (Printf.sprintf "rho breakdown (rho = %g)" rz')
               else begin
                 let beta = rz' /. !rz in
                 rz := rz';
-                par_iter_chunks n (fun lo hi ->
-                    for i = lo to hi do
-                      p.(i) <- z.(i) +. (beta *. p.(i))
-                    done)
+                for i = 0 to n - 1 do
+                  p.(i) <- z.(i) +. (beta *. p.(i))
+                done
               end
             end
           end
@@ -321,7 +295,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
       if !breakdown = None then breakdown := Some "non-finite iterate"
     end;
     (* true residual for the report *)
-    Sparse.mul_par m x ap;
+    Sparse.mul m x ap;
     let res = ref 0.0 in
     for i = 0 to n - 1 do
       let d = b.(i) -. ap.(i) in

@@ -82,10 +82,6 @@ val solve : Sparse.t -> b:float array -> ?tol:float -> ?max_iter:int ->
     and a thermal conductance matrix always satisfies it), or an SSOR
     omega outside (0, 2).
 
-    Vector kernels (SpMV, dot, axpy) run on the {!Parallel.Pool} with a
-    fixed chunk grid and chunk-ordered reduction, so results are
-    bit-identical across pool sizes, including sequential.
-
     Telemetry: every solve records [thermal.cg.iterations] and
     [thermal.cg.residual] observations and bumps the [thermal.cg.solves]
     counter in {!Obs.Metrics}; the iteration count additionally lands in

@@ -134,8 +134,9 @@ val active_layer_grid : solution -> Geo.Grid.t
 
 val blur : ?precond:precond_choice -> problem -> Blur.t
 (** The power-blurring screening kernel for this problem's mesh: the
-    active-layer response to a 1 W impulse at tile (nx/2, ny/2), solved
-    once at 1e-8 with the chosen preconditioner (default [Pc_mg]) and
+    active-layer response to a 1 W impulse at corner tile (0, 0) (a
+    centre impulse would make the deconvolution singular), solved once
+    at 1e-10 with the chosen preconditioner (default [Pc_mg]) and
     characterized by {!Blur.of_response}. Cached on the problem's MRU
     entry next to the multigrid hierarchy, so an optimizer run
     characterizes once per (config, extent) and every pool worker shares

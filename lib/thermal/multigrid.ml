@@ -170,7 +170,7 @@ let smooth t lv src dst =
 
 (* vr <- vb - A vx *)
 let level_residual lv v =
-  Sparse.mul_par lv.a v.vx v.vr;
+  Sparse.mul lv.a v.vx v.vr;
   for i = 0 to lv.n - 1 do
     v.vr.(i) <- v.vb.(i) -. v.vr.(i)
   done
@@ -301,7 +301,7 @@ let solve t ~b ?(tol = default_tol) ?(max_cycles = 200) ?x0 () =
   let z = Array.make n 0.0 in
   let bnorm = norm2 b in
   let residual_of x =
-    Sparse.mul_par a x r;
+    Sparse.mul a x r;
     for i = 0 to n - 1 do
       r.(i) <- b.(i) -. r.(i)
     done;

@@ -69,8 +69,8 @@ val apply : t -> workspace -> float array -> float array -> unit
     application [z <- M^-1 r]. Every call bumps the [thermal.mg.cycles]
     counter; when {!Obs.Metrics} is enabled the pre-restriction residual
     norm of each level lands in the [thermal.mg.level<i>.residual]
-    histograms. All kernels run on fixed chunk grids (SpMV) or
-    sequentially, so results are bit-identical across pool sizes. *)
+    histograms. All kernels run sequentially, so results are
+    bit-identical across pool sizes. *)
 
 type outcome = {
   x : float array;

@@ -123,35 +123,6 @@ let mul t x y =
     y.(i) <- !acc
   done
 
-(* Row-chunked SpMV on the domain pool. Each output row is produced by
-   exactly one chunk and the chunk grid depends only on the dimension —
-   never on the worker count — so the result is bit-identical to [mul]
-   for any pool size. Below [par_min_dim] the pool handoff costs more
-   than the multiply (a 7-point-stencil row is ~14 flops), so small
-   systems run the plain sequential kernel — per-row accumulation order
-   is the same either way, keeping results bit-identical across the
-   threshold too. *)
-let par_row_chunk = 512
-let par_min_dim = 200_000
-
-let mul_par t x y =
-  if t.dim < par_min_dim then mul t x y
-  else begin
-    if Array.length x <> t.dim || Array.length y <> t.dim then
-      invalid_arg "Sparse.mul_par: dimension mismatch";
-    let chunks = (t.dim + par_row_chunk - 1) / par_row_chunk in
-    Parallel.Pool.parallel_for ~chunks (fun c ->
-        let lo = c * par_row_chunk in
-        let hi = min t.dim (lo + par_row_chunk) - 1 in
-        for i = lo to hi do
-          let acc = ref 0.0 in
-          for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-            acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
-          done;
-          y.(i) <- !acc
-        done)
-  end
-
 (* z <- M^-1 r for the SSOR splitting M = (D/w + L) ((2-w)/w D)^-1
    (D/w + U): a forward sweep, a diagonal scaling, a backward sweep. The
    sweeps are inherently sequential (each row consumes earlier/later

@@ -29,13 +29,6 @@ val nnz : t -> int
 val mul : t -> float array -> float array -> unit
 (** [mul a x y] computes [y <- A x]. *)
 
-val mul_par : t -> float array -> float array -> unit
-(** [mul_par a x y] computes [y <- A x] with rows split into fixed-size
-    chunks executed on the {!Parallel.Pool}. The chunk grid depends only
-    on [dim a], so the result is bit-identical to {!mul} regardless of the
-    pool size (each row is written by exactly one chunk, with the same
-    per-row accumulation order). *)
-
 val ssor_apply : t -> diag:float array -> omega:float ->
   float array -> float array -> unit
 (** [ssor_apply a ~diag ~omega r z] computes [z <- M^-1 r] for the SSOR

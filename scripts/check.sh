@@ -330,4 +330,48 @@ test "$(echo "$fingerprints" | sort -u | wc -l)" -eq 1 || {
 }
 echo "$fingerprints" | grep -q 'precond=mg'
 
+echo "== CLI fingerprints name the test set and cycle count"
+# Every CLI fingerprint starts from the flow identity serve batches on
+# (...|set=...|cycles=...), so runs of different problems never share one.
+rm -f "$hist"
+dune exec bin/thermoplace.exe -- \
+  check --test-set small --cycles 200 --ledger "$hist" >/dev/null
+dune exec bin/thermoplace.exe -- \
+  check --test-set small --cycles 100 --ledger "$hist" >/dev/null
+dune exec bin/thermoplace.exe -- \
+  check --test-set concentrated --cycles 200 --ledger "$hist" >/dev/null
+fingerprints=$(dune exec bin/json_check.exe -- --jsonl-field "$hist" fingerprint)
+test "$(echo "$fingerprints" | sort -u | wc -l)" -eq 3 || {
+  echo "check fingerprints: expected 3 distinct, got:" >&2
+  echo "$fingerprints" >&2
+  exit 1
+}
+echo "$fingerprints" | grep -q 'set=small|cycles=100'
+echo "$fingerprints" | grep -q 'set=concentrated|cycles=200'
+
+echo "== CLI flow and serve run one technique executor"
+# The same ERI job, once from the CLI and once as a served request, must
+# commit the same plan; a misspelt request field is rejected as invalid
+# (exit class 2), never run with a silent default.
+rm -f "$hist"
+dune exec bin/thermoplace.exe -- \
+  flow --test-set small --cycles 200 --technique eri --ledger "$hist" >/dev/null
+printf '%s\n%s\n' '{"id":"p","cycles":200,"technique":"eri"}' \
+  '{"id":"typo","cycles":200,"technique":"eri","overheaad":0.4}' \
+  >"$serve_out2.jobs"
+dune exec bin/thermoplace.exe -- serve --input "$serve_out2.jobs" \
+  --output "$serve_out2" --ledger none 2>/dev/null
+cli_hash=$(dune exec bin/json_check.exe -- --jsonl-field "$hist" plan_hash)
+serve_hashes=$(dune exec bin/json_check.exe -- \
+  --jsonl-field "$serve_out2" result.plan_hash)
+echo "$serve_hashes" | grep -qx "$cli_hash" || {
+  echo "plan hash: CLI $cli_hash not among serve's $serve_hashes" >&2
+  exit 1
+}
+outcomes=$(dune exec bin/json_check.exe -- --jsonl-field "$serve_out2" outcome)
+test "$(echo "$outcomes" | grep -cx '"ok"')" = 1
+test "$(echo "$outcomes" | grep -cx '"invalid"')" = 1
+grep -q 'unknown field' "$serve_out2"
+rm -f "$serve_out2.jobs"
+
 echo "== OK"

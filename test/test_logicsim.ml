@@ -386,63 +386,6 @@ let test_event_sim_rates_can_exceed_one () =
   Alcotest.(check bool) "glitchy net above 1 toggle/cycle" true
     (report.Logicsim.Activity.toggle_rate.(out) > 1.0)
 
-(* --- vcd export --------------------------------------------------------------- *)
-
-let test_vcd_structure () =
-  let b = B.create () in
-  let a = B.add_input ~name:"a" b in
-  let n = B.add_gate b K.Inv [| a |] in
-  B.mark_output b n;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  (* toggle the input on every second cycle *)
-  let vcd =
-    Logicsim.Vcd.record sim
-      ~drive:(fun k -> Logicsim.Sim.set_input sim 0 (k mod 2 = 0))
-      ~cycles:6 ()
-  in
-  let count prefix =
-    String.split_on_char '\n' vcd
-    |> List.filter (fun l ->
-        String.length l >= String.length prefix
-        && String.sub l 0 (String.length prefix) = prefix)
-    |> List.length
-  in
-  Alcotest.(check int) "var declarations (two nets)" 2 (count "$var wire 1");
-  Alcotest.(check int) "timescale" 1 (count "$timescale");
-  Alcotest.(check int) "dumpvars" 1 (count "$dumpvars");
-  (* the input toggles every cycle after the first (0->1,1->0,...): six
-     cycles produce six timestamps *)
-  Alcotest.(check int) "timestamps" 6 (count "#")
-
-let test_vcd_change_only_encoding () =
-  let b = B.create () in
-  let a = B.add_input ~name:"a" b in
-  B.mark_output b a;
-  let nl = B.finish b in
-  let sim = Logicsim.Sim.create nl in
-  (* constant input: no changes after the initial dump *)
-  let vcd =
-    Logicsim.Vcd.record sim ~drive:(fun _ -> ()) ~cycles:5 ()
-  in
-  Alcotest.(check bool) "no timestamps for a quiet trace" true
-    (not (String.contains vcd '#'))
-
-let test_vcd_net_selection () =
-  let bench = Netgen.Benchmark.small () in
-  let nl = bench.Netgen.Benchmark.netlist in
-  let sim = Logicsim.Sim.create nl in
-  let rng = Geo.Rng.create 5 in
-  let w = Logicsim.Workload.uniform 0.5 in
-  let nets = [ 0; 1; 2 ] in
-  let vcd = Logicsim.Vcd.record_workload sim w rng ~cycles:4 ~nets () in
-  let vars =
-    String.split_on_char '\n' vcd
-    |> List.filter (fun l ->
-        String.length l >= 4 && String.sub l 0 4 = "$var")
-  in
-  Alcotest.(check int) "only selected nets" 3 (List.length vars)
-
 let () =
   Alcotest.run "logicsim"
     [ ("sim",
@@ -484,9 +427,4 @@ let () =
          Alcotest.test_case "settle depth bounded" `Quick
            test_event_sim_settle_depth_bounded;
          Alcotest.test_case "rates exceed one on glitchy nets" `Quick
-           test_event_sim_rates_can_exceed_one ]);
-      ("vcd",
-       [ Alcotest.test_case "structure" `Quick test_vcd_structure;
-         Alcotest.test_case "change-only encoding" `Quick
-           test_vcd_change_only_encoding;
-         Alcotest.test_case "net selection" `Quick test_vcd_net_selection ]) ]
+           test_event_sim_rates_can_exceed_one ]) ]

@@ -1,6 +1,6 @@
 (* Tests for the domain pool: coverage, ordering, failure propagation,
    nesting, and the bit-identical-across-pool-sizes contract on a real
-   CG solve. *)
+   MG-preconditioned solve. *)
 
 let with_jobs n f =
   Parallel.Pool.set_jobs n;
@@ -151,39 +151,8 @@ let test_set_jobs_validation () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "default >= 1" true (Parallel.Pool.default_jobs () >= 1)
 
-(* A diagonally dominant tridiagonal system large enough to cross the
-   solver's parallel threshold, so the pooled SpMV / dot / axpy paths
-   really execute. The solve must be bit-identical for any pool size. *)
-let test_cg_bit_identical_across_jobs () =
-  let n = 250_000 in
-  let b = Thermal.Sparse.builder ~n in
-  for i = 0 to n - 1 do
-    Thermal.Sparse.add b i i 4.0;
-    if i > 0 then Thermal.Sparse.add b i (i - 1) (-1.0);
-    if i < n - 1 then Thermal.Sparse.add b i (i + 1) (-1.0)
-  done;
-  let m = Thermal.Sparse.of_builder b in
-  let rhs = Array.init n (fun i -> sin (float_of_int (i mod 997))) in
-  Parallel.Pool.set_jobs 1;
-  let seq = Thermal.Cg.solve m ~b:rhs () in
-  Alcotest.(check bool) "sequential converged" true seq.Thermal.Cg.converged;
-  with_jobs 4 (fun () ->
-      let par = Thermal.Cg.solve m ~b:rhs () in
-      Alcotest.(check bool) "parallel converged" true par.Thermal.Cg.converged;
-      Alcotest.(check int) "same iteration count" seq.Thermal.Cg.iterations
-        par.Thermal.Cg.iterations;
-      (* structural equality on float arrays is bitwise equality of every
-         element — the determinism contract, not an approximation *)
-      Alcotest.(check bool) "bit-identical solution" true
-        (par.Thermal.Cg.x = seq.Thermal.Cg.x);
-      (* and the parallel path really went through the pool *)
-      match Obs.Metrics.counter_value "parallel.invocations" with
-      | Some k when k > 0 -> ()
-      | _ -> Alcotest.fail "no pooled invocations recorded")
-
-(* The multigrid-preconditioned solve shares the pooled SpMV with plain
-   CG; its transfers and smoothers are sequential by design. The whole
-   solve must stay bit-identical for any pool size. *)
+(* The multigrid-preconditioned solve is sequential by design; a pool
+   of any size around it must leave the whole solve bit-identical. *)
 let test_mg_bit_identical_across_jobs () =
   Thermal.Mesh.cache_clear ();
   let nx = 40 in
@@ -255,21 +224,6 @@ let test_cross_domain_trace () =
            stats.Obs.Perfetto.events
        | Error e -> Alcotest.failf "perfetto export invalid: %s" e)
 
-let test_mul_par_matches_mul () =
-  let n = 4096 in
-  let b = Thermal.Sparse.builder ~n in
-  for i = 0 to n - 1 do
-    Thermal.Sparse.add b i i 3.0;
-    if i > 1 then Thermal.Sparse.add b i (i - 2) 0.5;
-    if i < n - 2 then Thermal.Sparse.add b i (i + 2) 0.5
-  done;
-  let m = Thermal.Sparse.of_builder b in
-  let x = Array.init n (fun i -> cos (float_of_int i /. 11.0)) in
-  let y1 = Array.make n 0.0 and y2 = Array.make n 0.0 in
-  Thermal.Sparse.mul m x y1;
-  with_jobs 4 (fun () -> Thermal.Sparse.mul_par m x y2);
-  Alcotest.(check bool) "mul_par bit-identical to mul" true (y1 = y2)
-
 let () =
   Obs.Metrics.set_enabled true;
   Alcotest.run "parallel"
@@ -291,12 +245,8 @@ let () =
          Alcotest.test_case "set_jobs validation" `Quick
            test_set_jobs_validation ]);
       ("determinism",
-       [ Alcotest.test_case "cg bit-identical across jobs" `Quick
-           test_cg_bit_identical_across_jobs;
-         Alcotest.test_case "mg bit-identical across jobs" `Quick
-           test_mg_bit_identical_across_jobs;
-         Alcotest.test_case "mul_par matches mul" `Quick
-           test_mul_par_matches_mul ]);
+       [ Alcotest.test_case "mg bit-identical across jobs" `Quick
+           test_mg_bit_identical_across_jobs ]);
       ("tracing",
        [ Alcotest.test_case "cross-domain spans merge by tid" `Quick
            test_cross_domain_trace ]) ]

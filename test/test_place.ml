@@ -392,105 +392,6 @@ let test_fillers_do_not_overlap_cells () =
          Alcotest.failf "site %d covered %d times" k c)
     occ
 
-(* --- refinement ------------------------------------------------------------- *)
-
-let test_refine_never_worse_and_legal () =
-  let _, _, _, pl = legalized () in
-  let refined, stats = Place.Refine.greedy_swaps pl in
-  Alcotest.(check bool) "hpwl not worse" true
-    (stats.Place.Refine.hpwl_after_um
-     <= stats.Place.Refine.hpwl_before_um +. 1e-6);
-  Alcotest.(check (float 1e-6)) "stats match placement"
-    (P.hpwl refined) stats.Place.Refine.hpwl_after_um;
-  Alcotest.(check int) "legal after refinement" 0
-    (List.length (P.validate refined))
-
-let test_refine_improves_bad_order () =
-  (* inv_a (cell 0) drives a buffer far to the right; inv_b (cell 1) drives
-     nothing. Swapping the adjacent pair moves inv_a toward its sink and
-     costs nothing, so the refiner must take it. *)
-  let b = Netlist.Builder.create () in
-  let i1 = Netlist.Builder.add_input b in
-  let i2 = Netlist.Builder.add_input b in
-  let na = Netlist.Builder.add_gate b Celllib.Kind.Inv [| i1 |] in
-  let nb = Netlist.Builder.add_gate b Celllib.Kind.Inv [| i2 |] in
-  let sa = Netlist.Builder.add_gate b Celllib.Kind.Buf [| na |] in
-  Netlist.Builder.mark_output b sa;
-  Netlist.Builder.mark_output b nb;
-  let nl = Netlist.Builder.finish b in
-  let fp = FP.create_explicit tech ~num_rows:1 ~sites_per_row:100 in
-  let locs =
-    [| { P.row = 0; site = 0 }; { P.row = 0; site = 5 };
-       { P.row = 0; site = 90 } |]
-  in
-  let pl = P.make nl fp locs in
-  let refined, stats = Place.Refine.greedy_swaps pl in
-  Alcotest.(check bool) "made at least one swap" true
-    (stats.Place.Refine.swaps >= 1);
-  Alcotest.(check bool) "strictly better" true
-    (stats.Place.Refine.hpwl_after_um < stats.Place.Refine.hpwl_before_um);
-  Alcotest.(check int) "legal" 0 (List.length (P.validate refined));
-  (* inv_a ends up to the right of inv_b *)
-  Alcotest.(check bool) "inv_a moved right" true
-    (refined.P.locs.(0).P.site > refined.P.locs.(1).P.site)
-
-let test_refine_idempotent () =
-  let _, _, _, pl = legalized () in
-  let refined, _ = Place.Refine.greedy_swaps ~max_passes:50 pl in
-  let _, stats2 = Place.Refine.greedy_swaps refined in
-  Alcotest.(check int) "no swaps after convergence" 0
-    stats2.Place.Refine.swaps
-
-(* --- annealer -------------------------------------------------------------- *)
-
-let anneal_config =
-  { Place.Anneal.initial_temp_um = 20.0; cooling = 0.7;
-    moves_per_round = 600; rounds = 8 }
-
-let test_anneal_improves_and_legal () =
-  let _, _, _, pl = legalized () in
-  let refined, stats =
-    Place.Anneal.optimize ~config:anneal_config pl (Geo.Rng.create 42)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "hpwl %.0f -> %.0f" stats.Place.Anneal.hpwl_before_um
-       stats.Place.Anneal.hpwl_after_um)
-    true
-    (stats.Place.Anneal.hpwl_after_um < stats.Place.Anneal.hpwl_before_um);
-  Alcotest.(check int) "legal" 0 (List.length (P.validate refined));
-  Alcotest.(check bool) "attempted all moves" true
-    (stats.Place.Anneal.attempted
-     = anneal_config.Place.Anneal.moves_per_round
-       * anneal_config.Place.Anneal.rounds);
-  Alcotest.(check bool) "some uphill moves at high temperature" true
-    (stats.Place.Anneal.uphill_accepted > 0)
-
-let test_anneal_deterministic () =
-  let _, _, _, pl = legalized () in
-  let _, s1 =
-    Place.Anneal.optimize ~config:anneal_config pl (Geo.Rng.create 7)
-  in
-  let _, s2 =
-    Place.Anneal.optimize ~config:anneal_config pl (Geo.Rng.create 7)
-  in
-  Alcotest.(check (float 1e-9)) "same seed, same result"
-    s1.Place.Anneal.hpwl_after_um s2.Place.Anneal.hpwl_after_um
-
-let test_anneal_beats_greedy_start () =
-  (* annealing applied after greedy swapping should still find gains via
-     relocations (greedy cannot move cells between rows) *)
-  let _, _, _, pl = legalized () in
-  let greedy, gstats = Place.Refine.greedy_swaps ~max_passes:20 pl in
-  let _, astats =
-    Place.Anneal.optimize ~config:anneal_config greedy (Geo.Rng.create 3)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "greedy %.0f, anneal %.0f"
-       gstats.Place.Refine.hpwl_after_um astats.Place.Anneal.hpwl_after_um)
-    true
-    (astats.Place.Anneal.hpwl_after_um
-     < gstats.Place.Refine.hpwl_after_um +. 1e-6)
-
 (* --- exporters ------------------------------------------------------------- *)
 
 let count_lines_with prefix s =
@@ -587,19 +488,6 @@ let () =
        [ Alcotest.test_case "tiles exactly" `Quick test_fillers_tile_exactly;
          Alcotest.test_case "no overlap with cells" `Quick
            test_fillers_do_not_overlap_cells ]);
-      ("refine",
-       [ Alcotest.test_case "never worse, legal" `Quick
-           test_refine_never_worse_and_legal;
-         Alcotest.test_case "improves bad order" `Quick
-           test_refine_improves_bad_order;
-         Alcotest.test_case "idempotent" `Quick test_refine_idempotent ]);
-      ("anneal",
-       [ Alcotest.test_case "improves and legal" `Quick
-           test_anneal_improves_and_legal;
-         Alcotest.test_case "deterministic" `Quick
-           test_anneal_deterministic;
-         Alcotest.test_case "beats greedy start" `Quick
-           test_anneal_beats_greedy_start ]);
       ("export",
        [ Alcotest.test_case "def" `Quick test_def_export;
          Alcotest.test_case "svg" `Quick test_svg_export;

@@ -195,7 +195,17 @@ let test_request_validation () =
   reject "bad rows" {|{"id":"x","rows":0}|};
   reject "bad faults" {|{"id":"x","faults":"warp_core"}|};
   reject "non-string id" {|{"id":7}|};
-  reject "unknown guide" {|{"id":"x","guide":"psychic"}|}
+  reject "unknown guide" {|{"id":"x","guide":"psychic"}|};
+  (* a misspelt field is an admission error naming it, never a silent
+     default *)
+  match
+    Job.request_of_line
+      {|{"id":"typo","cycles":200,"technique":"eri","overheaad":0.4}|}
+  with
+  | Ok _ -> Alcotest.fail "unknown field accepted"
+  | Error msg ->
+    Alcotest.(check string) "error names the field"
+      {|typo: unknown field "overheaad"|} msg
 
 let test_request_guide_field () =
   let d = parse_ok {|{"id":"d"}|} in
