@@ -63,26 +63,30 @@ let arity_error k v =
     (Printf.sprintf "Kind.eval %s: expected %d inputs, got %d"
        (name k) (num_inputs k) (Array.length v))
 
-let eval k v =
-  if Array.length v <> num_inputs k then arity_error k v;
+let eval3 k a b c =
   match k with
-  | Inv -> not v.(0)
-  | Buf -> v.(0)
-  | Nand2 -> not (v.(0) && v.(1))
-  | Nand3 -> not (v.(0) && v.(1) && v.(2))
-  | Nor2 -> not (v.(0) || v.(1))
-  | Nor3 -> not (v.(0) || v.(1) || v.(2))
-  | And2 -> v.(0) && v.(1)
-  | And3 -> v.(0) && v.(1) && v.(2)
-  | Or2 -> v.(0) || v.(1)
-  | Or3 -> v.(0) || v.(1) || v.(2)
-  | Xor2 -> v.(0) <> v.(1)
-  | Xnor2 -> v.(0) = v.(1)
-  | Aoi21 -> not ((v.(0) && v.(1)) || v.(2))
-  | Oai21 -> not ((v.(0) || v.(1)) && v.(2))
-  | Mux2 -> if v.(2) then v.(1) else v.(0)
+  | Inv -> not a
+  | Buf -> a
+  | Nand2 -> not (a && b)
+  | Nand3 -> not (a && b && c)
+  | Nor2 -> not (a || b)
+  | Nor3 -> not (a || b || c)
+  | And2 -> a && b
+  | And3 -> a && b && c
+  | Or2 -> a || b
+  | Or3 -> a || b || c
+  | Xor2 -> a <> b
+  | Xnor2 -> a = b
+  | Aoi21 -> not ((a && b) || c)
+  | Oai21 -> not ((a || b) && c)
+  | Mux2 -> if c then b else a
   | Dff -> invalid_arg "Kind.eval: DFF is not combinational"
   | Filler _ -> invalid_arg "Kind.eval: filler cells have no function"
+
+let eval k v =
+  let n = Array.length v in
+  if n <> num_inputs k then arity_error k v;
+  eval3 k (n > 0 && v.(0)) (n > 1 && v.(1)) (n > 2 && v.(2))
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0

@@ -44,6 +44,12 @@ val eval : t -> bool array -> bool
     Raises [Invalid_argument] on [Dff] and [Filler] or on an input vector of
     the wrong arity. *)
 
+val eval3 : t -> bool -> bool -> bool -> bool
+(** [eval3 k a b c] is [eval k] on pins (a, b, c) without building an input
+    vector: pins beyond [num_inputs k] are ignored. {!eval} delegates to it,
+    so both define one function per kind. Raises [Invalid_argument] on
+    [Dff] and [Filler]. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

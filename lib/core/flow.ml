@@ -111,9 +111,9 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
   let tech = Celllib.Tech.default_65nm in
   let nl = bench.Netgen.Benchmark.netlist in
   let rng = Geo.Rng.create seed in
-  let sim = Logicsim.Sim.create nl in
   let activity =
     Obs.Trace.with_span "flow.activity" @@ fun () ->
+    let sim = Logicsim.Sim.create nl in
     Logicsim.Activity.measure sim workload (Geo.Rng.split rng)
       ~warmup:warmup_cycles ~cycles:sim_cycles
   in

@@ -84,6 +84,5 @@ let propagate nl ~input_density ?(iterations = 8) () =
   { prob; density }
 
 let of_workload nl workload =
-  let tags = nl.T.pi_tags in
-  propagate nl
-    ~input_density:(fun k -> Workload.activity workload ~tag:tags.(k)) ()
+  let probs = Workload.input_probabilities workload nl in
+  propagate nl ~input_density:(Array.get probs) ()

@@ -28,8 +28,10 @@ val step : t -> unit
 val cycles : t -> int
 
 val events : t -> int
-(** Gate evaluations performed across all waves since the last
-    {!reset_counters} — the event-driven engine's unit of work. *)
+(** Sinks reached across all waves since the last {!reset_counters} — the
+    event-driven engine's unit of work: each combinational gate
+    re-evaluated (at most once per wave), plus each flip-flop whose D net
+    switched (counted, not evaluated). *)
 
 val value : t -> Netlist.Types.net_id -> bool
 val toggles : t -> Netlist.Types.net_id -> int

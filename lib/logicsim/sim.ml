@@ -2,70 +2,23 @@ module T = Netlist.Types
 
 type t = {
   nl : T.t;
-  order : T.cell_id array;      (* combinational cells, topological *)
-  values : bool array;          (* per net *)
+  table : Compiled.t;
+  values : int array;           (* per net, 0 or 1 *)
   staged_inputs : bool array;   (* per primary input *)
-  dff_state : bool array;       (* per cell; meaningful for DFFs only *)
+  dff_state : int array;        (* per flip-flop of [table], 0 or 1 *)
   toggle_count : int array;     (* per net *)
   ones_count : int array;       (* per net *)
   mutable n_cycles : int;
 }
 
-(* Topological order of combinational cells (flip-flop outputs and primary
-   inputs are sources). The netlist builder already guarantees acyclicity. *)
-let topo_order (nl : T.t) =
-  let n = T.num_cells nl in
-  let comb_driver = Array.make (T.num_nets nl) (-1) in
-  T.iter_cells nl ~f:(fun cid c ->
-      if not (Celllib.Kind.is_sequential c.T.kind) then
-        comb_driver.(c.T.output) <- cid);
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  T.iter_cells nl ~f:(fun cid c ->
-      Array.iter
-        (fun nid ->
-           let src = comb_driver.(nid) in
-           if src >= 0 then begin
-             succs.(src) <- cid :: succs.(src);
-             indeg.(cid) <- indeg.(cid) + 1
-           end)
-        c.T.inputs);
-  let queue = Queue.create () in
-  Array.iteri (fun cid d -> if d = 0 then Queue.add cid queue) indeg;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let cid = Queue.pop queue in
-    if not (Celllib.Kind.is_sequential (T.cell nl cid).T.kind) then
-      order := cid :: !order;
-    List.iter
-      (fun s ->
-         indeg.(s) <- indeg.(s) - 1;
-         if indeg.(s) = 0 then Queue.add s queue)
-      succs.(cid)
-  done;
-  Array.of_list (List.rev !order)
-
 let create nl =
-  let values = Array.make (T.num_nets nl) false in
-  T.iter_nets nl ~f:(fun nid n ->
-      match n.T.driver with
-      | T.Constant v -> values.(nid) <- v
-      | T.Primary_input _ | T.Cell_output _ -> ());
-  let order = topo_order nl in
-  (* settle combinational logic so cycle 1 does not count pseudo-reset
-     transitions *)
-  Array.iter
-    (fun cid ->
-       let c = T.cell nl cid in
-       values.(c.T.output)
-       <- Celllib.Kind.eval c.T.kind
-            (Array.map (fun nid -> values.(nid)) c.T.inputs))
-    order;
+  let table = Compiled.create nl in
+  (* settled so cycle 1 does not count pseudo-reset transitions *)
   { nl;
-    order;
-    values;
+    table;
+    values = Compiled.settled_values table nl;
     staged_inputs = Array.make (T.num_primary_inputs nl) false;
-    dff_state = Array.make (T.num_cells nl) false;
+    dff_state = Array.make (Array.length table.Compiled.dff_q) 0;
     toggle_count = Array.make (T.num_nets nl) 0;
     ones_count = Array.make (T.num_nets nl) 0;
     n_cycles = 0 }
@@ -75,41 +28,38 @@ let netlist t = t.nl
 let set_input t k v = t.staged_inputs.(k) <- v
 let input_value t k = t.staged_inputs.(k)
 
+(* Branch-free: a net's toggle count grows by [old xor new]. *)
 let update t nid v =
-  if t.values.(nid) <> v then begin
-    t.values.(nid) <- v;
-    t.toggle_count.(nid) <- t.toggle_count.(nid) + 1
-  end
+  t.toggle_count.(nid) <- t.toggle_count.(nid) + (t.values.(nid) lxor v);
+  t.values.(nid) <- v
 
 let step t =
-  let nl = t.nl in
+  let c = t.table in
   (* 1. flip-flop Q nets present the state captured last cycle *)
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        update t c.T.output t.dff_state.(cid));
+  for i = 0 to Array.length c.Compiled.dff_q - 1 do
+    update t c.Compiled.dff_q.(i) t.dff_state.(i)
+  done;
   (* 2. primary inputs take their staged values *)
-  Array.iteri
-    (fun k nid -> update t nid t.staged_inputs.(k))
-    nl.T.primary_inputs;
+  let pis = t.nl.T.primary_inputs in
+  for k = 0 to Array.length pis - 1 do
+    update t pis.(k) (Bool.to_int t.staged_inputs.(k))
+  done;
   (* 3. combinational propagation in topological order *)
-  Array.iter
-    (fun cid ->
-       let c = T.cell nl cid in
-       let inputs = Array.map (fun nid -> t.values.(nid)) c.T.inputs in
-       update t c.T.output (Celllib.Kind.eval c.T.kind inputs))
-    t.order;
+  for i = 0 to Array.length c.Compiled.outs - 1 do
+    update t c.Compiled.outs.(i) (Compiled.eval c t.values i)
+  done;
   (* 4. flip-flops capture D *)
-  T.iter_cells nl ~f:(fun cid c ->
-      if Celllib.Kind.is_sequential c.T.kind then
-        t.dff_state.(cid) <- t.values.(c.T.inputs.(0)));
+  for i = 0 to Array.length c.Compiled.dff_d - 1 do
+    t.dff_state.(i) <- t.values.(c.Compiled.dff_d.(i))
+  done;
   (* 5. sample static probabilities *)
-  Array.iteri
-    (fun nid v -> if v then t.ones_count.(nid) <- t.ones_count.(nid) + 1)
-    t.values;
+  for nid = 0 to Array.length t.values - 1 do
+    t.ones_count.(nid) <- t.ones_count.(nid) + t.values.(nid)
+  done;
   t.n_cycles <- t.n_cycles + 1
 
 let cycles t = t.n_cycles
-let value t nid = t.values.(nid)
+let value t nid = t.values.(nid) = 1
 let toggles t nid = t.toggle_count.(nid)
 let ones t nid = t.ones_count.(nid)
 

@@ -6,13 +6,18 @@
     take their new values, the combinational cloud is evaluated in
     topological order, and flip-flops capture their D pins at the end of the
     cycle. Per-net toggle counters provide the switching activity the power
-    model consumes — the role Synopsys VCS plays in the paper's flow. *)
+    model consumes — the role Synopsys VCS plays in the paper's flow.
+
+    [create] compiles the netlist once into a flat gate table
+    ({!Compiled}), so {!step} allocates nothing and touches each
+    combinational cell and flip-flop once. *)
 
 type t
 
 val create : Netlist.Types.t -> t
-(** Fresh simulator; all nets and flip-flops start at 0, constants at their
-    value. *)
+(** Fresh simulator. Primary inputs and flip-flops start at 0 and constants
+    at their value; the combinational logic is settled on that state, so
+    an inverter on a 0 input starts at 1. Settling counts no toggles. *)
 
 val netlist : t -> Netlist.Types.t
 

@@ -26,18 +26,22 @@ let activity t ~tag =
   | Some p -> p
   | None -> t.default
 
+let input_probabilities t nl =
+  Array.map (fun tag -> activity t ~tag) nl.Netlist.Types.pi_tags
+
+let flip_inputs probs rng ~flip =
+  for k = 0 to Array.length probs - 1 do
+    if Geo.Rng.bernoulli rng probs.(k) then flip k
+  done
+
+let flip sim k = Sim.set_input sim k (not (Sim.input_value sim k))
+
 let drive t sim rng =
-  let nl = Sim.netlist sim in
-  let tags = nl.Netlist.Types.pi_tags in
-  Array.iteri
-    (fun k _nid ->
-       let p = activity t ~tag:tags.(k) in
-       if Geo.Rng.bernoulli rng p then
-         Sim.set_input sim k (not (Sim.input_value sim k)))
-    nl.Netlist.Types.primary_inputs
+  flip_inputs (input_probabilities t (Sim.netlist sim)) rng ~flip:(flip sim)
 
 let run t sim rng ~cycles =
+  let probs = input_probabilities t (Sim.netlist sim) and flip = flip sim in
   for _ = 1 to cycles do
-    drive t sim rng;
+    flip_inputs probs rng ~flip;
     Sim.step sim
   done

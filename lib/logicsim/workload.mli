@@ -24,9 +24,20 @@ val concentrated_hotspot : hot_unit:int -> t
 val activity : t -> tag:int -> float
 (** Toggle probability for a unit tag (untagged inputs use the default). *)
 
+val input_probabilities : t -> Netlist.Types.t -> float array
+(** Toggle probability of each primary input of a netlist, in input-index
+    order. *)
+
+val flip_inputs : float array -> Geo.Rng.t -> flip:(int -> unit) -> unit
+(** [flip_inputs probs rng ~flip] stages one cycle of stimuli: one
+    [Geo.Rng.bernoulli] draw per primary input, in index order, calling
+    [flip k] for each input [k] that toggles. Every simulator drives its
+    inputs through it, so equal seeds give equal stimulus streams. *)
+
 val drive : t -> Sim.t -> Geo.Rng.t -> unit
 (** Stage one cycle of stimuli: every primary input flips with its unit's
     probability. *)
 
 val run : t -> Sim.t -> Geo.Rng.t -> cycles:int -> unit
-(** [drive] + [Sim.step], [cycles] times. *)
+(** [drive] + [Sim.step], [cycles] times; the per-input probabilities are
+    resolved once per call. *)

@@ -119,6 +119,18 @@ dune exec bin/json_check.exe -- \
 grep -q '^# TYPE thermal_cg_iterations_count gauge$' "$prom"
 grep -q '^thermal_cg_iterations{quantile="0.5"}' "$prom"
 
+echo "== full-size flow smoke (scattered test set)"
+# Every other CLI smoke runs the small test set, whose netlist has no
+# feedback flip-flops. The nine-unit benchmark (MAC accumulator loop
+# included) must run end to end, with the simulator billed to its own
+# span. --ledger none keeps every ledger count below unchanged.
+dune exec bin/thermoplace.exe -- \
+  flow --test-set scattered --report "$report" --ledger none >/dev/null
+dune exec bin/json_check.exe -- \
+  "$report" schema_version config spans metrics warnings base result \
+  convergence
+grep -q '"name": "flow.activity"' "$report"
+
 echo "== perfetto trace smoke"
 # A parallel optimizer run must yield a valid Chrome trace-event file with
 # spans from more than one domain (json_check --trace checks both).

@@ -386,6 +386,199 @@ let test_event_sim_rates_can_exceed_one () =
   Alcotest.(check bool) "glitchy net above 1 toggle/cycle" true
     (report.Logicsim.Activity.toggle_rate.(out) > 1.0)
 
+(* --- compiled simulator vs a cell-by-cell reference ---------------------- *)
+
+(* The cycle semantics of Sim, interpreted cell by cell with Kind.eval.
+   Builder netlists list every gate after the nets it reads, so id order is
+   a topological order of the combinational cells. *)
+module Reference = struct
+  module T = Netlist.Types
+
+  type t = {
+    nl : T.t;
+    values : bool array;
+    staged : bool array;
+    dff_state : bool array;  (* per cell *)
+    toggles : int array;
+    ones : int array;
+  }
+
+  let eval_comb nl values set =
+    T.iter_cells nl ~f:(fun _ c ->
+        if not (K.is_sequential c.T.kind) then
+          set c.T.output
+            (K.eval c.T.kind (Array.map (fun n -> values.(n)) c.T.inputs)))
+
+  let create nl =
+    let values = Array.make (T.num_nets nl) false in
+    T.iter_nets nl ~f:(fun nid n ->
+        match n.T.driver with
+        | T.Constant v -> values.(nid) <- v
+        | T.Primary_input _ | T.Cell_output _ -> ());
+    eval_comb nl values (fun nid v -> values.(nid) <- v);
+    { nl; values;
+      staged = Array.make (T.num_primary_inputs nl) false;
+      dff_state = Array.make (T.num_cells nl) false;
+      toggles = Array.make (T.num_nets nl) 0;
+      ones = Array.make (T.num_nets nl) 0 }
+
+  let update t nid v =
+    if t.values.(nid) <> v then begin
+      t.values.(nid) <- v;
+      t.toggles.(nid) <- t.toggles.(nid) + 1
+    end
+
+  let step t =
+    let nl = t.nl in
+    T.iter_cells nl ~f:(fun cid c ->
+        if K.is_sequential c.T.kind then update t c.T.output t.dff_state.(cid));
+    Array.iteri (fun k nid -> update t nid t.staged.(k)) nl.T.primary_inputs;
+    eval_comb nl t.values (update t);
+    T.iter_cells nl ~f:(fun cid c ->
+        if K.is_sequential c.T.kind then
+          t.dff_state.(cid) <- t.values.(c.T.inputs.(0)));
+    Array.iteri
+      (fun nid v -> if v then t.ones.(nid) <- t.ones.(nid) + 1)
+      t.values
+
+  let reset_counters t =
+    Array.fill t.toggles 0 (Array.length t.toggles) 0;
+    Array.fill t.ones 0 (Array.length t.ones) 0
+end
+
+let comb_kinds =
+  Array.of_list (List.filter (fun k -> not (K.is_sequential k)) K.all_logic)
+
+(* One gate of every combinational kind, then random gates and plain
+   flip-flops, all over earlier nets (inputs, both constants, flip-flop
+   outputs), plus feedback flip-flops whose D is wired last. *)
+let random_netlist st =
+  let b = B.create () in
+  let pool = ref [||] in
+  let add nid = pool := Array.append !pool [| nid |] in
+  let pick () = !pool.(Random.State.int st (Array.length !pool)) in
+  let gate k =
+    add (B.add_gate b k (Array.init (K.num_inputs k) (fun _ -> pick ())))
+  in
+  for _ = 0 to Random.State.int st 4 do add (B.add_input b) done;
+  add (B.add_constant b false);
+  add (B.add_constant b true);
+  let connects =
+    List.init (Random.State.int st 4) (fun _ ->
+        let q, connect = B.add_dff_feedback b in
+        add q;
+        connect)
+  in
+  Array.iter gate comb_kinds;
+  for _ = 1 to Random.State.int st 40 do
+    if Random.State.int st 6 = 0 then add (B.add_dff b ~d:(pick ()))
+    else gate comb_kinds.(Random.State.int st (Array.length comb_kinds))
+  done;
+  List.iter (fun connect -> connect (pick ())) connects;
+  B.mark_output b (pick ());
+  B.finish b
+
+(* After every cycle of random stimulus (with one counter reset midway),
+   Sim agrees with the reference on every net's value, toggle count and
+   ones count. Event_sim agrees on values and ones, and its glitch-aware
+   toggle count exceeds the zero-delay one by an even number per net. *)
+let prop_sim_matches_reference =
+  QCheck.Test.make ~name:"compiled Sim matches the cell-by-cell reference"
+    ~count:200 QCheck.(pair int (int_range 1 40))
+    (fun (seed, cycles) ->
+       let st = Random.State.make [| seed |] in
+       let nl = random_netlist st in
+       let r = Reference.create nl in
+       let sim = Logicsim.Sim.create nl in
+       let esim = Logicsim.Event_sim.create nl in
+       let n_nets = Netlist.Types.num_nets nl in
+       let agree cycle =
+         for nid = 0 to n_nets - 1 do
+           let v = Logicsim.Sim.value sim nid
+           and tg = Logicsim.Sim.toggles sim nid
+           and etg = Logicsim.Event_sim.toggles esim nid in
+           if v <> r.Reference.values.(nid)
+           || tg <> r.Reference.toggles.(nid)
+           || Logicsim.Sim.ones sim nid <> r.Reference.ones.(nid)
+           || Logicsim.Event_sim.value esim nid <> v
+           || Logicsim.Event_sim.ones esim nid <> r.Reference.ones.(nid)
+           || etg < tg || (etg - tg) mod 2 <> 0
+           then
+             QCheck.Test.fail_reportf
+               "cycle %d, net %d: value %b/%b, toggles %d/%d/%d" cycle nid v
+               r.Reference.values.(nid) tg r.Reference.toggles.(nid) etg
+         done
+       in
+       agree 0;
+       for cycle = 1 to cycles do
+         for k = 0 to Netlist.Types.num_primary_inputs nl - 1 do
+           let v = Random.State.bool st in
+           r.Reference.staged.(k) <- v;
+           Logicsim.Sim.set_input sim k v;
+           Logicsim.Event_sim.set_input esim k v
+         done;
+         Reference.step r;
+         Logicsim.Sim.step sim;
+         Logicsim.Event_sim.step esim;
+         if cycle = cycles / 2 then begin
+           Reference.reset_counters r;
+           Logicsim.Sim.reset_counters sim;
+           Logicsim.Event_sim.reset_counters esim
+         end;
+         agree cycle
+       done;
+       true)
+
+let test_step_allocates_nothing () =
+  let nl = (Netgen.Benchmark.nine_unit ()).Netgen.Benchmark.netlist in
+  let sim = Logicsim.Sim.create nl in
+  Logicsim.Workload.run (Logicsim.Workload.uniform 0.3) sim
+    (Geo.Rng.create 3) ~cycles:4;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Logicsim.Sim.step sim
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 100 steps" 0.0
+    (Gc.minor_words () -. before)
+
+let report_digest (r : Logicsim.Activity.report) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (r.Logicsim.Activity.toggle_rate, r.Logicsim.Activity.static_prob)
+          []))
+
+(* Pinned before the simulator was compiled to a flat table: the activity
+   Flow.prepare measures for test set 1 at seed 42 (every power map, plan
+   and peak downstream depends on it bit for bit). *)
+let test_activity_digest_pinned () =
+  let nl = (Netgen.Benchmark.nine_unit ()).Netgen.Benchmark.netlist in
+  let workload =
+    Logicsim.Workload.scattered_hotspots ~hot_units:[ 0; 4; 6; 8 ]
+  in
+  let rng = Geo.Rng.split (Geo.Rng.create 42) in
+  let r =
+    Logicsim.Activity.measure (Logicsim.Sim.create nl) workload rng
+      ~warmup:64 ~cycles:1000
+  in
+  Alcotest.(check string) "activity digest" "dba1efd7a5118e8ab3971b5b45c8125b"
+    (report_digest r)
+
+(* Pinned likewise for the event-driven engine, with its work counters. *)
+let test_event_sim_digest_pinned () =
+  let nl = (Netgen.Benchmark.small ()).Netgen.Benchmark.netlist in
+  let esim = Logicsim.Event_sim.create nl in
+  let w = Logicsim.Workload.make ~default:0.1 ~hot:[ (0, 0.5) ] in
+  let r =
+    Logicsim.Event_sim.measure esim w (Geo.Rng.create 7) ~warmup:16
+      ~cycles:400
+  in
+  Alcotest.(check string) "activity digest" "6bca7a6b608fea39262fda295c5d4f8d"
+    (report_digest r);
+  Alcotest.(check int) "events" 49407 (Logicsim.Event_sim.events esim);
+  Alcotest.(check int) "last settle waves" 8
+    (Logicsim.Event_sim.last_settle_waves esim)
+
 let () =
   Alcotest.run "logicsim"
     [ ("sim",
@@ -395,7 +588,10 @@ let () =
          Alcotest.test_case "pipeline depth" `Quick test_dff_pipeline_depth;
          Alcotest.test_case "constants hold" `Quick test_constants_hold;
          Alcotest.test_case "toggle counting" `Quick test_toggle_counting;
-         Alcotest.test_case "ones counting" `Quick test_ones_counting ]);
+         Alcotest.test_case "ones counting" `Quick test_ones_counting;
+         QCheck_alcotest.to_alcotest prop_sim_matches_reference;
+         Alcotest.test_case "step allocates nothing" `Quick
+           test_step_allocates_nothing ]);
       ("workload",
        [ Alcotest.test_case "activity mapping" `Quick test_workload_activity;
          Alcotest.test_case "validation" `Quick test_workload_validation;
@@ -409,7 +605,9 @@ let () =
          Alcotest.test_case "cycles required" `Quick
            test_activity_requires_cycles;
          Alcotest.test_case "constant rate" `Quick
-           test_activity_constant_rate ]);
+           test_activity_constant_rate;
+         Alcotest.test_case "test set 1 digest pinned" `Quick
+           test_activity_digest_pinned ]);
       ("density",
        [ Alcotest.test_case "gate formulas" `Quick
            test_density_gate_formulas;
@@ -427,4 +625,6 @@ let () =
          Alcotest.test_case "settle depth bounded" `Quick
            test_event_sim_settle_depth_bounded;
          Alcotest.test_case "rates exceed one on glitchy nets" `Quick
-           test_event_sim_rates_can_exceed_one ]) ]
+           test_event_sim_rates_can_exceed_one;
+         Alcotest.test_case "measure digest pinned" `Quick
+           test_event_sim_digest_pinned ]) ]
