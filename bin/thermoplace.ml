@@ -202,16 +202,6 @@ let guide_arg =
   Arg.(value & opt (names Flow.guide_names) "peak"
        & info [ "guide" ] ~docv:"G" ~doc)
 
-let cache_slots_arg =
-  let doc =
-    "Capacity of the thermal-mesh matrix MRU cache (>= 1; default 8, or \
-     the THERMOPLACE_CACHE_SLOTS environment variable). Each entry also \
-     carries the multigrid hierarchy and the fft screening kernel, so \
-     sweeps over many mesh extents benefit from more slots."
-  in
-  Arg.(value & opt (some (int_min ~min:1 "--cache-slots")) None
-       & info [ "cache-slots" ] ~docv:"N" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for parallel candidate evaluation and sweep points \
@@ -284,19 +274,6 @@ let common_t =
   in
   Term.(const make $ seed $ cycles $ utilization $ test_set $ precond_arg
         $ obs_t)
-
-type pool = { jobs : int; cache_slots : int option }
-
-let pool_t =
-  Term.(const (fun jobs cache_slots -> { jobs; cache_slots }) $ jobs_arg
-        $ cache_slots_arg)
-
-let use_pool p =
-  Parallel.Pool.set_jobs p.jobs;
-  Option.iter Thermal.Mesh.set_cache_capacity p.cache_slots
-
-let cache_slots_json () =
-  ("cache_slots", Json.Int (Thermal.Mesh.cache_capacity ()))
 
 (* --- the run harness -------------------------------------------------------- *)
 
@@ -412,14 +389,13 @@ let overhead_arg =
        & opt (float_range ~min:0.0 ~max_inclusive:4.0 "--overhead") 0.2
        & info [ "overhead" ] ~docv:"F" ~doc)
 
-let run_flow c pool technique overhead =
-  use_pool pool;
+let run_flow c jobs technique overhead =
+  Parallel.Pool.set_jobs jobs;
   run_job ~command:"flow" c
     ~config:
       [ ("technique", Json.String technique);
-        ("overhead", Json.Float overhead); ("jobs", Json.Int pool.jobs);
-        cache_slots_json () ]
-    ~extra:[ ("technique", technique); ("jobs", string_of_int pool.jobs) ]
+        ("overhead", Json.Float overhead); ("jobs", Json.Int jobs) ]
+    ~extra:[ ("technique", technique); ("jobs", string_of_int jobs) ]
     ?technique:(if technique = "none" then None else Some technique)
     ~overhead
   @@ fun req flow ->
@@ -560,11 +536,11 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-let run_sweep c pool checkpoint =
-  use_pool pool;
+let run_sweep c jobs checkpoint =
+  Parallel.Pool.set_jobs jobs;
   run_job ~command:"sweep" c
-    ~config:[ ("jobs", Json.Int pool.jobs); cache_slots_json () ]
-    ~extra:[ ("jobs", string_of_int pool.jobs) ]
+    ~config:[ ("jobs", Json.Int jobs) ]
+    ~extra:[ ("jobs", string_of_int jobs) ]
   @@ fun _ flow ->
   let module E = Postplace.Experiment in
   let fig6 = Run.phase "sweep" (fun () -> E.run_fig6 ?checkpoint flow) in
@@ -616,16 +592,13 @@ let sensitivity_sections flow =
            ("smoothing_gap_k", Json.Float gap);
            ("cg_iterations", Json.Int adj.Thermal.Adjoint.cg_iterations) ]) ]
 
-let run_optimize c pool screen guide rows =
-  use_pool pool;
+let run_optimize c jobs screen guide rows =
+  Parallel.Pool.set_jobs jobs;
   run_job ~command:"optimize" c
     ~config:
-      [ ("rows", Json.Int rows); ("jobs", Json.Int pool.jobs);
-        ("screen", Json.String screen); ("guide", Json.String guide);
-        cache_slots_json () ]
-    ~extra:
-      [ ("rows", string_of_int rows); ("jobs", string_of_int pool.jobs);
-        ("cache_slots", string_of_int (Thermal.Mesh.cache_capacity ())) ]
+      [ ("rows", Json.Int rows); ("jobs", Json.Int jobs);
+        ("screen", Json.String screen); ("guide", Json.String guide) ]
+    ~extra:[ ("rows", string_of_int rows); ("jobs", string_of_int jobs) ]
     ~technique:"optimize" ~screen ~guide ~rows
   @@ fun req flow ->
   let base =
@@ -748,15 +721,14 @@ let retry_base_ms_arg =
        & info [ "retry-base-ms" ] ~docv:"MS" ~doc)
 
 let run_serve input output queue_cap flow_slots max_retries retry_base_ms
-    pool obs =
+    jobs obs =
   with_structured_errors @@ fun () ->
-  Option.iter Thermal.Mesh.set_cache_capacity pool.cache_slots;
   let config =
     [ ("input", Json.String input); ("output", Json.String output);
       ("queue_cap", Json.Int queue_cap); ("flow_slots", Json.Int flow_slots);
       ("max_retries", Json.Int max_retries);
       ("retry_base_ms", Json.Float retry_base_ms);
-      ("jobs", Json.Int pool.jobs); cache_slots_json () ]
+      ("jobs", Json.Int jobs) ]
   in
   obs_begin ~command:"serve" ~obs ~config;
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
@@ -792,7 +764,7 @@ let run_serve input output queue_cap flow_slots max_retries retry_base_ms
         close_output ();
         if input <> "-" then Unix.close in_fd)
       (fun () ->
-         Parallel.Pool.with_pool ~jobs:pool.jobs @@ fun () ->
+         Parallel.Pool.with_pool ~jobs @@ fun () ->
          Run.phase "serve" @@ fun () ->
          Serve.Server.run ~config:server_config ~input:in_fd ~output:out_ch
            ())
@@ -813,7 +785,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve $ input_arg $ output_arg $ queue_cap_arg
-          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ pool_t
+          $ flow_slots_arg $ max_retries_arg $ retry_base_ms_arg $ jobs_arg
           $ obs_t)
 
 (* --- history ----------------------------------------------------------------- *)
@@ -1060,7 +1032,7 @@ let history_cmd =
 let flow_cmd =
   let doc = "Run the flow and apply one temperature-reduction technique." in
   Cmd.v (Cmd.info "flow" ~doc)
-    Term.(const run_flow $ common_t $ pool_t $ technique_arg $ overhead_arg)
+    Term.(const run_flow $ common_t $ jobs_arg $ technique_arg $ overhead_arg)
 
 let report_cmd =
   let doc = "Print netlist, placement, power and thermal summaries." in
@@ -1073,7 +1045,7 @@ let maps_cmd =
 let sweep_cmd =
   let doc = "Reduction-vs-overhead sweep for all three schemes (Fig. 6)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run_sweep $ common_t $ pool_t $ checkpoint_arg)
+    Term.(const run_sweep $ common_t $ jobs_arg $ checkpoint_arg)
 
 let check_cmd =
   let doc =
@@ -1090,7 +1062,7 @@ let optimize_cmd =
      domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const run_optimize $ common_t $ pool_t $ screen_arg $ guide_arg
+    Term.(const run_optimize $ common_t $ jobs_arg $ screen_arg $ guide_arg
           $ rows_arg)
 
 let export_cmd =
@@ -1107,18 +1079,6 @@ let () =
    | Error msg ->
      Printf.eprintf "thermoplace: %s\n" msg;
      exit 2);
-  (* environment-level default for the mesh cache capacity; an explicit
-     --cache-slots flag runs later and overrides it *)
-  (match Sys.getenv_opt "THERMOPLACE_CACHE_SLOTS" with
-   | None -> ()
-   | Some s ->
-     (match int_of_string_opt s with
-      | Some n when n >= 1 -> Thermal.Mesh.set_cache_capacity n
-      | _ ->
-        Printf.eprintf
-          "thermoplace: THERMOPLACE_CACHE_SLOTS must be an integer >= 1 \
-           (got %S)\n" s;
-        exit 2));
   let doc = "post-placement temperature reduction (Liu & Nannarelli, DATE'10)" in
   let info = Cmd.info "thermoplace" ~version:"1.0.0" ~doc in
   exit

@@ -31,6 +31,12 @@ let evaluate_plan flow ~after ~nx =
    this alone saves ~40% of the ranking iterations. *)
 let rank_tol = 1e-6
 
+(* Screened candidates re-scored with an exact solve per round. *)
+let leaders = 3
+
+(* Projected-gradient iterations of the gradient guide's allocation. *)
+let prepass_steps = 8
+
 (* The power map of a trial plan — all a blur screening pass needs. *)
 let trial_power flow ~after ~nx =
   let r = Technique.apply_row_insertions flow.Flow.base_placement after in
@@ -72,7 +78,7 @@ let screening_enabled flow =
 
 (* The paper's scheme: rank candidates by their (screened or exact)
    predicted peak. *)
-let peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders =
+let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   Obs.Trace.with_span "optimizer.greedy_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
   let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
@@ -278,10 +284,9 @@ let largest_remainder x ~total =
    regularizer weight gamma = (g_max - g_min)/step scales the quadratic
    pull to the score spread, so mass concentrates on the best-scoring
    rows without collapsing onto one when several are nearly as good.
-   [prepass_steps = 0] (or a flat score vector) skips the continuous
-   phase: the whole chunk goes to the argmin score — exactly the peak
-   guide's move. *)
-let allocate scores ~step ~prepass_steps =
+   A flat score vector skips the continuous phase: the whole chunk goes
+   to the argmin score — exactly the peak guide's move. *)
+let allocate scores ~step =
   let n = Array.length scores in
   let argmin () =
     let best = ref 0 in
@@ -293,7 +298,7 @@ let allocate scores ~step ~prepass_steps =
   let g_min = Array.fold_left Float.min infinity scores in
   let g_max = Array.fold_left Float.max neg_infinity scores in
   let gamma = (g_max -. g_min) /. float_of_int step in
-  if prepass_steps <= 0 || not (gamma > 0.0) then argmin ()
+  if not (gamma > 0.0) then argmin ()
   else begin
     (* eta = 1/(2 gamma) contracts the fixed-point residual by half per
        step, so [prepass_steps] trades allocation sharpness for work *)
@@ -308,7 +313,7 @@ let allocate scores ~step ~prepass_steps =
     largest_remainder !x ~total:step
   end
 
-let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps =
+let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   Obs.Trace.with_span "optimizer.gradient_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
   let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
@@ -357,7 +362,7 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps =
              sensitivity_score sens
                (trial_power flow ~after:(trial_of cand) ~nx:coarse_nx)))
     in
-    let counts = allocate scores ~step ~prepass_steps in
+    let counts = allocate scores ~step in
     Array.iteri
       (fun i n ->
          if n > 0 then
@@ -384,19 +389,14 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps =
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
     blur_evaluations = 0; adjoint_evaluations = !adjoint_evaluations }
 
-let greedy_rows flow ~rows ?(chunk = 4) ?(stride = 4) ?(coarse_nx = 20)
-    ?(leaders = 3) ?(prepass_steps = 8) () =
+let greedy_rows flow ~rows ?(chunk = 4) ?(stride = 4) ?(coarse_nx = 20) () =
   if rows <= 0 then invalid_arg "Optimizer.greedy_rows: non-positive budget";
-  if chunk <= 0 || stride <= 0 || coarse_nx <= 0 || leaders <= 0 then
+  if chunk <= 0 || stride <= 0 || coarse_nx <= 0 then
     invalid_arg "Optimizer.greedy_rows: non-positive parameter";
-  if prepass_steps < 0 then
-    invalid_arg "Optimizer.greedy_rows: negative prepass_steps";
   let result =
     match flow.Flow.guide with
-    | Flow.Guide_peak ->
-      peak_rows flow ~rows ~chunk ~stride ~coarse_nx ~leaders
-    | Flow.Guide_gradient ->
-      gradient_rows flow ~rows ~chunk ~stride ~coarse_nx ~prepass_steps
+    | Flow.Guide_peak -> peak_rows flow ~rows ~chunk ~stride ~coarse_nx
+    | Flow.Guide_gradient -> gradient_rows flow ~rows ~chunk ~stride ~coarse_nx
   in
   Obs.Metrics.count "optimizer.thermal_solves" ~by:result.evaluations;
   if result.blur_evaluations > 0 then

@@ -28,8 +28,6 @@ val greedy_rows :
   ?chunk:int ->
   ?stride:int ->
   ?coarse_nx:int ->
-  ?leaders:int ->
-  ?prepass_steps:int ->
   unit ->
   result
 (** [greedy_rows flow ~rows ()] allocates [rows] empty rows on the flow's
@@ -50,12 +48,12 @@ val greedy_rows :
     once (the anchor), ranks every candidate by the peak of its blurred
     power map corrected by the anchor's exact-minus-blurred error field
     (a control variate — see {!Thermal.Blur.peak}), then runs the exact
-    warm-started solve only for the [leaders] best-ranked candidates
-    (default 3; ties keep candidate order). Anchor and leader solves use
+    warm-started solve only for the 3 best-ranked candidates, the
+    leaders (ties keep candidate order). Anchor and leader solves use
     exactly the inputs the exact tier would, so the committed plan is
     bit-identical to [Screen_exact] whenever the leader set contains the
-    exact winner. Screening is skipped when a round has no more
-    candidates than [leaders].
+    exact winner. Screening is skipped when a round has no more than 3
+    candidates.
 
     When the flow's [guide] is {!Flow.Guide_gradient}, the per-candidate
     solves disappear entirely: each round runs one adjoint sensitivity
@@ -63,14 +61,12 @@ val greedy_rows :
     by the inner product of the adjoint map with its re-binned power map
     (no solve — the thermal system is linear, so the inner product is
     the candidate's first-order peak up to a round-constant), allocates
-    the chunk across candidates with a continuous projected-gradient
-    pre-pass of [prepass_steps] iterations (default 8; 0 reduces to the
-    peak guide's argmin move) rounded by largest remainder, and confirms
-    the committed chunk with a single exact warm-started solve. Exact
-    solves per run drop from O(rounds * candidates) to [rounds + 2]
-    (seed and final re-score) plus [rounds] adjoint solves. [leaders] is
-    ignored in this mode; selection remains deterministic for any pool
-    size. *)
+    the chunk across candidates with an 8-step continuous
+    projected-gradient pre-pass rounded by largest remainder, and
+    confirms the committed chunk with a single exact warm-started solve.
+    Exact solves per run drop from O(rounds * candidates) to
+    [rounds + 2] (seed and final re-score) plus [rounds] adjoint solves;
+    selection remains deterministic for any pool size. *)
 
 val evaluate_plan : Flow.t -> after:int list -> nx:int -> float
 (** Peak temperature rise (K) of the base placement with the given

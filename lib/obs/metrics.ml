@@ -251,26 +251,27 @@ let freeze_hist h =
     samples = Array.to_list (Array.sub h.h_samples 0 h.h_len);
     dropped = h.h_count - h.h_len }
 
-let counter_value ?(labels = []) name =
+(* A read under a name registered as another kind is a wiring mistake
+   (e.g. reading a histogram as a counter), never an absent series. *)
+let read kind name labels f =
   let labels = canon_labels labels in
   locked (fun () ->
-      match Hashtbl.find_opt registry (name, labels) with
-      | Some (C_counter r) -> Some !r
-      | _ -> None)
+      match Hashtbl.find_opt name_kinds name with
+      | Some k when k <> kind ->
+        invalid_arg
+          (Printf.sprintf "Obs.Metrics: %S is a %s, read as a %s" name k kind)
+      | _ -> Option.bind (Hashtbl.find_opt registry (name, labels)) f)
+
+let counter_value ?(labels = []) name =
+  read "counter" name labels (function C_counter r -> Some !r | _ -> None)
 
 let gauge_value ?(labels = []) name =
-  let labels = canon_labels labels in
-  locked (fun () ->
-      match Hashtbl.find_opt registry (name, labels) with
-      | Some (C_gauge r) -> Some !r
-      | _ -> None)
+  read "gauge" name labels (function C_gauge r -> Some !r | _ -> None)
 
 let histogram ?(labels = []) name =
-  let labels = canon_labels labels in
-  locked (fun () ->
-      match Hashtbl.find_opt registry (name, labels) with
-      | Some (C_hist h) -> Some (freeze_hist h)
-      | _ -> None)
+  read "histogram" name labels (function
+    | C_hist h -> Some (freeze_hist h)
+    | _ -> None)
 
 let mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
 

@@ -65,6 +65,11 @@ val max_samples : int
 val counter_value : ?labels:(string * string) list -> string -> int option
 val gauge_value : ?labels:(string * string) list -> string -> float option
 val histogram : ?labels:(string * string) list -> string -> histogram option
+(** Typed reads of one series: [None] when no series exists under
+    [(name, labels)]; [Invalid_argument] when [name] is registered as
+    another metric type (reading a histogram as a counter is a wiring
+    mistake, not an absent value). *)
+
 val mean : histogram -> float
 
 val percentile : histogram -> float -> float

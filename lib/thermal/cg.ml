@@ -322,8 +322,7 @@ let solve m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond ?label () =
         solve_raw m ~b ~tol ?max_iter ?x0 ?precond ~applies ()
       in
       let out = record out in
-      (* one sample per MG-preconditioned solve, as the standalone
-         Multigrid.solve records one per solve *)
+      (* one V-cycle-count sample per MG-preconditioned solve *)
       (match precond with
        | Some (Multigrid _) ->
          Obs.Metrics.observe "thermal.mg.solve.cycles" (float_of_int !applies)

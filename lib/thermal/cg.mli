@@ -88,10 +88,10 @@ val solve : Sparse.t -> b:float array -> ?tol:float -> ?max_iter:int ->
     [thermal.cg.cold.iterations] or [thermal.cg.warm.iterations]
     depending on whether [x0] was supplied. Under {!Multigrid} the
     solve's V-cycle count (its preconditioner applications) is one
-    sample of the [thermal.mg.solve.cycles] histogram, the same series
-    {!Multigrid.solve} feeds. A solve that exits at
-    [max_iter] without converging bumps [thermal.cg.nonconverged] and
-    emits an {!Obs.Log} warning, so silent max-iter exits cannot
+    sample of the [thermal.mg.solve.cycles] histogram. A solve that
+    exits at [max_iter] without converging bumps
+    [thermal.cg.nonconverged] and emits an {!Obs.Log} warning, so
+    silent max-iter exits cannot
     masquerade as valid temperatures in sweeps; a detected breakdown
     additionally bumps [thermal.cg.breakdown]. The solve body runs under
     a ["thermal.cg.solve"] trace span.

@@ -143,26 +143,11 @@ type cache_entry = {
   ce_blur : Blur.t option ref;
 }
 
-(* Default of 8 slots covers the optimizer (one extent per inserted-row
-   count) plus a package sweep; larger sweeps can widen it via
-   [set_cache_capacity] / THERMOPLACE_CACHE_SLOTS now that an entry also
-   carries the MG hierarchy and the blur kernel, both expensive to
-   recharacterize after a thrash. *)
-let cache_capacity_ref = ref 8
+(* 8 slots cover the optimizer (one extent per inserted-row count) plus
+   a package sweep. *)
+let cache_capacity = 8
 let cache_mutex = Mutex.create ()
 let cache_entries : ((config * Geo.Rect.t) * cache_entry) list ref = ref []
-
-let cache_capacity () = !cache_capacity_ref
-
-let set_cache_capacity n =
-  if n < 1 then invalid_arg "Mesh.set_cache_capacity: capacity must be >= 1";
-  Mutex.protect cache_mutex (fun () ->
-      cache_capacity_ref := n;
-      let len = List.length !cache_entries in
-      if len > n then begin
-        cache_entries := List.filteri (fun i _ -> i < n) !cache_entries;
-        Obs.Metrics.count "thermal.mesh.cache.evictions" ~by:(len - n)
-      end)
 
 let cache_clear () =
   Mutex.protect cache_mutex (fun () -> cache_entries := [])
@@ -182,14 +167,13 @@ let cache_insert key e =
       match List.assoc_opt key !cache_entries with
       | Some existing -> existing (* a racing build won; reuse its entry *)
       | None ->
-        let cap = !cache_capacity_ref in
         let len = List.length !cache_entries in
         let kept =
-          List.filteri (fun i _ -> i < cap - 1) !cache_entries
+          List.filteri (fun i _ -> i < cache_capacity - 1) !cache_entries
         in
-        if len > cap - 1 then
+        if len > cache_capacity - 1 then
           Obs.Metrics.count "thermal.mesh.cache.evictions"
-            ~by:(len - (cap - 1));
+            ~by:(len - (cache_capacity - 1));
         cache_entries := (key, e) :: kept;
         e)
 

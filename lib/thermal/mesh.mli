@@ -24,11 +24,12 @@ val build : ?cache:bool -> config -> power:Geo.Grid.t -> problem
 
     The conductance matrix depends only on the config and the grid extent
     — power enters through the right-hand side alone — so assembled
-    matrices are kept in a small MRU cache keyed by (config, extent) and
-    shared between problems (the rhs is always rebuilt). [~cache:false]
+    matrices are kept in an 8-entry MRU cache keyed by (config, extent)
+    and shared between problems (the rhs is always rebuilt). [~cache:false]
     bypasses the cache and assembles fresh. Lookups bump the
     [thermal.mesh.cache.hits] / [thermal.mesh.cache.misses] counters in
-    {!Obs.Metrics}.
+    {!Obs.Metrics}; an insert into a full cache drops the
+    least-recently-used entry and bumps [thermal.mesh.cache.evictions].
 
     Cache hits are validated defensively: an entry whose matrix dimension
     disagrees with the requested mesh is evicted and reassembled (counted
@@ -43,17 +44,6 @@ val cache_clear : unit -> unit
 (** Drop every cached matrix (and the cold-iteration baselines, multigrid
     hierarchies and blur kernels that ride with them). Mainly for tests
     and benchmarks. *)
-
-val cache_capacity : unit -> int
-(** Current MRU capacity (default 8 entries). *)
-
-val set_cache_capacity : int -> unit
-(** Resize the matrix MRU cache (minimum 1; [Invalid_argument] below
-    that). Shrinking evicts the least-recently-used entries immediately.
-    Every eviction — here or on insert overflow — is counted in
-    [thermal.mesh.cache.evictions]. Reachable from the CLI via
-    [--cache-slots] or the THERMOPLACE_CACHE_SLOTS environment
-    variable. *)
 
 val matrix : problem -> Sparse.t
 val rhs : problem -> float array

@@ -4,8 +4,6 @@
    keeps construction O(n) and sidesteps the Galerkin triple-product
    memory blowup at 160x160x9. *)
 
-type smoother = Damped_jacobi of float | Ssor of float
-
 (* Cell-centered bilinear transfer in one dimension: fine cell i has a
    main coarse parent (weight 3/4) and a neighbour parent (weight 1/4) on
    the side its center leans toward; at the grid edge, where the neighbour
@@ -35,7 +33,6 @@ type t = {
   levels : level array;
   nz : int;
   coarse : Dense.t;
-  smoother : smoother;
 }
 
 type vectors = {
@@ -47,14 +44,6 @@ type vectors = {
 
 type workspace = vectors array
 
-type outcome = {
-  x : float array;
-  cycles : int;
-  residual : float;
-  converged : bool;
-}
-
-let default_tol = 1e-10
 let coarsest_lateral = 4
 let coarsest_max_dim = 4096
 
@@ -76,14 +65,6 @@ let axis_of ~fine ~coarse =
   done;
   { p0; w0; p1; w1 }
 
-let validate_smoother = function
-  | Damped_jacobi omega ->
-    if not (omega > 0.0 && omega <= 1.0) then
-      invalid_arg "Multigrid.build: damped-Jacobi factor must be in (0, 1]"
-  | Ssor omega ->
-    if not (omega > 0.0 && omega < 2.0) then
-      invalid_arg "Multigrid.build: SSOR omega must be in (0, 2)"
-
 let level_of ~index ~a ~nx ~ny ~nz ~down =
   let n = nx * ny * nz in
   if Sparse.dim a <> n then
@@ -104,11 +85,10 @@ let level_of ~index ~a ~nx ~ny ~nz ~down =
     down;
     residual_metric = Printf.sprintf "thermal.mg.level%d.residual" index }
 
-let build ~fine ~nx ~ny ~nz ?(smoother = Ssor 1.0) ~assemble () =
+let build ~fine ~nx ~ny ~nz ~assemble () =
   Obs.Trace.with_span "thermal.mg.build" @@ fun () ->
   if nx <= 0 || ny <= 0 || nz <= 0 then
     invalid_arg "Multigrid.build: grid dimensions must be positive";
-  validate_smoother smoother;
   (* Finest-first lateral dimensions: halve (rounding up) until either
      axis reaches the direct-solve scale. *)
   let dims =
@@ -144,7 +124,7 @@ let build ~fine ~nx ~ny ~nz ?(smoother = Ssor 1.0) ~assemble () =
          bottom.n coarsest_max_dim);
   let coarse = Dense.of_sparse bottom.a in
   Obs.Metrics.gauge "thermal.mg.levels" (float_of_int num);
-  { levels; nz; coarse; smoother }
+  { levels; nz; coarse }
 
 let fine_dim t = t.levels.(0).n
 let num_levels t = Array.length t.levels
@@ -158,15 +138,9 @@ let workspace t =
         vz = Array.make lv.n 0.0 })
     t.levels
 
-(* dst <- M^-1 src for one symmetric smoothing sweep. *)
-let smooth t lv src dst =
-  match t.smoother with
-  | Damped_jacobi omega ->
-    let diag = lv.diag in
-    for i = 0 to lv.n - 1 do
-      dst.(i) <- omega *. src.(i) /. diag.(i)
-    done
-  | Ssor omega -> Sparse.ssor_apply lv.a ~diag:lv.diag ~omega src dst
+(* dst <- M^-1 src for one symmetric Gauss-Seidel (SSOR 1.0) sweep. *)
+let smooth lv src dst =
+  Sparse.ssor_apply lv.a ~diag:lv.diag ~omega:1.0 src dst
 
 (* vr <- vb - A vx *)
 let level_residual lv v =
@@ -249,7 +223,7 @@ let rec cycle t ws l =
     Array.blit sol 0 v.vx 0 lv.n
   end else begin
     (* Pre-smooth from the zero guess: vx <- M^-1 vb. *)
-    smooth t lv v.vb v.vx;
+    smooth lv v.vb v.vx;
     level_residual lv v;
     if Obs.Metrics.enabled () then
       Obs.Metrics.observe lv.residual_metric (norm2 v.vr);
@@ -261,7 +235,7 @@ let rec cycle t ws l =
     (* Post-smooth (adjoint of the pre-smooth, keeping the cycle
        symmetric): vx <- vx + M^-1 (vb - A vx). *)
     level_residual lv v;
-    smooth t lv v.vr v.vz;
+    smooth lv v.vr v.vz;
     for i = 0 to lv.n - 1 do
       v.vx.(i) <- v.vx.(i) +. v.vz.(i)
     done
@@ -278,54 +252,3 @@ let apply t ws r z =
   cycle t ws 0;
   Array.blit ws.(0).vx 0 z 0 lv0.n;
   Obs.Metrics.count "thermal.mg.cycles"
-
-let solve t ~b ?(tol = default_tol) ?(max_cycles = 200) ?x0 () =
-  Obs.Trace.with_span "thermal.mg.solve" @@ fun () ->
-  let n = fine_dim t in
-  if Array.length b <> n then
-    invalid_arg "Multigrid.solve: rhs dimension mismatch";
-  if not (tol > 0.0) then invalid_arg "Multigrid.solve: tol must be positive";
-  if max_cycles < 0 then
-    invalid_arg "Multigrid.solve: max_cycles must be non-negative";
-  let x =
-    match x0 with
-    | None -> Array.make n 0.0
-    | Some x0 ->
-      if Array.length x0 <> n then
-        invalid_arg "Multigrid.solve: x0 dimension mismatch";
-      Array.copy x0
-  in
-  let ws = workspace t in
-  let a = t.levels.(0).a in
-  let r = Array.make n 0.0 in
-  let z = Array.make n 0.0 in
-  let bnorm = norm2 b in
-  let residual_of x =
-    Sparse.mul a x r;
-    for i = 0 to n - 1 do
-      r.(i) <- b.(i) -. r.(i)
-    done;
-    norm2 r
-  in
-  let finish ~cycles ~rnorm =
-    let residual = if bnorm > 0.0 then rnorm /. bnorm else rnorm in
-    Obs.Metrics.count "thermal.mg.solves";
-    Obs.Metrics.observe "thermal.mg.solve.cycles" (float_of_int cycles);
-    { x; cycles; residual; converged = residual <= tol }
-  in
-  if bnorm = 0.0 then begin
-    Array.fill x 0 n 0.0;
-    finish ~cycles:0 ~rnorm:0.0
-  end else begin
-    let cycles = ref 0 in
-    let rnorm = ref (residual_of x) in
-    while !rnorm /. bnorm > tol && !cycles < max_cycles do
-      apply t ws r z;
-      for i = 0 to n - 1 do
-        x.(i) <- x.(i) +. z.(i)
-      done;
-      incr cycles;
-      rnorm := residual_of x
-    done;
-    finish ~cycles:!cycles ~rnorm:!rnorm
-  end

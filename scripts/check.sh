@@ -61,8 +61,31 @@ dune exec bin/json_check.exe -- \
   BENCH_serve.json experiment summary summary.batching \
   summary.fault_isolation summary.retry
 
+# A telemetry read that misses its series, or a counter never bumped,
+# must not land in a kernel summary as null.
+for f in BENCH_cg.json BENCH_mg.json BENCH_fft.json BENCH_adjoint.json \
+  BENCH_serve.json; do
+  if grep -q null "$f"; then
+    echo "bench smoke: $f contains null" >&2
+    exit 1
+  fi
+done
+
 # Each bench run appended one ledger record.
 dune exec bin/json_check.exe -- --jsonl "$ledger" 5
+
+echo "== paper suites (all 13 experiments)"
+THERMOPLACE_LEDGER=none dune exec bench/main.exe -- --jobs 2 >/dev/null
+for name in fig5 fig6 table1 timing congestion ablation optimizer \
+  electrothermal package baselines glitch guide transient; do
+  dune exec bin/json_check.exe -- "BENCH_$name.json" experiment summary
+done
+# The paper's shape checks (ERI and HW above Default, monotone in
+# overhead) and the steady-state justification must all hold.
+if grep -q false BENCH_fig6.json BENCH_transient.json; then
+  echo "paper suites: a Fig. 6 or transient check is false" >&2
+  exit 1
+fi
 
 echo "== bench regression gate (bench_diff vs committed baselines)"
 # A generous threshold absorbs machine-to-machine noise on top of the

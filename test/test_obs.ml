@@ -166,6 +166,28 @@ let test_metrics_counters () =
   Alcotest.(check (option (float 0.0))) "gauge keeps last" (Some 7.5)
     (Obs.Metrics.gauge_value "g")
 
+(* Reading a series as the wrong kind raises instead of reading [None],
+   which a caller would report as an absent (null) value. *)
+let test_metrics_typed_reads () =
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Obs.Metrics.count "c";
+  Obs.Metrics.gauge "g" 1.0;
+  Obs.Metrics.observe "h" 1.0;
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: kind mismatch read without error" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "histogram as counter" (fun () -> Obs.Metrics.counter_value "h");
+  raises "counter as gauge" (fun () -> Obs.Metrics.gauge_value "c");
+  raises "gauge as histogram" (fun () -> Obs.Metrics.histogram "g");
+  (* another label set of a known name is still just an absent series *)
+  Alcotest.(check (option int)) "other labels absent" None
+    (Obs.Metrics.counter_value "c" ~labels:[ ("k", "v") ]);
+  Alcotest.(check bool) "unknown name absent" true
+    (Obs.Metrics.histogram "nope" = None)
+
 let test_metrics_histogram () =
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
@@ -887,6 +909,8 @@ let () =
        [ Alcotest.test_case "counters and gauges" `Quick
            test_metrics_counters;
          Alcotest.test_case "histogram" `Quick test_metrics_histogram;
+         Alcotest.test_case "typed reads reject a kind mismatch" `Quick
+           test_metrics_typed_reads;
          Alcotest.test_case "sample cap" `Quick test_metrics_sample_cap;
          Alcotest.test_case "reservoir unbiased at 100k" `Quick
            test_metrics_reservoir_unbiased;
