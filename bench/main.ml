@@ -578,12 +578,15 @@ let run_cg fl =
 (* --- MG ENGINE --------------------------------------------------------------------- *)
 
 (* Geometric-multigrid V-cycle preconditioner vs Jacobi / SSOR CG across
-   mesh sizes, plus the two invariants the optimizer relies on when running
-   under [Pc_mg]: greedy plans unchanged and bit-identical parallel runs. *)
+   mesh sizes, with the iteration ceiling z-line smoothing earns (at most
+   10 MG-CG iterations at every size), plus the two invariants the
+   optimizer relies on when running under [Pc_mg]: greedy plans unchanged
+   and bit-identical parallel runs. *)
 
 let run_mg fl =
   let base = fl.Postplace.Flow.base_placement in
   let speedup_160 = ref 0.0 in
+  let max_mg_iters = ref 0 in
   let size_rows =
     List.map
       (fun nx ->
@@ -617,6 +620,7 @@ let run_mg fl =
            ssor.Thermal.Mesh.temp;
          let speedup = t_ssor /. t_mg in
          if nx = 160 then speedup_160 := speedup;
+         max_mg_iters := max !max_mg_iters mg.Thermal.Mesh.cg_iterations;
          j_obj
            [ ("nx", j_i nx);
              ("jacobi_ms", ms t_jac);
@@ -665,6 +669,7 @@ let run_mg fl =
   j_obj
     [ ("sizes", j_list size_rows);
       ("speedup_vs_ssor_160", j_f !speedup_160);
+      ("iterations_within_10", j_b (!max_mg_iters <= 10));
       ("plans_agree", j_b (plan_of r_ssor = plan_of r_mg1));
       ("parallel_bit_identical", j_b parallel_identical);
       ("telemetry",

@@ -16,11 +16,32 @@ type span = {
   children : span list;
 }
 
+(* GC counters at one instant. The word counts come from [Gc.counters],
+   which reads the calling domain's own allocation; [Gc.quick_stat] sums
+   every domain on OCaml 5 and would charge a span for whatever the other
+   domains allocated while it ran. Collections are process-wide events
+   (every domain takes part in a minor collection), read from
+   [Gc.quick_stat]. *)
+type gc_mark = {
+  m_minor : float;
+  m_promoted : float;
+  m_major : float;
+  m_minor_collections : int;
+  m_major_collections : int;
+}
+
+let gc_mark () =
+  let m_minor, m_promoted, m_major = Gc.counters () in
+  let s = Gc.quick_stat () in
+  { m_minor; m_promoted; m_major;
+    m_minor_collections = s.Gc.minor_collections;
+    m_major_collections = s.Gc.major_collections }
+
 (* an in-progress span; children and metrics accumulate in reverse *)
 type frame = {
   f_name : string;
   f_start : float;
-  f_gc0 : Gc.stat;
+  f_gc0 : gc_mark;
   mutable f_metrics : (string * float) list;
   mutable f_children : span list;
 }
@@ -78,12 +99,12 @@ let reset () =
         !recorders);
   epoch := Clock.now ()
 
-let gc_delta (g0 : Gc.stat) (g1 : Gc.stat) =
-  { minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-    minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-    major_collections = g1.Gc.major_collections - g0.Gc.major_collections }
+let gc_delta g0 g1 =
+  { minor_words = g1.m_minor -. g0.m_minor;
+    major_words = g1.m_major -. g0.m_major;
+    promoted_words = g1.m_promoted -. g0.m_promoted;
+    minor_collections = g1.m_minor_collections - g0.m_minor_collections;
+    major_collections = g1.m_major_collections - g0.m_major_collections }
 
 let add_metric name v =
   if !enabled_flag then
@@ -96,13 +117,13 @@ let with_span name f =
   else begin
     let r = recorder () in
     let fr =
-      { f_name = name; f_start = now (); f_gc0 = Gc.quick_stat ();
+      { f_name = name; f_start = now (); f_gc0 = gc_mark ();
         f_metrics = []; f_children = [] }
     in
     r.r_stack <- fr :: r.r_stack;
     let finish () =
       let stop = now () in
-      let gc1 = Gc.quick_stat () in
+      let gc1 = gc_mark () in
       (* Pop down to (and including) our frame. Frames above it were
          abandoned — their [finish] never ran (an exception captured by an
          effect handler that dropped the continuation, or a similar

@@ -3,10 +3,11 @@
     Disabled (the default), {!with_span} is a single flag check around the
     wrapped function — safe to leave in hot paths. Enabled, each span
     records its monotonic start and duration (see {!Clock}: never
-    negative even across wall-clock steps), the {!Gc.quick_stat} delta
-    over the call (allocation, collection counts) and any per-span
-    metrics attached with {!add_metric}, and nests under the
-    lexically-enclosing span of the {e same domain}.
+    negative even across wall-clock steps), the GC delta over the call
+    (the calling domain's own allocation, and the process-wide
+    collection counts) and any per-span metrics attached with
+    {!add_metric}, and nests under the lexically-enclosing span of the
+    {e same domain}.
 
     Every domain records into its own lock-free buffer ({!Parallel.Pool}
     workers register theirs on spawn; any other domain registers lazily
@@ -17,11 +18,16 @@
 
 type gc_delta = {
   minor_words : float;
-  major_words : float;    (** words allocated directly on the major heap *)
+  major_words : float;    (** major-heap words, promoted ones included *)
   promoted_words : float;
   minor_collections : int;
   major_collections : int;
 }
+(** The three word counts are the recording domain's own allocation
+    ({!Gc.counters}), so a span is never charged for work other domains
+    did while it ran. The collection counts are process-wide events
+    ({!Gc.quick_stat}): every domain takes part in a minor collection,
+    whichever domain triggered it. *)
 
 type span = {
   name : string;

@@ -31,24 +31,24 @@ let of_sparse m =
   done;
   { n; l = a }
 
-let solve t b =
+let solve_into t b x =
   let n = t.n in
-  if Array.length b <> n then invalid_arg "Dense.solve: dimension mismatch";
-  let y = Array.copy b in
-  (* forward substitution L y = b *)
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg "Dense.solve_into: dimension mismatch";
+  Array.blit b 0 x 0 n;
+  (* forward substitution L y = b, y held in x *)
   for i = 0 to n - 1 do
-    let s = ref y.(i) in
+    let s = ref x.(i) in
     for j = 0 to i - 1 do
-      s := !s -. (t.l.((i * n) + j) *. y.(j))
+      s := !s -. (t.l.((i * n) + j) *. x.(j))
     done;
-    y.(i) <- !s /. t.l.((i * n) + i)
+    x.(i) <- !s /. t.l.((i * n) + i)
   done;
-  (* backward substitution L^T x = y *)
+  (* backward substitution L^T x = y, in place *)
   for i = n - 1 downto 0 do
-    let s = ref y.(i) in
+    let s = ref x.(i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (t.l.((j * n) + i) *. y.(j))
+      s := !s -. (t.l.((j * n) + i) *. x.(j))
     done;
-    y.(i) <- !s /. t.l.((i * n) + i)
-  done;
-  y
+    x.(i) <- !s /. t.l.((i * n) + i)
+  done

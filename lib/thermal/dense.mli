@@ -1,8 +1,8 @@
 (** Dense Cholesky factorization — an independent direct solver.
 
     CG is the production path; this O(n³) solver exists to cross-validate
-    it on small meshes (tests) and to solve the shifted systems of the
-    transient analysis when they are small. *)
+    it on small meshes (tests) and to solve the coarsest level of every
+    {!Multigrid} V-cycle. *)
 
 type t
 (** A factored SPD matrix. *)
@@ -11,7 +11,9 @@ val of_sparse : Sparse.t -> t
 (** Densify and factor. Raises [Failure] if the matrix is not positive
     definite. Meant for dimensions up to a few thousand. *)
 
-val solve : t -> float array -> float array
-(** [solve chol b] returns [x] with [A x = b]. *)
+val solve_into : t -> float array -> float array -> unit
+(** [solve_into chol b x] writes the solution of [A x = b] into [x] and
+    allocates nothing; [x] may be [b] itself (solve in place). Raises
+    [Invalid_argument] if either length differs from {!dim}. *)
 
 val dim : t -> int

@@ -17,29 +17,44 @@ type axis = {
   w1 : float array;
 }
 
-type transfer = { ax_x : axis; ax_y : axis }
+type transfer = {
+  ax_x : axis;
+  ax_y : axis;
+  cnx : int;   (* lateral dimensions of the next-coarser level *)
+  cny : int;
+}
 
+(* A smoothed level keeps the 7-point stencil as per-node lower couplings
+   (the upper ones are the neighbour's lower coupling, by symmetry) and
+   the Thomas factorization of each z column; its CSR is not kept. The
+   factorization's modified super-diagonal czm.(i + nx * ny) * inv_piv.(i)
+   is recomputed where it is used, from values the column solve has just
+   read, rather than stored. Node i is x-fastest, then y, then z, so a
+   column is strided by nx * ny. *)
 type level = {
-  a : Sparse.t;
-  diag : float array;
   nx : int;
   ny : int;
   n : int;
-  down : transfer option;       (* to the next-coarser level *)
+  diag : float array;
+  cxm : float array;      (* coupling to the x- neighbour, 0 at ix = 0 *)
+  cym : float array;      (* ... to the y- neighbour, 0 at iy = 0 *)
+  czm : float array;      (* ... to the z- neighbour, 0 at iz = 0 *)
+  inv_piv : float array;  (* 1 / Thomas pivot of the node's column *)
+  down : transfer;        (* to the next-coarser level *)
   residual_metric : string;
 }
 
 type t = {
-  levels : level array;
-  nz : int;
-  coarse : Dense.t;
+  levels : level array;   (* smoothed levels, finest first *)
+  coarse : Dense.t;       (* the coarsest level, factored *)
 }
 
 type vectors = {
   vb : float array;   (* level right-hand side *)
   vx : float array;   (* level iterate *)
-  vr : float array;   (* residual / SpMV scratch *)
-  vz : float array;   (* smoother scratch *)
+  vr : float array;   (* residual *)
+  vz : float array;   (* post-smoothing correction *)
+  vs : float array;   (* smoother scratch: the forward sweep's T u *)
 }
 
 type workspace = vectors array
@@ -65,24 +80,45 @@ let axis_of ~fine ~coarse =
   done;
   { p0; w0; p1; w1 }
 
-let level_of ~index ~a ~nx ~ny ~nz ~down =
-  let n = nx * ny * nz in
-  if Sparse.dim a <> n then
+let check_dim ~index a ~nx ~ny ~nz =
+  if Sparse.dim a <> nx * ny * nz then
     invalid_arg
       (Printf.sprintf
          "Multigrid.build: level %d matrix dim %d does not match %dx%dx%d"
-         index (Sparse.dim a) nx ny nz);
-  let diag = Sparse.diagonal a in
-  Array.iteri
-    (fun i d ->
-      if not (d > 0.0) then
-        invalid_arg
-          (Printf.sprintf
-             "Multigrid.build: non-positive diagonal %g at node %d of level %d"
-             d i index))
-    diag;
-  { a; diag; nx; ny; n;
-    down;
+         index (Sparse.dim a) nx ny nz)
+
+(* Extract the lower stencil from [a] and factor every z column
+   T = tridiag(czm, diag, czm+) with the Thomas algorithm. A pivot needs
+   only the one below it in its column, so rows are factored in memory
+   order, right after they are read. *)
+let level_of ~index ~a ~nx ~ny ~nz ~down =
+  check_dim ~index a ~nx ~ny ~nz;
+  let nxy = nx * ny in
+  let n = nxy * nz in
+  let diag = Array.make n 0.0 in
+  let cxm = Array.make n 0.0 and cym = Array.make n 0.0 in
+  let czm = Array.make n 0.0 and inv_piv = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let x_lo = if i mod nx > 0 then i - 1 else -1 in
+    let y_lo = if i / nx mod ny > 0 then i - nx else -1 in
+    Sparse.iter_row a i ~f:(fun j v ->
+        if j = i then diag.(i) <- v
+        else if j = x_lo then cxm.(i) <- v
+        else if j = y_lo then cym.(i) <- v
+        else if j = i - nxy then czm.(i) <- v);
+    let piv =
+      if i < nxy then diag.(i)
+      else diag.(i) -. (czm.(i) *. (czm.(i) *. inv_piv.(i - nxy)))
+    in
+    if not (piv > 0.0) then
+      invalid_arg
+        (Printf.sprintf
+           "Multigrid.build: non-positive column pivot %g at node %d of \
+            level %d"
+           piv i index);
+    inv_piv.(i) <- 1.0 /. piv
+  done;
+  { nx; ny; n; diag; cxm; cym; czm; inv_piv; down;
     residual_metric = Printf.sprintf "thermal.mg.level%d.residual" index }
 
 let build ~fine ~nx ~ny ~nz ~assemble () =
@@ -98,55 +134,132 @@ let build ~fine ~nx ~ny ~nz ~assemble () =
         go ((cx + 1) / 2) ((cy + 1) / 2) acc
       else List.rev acc
     in
-    go nx ny []
+    Array.of_list (go nx ny [])
   in
-  let num = List.length dims in
-  let dims = Array.of_list dims in
-  let levels =
-    Array.init num (fun l ->
-        let lnx, lny = dims.(l) in
-        let a = if l = 0 then fine else assemble ~nx:lnx ~ny:lny in
-        let down =
-          if l = num - 1 then None
-          else
-            let cnx, cny = dims.(l + 1) in
-            Some { ax_x = axis_of ~fine:lnx ~coarse:cnx;
-                   ax_y = axis_of ~fine:lny ~coarse:cny }
-        in
-        level_of ~index:l ~a ~nx:lnx ~ny:lny ~nz ~down)
-  in
-  let bottom = levels.(num - 1) in
-  if bottom.n > coarsest_max_dim then
+  let num = Array.length dims in
+  let bnx, bny = dims.(num - 1) in
+  if bnx * bny * nz > coarsest_max_dim then
     invalid_arg
       (Printf.sprintf
          "Multigrid.build: coarsest level has %d nodes (> %d); grid too \
           anisotropic to coarsen"
-         bottom.n coarsest_max_dim);
-  let coarse = Dense.of_sparse bottom.a in
+         (bnx * bny * nz) coarsest_max_dim);
+  let matrix l =
+    let lnx, lny = dims.(l) in
+    if l = 0 then fine else assemble ~nx:lnx ~ny:lny
+  in
+  let levels =
+    Array.init (num - 1) (fun l ->
+        let lnx, lny = dims.(l) in
+        let cnx, cny = dims.(l + 1) in
+        let down =
+          { ax_x = axis_of ~fine:lnx ~coarse:cnx;
+            ax_y = axis_of ~fine:lny ~coarse:cny; cnx; cny }
+        in
+        level_of ~index:l ~a:(matrix l) ~nx:lnx ~ny:lny ~nz ~down)
+  in
+  let bottom = matrix (num - 1) in
+  check_dim ~index:(num - 1) bottom ~nx:bnx ~ny:bny ~nz;
+  let coarse = Dense.of_sparse bottom in
   Obs.Metrics.gauge "thermal.mg.levels" (float_of_int num);
-  { levels; nz; coarse }
+  { levels; coarse }
 
-let fine_dim t = t.levels.(0).n
-let num_levels t = Array.length t.levels
+let fine_dim t =
+  if Array.length t.levels = 0 then Dense.dim t.coarse else t.levels.(0).n
+
+let num_levels t = Array.length t.levels + 1
 
 let workspace t =
-  Array.map
-    (fun lv ->
-      { vb = Array.make lv.n 0.0;
-        vx = Array.make lv.n 0.0;
-        vr = Array.make lv.n 0.0;
-        vz = Array.make lv.n 0.0 })
-    t.levels
+  let vectors n =
+    { vb = Array.make n 0.0; vx = Array.make n 0.0; vr = Array.make n 0.0;
+      vz = Array.make n 0.0; vs = Array.make n 0.0 }
+  in
+  Array.append
+    (Array.map (fun lv -> vectors lv.n) t.levels)
+    [| vectors (Dense.dim t.coarse) |]
 
-(* dst <- M^-1 src for one symmetric Gauss-Seidel (SSOR 1.0) sweep. *)
-let smooth lv src dst =
-  Sparse.ssor_apply lv.a ~diag:lv.diag ~omega:1.0 src dst
+(* Back substitution of column c's Thomas solve: on entry dst holds the
+   forward-eliminated column, on exit the column's solution. *)
+let back_substitute lv dst c =
+  let nxy = lv.nx * lv.ny in
+  let i = ref (lv.n - nxy + c - nxy) in
+  while !i >= c do
+    let up = !i + nxy in
+    dst.(!i) <- dst.(!i) -. (lv.czm.(up) *. lv.inv_piv.(!i) *. dst.(up));
+    i := !i - nxy
+  done
 
-(* vr <- vb - A vx *)
+(* dst <- M^-1 src for one symmetric z-line Gauss-Seidel sweep, the block
+   splitting M = (T + L) T^-1 (T + U) with T the z-column blocks and L, U
+   the lateral couplings. Forward: columns in (iy, ix) order solve
+   T u_c = src_c - L u; that right-hand side equals T u_c and is kept in
+   [scratch]. Backward: columns in exact reverse order solve
+   T dst_c = scratch_c - U dst. Each column's forward elimination is fused
+   into the pass that forms its right-hand side. *)
+let smooth lv ~src ~dst ~scratch =
+  let nx = lv.nx and ny = lv.ny and n = lv.n in
+  let nxy = nx * ny in
+  let cxm = lv.cxm and cym = lv.cym in
+  let czm = lv.czm and inv_piv = lv.inv_piv in
+  for iy = 0 to ny - 1 do
+    for ix = 0 to nx - 1 do
+      let c = (iy * nx) + ix in
+      let prev = ref 0.0 in
+      let i = ref c in
+      while !i < n do
+        let k = !i in
+        let g = ref src.(k) in
+        if ix > 0 then g := !g -. (cxm.(k) *. dst.(k - 1));
+        if iy > 0 then g := !g -. (cym.(k) *. dst.(k - nx));
+        scratch.(k) <- !g;
+        let y = (!g -. (czm.(k) *. !prev)) *. inv_piv.(k) in
+        dst.(k) <- y;
+        prev := y;
+        i := k + nxy
+      done;
+      back_substitute lv dst c
+    done
+  done;
+  for iy = ny - 1 downto 0 do
+    for ix = nx - 1 downto 0 do
+      let c = (iy * nx) + ix in
+      let prev = ref 0.0 in
+      let i = ref c in
+      while !i < n do
+        let k = !i in
+        let g = ref scratch.(k) in
+        if ix < nx - 1 then g := !g -. (cxm.(k + 1) *. dst.(k + 1));
+        if iy < ny - 1 then g := !g -. (cym.(k + nx) *. dst.(k + nx));
+        let y = (!g -. (czm.(k) *. !prev)) *. inv_piv.(k) in
+        dst.(k) <- y;
+        prev := y;
+        i := k + nxy
+      done;
+      back_substitute lv dst c
+    done
+  done
+
+(* vr <- vb - A vx, the upper couplings read from the neighbour's lower
+   ones. *)
 let level_residual lv v =
-  Sparse.mul lv.a v.vx v.vr;
-  for i = 0 to lv.n - 1 do
-    v.vr.(i) <- v.vb.(i) -. v.vr.(i)
+  let nx = lv.nx and ny = lv.ny and n = lv.n in
+  let nxy = nx * ny in
+  let diag = lv.diag and cxm = lv.cxm and cym = lv.cym and czm = lv.czm in
+  let x = v.vx in
+  for iz = 0 to (n / nxy) - 1 do
+    for iy = 0 to ny - 1 do
+      for ix = 0 to nx - 1 do
+        let i = (iz * nxy) + (iy * nx) + ix in
+        let acc = ref (diag.(i) *. x.(i)) in
+        if ix > 0 then acc := !acc +. (cxm.(i) *. x.(i - 1));
+        if ix < nx - 1 then acc := !acc +. (cxm.(i + 1) *. x.(i + 1));
+        if iy > 0 then acc := !acc +. (cym.(i) *. x.(i - nx));
+        if iy < ny - 1 then acc := !acc +. (cym.(i + nx) *. x.(i + nx));
+        if iz > 0 then acc := !acc +. (czm.(i) *. x.(i - nxy));
+        if i + nxy < n then acc := !acc +. (czm.(i + nxy) *. x.(i + nxy));
+        v.vr.(i) <- v.vb.(i) -. !acc
+      done
+    done
   done
 
 let norm2 v =
@@ -157,18 +270,18 @@ let norm2 v =
   sqrt !acc
 
 (* Full-weighting restriction: coarse.vb <- P^T fine.vr (layer by layer). *)
-let restrict lv fine_v coarse_lv coarse_v =
-  let tr = Option.get lv.down in
+let restrict lv fine_v coarse_v =
+  let tr = lv.down in
   let { p0 = xp0; w0 = xw0; p1 = xp1; w1 = xw1 } = tr.ax_x in
   let { p0 = yp0; w0 = yw0; p1 = yp1; w1 = yw1 } = tr.ax_y in
   let cb = coarse_v.vb in
-  Array.fill cb 0 coarse_lv.n 0.0;
+  Array.fill cb 0 (Array.length cb) 0.0;
   let fnx = lv.nx and fny = lv.ny in
-  let cnx = coarse_lv.nx in
+  let cnx = tr.cnx in
   let layers = lv.n / (fnx * fny) in
   for iz = 0 to layers - 1 do
     let fbase = iz * fny * fnx in
-    let cbase = iz * coarse_lv.ny * cnx in
+    let cbase = iz * tr.cny * cnx in
     for iy = 0 to fny - 1 do
       let c0 = cbase + (yp0.(iy) * cnx) and wy0 = yw0.(iy) in
       let c1 = cbase + (yp1.(iy) * cnx) and wy1 = yw1.(iy) in
@@ -186,17 +299,17 @@ let restrict lv fine_v coarse_lv coarse_v =
   done
 
 (* Bilinear prolongation and correction: fine.vx <- fine.vx + P coarse.vx. *)
-let prolong_add lv fine_v coarse_lv coarse_v =
-  let tr = Option.get lv.down in
+let prolong_add lv fine_v coarse_v =
+  let tr = lv.down in
   let { p0 = xp0; w0 = xw0; p1 = xp1; w1 = xw1 } = tr.ax_x in
   let { p0 = yp0; w0 = yw0; p1 = yp1; w1 = yw1 } = tr.ax_y in
   let cx = coarse_v.vx in
   let fnx = lv.nx and fny = lv.ny in
-  let cnx = coarse_lv.nx in
+  let cnx = tr.cnx in
   let layers = lv.n / (fnx * fny) in
   for iz = 0 to layers - 1 do
     let fbase = iz * fny * fnx in
-    let cbase = iz * coarse_lv.ny * cnx in
+    let cbase = iz * tr.cny * cnx in
     for iy = 0 to fny - 1 do
       let c0 = cbase + (yp0.(iy) * cnx) and wy0 = yw0.(iy) in
       let c1 = cbase + (yp1.(iy) * cnx) and wy1 = yw1.(iy) in
@@ -216,39 +329,35 @@ let prolong_add lv fine_v coarse_lv coarse_v =
   done
 
 let rec cycle t ws l =
-  let lv = t.levels.(l) in
   let v = ws.(l) in
-  if l = Array.length t.levels - 1 then begin
-    let sol = Dense.solve t.coarse v.vb in
-    Array.blit sol 0 v.vx 0 lv.n
-  end else begin
+  if l = Array.length t.levels then Dense.solve_into t.coarse v.vb v.vx
+  else begin
+    let lv = t.levels.(l) in
     (* Pre-smooth from the zero guess: vx <- M^-1 vb. *)
-    smooth lv v.vb v.vx;
+    smooth lv ~src:v.vb ~dst:v.vx ~scratch:v.vs;
     level_residual lv v;
     if Obs.Metrics.enabled () then
       Obs.Metrics.observe lv.residual_metric (norm2 v.vr);
-    let coarse_lv = t.levels.(l + 1) in
     let coarse_v = ws.(l + 1) in
-    restrict lv v coarse_lv coarse_v;
+    restrict lv v coarse_v;
     cycle t ws (l + 1);
-    prolong_add lv v coarse_lv coarse_v;
-    (* Post-smooth (adjoint of the pre-smooth, keeping the cycle
+    prolong_add lv v coarse_v;
+    (* Post-smooth (the same symmetric sweep, keeping the cycle
        symmetric): vx <- vx + M^-1 (vb - A vx). *)
     level_residual lv v;
-    smooth lv v.vr v.vz;
+    smooth lv ~src:v.vr ~dst:v.vz ~scratch:v.vs;
     for i = 0 to lv.n - 1 do
       v.vx.(i) <- v.vx.(i) +. v.vz.(i)
     done
   end
 
 let apply t ws r z =
-  let lv0 = t.levels.(0) in
-  if Array.length r <> lv0.n || Array.length z <> lv0.n then
+  let n = fine_dim t in
+  if Array.length r <> n || Array.length z <> n then
     invalid_arg "Multigrid.apply: vector dimension mismatch";
-  if Array.length ws <> Array.length t.levels
-     || Array.length ws.(0).vb <> lv0.n then
+  if Array.length ws <> num_levels t || Array.length ws.(0).vb <> n then
     invalid_arg "Multigrid.apply: workspace does not match hierarchy";
-  Array.blit r 0 ws.(0).vb 0 lv0.n;
+  Array.blit r 0 ws.(0).vb 0 n;
   cycle t ws 0;
-  Array.blit ws.(0).vx 0 z 0 lv0.n;
+  Array.blit ws.(0).vx 0 z 0 n;
   Obs.Metrics.count "thermal.mg.cycles"

@@ -5,12 +5,27 @@
     (the paper's stack has nine layers at every grid size). The hierarchy
     therefore coarsens the x-y surface grid only — full-weighting
     restriction and cell-centered bilinear prolongation act per layer, the
-    z direction is never coarsened — with one symmetric Gauss-Seidel
-    (SSOR, omega 1.0) sweep before and after the coarse correction on
-    every level and a dense Cholesky solve on the coarsest one. Coarse
-    operators are geometric rediscretizations of the same stack at halved
-    lateral resolution (supplied by the caller through [assemble]), not
-    Galerkin products, which keeps hierarchy construction O(n).
+    z direction is never coarsened — with a dense Cholesky solve on the
+    coarsest level. Coarse operators are geometric rediscretizations of
+    the same stack at halved lateral resolution (supplied by the caller
+    through [assemble]), not Galerkin products, which keeps hierarchy
+    construction O(n).
+
+    The smoother is z-line symmetric Gauss-Seidel, one sweep before and
+    one after the coarse correction on every other level. Layers are a few
+    µm thick under tiles tens of µm wide, so vertical conductances exceed
+    lateral ones by (dx/dz)^2, up to a few hundred times on coarse levels;
+    point smoothing stalls on that anisotropy, so each vertical column's
+    tridiagonal block is solved exactly instead. The sweep visits the
+    columns in (iy, ix) order and then in exact reverse order.
+
+    Each smoothed level stores only what the cycle reads: the diagonal,
+    the x-, y- and z- couplings of every node (the upper couplings follow
+    by symmetry, so the matrix's upper triangle is never read), and each
+    column's Thomas factorization as its inverse pivots (the modified
+    super-diagonal, the z+ coupling times the inverse pivot, is
+    recomputed where it is used). No level keeps its CSR matrix; the
+    coarsest keeps only its Cholesky factor.
 
     One V-cycle with symmetric smoothing and restriction proportional to
     the prolongation transpose is a fixed symmetric positive-definite
@@ -36,9 +51,14 @@ val build :
     A 40 x 40 surface grid yields levels 40, 20, 10, 5, 3.
 
     Raises [Invalid_argument] on a dimension mismatch, a non-positive
-    diagonal entry on any level, or a degenerate hierarchy whose coarsest
-    level is still too large to densify (> 4096 nodes); [Failure] if a
-    level is not positive definite (from the Cholesky factorization).
+    (or NaN) column pivot on a smoothed level — the message names the
+    level and the node, and a non-positive diagonal entry shows up this
+    way too — or a degenerate hierarchy whose coarsest level is still too
+    large to densify (> 4096 nodes); [Failure] if the coarsest level is
+    not positive definite (from the Cholesky factorization). Because
+    every pivot is checked here, {!apply} never divides by a zero or
+    negative pivot, so an indefinite column fails loudly at build time
+    instead of turning into NaN.
 
     Records the level count in the [thermal.mg.levels] gauge. *)
 
@@ -48,8 +68,9 @@ val fine_dim : t -> int
 val num_levels : t -> int
 
 type workspace
-(** Mutable per-solve scratch (one set of vectors per level). Hierarchies
-    are shared between concurrent solves; workspaces must not be. *)
+(** Mutable per-solve scratch (one set of five vectors per level).
+    Hierarchies are shared between concurrent solves; workspaces must not
+    be. *)
 
 val workspace : t -> workspace
 
@@ -60,4 +81,9 @@ val apply : t -> workspace -> float array -> float array -> unit
     counter; when {!Obs.Metrics} is enabled the pre-restriction residual
     norm of each level lands in the [thermal.mg.level<i>.residual]
     histograms. All kernels run sequentially, so results are
-    bit-identical across pool sizes. *)
+    bit-identical across pool sizes.
+
+    [apply] allocates no vector: every level's scratch, the smoother's
+    included, lives in [ws], and the coarsest solve writes into it. What
+    a call does allocate is the metrics bookkeeping, a few words per level
+    and independent of the mesh size. *)

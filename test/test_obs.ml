@@ -33,6 +33,32 @@ let test_trace_nesting () =
     Alcotest.(check int) "count" 3 (Obs.Trace.span_count ())
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
+(* A span's allocation is its own domain's: another domain allocating
+   ~20 Mwords while the span is open must not be charged to it. The span
+   body spins on an atomic without allocating. *)
+let test_trace_alloc_domain_local () =
+  with_tracing @@ fun () ->
+  let go = Atomic.make false and finished = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        for _ = 1 to 200_000 do
+          ignore (Sys.opaque_identity (Array.make 100 0.0))
+        done;
+        Atomic.set finished true)
+  in
+  Obs.Trace.with_span "waiting" (fun () ->
+      Atomic.set go true;
+      while not (Atomic.get finished) do Domain.cpu_relax () done);
+  Domain.join worker;
+  match Obs.Trace.roots () with
+  | [ sp ] ->
+    let g = sp.Obs.Trace.gc in
+    let words = g.Obs.Trace.minor_words +. g.Obs.Trace.major_words in
+    if words > 1e6 then
+      Alcotest.failf "span charged %.0f words of another domain's work" words
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
 let test_trace_timing_monotone () =
   with_tracing @@ fun () ->
   let spin () =
@@ -895,6 +921,8 @@ let () =
        [ Alcotest.test_case "disabled is transparent" `Quick
            test_trace_disabled_is_transparent;
          Alcotest.test_case "nesting" `Quick test_trace_nesting;
+         Alcotest.test_case "allocation is the span's own domain's" `Quick
+           test_trace_alloc_domain_local;
          Alcotest.test_case "timing monotone" `Quick
            test_trace_timing_monotone;
          Alcotest.test_case "exception safe" `Quick

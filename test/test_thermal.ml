@@ -5,6 +5,12 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
+(* The dense Cholesky oracle: factor [m] and solve [m x = b]. *)
+let dense_solve m b =
+  let x = Array.make (Array.length b) 0.0 in
+  Thermal.Dense.solve_into (Thermal.Dense.of_sparse m) b x;
+  x
+
 (* --- sparse ----------------------------------------------------------------- *)
 
 let test_sparse_mul_matches_dense () =
@@ -166,7 +172,7 @@ let test_cg_ssor_matches_jacobi () =
   let ssor = Thermal.Cg.solve m ~b:rhs ~tol:1e-12
       ~precond:(Thermal.Cg.Ssor 1.3) () in
   Alcotest.(check bool) "ssor converged" true ssor.Thermal.Cg.converged;
-  let direct = Thermal.Dense.solve (Thermal.Dense.of_sparse m) rhs in
+  let direct = dense_solve m rhs in
   Array.iteri
     (fun i v ->
        check_float ~eps:1e-8 "ssor vs direct" v ssor.Thermal.Cg.x.(i);
@@ -464,8 +470,7 @@ let test_mesh_solve_options_threaded () =
 let test_dense_matches_cg () =
   let m = poisson_1d 60 in
   let rhs = Array.init 60 (fun i -> cos (float_of_int i /. 3.0)) in
-  let chol = Thermal.Dense.of_sparse m in
-  let x_direct = Thermal.Dense.solve chol rhs in
+  let x_direct = dense_solve m rhs in
   let x_cg = (Thermal.Cg.solve m ~b:rhs ~tol:1e-13 ()).Thermal.Cg.x in
   Array.iteri
     (fun i v -> check_float ~eps:1e-8 "component" v x_cg.(i))
@@ -478,8 +483,7 @@ let test_dense_cross_checks_mesh () =
   let cfg = { Thermal.Mesh.default_config with Thermal.Mesh.nx = 6; ny = 6 } in
   let problem = Thermal.Mesh.build cfg ~power:p in
   let m = Thermal.Mesh.matrix problem in
-  let chol = Thermal.Dense.of_sparse m in
-  let x_direct = Thermal.Dense.solve chol (Thermal.Mesh.rhs problem) in
+  let x_direct = dense_solve m (Thermal.Mesh.rhs problem) in
   let s = Thermal.Mesh.solve ~tol:1e-12 problem in
   Array.iteri
     (fun i v ->
@@ -904,7 +908,7 @@ let prop_cg_matches_cholesky =
        let m = random_spd rng n in
        let rhs = Array.init n (fun i -> Geo.Rng.float rng 2.0 -. 1.0 +. float_of_int (i mod 3)) in
        let cg = Thermal.Cg.solve m ~b:rhs ~tol:1e-12 () in
-       let chol = Thermal.Dense.solve (Thermal.Dense.of_sparse m) rhs in
+       let chol = dense_solve m rhs in
        cg.Thermal.Cg.converged
        && Array.for_all2
             (fun a b -> Float.abs (a -. b) < 1e-7 *. (1.0 +. Float.abs b))
@@ -957,6 +961,12 @@ let test_mg_precond_parity_and_iterations () =
        mg.Thermal.Mesh.cg_iterations ssor.Thermal.Mesh.cg_iterations)
     true
     (mg.Thermal.Mesh.cg_iterations < ssor.Thermal.Mesh.cg_iterations);
+  (* z-line smoothing handles the stack's vertical-over-lateral
+     anisotropy: at most 10 V-cycle-preconditioned iterations to 1e-10 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "mg iterations (%d) <= 10" mg.Thermal.Mesh.cg_iterations)
+    true
+    (mg.Thermal.Mesh.cg_iterations <= 10);
   Array.iteri
     (fun i v ->
        if Float.abs (v -. mg.Thermal.Mesh.temp.(i))
@@ -989,6 +999,29 @@ let test_mg_dimension_mismatch_rejected () =
    with
    | _ -> Alcotest.fail "dimension mismatch accepted"
    | exception Invalid_argument _ -> ())
+
+(* A 5x5x2 grid whose first column block [[1, 3], [3, 1]] is indefinite:
+   its second Thomas pivot is 1 - 3 * 3 / 1 = -8. *)
+let test_mg_rejects_non_positive_pivot () =
+  let nx = 5 and ny = 5 and nz = 2 in
+  let identity ~nx ~ny =
+    let b = Thermal.Sparse.builder ~n:(nx * ny * nz) in
+    for i = 0 to (nx * ny * nz) - 1 do Thermal.Sparse.add b i i 1.0 done;
+    b
+  in
+  let b = identity ~nx ~ny in
+  Thermal.Sparse.add b 0 (nx * ny) 3.0;
+  Thermal.Sparse.add b (nx * ny) 0 3.0;
+  match
+    Thermal.Multigrid.build ~fine:(Thermal.Sparse.of_builder b) ~nx ~ny ~nz
+      ~assemble:(fun ~nx ~ny -> Thermal.Sparse.of_builder (identity ~nx ~ny))
+      ()
+  with
+  | _ -> Alcotest.fail "indefinite column accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the level and the node"
+      "Multigrid.build: non-positive column pivot -8 at node 25 of level 0"
+      msg
 
 let test_mg_escalation_recovers () =
   Thermal.Mesh.cache_clear ();
@@ -1039,6 +1072,108 @@ let test_mg_precond_records_vcycles () =
        skips its apply, so a converged solve applies once per iteration *)
     Alcotest.(check int) "one apply per iteration"
       sol.Thermal.Mesh.cg_iterations applies
+
+(* After warm-up a V-cycle allocates no vector: only the metrics calls'
+   few words, the same bound at 20x20 as at 80x80 (16x the nodes).
+   [Gc.minor_words] counts this domain's allocation alone. *)
+let test_mg_apply_allocation_free () =
+  Obs.Metrics.set_enabled true;
+  let words_per_apply nx =
+    Thermal.Mesh.cache_clear ();
+    let cfg =
+      { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
+    in
+    let problem =
+      Thermal.Mesh.build cfg ~power:(uniform_power ~nx ~ny:nx ~total:0.2)
+    in
+    let h = Thermal.Mesh.multigrid problem in
+    let ws = Thermal.Multigrid.workspace h in
+    let r = Thermal.Mesh.rhs problem in
+    let z = Array.make (Array.length r) 0.0 in
+    Thermal.Multigrid.apply h ws r z;
+    let calls = 10 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do Thermal.Multigrid.apply h ws r z done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  List.iter
+    (fun nx ->
+       let w = words_per_apply nx in
+       if w > 128.0 then
+         Alcotest.failf "%dx%d: %.1f words per V-cycle (> 128)" nx nx w)
+    [ 20; 80 ]
+
+(* Random stacks, 1-6 layers of 1-20 um at 0.5-400 W/(m K), adiabatic or
+   cooled side walls: vertical and lateral conductances differ by orders
+   of magnitude in either direction. Against the dense Cholesky oracle,
+   MG-CG must agree, and the V-cycle M must be symmetric and positive. *)
+let prop_mg_matches_dense =
+  QCheck.Test.make ~name:"MG-CG matches dense Cholesky; V-cycle SPD"
+    ~count:120
+    QCheck.(triple (int_range 5 10) (int_range 5 10) (int_range 0 100000))
+    (fun (nx, ny, seed) ->
+       let rng = Geo.Rng.create seed in
+       let uniform lo hi = lo +. Geo.Rng.float rng (hi -. lo) in
+       let nz = 1 + Geo.Rng.int rng 6 in
+       let layers =
+         Array.init nz (fun i ->
+             { Thermal.Stack.layer_name = Printf.sprintf "l%d" i;
+               thickness_um = uniform 1.0 20.0;
+               conductivity_w_mk = exp (uniform (log 0.5) (log 400.0)) })
+       in
+       let stack =
+         { Thermal.Stack.default_9layer with
+           Thermal.Stack.layers;
+           power_layer = Geo.Rng.int rng nz;
+           h_side_w_m2k =
+             (if Geo.Rng.bool rng then 0.0 else uniform 1e3 1e6) }
+       in
+       let extent =
+         Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:(uniform 50.0 400.0)
+           ~h:(uniform 50.0 400.0)
+       in
+       let power = Geo.Grid.create ~nx ~ny ~extent in
+       Geo.Grid.iteri power ~f:(fun ~ix ~iy _ ->
+           Geo.Grid.set power ~ix ~iy (Geo.Rng.float rng 0.01));
+       let problem =
+         Thermal.Mesh.build ~cache:false
+           { Thermal.Mesh.nx; ny; stack } ~power
+       in
+       let h = Thermal.Mesh.multigrid problem in
+       let s =
+         Thermal.Mesh.solve ~tol:1e-10 ~precond:(Thermal.Cg.Multigrid h)
+           problem
+       in
+       let direct =
+         dense_solve (Thermal.Mesh.matrix problem) (Thermal.Mesh.rhs problem)
+       in
+       let linf v =
+         Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0.0 v
+       in
+       let err = linf (Array.map2 ( -. ) s.Thermal.Mesh.temp direct) in
+       let n = Array.length direct in
+       let random () = Array.init n (fun _ -> Geo.Rng.float rng 2.0 -. 1.0) in
+       let u = random () and v = random () in
+       let ws = Thermal.Multigrid.workspace h in
+       let m x =
+         let y = Array.make n 0.0 in
+         Thermal.Multigrid.apply h ws x y;
+         y
+       in
+       let dot a b =
+         let acc = ref 0.0 in
+         Array.iteri (fun i x -> acc := !acc +. (x *. b.(i))) a;
+         !acc
+       in
+       let mu = m u and mv = m v in
+       let norm a = sqrt (dot a a) in
+       let asym = Float.abs (dot mu v -. dot u mv) in
+       if err > 1e-8 *. linf direct then
+         QCheck.Test.fail_reportf "nz=%d: |mg - dense| = %g vs peak %g" nz
+           err (linf direct);
+       if asym > 1e-10 *. norm mu *. norm v then
+         QCheck.Test.fail_reportf "nz=%d: <Mu,v> - <u,Mv> = %g" nz asym;
+       dot mu u > 0.0)
 
 (* --- robustness ----------------------------------------------------------------- *)
 
@@ -1539,10 +1674,15 @@ let () =
            test_mg_hierarchy_cached;
          Alcotest.test_case "dimension mismatch rejected" `Quick
            test_mg_dimension_mismatch_rejected;
+         Alcotest.test_case "non-positive column pivot rejected" `Quick
+           test_mg_rejects_non_positive_pivot;
          Alcotest.test_case "escalation recovers under mg" `Quick
            test_mg_escalation_recovers;
          Alcotest.test_case "precond records V-cycles per solve" `Quick
-           test_mg_precond_records_vcycles ]);
+           test_mg_precond_records_vcycles;
+         Alcotest.test_case "V-cycle allocates no vector" `Quick
+           test_mg_apply_allocation_free;
+         QCheck_alcotest.to_alcotest prop_mg_matches_dense ]);
       ("fft",
        [ Alcotest.test_case "parity vs naive dft" `Quick
            test_fft_parity_vs_dft;
