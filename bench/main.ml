@@ -691,7 +691,8 @@ let run_mg fl =
 let run_fft fl =
   let base = fl.Postplace.Flow.base_placement in
   let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
-  (* FFT parity vs a naive O(n^2) DFT at radix-2 and Bluestein lengths *)
+  (* FFT parity vs a naive O(n^2) DFT at power-of-two (8), mixed-radix
+     (40) and Bluestein (60, 127) lengths *)
   let parity_err n =
     let st = Random.State.make [| 1997; n |] in
     let re = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
@@ -774,6 +775,10 @@ let run_fft fl =
      on a candidate *)
   let nx = 160 in
   let cands8 = List.init 8 (fun i -> i * max 1 (num_rows / 8)) in
+  let bluestein () =
+    Option.value ~default:0 (Obs.Metrics.counter_value "thermal.fft.bluestein")
+  in
+  let bluestein0 = bluestein () in
   let t_mg_build, t_char, scored160 = price ~nx cands8 in
   let mean_ms f =
     List.fold_left (fun a c -> a +. f c) 0.0 scored160
@@ -788,6 +793,8 @@ let run_fft fl =
     List.filter (fun r -> r mod 4 = 0) (List.init num_rows Fun.id)
   in
   let _, _, scored = price ~nx:rank_nx cands40 in
+  (* the screening grids' DCT lengths (160, 40) are 2-5-smooth *)
+  let bluestein_free = bluestein () = bluestein0 in
   (* rank.(i) = position of candidate i sorted ascending, ties by index *)
   let rank_positions scores =
     let sorted = List.sort compare (List.mapi (fun i s -> (s, i)) scores) in
@@ -824,7 +831,8 @@ let run_fft fl =
            ("exact_eval_ms", j_f exact_eval_ms);
            ("blur_eval_ms", j_f blur_eval_ms);
            ("per_candidate_speedup", j_f (exact_eval_ms /. blur_eval_ms));
-           ("max_peak_rel_err", j_f (max_rel_err scored160)) ]);
+           ("max_peak_rel_err", j_f (max_rel_err scored160));
+           ("bluestein_free", j_b bluestein_free) ]);
       ("screening",
        j_obj
          [ ("nx", j_i rank_nx);
@@ -856,6 +864,7 @@ let run_fft fl =
       ("telemetry",
        j_obj
          [ ("fft_radix2", counter "thermal.fft.radix2");
+           ("fft_mixed_radix", counter "thermal.fft.mixed_radix");
            ("fft_bluestein", counter "thermal.fft.bluestein");
            ("blur_kernels", counter "thermal.blur.kernels");
            ("blur_evals", counter "thermal.blur.evals");

@@ -16,7 +16,10 @@ type screen_choice = Screen_auto | Screen_fft | Screen_exact
     exact MG-CG solver; [Screen_exact] solves every candidate exactly;
     [Screen_auto] (the default) picks fft unless a fault is armed —
     injected faults must reach the exact solve path they target, so
-    fault-injected runs always fall back to exact screening. *)
+    fault-injected runs always fall back to exact screening. A stack
+    that grounds neither its top nor its bottom face has no blur
+    transfer ({!Thermal.Mesh.blur_defined}), so [Screen_fft] and
+    [Screen_auto] both run the exact tier on it. *)
 
 val screen_choice_name : screen_choice -> string
 (** ["auto"], ["fft"] or ["exact"] — for reports and config echoes. *)

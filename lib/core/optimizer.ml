@@ -65,11 +65,16 @@ let eval_trial flow ~after ~nx ~x0 ~tol =
   let peak, solution = eval_trial_sol flow ~after ~nx ~x0 ~tol in
   (peak, solution.Thermal.Mesh.temp)
 
-(* The blur kernel is characterized from a fault-free exact solve and
-   then trusted for thousands of evaluations, so any armed fault —
-   whichever stage it targets — forces the exact tier: injected faults
-   must reach the solve path they are aimed at, not be blurred away. *)
+(* The blur transfer is computed from the stack alone, never from the
+   (possibly fault-injected) solve path, and then trusted for thousands
+   of evaluations, so any armed fault — whichever stage it targets —
+   forces the exact tier: injected faults must reach the solve path they
+   are aimed at, not be blurred away. A stack cooled through its side
+   walls alone has no blur transfer at all, so it takes the exact tier
+   under every screen choice. *)
 let screening_enabled flow =
+  Thermal.Mesh.blur_defined flow.Flow.mesh_config
+  &&
   match flow.Flow.screen with
   | Flow.Screen_exact -> false
   | Flow.Screen_fft -> true
@@ -89,9 +94,9 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
     collect 0 []
   in
   let num_cands = List.length candidates in
-  (* screening pays one kernel characterization per round; with no more
-     candidates than leaders every candidate gets an exact solve anyway,
-     so the blur tier cannot win and is skipped *)
+  (* screening pays one anchor solve per round; with no more candidates
+     than leaders every candidate gets an exact solve anyway, so the blur
+     tier cannot win and is skipped *)
   let screen = screening_enabled flow && num_cands > leaders in
   let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
@@ -123,14 +128,14 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
       if screen then begin
         Obs.Trace.with_span "optimizer.screen" @@ fun () ->
         (* every trial in this round shares (config, extent), so the
-           kernel characterized from the first candidate's mesh serves
-           all of them (and is cached on the mesh MRU entry) *)
+           transfer of the first candidate's mesh serves all of them (and
+           is cached on the mesh MRU entry) *)
         let first = List.hd candidates in
         let first_power =
           trial_power flow ~after:(trial_of first) ~nx:coarse_nx
         in
         let kernel =
-          Thermal.Mesh.blur ~precond:flow.Flow.mesh_precond
+          Thermal.Mesh.blur
             (Thermal.Mesh.build (coarse_config flow ~nx:coarse_nx)
                ~power:first_power)
         in
@@ -141,10 +146,11 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
            residual noise; it is kept because it is cheap (one of the
            round's solves) and makes the screen a control variate: the
            transfer is linear in the power map, so if the model ever
-           degrades (non-zero side-wall conductance breaks translation
-           invariance) estimates err only by the model error of the
-           *difference* between candidate power maps, not by its
-           absolute error. *)
+           degrades (non-zero side-wall conductance grounds boundary
+           tiles the adiabatic modes do not see) estimates err only by
+           the model error of the *difference* between candidate power
+           maps, not by its absolute error. Under the default MG
+           preconditioner this solve also builds the round's hierarchy. *)
         let first_peak, first_sol =
           eval_trial_sol flow ~after:(trial_of first) ~nx:coarse_nx ~x0
             ~tol:rank_tol

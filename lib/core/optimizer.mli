@@ -13,9 +13,9 @@ type result = {
   plan : Technique.eri_result;      (** the chosen insertions applied *)
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
-  (** exact thermal solves spent (initial seed, candidate/leader solves
-      and the final re-score; kernel characterization solves are traced
-      separately as [thermal.blur.characterize]) *)
+  (** exact thermal solves spent (initial seed, anchor and
+      candidate/leader solves, and the final re-score); the blur transfer
+      is closed-form and costs no solve *)
   blur_evaluations : int;
   (** FFT blur screenings spent; 0 when the exact tier ran *)
   adjoint_evaluations : int;

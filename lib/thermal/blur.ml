@@ -1,194 +1,87 @@
-(* FFT spectral transfer for the active layer. Layouts:
+(* Modal transfer on the die's own DCT-II basis. Layouts:
 
    - logical grids are nx x ny, x-major (Geo.Grid order);
-   - everything lives on the 2n-per-axis *even half-sample extension*:
-     ext[e] maps to tile e for e < n and to tile 2n-1-e for e >= n. The
-     die's lateral walls are adiabatic by default, i.e. Neumann BC via
-     half-sample reflection — exactly the symmetry of this extension —
-     and the stack's lateral stencil is translation-invariant, so on the
-     2n-periodic extension the power->temperature map is a genuine cyclic
-     convolution and the FFT diagonalizes it *exactly*;
-   - the kernel spectrum is not the FFT of the characterized response but
-     its *deconvolution* by the impulse that produced it: a 1 W source in
-     corner tile (0,0) extends to deltas at indices 0 and 2n-1 per axis,
-     whose spectrum D(k) = 1 + e^{2 pi i k / 2n} vanishes only at k = n —
-     a mode every even-extended field is identically zero in, so nothing
-     is lost pinning the transfer to zero there. C = R_hat / D_hat is the
-     exact discrete transfer function, and evaluation reproduces full
-     MG-CG solves of the active layer to characterization tolerance;
-   - the extension length 2n is even but rarely a power of two; the Fft
-     module's Bluestein path handles every length, so no padding beyond
-     2n is ever introduced (padding would break the exact cyclicity);
-   - half-spectra are stored column-major, [kx * my + ky] with
-     kx <= mx/2 = nx, so a column transform works on a contiguous
-     slice. *)
+   - the die's lateral walls are adiabatic by default, so each layer's
+     lateral stencil is a free-end path Laplacian per axis, which the
+     DCT-II diagonalizes exactly: mode k of an n-point path has
+     eigenvalue 2 (1 - cos(pi k / n)) and eigenvector
+     cos(pi k (2j + 1) / 2n). The stack's conductances are uniform per
+     layer, so every lateral mode decouples and the power-to-temperature
+     map of the active layer is one scalar G(kx, ky) per mode;
+   - an evaluation is T = IDCT(G * DCT(P)) with separable 2-D transforms:
+     rows along x on the x-major array, a transpose, rows along y, the
+     modal product, and the same steps back. The transfer is stored in
+     the transposed (kx-major, [kx * ny + ky]) layout the product sees. *)
 
 type t = {
   b_nx : int;
   b_ny : int;
   b_extent : Geo.Rect.t;
-  b_mx : int; (* 2 * nx *)
-  b_my : int; (* 2 * ny *)
-  b_hx : int; (* nx + 1: stored columns of the half-spectrum *)
-  b_k_re : float array; (* transfer C = R_hat / D_hat, b_hx * b_my *)
-  b_k_im : float array;
+  b_transfer : float array; (* G(kx, ky) at kx * ny + ky *)
 }
 
 let nx t = t.b_nx
 let ny t = t.b_ny
 let extent t = t.b_extent
 
-(* Even half-sample extension index [e] in [0, 2n) back to the logical
-   tile it reflects: [0, n) is the die itself, [n, 2n) its mirror. *)
-let mirror n e = if e < n then e else (2 * n) - 1 - e
+(* Eigenvalue of mode k of the n-point free-end path Laplacian. *)
+let eigenvalue n k =
+  2.0 *. (1.0 -. cos (Float.pi *. float_of_int k /. float_of_int n))
 
-let of_response ~response =
-  let nx = Geo.Grid.nx response and ny = Geo.Grid.ny response in
-  if nx < 2 || ny < 2 then invalid_arg "Blur.of_response: grid too small";
-  let mx = 2 * nx and my = 2 * ny in
-  let re = Array.make (mx * my) 0.0 in
-  let im = Array.make (mx * my) 0.0 in
-  for ey = 0 to my - 1 do
-    for ex = 0 to mx - 1 do
-      re.((ey * mx) + ex) <-
-        Geo.Grid.get response ~ix:(mirror nx ex) ~iy:(mirror ny ey)
-    done
-  done;
-  Fft.fft2 ~nx:mx ~ny:my ~re ~im;
-  (* deconvolve by the corner impulse's spectrum, which separates per
-     axis: a delta at tile 0 extends to deltas at indices 0 and m-1, so
-     D(k) = 1 + e^{2 pi i k / m}. It vanishes only at k = m/2 (pinned to
-     zero above); everywhere else the division recovers the exact
-     single-source transfer. *)
-  let axis m h =
-    let d_re = Array.make h 0.0 and d_im = Array.make h 0.0 in
-    for k = 0 to h - 1 do
-      let a = 2.0 *. Float.pi *. float_of_int k /. float_of_int m in
-      d_re.(k) <- 1.0 +. cos a;
-      d_im.(k) <- sin a
-    done;
-    (d_re, d_im)
-  in
-  let hx = nx + 1 in
-  let dx_re, dx_im = axis mx hx in
-  let dy_re, dy_im = axis my my in
-  let k_re = Array.make (hx * my) 0.0 in
-  let k_im = Array.make (hx * my) 0.0 in
-  for kx = 0 to hx - 1 do
-    for ky = 0 to my - 1 do
-      if kx <> nx && ky <> ny then begin
-        let rr = re.((ky * mx) + kx) and ri = im.((ky * mx) + kx) in
-        let dr =
-          (dx_re.(kx) *. dy_re.(ky)) -. (dx_im.(kx) *. dy_im.(ky)) in
-        let di =
-          (dx_re.(kx) *. dy_im.(ky)) +. (dx_im.(kx) *. dy_re.(ky)) in
-        let m2 = (dr *. dr) +. (di *. di) in
-        k_re.((kx * my) + ky) <- ((rr *. dr) +. (ri *. di)) /. m2;
-        k_im.((kx * my) + ky) <- ((ri *. dr) -. (rr *. di)) /. m2
-      end
+let of_modes ~nx ~ny ~extent ~transfer =
+  if nx < 1 || ny < 1 then invalid_arg "Blur.of_modes: empty grid";
+  let ly = Array.init ny (eigenvalue ny) in
+  let g = Array.make (nx * ny) 0.0 in
+  for kx = 0 to nx - 1 do
+    let lx = eigenvalue nx kx in
+    for ky = 0 to ny - 1 do
+      g.((kx * ny) + ky) <- transfer ~lx ~ly:ly.(ky)
     done
   done;
   Obs.Metrics.count "thermal.blur.kernels";
-  { b_nx = nx; b_ny = ny; b_extent = Geo.Grid.extent response;
-    b_mx = mx; b_my = my; b_hx = hx; b_k_re = k_re; b_k_im = k_im }
+  { b_nx = nx; b_ny = ny; b_extent = extent; b_transfer = g }
 
-(* Apply the transfer to the even-extended [power]; [emit] receives every
-   output cell of the logical nx x ny window (extension indices < n). All
-   scratch is local, so a shared [t] can be evaluated concurrently from
-   pool workers. *)
-let convolve t ~power ~emit =
+(* [b] := transpose of the [rows] x [cols] row-major [a]. *)
+let transpose ~rows ~cols (a : float array) (b : float array) =
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      b.((c * rows) + r) <- a.((r * cols) + c)
+    done
+  done
+
+(* The temperature rise of [power], x-major. Two nx * ny buffers are the
+   only per-evaluation arrays besides the transforms' per-batch scratch,
+   so a shared [t] can be evaluated concurrently from pool workers. *)
+let apply t ~power =
   if Geo.Grid.nx power <> t.b_nx || Geo.Grid.ny power <> t.b_ny then
     invalid_arg "Blur: power grid dimensions mismatch";
   Obs.Trace.with_span "thermal.blur.eval" @@ fun () ->
   Obs.Metrics.count "thermal.blur.evals";
   let nx = t.b_nx and ny = t.b_ny in
-  let mx = t.b_mx and my = t.b_my and hx = t.b_hx in
-  let g_re = Array.make (hx * my) 0.0 in
-  let g_im = Array.make (hx * my) 0.0 in
-  let row_re = Array.make mx 0.0 in
-  let row_im = Array.make mx 0.0 in
-  (* forward rows over the 2*ny extended rows, two real rows per complex
-     FFT: row y0 in the real part, row y1 in the imaginary part, unpacked
-     for kx <= mx/2 via F0 = (C(k) + conj(C(-k)))/2,
-     F1 = (C(k) - conj(C(-k)))/(2i). [my] is even, so rows always pair
-     up. *)
-  let y = ref 0 in
-  while !y < my do
-    let y0 = !y and y1 = !y + 1 in
-    let sy0 = mirror ny y0 and sy1 = mirror ny y1 in
-    for ex = 0 to mx - 1 do
-      let sx = mirror nx ex in
-      row_re.(ex) <- Geo.Grid.get power ~ix:sx ~iy:sy0;
-      row_im.(ex) <- Geo.Grid.get power ~ix:sx ~iy:sy1
-    done;
-    Fft.fft ~re:row_re ~im:row_im;
-    for kx = 0 to hx - 1 do
-      let k' = if kx = 0 then 0 else mx - kx in
-      let ar = row_re.(kx) and ai = row_im.(kx) in
-      let br = row_re.(k') and bi = row_im.(k') in
-      g_re.((kx * my) + y0) <- 0.5 *. (ar +. br);
-      g_im.((kx * my) + y0) <- 0.5 *. (ai -. bi);
-      g_re.((kx * my) + y1) <- 0.5 *. (ai +. bi);
-      g_im.((kx * my) + y1) <- 0.5 *. (br -. ar)
-    done;
-    y := !y + 2
-  done;
-  (* forward columns over the half-spectrum, then pointwise transfer
-     product, then inverse columns — all on contiguous slices *)
-  let col_re = Array.make my 0.0 in
-  let col_im = Array.make my 0.0 in
-  for kx = 0 to hx - 1 do
-    let off = kx * my in
-    Array.blit g_re off col_re 0 my;
-    Array.blit g_im off col_im 0 my;
-    Fft.fft ~re:col_re ~im:col_im;
-    for ky = 0 to my - 1 do
-      let kr = t.b_k_re.(off + ky) and ki = t.b_k_im.(off + ky) in
-      let xr = col_re.(ky) and xi = col_im.(ky) in
-      col_re.(ky) <- (xr *. kr) -. (xi *. ki);
-      col_im.(ky) <- (xr *. ki) +. (xi *. kr)
-    done;
-    Fft.ifft ~re:col_re ~im:col_im;
-    Array.blit col_re 0 g_re off my;
-    Array.blit col_im 0 g_im off my
-  done;
-  (* inverse rows, again two at a time: each output row has a
-     row-Hermitian spectrum H(mx-kx, y) = conj(H(kx, y)), so
-     C = H(., y0) + i H(., y1) inverts to h_y0 + i h_y1 with both rows
-     real. Only the die's own block is needed: logical row y is extension
-     row y, its x-samples extension columns 0..nx-1. *)
-  let y = ref 0 in
-  while !y < ny do
-    let y0 = !y and y1 = !y + 1 in
-    for kx = 0 to hx - 1 do
-      let h0r = g_re.((kx * my) + y0) and h0i = g_im.((kx * my) + y0) in
-      let h1r, h1i =
-        if y1 < ny then (g_re.((kx * my) + y1), g_im.((kx * my) + y1))
-        else (0.0, 0.0)
-      in
-      row_re.(kx) <- h0r -. h1i;
-      row_im.(kx) <- h0i +. h1r;
-      if kx > 0 && kx < mx - kx then begin
-        (* mirror index mx - kx: conj(H0) + i conj(H1) *)
-        row_re.(mx - kx) <- h0r +. h1i;
-        row_im.(mx - kx) <- -.h0i +. h1r
-      end
-    done;
-    Fft.ifft ~re:row_re ~im:row_im;
+  let a = Array.make (nx * ny) 0.0 in
+  for iy = 0 to ny - 1 do
     for ix = 0 to nx - 1 do
-      emit ~ix ~iy:y0 row_re.(ix);
-      if y1 < ny then emit ~ix ~iy:y1 row_im.(ix)
-    done;
-    y := !y + 2
-  done
+      a.((iy * nx) + ix) <- Geo.Grid.get power ~ix ~iy
+    done
+  done;
+  Fft.dct2_rows ~n:nx ~rows:ny a;
+  let b = Array.make (nx * ny) 0.0 in
+  transpose ~rows:ny ~cols:nx a b;
+  Fft.dct2_rows ~n:ny ~rows:nx b;
+  let g = t.b_transfer in
+  for i = 0 to (nx * ny) - 1 do
+    b.(i) <- b.(i) *. g.(i)
+  done;
+  Fft.idct2_rows ~n:ny ~rows:nx b;
+  transpose ~rows:nx ~cols:ny b a;
+  Fft.idct2_rows ~n:nx ~rows:ny a;
+  a
 
 let field t ~power =
-  let out =
-    Geo.Grid.of_function ~nx:t.b_nx ~ny:t.b_ny ~extent:t.b_extent
-      ~f:(fun ~ix:_ ~iy:_ -> 0.0)
-  in
-  convolve t ~power ~emit:(fun ~ix ~iy v -> Geo.Grid.set out ~ix ~iy v);
-  out
+  let a = apply t ~power in
+  let nx = t.b_nx in
+  Geo.Grid.of_function ~nx ~ny:t.b_ny ~extent:t.b_extent
+    ~f:(fun ~ix ~iy -> a.((iy * nx) + ix))
 
 let peak ?correction t ~power =
   (match correction with
@@ -196,14 +89,19 @@ let peak ?correction t ~power =
      if Geo.Grid.nx c <> t.b_nx || Geo.Grid.ny c <> t.b_ny then
        invalid_arg "Blur.peak: correction grid dimensions mismatch"
    | None -> ());
+  let a = apply t ~power in
   let best = ref neg_infinity in
-  let emit =
-    match correction with
-    | None -> fun ~ix:_ ~iy:_ v -> if v > !best then best := v
-    | Some c ->
-      fun ~ix ~iy v ->
-        let v = v +. Geo.Grid.get c ~ix ~iy in
-        if v > !best then best := v
-  in
-  convolve t ~power ~emit;
+  (match correction with
+   | None ->
+     for i = 0 to Array.length a - 1 do
+       if a.(i) > !best then best := a.(i)
+     done
+   | Some c ->
+     let nx = t.b_nx in
+     for iy = 0 to t.b_ny - 1 do
+       for ix = 0 to nx - 1 do
+         let v = a.((iy * nx) + ix) +. Geo.Grid.get c ~ix ~iy in
+         if v > !best then best := v
+       done
+     done);
   !best

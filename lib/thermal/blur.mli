@@ -1,53 +1,52 @@
 (** Green's-function power blurring (Kemper et al., "Ultrafast
     Temperature Profile Calculation in IC Chips"), sharpened into an
-    exact spectral transfer: for the linear steady-state RC network the
-    active-layer temperature rise is a convolution of the power map with
-    the network's point-source response. Characterize that response once
-    with the full MG-CG solver (see {!Mesh.blur}) and every subsequent
-    candidate power map costs a single O(n log n) FFT pass instead of an
-    iterative solve.
+    exact modal transfer: for the linear steady-state RC network the
+    active-layer temperature rise is a linear function of the power map,
+    and on the die's own DCT-II basis that function is diagonal. Every
+    candidate power map then costs two 2-D DCTs ({!Fft.dct2_rows})
+    instead of an iterative solve.
 
-    The stack's lateral stencil is translation-invariant and the die
-    walls are adiabatic by default ([h_side_w_m2k = 0] — Neumann BC via
-    half-sample reflection), so on the 2n-periodic even extension of the
-    die the power-to-temperature map is a true cyclic convolution. The
-    kernel spectrum is recovered by *deconvolving* the characterized
-    corner-impulse response by the impulse's own spectrum, which makes
-    evaluation exact for the discrete operator: blurred fields match
-    full solves to characterization tolerance (~1e-9 relative), not just
-    to a screening tolerance. If the stack is configured with non-zero
-    side-wall conductance the boundary stencil loses translation
-    invariance and evaluations degrade to estimates; rank-then-re-score
-    (what [Optimizer.greedy_rows] does under the fft screen tier) keeps
-    committed plans exact either way.
+    The die walls are adiabatic by default ([h_side_w_m2k = 0]) and the
+    stack's conductances are uniform per layer, so each layer's lateral
+    stencil is a free-end path Laplacian per axis. The DCT-II
+    diagonalizes it exactly: mode k of an n-point path has eigenvalue
+    2 (1 - cos(pi k / n)). Each lateral mode (kx, ky) therefore decouples
+    into one small vertical system, and the transfer G(kx, ky) is the
+    power-layer response of that system ({!Mesh.blur} computes it in
+    closed form). Evaluation is T = IDCT(G * DCT(P)) on the nx x ny die
+    itself — no mirror extension, no padding — and matches full solves of
+    the discrete operator to rounding, not just to a screening tolerance.
 
-    Evaluation uses a Hermitian half-spectrum pipeline on the 2nx x 2ny
-    extension: rows are transformed two at a time as one complex FFT,
-    column transforms run only for kx <= nx (the rest follow from
-    conjugate symmetry), and inverse rows are recovered pairwise the
-    same way — roughly halving the FFT count per candidate. Extension
-    lengths are rarely powers of two; the {!Fft} Bluestein path handles
-    them without padding (padding would break the exact cyclicity). A
-    [t] is immutable after characterization and safe to share across
-    pool workers; every evaluation allocates its own scratch. *)
+    If the stack has non-zero side-wall conductance, the boundary tiles
+    carry an extra ground term the modes do not see, and evaluations
+    degrade to estimates of the adiabatic die; rank-then-re-score (what
+    [Optimizer.greedy_rows] does under the fft screen tier, with the
+    anchor's correction field as a control variate) keeps committed plans
+    exact either way.
+
+    A [t] is immutable and safe to share across pool workers; an
+    evaluation allocates two nx * ny arrays plus per-batch transform
+    scratch. *)
 
 type t
 
-val of_response : response:Geo.Grid.t -> t
-(** Characterize the spectral transfer from the active-layer response to
-    a unit (1 W) impulse injected at tile (0, 0) of the same grid. The
-    response's FFT is divided by the corner impulse's analytic spectrum
-    (zero only on modes every even-extended field lacks), and the result
-    is stored transformed — the only FFT-of-the-kernel ever paid. Raises
-    [Invalid_argument] on grids smaller than 2x2. *)
+val of_modes :
+  nx:int -> ny:int -> extent:Geo.Rect.t ->
+  transfer:(lx:float -> ly:float -> float) -> t
+(** The blur of an [nx] x [ny] die over [extent] whose modal transfer at
+    lateral mode (kx, ky) is [transfer ~lx ~ly], where [lx] and [ly] are
+    the mode's eigenvalues of the free-end path Laplacian along x and y
+    (2 (1 - cos(pi k / n)), so [0] for the uniform mode and below [4]).
+    Bumps [thermal.blur.kernels]. Raises [Invalid_argument] on an empty
+    grid. *)
 
 val nx : t -> int
 val ny : t -> int
 val extent : t -> Geo.Rect.t
 
 val field : t -> power:Geo.Grid.t -> Geo.Grid.t
-(** Temperature-rise field for [power] (same dims as the characterized
-    grid, checked). One extended FFT convolution, traced as the
+(** Temperature-rise field for [power] (same dims as the blur, checked).
+    One forward and one inverse 2-D DCT, traced as the
     [thermal.blur.eval] span. *)
 
 val peak : ?correction:Geo.Grid.t -> t -> power:Geo.Grid.t -> float

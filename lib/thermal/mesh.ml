@@ -19,9 +19,8 @@ type problem = {
   (* lazily built multigrid hierarchy for this matrix, shared the same way
      so an optimizer run builds it once per cached mesh *)
   p_blur : Blur.t option ref;
-  (* lazily characterized power-blurring kernel (unit-impulse response),
-     shared across the cache entry so screening pays characterization once
-     per (config, extent) *)
+  (* lazily computed power-blurring transfer, shared across the cache
+     entry so screening computes it once per (config, extent) *)
 }
 
 let matrix p = p.p_matrix
@@ -30,8 +29,8 @@ let config p = p.p_config
 let extent p = p.p_extent
 
 (* Same cached matrix (and MG hierarchy / blur kernel riding the cache
-   entry), different right-hand side — the adjoint solve and the blur
-   characterization both inject custom sources into the same operator. *)
+   entry), different right-hand side — the adjoint solve injects its
+   custom source into the same operator. *)
 let with_rhs p rhs =
   if Array.length rhs <> Array.length p.p_rhs then
     invalid_arg "Mesh.with_rhs: rhs dimension mismatch";
@@ -44,17 +43,42 @@ let node_index cfg ~ix ~iy ~iz =
 
 let um_to_m v = v *. 1.0e-6
 
-(* Conductance between two stacked cells: half-cell resistances in series,
-   each R = (thickness/2) / (k * A). *)
-let vertical_conductance ~area_m2 (a : Stack.layer) (b : Stack.layer) =
-  let r_half (l : Stack.layer) =
-    um_to_m l.Stack.thickness_um /. 2.0
-    /. (l.Stack.conductivity_w_mk *. area_m2)
-  in
-  1.0 /. (r_half a +. r_half b)
+(* The stack's conductances on the config's tiling of [extent]: the one
+   definition the matrix assembly and the blur's modal transfer share.
+   In layer iz every east coupling is [g_x.(iz)] and every north one
+   [g_y.(iz)] (uniform k, full cell pitch); the vertical coupling of
+   every tile to layer iz + 1 is [g_v.(iz)] (half-cell resistances
+   R = (thickness/2) / (k * A) in series); and each tile of the bottom
+   and top layers grounds through [g_bottom] and [g_top]. Side walls
+   ground only boundary tiles and stay with the assembly. *)
+type conductances = {
+  dx_m : float;
+  dy_m : float;
+  g_x : float array;
+  g_y : float array;
+  g_v : float array; (* nz - 1 entries *)
+  g_bottom : float;
+  g_top : float;
+}
 
-(* Lateral conductance inside one layer: uniform k, full cell pitch. *)
-let lateral_conductance ~k ~cross_m2 ~pitch_m = k *. cross_m2 /. pitch_m
+let conductances cfg ~extent =
+  let stack = cfg.stack in
+  let layers = stack.Stack.layers in
+  let nz = Array.length layers in
+  let dx = um_to_m (Geo.Rect.width extent /. float_of_int cfg.nx) in
+  let dy = um_to_m (Geo.Rect.height extent /. float_of_int cfg.ny) in
+  let tile_area = dx *. dy in
+  let k iz = layers.(iz).Stack.conductivity_w_mk in
+  let dz iz = um_to_m layers.(iz).Stack.thickness_um in
+  let r_half iz = dz iz /. 2.0 /. (k iz *. tile_area) in
+  { dx_m = dx;
+    dy_m = dy;
+    g_x = Array.init nz (fun iz -> k iz *. (dy *. dz iz) /. dx);
+    g_y = Array.init nz (fun iz -> k iz *. (dx *. dz iz) /. dy);
+    g_v =
+      Array.init (nz - 1) (fun iz -> 1.0 /. (r_half iz +. r_half (iz + 1)));
+    g_bottom = stack.Stack.h_bottom_w_m2k *. tile_area;
+    g_top = stack.Stack.h_top_w_m2k *. tile_area }
 
 (* Conductance-matrix assembly. The matrix depends only on (config, extent)
    — power enters through the rhs alone — which is what makes the matrix
@@ -63,9 +87,7 @@ let assemble_builder cfg ~extent =
   let stack = cfg.stack in
   let nz = Stack.num_layers stack in
   let n = cfg.nx * cfg.ny * nz in
-  let dx = um_to_m (Geo.Rect.width extent /. float_of_int cfg.nx) in
-  let dy = um_to_m (Geo.Rect.height extent /. float_of_int cfg.ny) in
-  let tile_area = dx *. dy in
+  let c = conductances cfg ~extent in
   (* triplet upper bound: four per coupling (east, north, up), one per
      grounded face, one for the fault hook — so the builder never grows *)
   let couplings =
@@ -85,32 +107,26 @@ let assemble_builder cfg ~extent =
     Sparse.add b j i (-.g)
   in
   let ground i g = if g > 0.0 then Sparse.add b i i g in
+  let h_side = stack.Stack.h_side_w_m2k in
   for iz = 0 to nz - 1 do
-    let layer = stack.Stack.layers.(iz) in
-    let dz = um_to_m layer.Stack.thickness_um in
-    let k = layer.Stack.conductivity_w_mk in
+    let dz = um_to_m stack.Stack.layers.(iz).Stack.thickness_um in
     for iy = 0 to cfg.ny - 1 do
       for ix = 0 to cfg.nx - 1 do
         let i = node_index cfg ~ix ~iy ~iz in
         (* lateral east and north couplings (west/south added by peers) *)
         if ix + 1 < cfg.nx then
-          couple i (node_index cfg ~ix:(ix + 1) ~iy ~iz)
-            (lateral_conductance ~k ~cross_m2:(dy *. dz) ~pitch_m:dx);
+          couple i (node_index cfg ~ix:(ix + 1) ~iy ~iz) c.g_x.(iz);
         if iy + 1 < cfg.ny then
-          couple i (node_index cfg ~ix ~iy:(iy + 1) ~iz)
-            (lateral_conductance ~k ~cross_m2:(dx *. dz) ~pitch_m:dy);
+          couple i (node_index cfg ~ix ~iy:(iy + 1) ~iz) c.g_y.(iz);
         (* vertical coupling upward *)
         if iz + 1 < nz then
-          couple i (node_index cfg ~ix ~iy ~iz:(iz + 1))
-            (vertical_conductance ~area_m2:tile_area layer
-               stack.Stack.layers.(iz + 1));
+          couple i (node_index cfg ~ix ~iy ~iz:(iz + 1)) c.g_v.(iz);
         (* boundary conductances to ambient *)
-        if iz = 0 then ground i (stack.Stack.h_bottom_w_m2k *. tile_area);
-        if iz = nz - 1 then ground i (stack.Stack.h_top_w_m2k *. tile_area);
-        let h_side = stack.Stack.h_side_w_m2k in
+        if iz = 0 then ground i c.g_bottom;
+        if iz = nz - 1 then ground i c.g_top;
         if h_side > 0.0 then begin
-          if ix = 0 || ix = cfg.nx - 1 then ground i (h_side *. dy *. dz);
-          if iy = 0 || iy = cfg.ny - 1 then ground i (h_side *. dx *. dz)
+          if ix = 0 || ix = cfg.nx - 1 then ground i (h_side *. c.dy_m *. dz);
+          if iy = 0 || iy = cfg.ny - 1 then ground i (h_side *. c.dx_m *. dz)
         end
       done
     done
@@ -337,37 +353,63 @@ let layer_grid s ~iz =
 let active_layer_grid s =
   layer_grid s ~iz:s.config.stack.Stack.power_layer
 
-(* Characterization tolerance: the transfer deconvolved from this solve
-   is *exact* for the discrete operator (the lateral stencil is
-   translation-invariant with adiabatic walls), so solver error is the
-   only error screening estimates inherit — solve the impulse tight and
-   the kernel repays it across thousands of evaluations. *)
-let blur_tol = 1e-10
+(* The blur's modal transfer. In lateral mode (kx, ky), with eigenvalues
+   lx and ly (see Blur.of_modes), the stack is a column of nz nodes: node
+   iz has its own ground (its faces plus g_x lx + g_y ly, the mode's
+   lateral term) and couples to iz + 1 through g_v. Power enters the
+   power layer pl alone, so G is the pl diagonal entry of the inverse of
+   that tridiagonal matrix: 1 / (d(pl) - B - U), with B and U the Schur
+   complements of the layers below and above. Each sweep is written as
+   conductances in series — the layers below present
+   g_v s / (g_v + s) to the next one up, s being a layer's own ground
+   plus what presents to it from further below — which is the same
+   recurrence without subtracting nearly equal numbers. *)
+let blur_defined cfg =
+  cfg.stack.Stack.h_top_w_m2k > 0.0 || cfg.stack.Stack.h_bottom_w_m2k > 0.0
 
-let blur ?(precond = Pc_mg) p =
+let blur p =
   let cfg = p.p_config in
   match !(p.p_blur) with
   | Some b when Blur.nx b = cfg.nx && Blur.ny b = cfg.ny -> b
   | _ ->
     Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
-    let n = Array.length p.p_rhs in
-    let rhs = Array.make n 0.0 in
-    (* corner tile: its extension images sit at indices 0 and 2n-1 per
-       axis, whose spectrum never vanishes on an informative mode — see
-       Blur.of_response. (A center impulse would zero out near half the
-       spectrum and make the deconvolution singular.) *)
-    rhs.(node_index cfg ~ix:0 ~iy:0 ~iz:cfg.stack.Stack.power_layer) <- 1.0;
-    let ip = { p with p_rhs = rhs } in
-    (* the explicit zero x0 is numerically a cold start but keeps the
-       impulse solve out of the warm-start bookkeeping: its iteration
-       count must not become the cache entry's cold baseline *)
-    let solution =
-      solve ~tol:blur_tol ~precond:(precond_of_choice ip precond)
-        ~x0:(Array.make n 0.0) ip
+    let c = conductances cfg ~extent:p.p_extent in
+    let nz = Stack.num_layers cfg.stack in
+    let pl = cfg.stack.Stack.power_layer in
+    if not (blur_defined cfg) then
+      invalid_arg "Mesh.blur: no top or bottom heat path, the uniform mode \
+                   of the adiabatic die is singular";
+    let face =
+      Array.init nz (fun iz ->
+          (if iz = 0 then c.g_bottom else 0.0)
+          +. if iz = nz - 1 then c.g_top else 0.0)
     in
-    let b = Blur.of_response ~response:(active_layer_grid solution) in
+    (* the sweeps are written out so no float crosses a call *)
+    let transfer ~lx ~ly =
+      let below = ref 0.0 in
+      for iz = 0 to pl - 1 do
+        let s =
+          face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !below
+        in
+        let g = c.g_v.(iz) in
+        below := g *. s /. (g +. s)
+      done;
+      let above = ref 0.0 in
+      for iz = nz - 1 downto pl + 1 do
+        let s =
+          face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !above
+        in
+        let g = c.g_v.(iz - 1) in
+        above := g *. s /. (g +. s)
+      done;
+      1.0
+      /. (face.(pl) +. (c.g_x.(pl) *. lx) +. (c.g_y.(pl) *. ly) +. !below
+          +. !above)
+    in
+    let b =
+      Blur.of_modes ~nx:cfg.nx ~ny:cfg.ny ~extent:p.p_extent ~transfer
+    in
     (* benign race, same policy as [multigrid]: concurrent characterizers
-       derive the kernel from the same matrix, so the last write wins and
-       either kernel is valid *)
+       derive the same transfer, so the last write wins *)
     p.p_blur := Some b;
     b

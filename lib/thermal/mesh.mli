@@ -122,12 +122,22 @@ val layer_grid : solution -> iz:int -> Geo.Grid.t
 val active_layer_grid : solution -> Geo.Grid.t
 (** The thermal map of the paper's figures: the power-injection layer. *)
 
-val blur : ?precond:precond_choice -> problem -> Blur.t
+val blur_defined : config -> bool
+(** Whether {!blur} is defined for this config: the stack grounds its
+    top or its bottom face. A die cooled through its side walls alone
+    has no adiabatic modal transfer (its uniform mode has no heat path);
+    only the exact solve handles it. *)
+
+val blur : problem -> Blur.t
 (** The power-blurring screening kernel for this problem's mesh: the
-    active-layer response to a 1 W impulse at corner tile (0, 0) (a
-    centre impulse would make the deconvolution singular), solved once
-    at 1e-10 with the chosen preconditioner (default [Pc_mg]) and
-    characterized by {!Blur.of_response}. Cached on the problem's MRU
-    entry next to the multigrid hierarchy, so an optimizer run
-    characterizes once per (config, extent) and every pool worker shares
-    the kernel. Traced as [thermal.blur.characterize]. *)
+    modal transfer of the stack on the die's DCT-II basis (see {!Blur}).
+    For each lateral mode it is the power-layer diagonal entry of the
+    inverse of one nz x nz tridiagonal system, computed in closed form
+    from the same per-layer conductances the matrix is assembled from —
+    no solve runs and no preconditioner is involved. Exact for the
+    adiabatic die; under non-zero side-wall conductance it is the
+    adiabatic die's transfer and so an estimate. Cached on the problem's
+    MRU entry next to the multigrid hierarchy, so an optimizer run
+    computes it once per (config, extent) and every pool worker shares
+    it. Traced as [thermal.blur.characterize]. Raises [Invalid_argument]
+    unless {!blur_defined}. *)

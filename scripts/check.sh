@@ -81,11 +81,14 @@ for name in fig5 fig6 table1 timing congestion ablation optimizer \
   dune exec bin/json_check.exe -- "BENCH_$name.json" experiment summary
 done
 # The paper's shape checks (ERI and HW above Default, monotone in
-# overhead), the steady-state justification and the multigrid checks
+# overhead), the steady-state justification, the multigrid checks
 # (plans agree, bit-identical across pools, at most 10 MG-CG iterations
-# at every size) must all hold.
-if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_mg.json; then
-  echo "paper suites: a Fig. 6, transient or multigrid check is false" >&2
+# at every size) and the fft screening checks (plans and peaks agree
+# with the exact tier, winner among the leaders, no Bluestein transform
+# on the screening grids) must all hold.
+if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_mg.json \
+  BENCH_fft.json; then
+  echo "paper suites: a Fig. 6, transient, multigrid or fft check is false" >&2
   exit 1
 fi
 

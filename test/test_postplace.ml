@@ -510,6 +510,42 @@ let test_optimizer_fault_forces_exact_tier () =
   Alcotest.(check int) "auto tier does not blur under armed faults" 0
     r.Postplace.Optimizer.blur_evaluations
 
+let test_optimizer_side_wall_stack_exact_tier () =
+  let fl = Lazy.force flow in
+  Parallel.Pool.set_jobs 1;
+  (* cooled through its side walls alone, the stack has no blur
+     transfer: screening must fall back to the exact tier, not raise *)
+  let cfg = fl.Postplace.Flow.mesh_config in
+  let stack =
+    { cfg.Thermal.Mesh.stack with
+      Thermal.Stack.h_top_w_m2k = 0.0; h_bottom_w_m2k = 0.0;
+      h_side_w_m2k = 1e6 }
+  in
+  let fl =
+    { fl with
+      Postplace.Flow.mesh_config = { cfg with Thermal.Mesh.stack } }
+  in
+  let run screen =
+    Thermal.Mesh.cache_clear ();
+    Postplace.Optimizer.greedy_rows
+      { fl with Postplace.Flow.screen }
+      ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
+  in
+  let ex = run Postplace.Flow.Screen_exact in
+  List.iter
+    (fun screen ->
+       let r = run screen in
+       let name = Postplace.Flow.screen_choice_name screen in
+       Alcotest.(check (list int)) (name ^ " picks the exact tier's plan")
+         ex.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+         r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+       Alcotest.(check bool) (name ^ " same predicted peak") true
+         (ex.Postplace.Optimizer.predicted_peak_k
+          = r.Postplace.Optimizer.predicted_peak_k);
+       Alcotest.(check int) (name ^ " never blurs") 0
+         r.Postplace.Optimizer.blur_evaluations)
+    [ Postplace.Flow.Screen_auto; Postplace.Flow.Screen_fft ]
+
 (* --- gradient guide ----------------------------------------------------------------- *)
 
 let test_flow_sensitivity_smoke () =
@@ -818,7 +854,9 @@ let () =
          Alcotest.test_case "fft screening parity" `Quick
            test_optimizer_fft_screening_parity;
          Alcotest.test_case "faults force the exact tier" `Quick
-           test_optimizer_fault_forces_exact_tier ]);
+           test_optimizer_fault_forces_exact_tier;
+         Alcotest.test_case "side-wall-only stack takes the exact tier"
+           `Quick test_optimizer_side_wall_stack_exact_tier ]);
       ("gradient-guide",
        [ Alcotest.test_case "flow sensitivity smoke" `Quick
            test_flow_sensitivity_smoke;
