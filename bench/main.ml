@@ -307,7 +307,7 @@ let run_perf () =
     Test.make_grouped ~name:"kernels"
       [ Test.make ~name:"thermal:cg-solve-40x40x9"
           (Staged.stage (fun () -> ignore (Thermal.Mesh.solve problem)));
-        Test.make ~name:"thermal:mesh-assembly"
+        Test.make ~name:"thermal:mesh-build"
           (Staged.stage (fun () ->
                ignore
                  (Thermal.Mesh.build fl.Postplace.Flow.mesh_config
@@ -401,10 +401,12 @@ let hist_sum name =
 
 (* The fft and adjoint suites' head-to-head at the production grid:
    greedy_rows (8 rows in chunks of 4, about 20 candidate rows, 160x160)
-   under flow [fl_a] and under [fl_b], each cold (empty mesh cache) then
-   warm (matrices, hierarchies and blur kernels already cached). Returns
-   both sides' (cold, warm) results and the summary fields they share,
-   the times keyed by the side names [a] and [b]. *)
+   under flow [fl_a] and under [fl_b], each run twice: "cold" then
+   "warm". No operator, hierarchy or blur transfer outlives its problem,
+   so the two runs do the same work and differ only by process warm-up
+   (FFT plans, heap). Returns both sides' (cold, warm) results and the
+   summary fields they share, the times keyed by the side names [a] and
+   [b]. *)
 let head_to_head (a, fl_a) (b, fl_b) =
   let num_rows =
     fl_a.Postplace.Flow.base_placement.Place.Placement.fp
@@ -417,7 +419,6 @@ let head_to_head (a, fl_a) (b, fl_b) =
     let run () =
       Postplace.Optimizer.greedy_rows f ~rows ~chunk ~stride ~coarse_nx ()
     in
-    Thermal.Mesh.cache_clear ();
     let cold = time run in
     (cold, time run)
   in
@@ -442,7 +443,7 @@ let head_to_head (a, fl_a) (b, fl_b) =
    quadratic plan append, sequential candidates). *)
 
 (* The seed's greedy_rows, reproduced verbatim as a baseline: quadratic
-   [plan @ ...] growth, uncached mesh builds, cold solves, one extra final
+   [plan @ ...] growth, a mesh build per trial, cold solves, one extra final
    scoring solve. *)
 let seed_greedy fl ~rows ~chunk ~stride ~coarse_nx =
   let peak_of pl =
@@ -455,7 +456,7 @@ let seed_greedy fl ~rows ~chunk ~stride ~coarse_nx =
         ~nx:coarse_nx ~ny:coarse_nx
     in
     let solution =
-      Thermal.Mesh.solve (Thermal.Mesh.build ~cache:false cfg ~power)
+      Thermal.Mesh.solve (Thermal.Mesh.build cfg ~power)
     in
     (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
       .Thermal.Metrics.peak_rise_k
@@ -502,14 +503,8 @@ let seed_greedy fl ~rows ~chunk ~stride ~coarse_nx =
 let run_cg fl =
   let cfg = fl.Postplace.Flow.mesh_config in
   let power = power_at fl ~nx:40 fl.Postplace.Flow.base_placement in
-  (* kernel timings: assembly cold vs cache hit *)
-  Thermal.Mesh.cache_clear ();
-  let _, t_asm_cold = time (fun () -> Thermal.Mesh.build ~cache:false cfg ~power) in
-  let problem, _ = time (fun () -> Thermal.Mesh.build cfg ~power) in
-  let cached, t_asm_hit = time (fun () -> Thermal.Mesh.build cfg ~power) in
-  let reused =
-    Thermal.Mesh.matrix problem == Thermal.Mesh.matrix cached
-  in
+  (* kernel timings: one mesh build *)
+  let problem, t_asm_cold = time (fun () -> Thermal.Mesh.build cfg ~power) in
   (* solver variants on the 40x40x9 system *)
   let cold, t_cold = time (fun () -> Thermal.Mesh.solve problem) in
   let ssor, t_ssor =
@@ -518,11 +513,6 @@ let run_cg fl =
   let warm, t_warm =
     time (fun () -> Thermal.Mesh.solve ~x0:cold.Thermal.Mesh.temp problem)
   in
-  (* determinism across pool sizes *)
-  Parallel.Pool.set_jobs 4;
-  let cold4, t_cold4 = time (fun () -> Thermal.Mesh.solve problem) in
-  let solve_identical = cold4.Thermal.Mesh.temp = cold.Thermal.Mesh.temp in
-  Parallel.Pool.set_jobs 1;
   (* optimizer scenario: seed behaviour vs the engine, sequential and
      parallel *)
   let rows = 8 and coarse_nx = 40 in
@@ -531,7 +521,6 @@ let run_cg fl =
   in
   let engine jobs =
     Parallel.Pool.set_jobs jobs;
-    Thermal.Mesh.cache_clear ();
     time (fun () -> Postplace.Optimizer.greedy_rows fl ~rows ~coarse_nx ())
   in
   let r1, t_eng1 = engine 1 in
@@ -545,16 +534,12 @@ let run_cg fl =
     [ ("kernel",
        j_obj
          [ ("assembly_cold_ms", ms t_asm_cold);
-           ("assembly_cache_hit_ms", ms t_asm_hit);
-           ("matrix_reused", j_b reused);
            ("cold_jacobi_ms", ms t_cold);
            ("cold_jacobi_iters", j_i cold.Thermal.Mesh.cg_iterations);
            ("cold_ssor_ms", ms t_ssor);
            ("cold_ssor_iters", j_i ssor.Thermal.Mesh.cg_iterations);
            ("warm_jacobi_ms", ms t_warm);
-           ("warm_jacobi_iters", j_i warm.Thermal.Mesh.cg_iterations);
-           ("solve_4domains_ms", ms t_cold4);
-           ("solve_bit_identical", j_b solve_identical) ]);
+           ("warm_jacobi_iters", j_i warm.Thermal.Mesh.cg_iterations) ]);
       ("optimizer",
        j_obj
          [ ("rows", j_i rows);
@@ -590,7 +575,6 @@ let run_mg fl =
   let size_rows =
     List.map
       (fun nx ->
-         Thermal.Mesh.cache_clear ();
          let problem = problem_at fl ~nx base in
          let jac, t_jac = time (fun () -> Thermal.Mesh.solve problem) in
          let ssor, t_ssor =
@@ -636,7 +620,6 @@ let run_mg fl =
       [ 40; 80; 160 ]
   in
   (* parallel determinism of the MG-preconditioned solve itself *)
-  Thermal.Mesh.cache_clear ();
   let p80 = problem_at fl ~nx:80 base in
   let h80 = Thermal.Mesh.multigrid p80 in
   let solve_mg80 () =
@@ -651,7 +634,6 @@ let run_mg fl =
      are bit-identical across pool sizes *)
   let greedy jobs f =
     Parallel.Pool.set_jobs jobs;
-    Thermal.Mesh.cache_clear ();
     Postplace.Optimizer.greedy_rows f ~rows:8 ()
   in
   let r_ssor =
@@ -732,7 +714,6 @@ let run_fft fl =
   let chunk_plan cand = List.init 4 (fun _ -> cand) in
   let price ~nx cands =
     let cfg = grid fl nx in
-    Thermal.Mesh.cache_clear ();
     let p_base = Thermal.Mesh.build cfg ~power:(power_of ~nx []) in
     let h_base = Thermal.Mesh.multigrid p_base in
     let inc =
@@ -882,7 +863,6 @@ let run_adjoint fl =
   (* forward vs adjoint cost and a finite-difference spot check at 40x40 *)
   let nx = 40 in
   let cfg40 = grid fl nx in
-  Thermal.Mesh.cache_clear ();
   let problem = problem_at fl ~nx fl.Postplace.Flow.base_placement in
   let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem) in
   let fwd, t_fwd = time (fun () -> Thermal.Mesh.solve ~precond problem) in
@@ -1025,11 +1005,10 @@ let run_serve () =
   let outcome resp id =
     field resp id "outcome" Obs.Json.to_string_opt "missing"
   in
-  (* Warm the global mesh/blur caches once so the timed batched run
-     measures steady-state serving, then time it against the per-job
-     baseline where every job pays a cold prepare (one process per job
-     shares nothing, hence the cache_clear between jobs). *)
-  Thermal.Mesh.cache_clear ();
+  (* One untimed run warms the process (FFT plans, heap) so the timed
+     batched run measures steady-state serving, then time it against the
+     per-job baseline where every job pays a cold prepare (one server per
+     job shares no flow). *)
   ignore (run_server clean_lines);
   let (batched_summary, batched), t_batched =
     time (fun () -> run_server clean_lines)
@@ -1037,9 +1016,7 @@ let run_serve () =
   let _, t_per_job =
     time (fun () ->
         List.map
-          (fun l ->
-            Thermal.Mesh.cache_clear ();
-            run_server [ l ])
+          (fun l -> run_server [ l ])
           clean_lines)
   in
   let all_ok =
@@ -1309,7 +1286,7 @@ let suites =
     suite ~paper:false "perf" "PERF -- kernel micro-benchmarks (bechamel)"
       engineering run_perf;
     suite ~paper:false "cg"
-      "CG ENGINE -- matrix cache, warm starts, preconditioning, domains"
+      "CG ENGINE -- warm starts, preconditioning, domains"
       (engineering
        ^ ": incremental + parallel solve engine vs seed behaviour")
       (kernel_suite run_cg);

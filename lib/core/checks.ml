@@ -52,34 +52,28 @@ let power_map g =
 
 let mesh_matrix m =
   Robust.Validate.make "mesh.spd_structure" (fun () ->
-      let n = Thermal.Sparse.dim m in
       let exception Bad of string in
       try
-        for i = 0 to n - 1 do
-          let d = Thermal.Sparse.get m i i in
+        for i = 0 to Thermal.Stencil.dim m - 1 do
+          let d = ref 0.0 and rs = ref 0.0 in
+          Thermal.Stencil.iter_row m i ~f:(fun j v ->
+              if j = i then d := v;
+              rs := !rs +. Float.abs v);
+          let d = !d and rs = !rs in
           if not (Float.is_finite d) || d <= 0.0 then
             raise (Bad (Printf.sprintf "diagonal[%d] = %g (must be > 0)" i d));
           (* resistive nodal matrix: |off-diagonals| of a row never exceed
              the diagonal (strictly less wherever a boundary conductance
              grounds the node), i.e. d + sum|offdiag| <= 2d *)
-          let rs = Thermal.Sparse.row_sum_abs m i in
           if rs > 2.0 *. d *. (1.0 +. 1e-9) then
             raise
               (Bad
                  (Printf.sprintf
                     "row %d not diagonally dominant (|row| = %g, diag = %g)"
                     i rs d));
-          Thermal.Sparse.iter_row m i ~f:(fun j v ->
+          Thermal.Stencil.iter_row m i ~f:(fun j v ->
               if not (Float.is_finite v) then
-                raise (Bad (Printf.sprintf "entry (%d,%d) = %g" i j v));
-              let vt = Thermal.Sparse.get m j i in
-              let tol = 1e-9 *. Float.max 1.0 (Float.abs v) in
-              if Float.abs (v -. vt) > tol then
-                raise
-                  (Bad
-                     (Printf.sprintf
-                        "asymmetric: a[%d,%d] = %g but a[%d,%d] = %g" i j v
-                        j i vt)))
+                raise (Bad (Printf.sprintf "entry (%d,%d) = %g" i j v)))
         done;
         Ok ()
       with Bad detail -> Error detail)

@@ -177,9 +177,8 @@ let fig6_key flow ~overheads =
    output is identical to the sequential sweep). HW decorates the Default
    placement of the same overhead, so one job evaluates that placement
    once and yields both points; these two-evaluation jobs come first so
-   the pool's in-order claiming hands out the long jobs early. Points
-   over the same overhead share the cached conductance matrix for their
-   die extent. With [~checkpoint] the job list is resumable — see
+   the pool's in-order claiming hands out the long jobs early. With
+   [~checkpoint] the job list is resumable — see
    {!map_checkpointed}; an entry holds one job's points. *)
 let run_fig6 ?(overheads = default_overheads) ?checkpoint flow =
   let base = Flow.evaluate flow flow.Flow.base_placement in

@@ -249,7 +249,7 @@ let check_design t pl =
     Robust.Validate.run_all
       [ Checks.placement pl; Checks.floorplan pl;
         Checks.power_map power_map;
-        Checks.mesh_matrix (Thermal.Mesh.matrix problem) ]
+        Checks.mesh_matrix (Thermal.Mesh.stencil problem) ]
   in
   match Thermal.Mesh.solve_result ~precond:(precond_of t problem) problem with
   | Ok solution ->

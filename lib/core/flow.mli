@@ -154,8 +154,8 @@ val precond_of : t -> Thermal.Mesh.problem -> Thermal.Cg.precond
 val solve_power_result :
   ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
   t -> Geo.Grid.t -> (Thermal.Mesh.solution, Robust.Error.t) result
-(** Assemble the mesh for a W-per-tile power map (through the matrix
-    cache) and solve it under the flow's preconditioner. [mesh_config]
+(** Build the mesh for a W-per-tile power map and solve it under the
+    flow's preconditioner. [mesh_config]
     overrides the flow's mesh (the optimizer ranks on its own grid);
     [tol] and [x0] are as in {!Thermal.Mesh.solve_result}. Every
     flow-level solve goes through here or {!precond_of}. *)

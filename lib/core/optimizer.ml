@@ -45,8 +45,8 @@ let trial_power flow ~after ~nx =
 
 (* One candidate evaluation, warm-started from the incumbent temperature
    field [x0]. All trial placements share the die extent (same number of
-   inserted rows), so every solve in a round reuses one cached matrix and
-   a good starting point — most of the optimizer's speedup lives here. *)
+   inserted rows), so every solve in a round starts from a good point —
+   most of the optimizer's speedup lives here. *)
 let eval_trial_sol flow ~after ~nx ~x0 ~tol =
   (* cancellation point: candidate solves run at millisecond granularity,
      so a deadline abort requested by the serve watchdog lands here *)
@@ -128,8 +128,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
       if screen then begin
         Obs.Trace.with_span "optimizer.screen" @@ fun () ->
         (* every trial in this round shares (config, extent), so the
-           transfer of the first candidate's mesh serves all of them (and
-           is cached on the mesh MRU entry) *)
+           transfer of the first candidate's mesh serves all of them *)
         let first = List.hd candidates in
         let first_power =
           trial_power flow ~after:(trial_of first) ~nx:coarse_nx

@@ -37,8 +37,8 @@ val greedy_rows :
     Raises [Invalid_argument] on a non-positive budget or parameter.
 
     Candidate solves within a round run concurrently on the
-    {!Parallel.Pool}, share the round's cached conductance matrix, and are
-    warm-started from the incumbent plan's temperature field. Selection
+    {!Parallel.Pool}, share the round's die extent (and so one
+    conductance operator), and are warm-started from the incumbent plan's temperature field. Selection
     walks candidates in their fixed order with a strict-improvement
     tie-break, so the chosen plan is identical for any pool size
     (including sequential).

@@ -3,17 +3,15 @@ type fault =
   | Perturb_matrix
   | Cg_stall
   | Kill_worker
-  | Stale_mesh_cache
 
 let all =
-  [ Nan_power; Perturb_matrix; Cg_stall; Kill_worker; Stale_mesh_cache ]
+  [ Nan_power; Perturb_matrix; Cg_stall; Kill_worker ]
 
 let to_string = function
   | Nan_power -> "nan_power"
   | Perturb_matrix -> "perturb_matrix"
   | Cg_stall -> "cg_stall"
   | Kill_worker -> "kill_worker"
-  | Stale_mesh_cache -> "stale_mesh_cache"
 
 let of_string s = List.find_opt (fun f -> to_string f = s) all
 

@@ -1,14 +1,13 @@
 (** Fault-injection registry.
 
-    Deep layers (the CG solver, the mesh matrix cache, the domain pool,
-    the flow's power-map stage) carry guarded hooks that fire only when
+    Deep layers (the CG solver, the mesh build, the domain pool, the
+    flow's power-map stage) carry guarded hooks that fire only when
     the corresponding fault is armed here — in production nothing is
     armed and every hook is a single relaxed [Atomic.get]. The test suite
     and the [scripts/check.sh] smoke arm faults (via {!arm} or the
     [THERMOPLACE_FAULTS] environment variable) and then prove that each
-    injected fault is either recovered (escalation ladder, defensive
-    cache rebuild) or surfaced as a structured {!Error.t} — never a
-    silent wrong answer.
+    injected fault is either recovered (escalation ladder) or surfaced as
+    a structured {!Error.t} — never a silent wrong answer.
 
     Faults are armed with a count and consumed one shot at a time, so a
     single armed fault perturbs exactly one site; arming with a larger
@@ -18,14 +17,12 @@
 type fault =
   | Nan_power         (** corrupt the flow's power map with NaN tiles *)
   | Perturb_matrix
-  (** assemble the mesh matrix with an asymmetric, dominance-breaking
-      entry (bypassing the matrix cache so the poison cannot persist) *)
+  (** build the next mesh operator with NaN lateral couplings in layer 0
+      (its diagonal left intact), which every CG rung and the
+      [mesh.spd_structure] check must reject *)
   | Cg_stall          (** force one [Cg.solve_raw] call to report
                           non-convergence without iterating *)
   | Kill_worker       (** raise {!Error.Worker_failed} inside a pool chunk *)
-  | Stale_mesh_cache
-  (** make one mesh-cache hit return a wrong-dimension entry, exercising
-      the defensive dimension check on the hit path *)
 
 val all : fault list
 

@@ -4,7 +4,7 @@
    definite. For any differentiable objective f(T), the chain rule gives
    df/dP = G^-T (df/dT) = G^-1 (df/dT) — the transpose solve IS a plain
    solve because G is self-adjoint — so the full per-tile sensitivity map
-   costs exactly one extra CG solve, sharing the cached matrix, multigrid
+   costs exactly one extra CG solve, sharing the operator, multigrid
    hierarchy and warm starts of the forward path.
 
    The objective is a log-sum-exp smoothing of the active-layer peak:

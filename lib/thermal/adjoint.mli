@@ -4,8 +4,8 @@
     conductance matrix, so for a differentiable objective [f(T)] the
     sensitivity to the power map is one extra solve of the {e same}
     system: [df/dP = G^-T (df/dT)] and [G^T = G]. The adjoint solve
-    reuses the problem's cached matrix, multigrid hierarchy and warm
-    starts via {!Mesh.with_rhs}.
+    reuses the problem's operator, multigrid hierarchy and warm starts
+    via {!Mesh.with_rhs}.
 
     The objective is a log-sum-exp smoothing of the active-layer peak,
     [f(T) = (1/beta) log sum exp(beta T_i)]: an upper bound on the true

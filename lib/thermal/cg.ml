@@ -146,7 +146,7 @@ let record outcome =
 
 (* Breakdown detection: CG on an SPD system has pAp > 0 and rho > 0 at
    every step. A non-positive or non-finite curvature / rho means the
-   system is not SPD (assembly bug, injected perturbation) or arithmetic
+   system is not SPD (operator bug, injected perturbation) or arithmetic
    has degenerated — dividing through would fill [x] with NaN/Inf and
    poison every later warm start, so we stop *before* the division and
    report [converged = false] with a breakdown reason. A residual that
@@ -159,7 +159,7 @@ let divergence_factor = 1e8
    is one V-cycle. *)
 let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
   let rlog = log_create () in
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   if Array.length b <> n then invalid_arg "Cg.solve: rhs dimension mismatch";
   (match precond with
    | Jacobi -> ()
@@ -170,7 +170,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
      if Multigrid.fine_dim h <> n then
        invalid_arg "Cg.solve: multigrid hierarchy dimension mismatch");
   let max_iter = match max_iter with Some k -> k | None -> 4 * n in
-  let diag = Sparse.diagonal m in
+  let diag = Stencil.diagonal m in
   Array.iter
     (fun d -> if d <= 0.0 then
         invalid_arg "Cg.solve: non-positive diagonal entry")
@@ -192,7 +192,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     incr applies;
     match precond with
     | Jacobi -> for i = 0 to n - 1 do z.(i) <- r.(i) /. diag.(i) done
-    | Ssor omega -> Sparse.ssor_apply m ~diag ~omega r z
+    | Ssor omega -> Stencil.ssor_apply m ~diag ~omega r z
     | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
   in
   let x = match x0 with
@@ -202,7 +202,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     | None -> Array.make n 0.0
   in
   let r = Array.make n 0.0 in
-  Sparse.mul m x r;
+  Stencil.mul m x r;
   for i = 0 to n - 1 do r.(i) <- b.(i) -. r.(i) done;
   let bnorm = norm b in
   if bnorm = 0.0 then
@@ -225,12 +225,12 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     while !breakdown = None && (not !converged) && !iterations < max_iter do
       incr iterations;
       (* cooperative cancellation at iteration granularity (one atomic
-         read, negligible next to the SpMV): a deadline posted by the
+         read, negligible next to the product): a deadline posted by the
          serve watchdog aborts a solve within one iteration instead of
          only between flow phases — an MG-preconditioned solve may take
          fewer than twenty iterations in all *)
       Robust.Cancel.check ();
-      Sparse.mul m p ap;
+      Stencil.mul m p ap;
       let pap = dot p ap in
       if not (Float.is_finite pap) || pap <= 0.0 then
         breakdown :=
@@ -295,7 +295,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
       if !breakdown = None then breakdown := Some "non-finite iterate"
     end;
     (* true residual for the report *)
-    Sparse.mul m x ap;
+    Stencil.mul m x ap;
     let res = ref 0.0 in
     for i = 0 to n - 1 do
       let d = b.(i) -. ap.(i) in
@@ -375,7 +375,7 @@ type escalation = {
    Each rung starts from a fresh x0: a warm start that led the first
    attempt into breakdown must not steer the retries too. *)
 let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond () =
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   let base_iter = match max_iter with Some k -> k | None -> 4 * n in
   let first = solve m ~b ~tol ~max_iter:base_iter ?x0 ?precond () in
   if first.converged then

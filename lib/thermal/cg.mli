@@ -74,12 +74,12 @@ val histories_json : unit -> Obs.Json.t
     [{"label","warm_start","iterations","converged","breakdown",
       "residual_stride","residuals"}]. *)
 
-val solve : Sparse.t -> b:float array -> ?tol:float -> ?max_iter:int ->
+val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
   ?x0:float array -> ?precond:precond -> ?label:string -> unit -> outcome
 (** Defaults: [tol] {!default_tol}, [max_iter] 4 * dim, [x0] zero,
     [precond] {!Jacobi}. Raises [Invalid_argument] on dimension mismatch,
     a non-positive diagonal entry (the preconditioners need positivity,
-    and a thermal conductance matrix always satisfies it), or an SSOR
+    and a thermal conductance operator always satisfies it), or an SSOR
     omega outside (0, 2).
 
     Telemetry: every solve records [thermal.cg.iterations] and
@@ -116,7 +116,7 @@ type escalation = {
       the first attempt converged *)
 }
 
-val solve_escalating : Sparse.t -> b:float array -> ?tol:float ->
+val solve_escalating : Stencil.t -> b:float array -> ?tol:float ->
   ?max_iter:int -> ?x0:float array -> ?precond:precond -> unit -> escalation
 (** {!solve} wrapped in a breakdown-recovery ladder. A failed first
     attempt (breakdown or max-iter exit) is retried cold through

@@ -6,19 +6,19 @@ type t = {
 let dim t = t.n
 
 (* Standard Cholesky: A = L L^T, in-place on a dense copy. *)
-let of_sparse m =
+let of_stencil m =
   Obs.Trace.with_span "thermal.dense.factorize" @@ fun () ->
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   let a = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
-    Sparse.iter_row m i ~f:(fun j v -> a.((i * n) + j) <- v)
+    Stencil.iter_row m i ~f:(fun j v -> a.((i * n) + j) <- v)
   done;
   for k = 0 to n - 1 do
     let akk = ref a.((k * n) + k) in
     for p = 0 to k - 1 do
       akk := !akk -. (a.((k * n) + p) *. a.((k * n) + p))
     done;
-    if !akk <= 0.0 then failwith "Dense.of_sparse: not positive definite";
+    if !akk <= 0.0 then failwith "Dense.of_stencil: not positive definite";
     let lkk = sqrt !akk in
     a.((k * n) + k) <- lkk;
     for i = k + 1 to n - 1 do

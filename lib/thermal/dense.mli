@@ -7,8 +7,8 @@
 type t
 (** A factored SPD matrix. *)
 
-val of_sparse : Sparse.t -> t
-(** Densify and factor. Raises [Failure] if the matrix is not positive
+val of_stencil : Stencil.t -> t
+(** Densify and factor. Raises [Failure] if the operator is not positive
     definite. Meant for dimensions up to a few thousand. *)
 
 val solve_into : t -> float array -> float array -> unit

@@ -1,4 +1,4 @@
-(** Assembly and solution of the 3-D thermal RC network.
+(** The 3-D thermal RC network and its solution.
 
     The die footprint is tiled [nx] x [ny] per layer (the paper's grid is
     40 x 40 x 9 = 14400 cells); each thermal cell couples to its six
@@ -18,56 +18,41 @@ val default_config : config
 
 type problem
 
-val build : ?cache:bool -> config -> power:Geo.Grid.t -> problem
+val build : config -> power:Geo.Grid.t -> problem
 (** [power] is a W-per-tile grid whose extent is the die footprint and
-    whose dimensions must equal [nx] x [ny].
+    whose dimensions must equal [nx] x [ny]. The operator depends only on
+    the config and the grid extent — power enters through the right-hand
+    side alone — and building it is O(layers): {!operator}'s per-layer
+    couplings and diagonal table. Traced as [thermal.mesh.build].
 
-    The conductance matrix depends only on the config and the grid extent
-    — power enters through the right-hand side alone — so assembled
-    matrices are kept in an 8-entry MRU cache keyed by (config, extent)
-    and shared between problems (the rhs is always rebuilt). [~cache:false]
-    bypasses the cache and assembles fresh. Lookups bump the
-    [thermal.mesh.cache.hits] / [thermal.mesh.cache.misses] counters in
-    {!Obs.Metrics}; an insert into a full cache drops the
-    least-recently-used entry and bumps [thermal.mesh.cache.evictions].
+    Fault hook: an armed {!Robust.Faults.Perturb_matrix} poisons this
+    build's operator — layer 0's lateral couplings become NaN, the
+    diagonal is left alone — so the solve fails through CG's breakdown
+    guards and [Checks.mesh_matrix] reports it. Derived operators
+    ({!operator}) never consume it. *)
 
-    Cache hits are validated defensively: an entry whose matrix dimension
-    disagrees with the requested mesh is evicted and reassembled (counted
-    in [thermal.mesh.cache.stale], with a warning) instead of being
-    handed to CG. Fault hooks: {!Robust.Faults.Stale_mesh_cache}
-    substitutes a wrong-sized entry on the next hit to exercise that
-    check; {!Robust.Faults.Perturb_matrix} injects an asymmetric spike
-    into the next assembly — while it is armed the cache is bypassed
-    entirely so the poisoned matrix is never published. *)
+val operator : config -> extent:Geo.Rect.t -> Stencil.t
+(** The fault-free conductance operator of a config on a die extent. For
+    derived operators — [Transient]'s backward-Euler shift and the
+    coarse multigrid levels — that rediscretize the same stack without
+    consuming faults aimed at the primary solve path. *)
 
-val cache_clear : unit -> unit
-(** Drop every cached matrix (and the cold-iteration baselines, multigrid
-    hierarchies and blur kernels that ride with them). Mainly for tests
-    and benchmarks. *)
-
-val matrix : problem -> Sparse.t
+val stencil : problem -> Stencil.t
 val rhs : problem -> float array
 val config : problem -> config
 val extent : problem -> Geo.Rect.t
 
 val with_rhs : problem -> float array -> problem
-(** The same problem (cached matrix, shared multigrid hierarchy and blur
-    kernel) with a custom right-hand side — how the adjoint solve injects
+(** The same problem (operator, multigrid hierarchy and blur transfer
+    shared) with a custom right-hand side — how the adjoint solve injects
     the objective gradient as a source term into the same SPD operator.
     Raises [Invalid_argument] on a dimension mismatch. *)
 
-val assemble_raw : config -> extent:Geo.Rect.t -> Sparse.t
-(** Fault-free, cache-free assembly of the conductance matrix alone. For
-    derived operators ([Transient]'s backward-Euler shifted matrix and
-    its coarse multigrid levels) that must rediscretize the same stack
-    without consuming injected faults aimed at the primary solve path. *)
-
 val multigrid : problem -> Multigrid.t
-(** The geometric multigrid hierarchy for this problem's matrix, built on
-    first use (coarse levels are fault-free rediscretizations of the same
-    stack and extent at halved lateral resolution) and cached on the
-    problem's cache entry, so repeated builds of the same (config, extent)
-    mesh — an optimizer run, a sweep — construct it exactly once. *)
+(** The geometric multigrid hierarchy for this problem's operator, built
+    on first use and kept on the problem (and its {!with_rhs} copies).
+    Coarse levels are fault-free {!operator}s of the same stack and
+    extent at halved lateral resolution. *)
 
 type precond_choice = Pc_jacobi | Pc_ssor of float | Pc_mg
 (** A preconditioner selection that is plain data — CLI flags and
@@ -98,9 +83,7 @@ val solve_result : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
 (** Defaults: [tol] {!Cg.default_tol}, [max_iter] / [precond] / [x0] as in
     {!Cg.solve}. Passing [x0] warm-starts CG from a previous temperature
     field (the optimizer seeds candidate solves with the incumbent
-    solution); when the same cached matrix has also been solved cold, the
-    iteration savings are recorded in the
-    [thermal.mesh.warm.saved_iterations] histogram.
+    solution).
 
     The solve runs through {!Cg.solve_escalating}: a first-attempt
     failure is retried down the Jacobi / SSOR / restart ladder, a
@@ -112,7 +95,7 @@ val solve : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
   ?x0:float array -> problem -> solution
 (** {!solve_result}, raising [Robust.Error.Error (Solver_diverged _)]
     instead of returning [Error]. Never observed on a valid stack; guards
-    against assembly bugs and injected faults. *)
+    against operator bugs and injected faults. *)
 
 val node_index : config -> ix:int -> iy:int -> iz:int -> int
 
@@ -133,11 +116,10 @@ val blur : problem -> Blur.t
     modal transfer of the stack on the die's DCT-II basis (see {!Blur}).
     For each lateral mode it is the power-layer diagonal entry of the
     inverse of one nz x nz tridiagonal system, computed in closed form
-    from the same per-layer conductances the matrix is assembled from —
-    no solve runs and no preconditioner is involved. Exact for the
-    adiabatic die; under non-zero side-wall conductance it is the
-    adiabatic die's transfer and so an estimate. Cached on the problem's
-    MRU entry next to the multigrid hierarchy, so an optimizer run
-    computes it once per (config, extent) and every pool worker shares
-    it. Traced as [thermal.blur.characterize]. Raises [Invalid_argument]
-    unless {!blur_defined}. *)
+    from the same per-layer conductances the stencil is built from — no
+    solve runs and no preconditioner is involved. Exact for the adiabatic
+    die; under non-zero side-wall conductance it is the adiabatic die's
+    transfer and so an estimate. Computed on first use, O(nx ny nz), and
+    kept on the problem next to the multigrid hierarchy. Traced as
+    [thermal.blur.characterize]. Raises [Invalid_argument] unless
+    {!blur_defined}. *)

@@ -1,8 +1,8 @@
 (* Geometric multigrid on the layered mesh: the x-y surface grid is
    coarsened (rounding up, so 5 -> 3), the z stack never is. Coarse
-   operators are geometric rediscretizations supplied by the caller, which
-   keeps construction O(n) and sidesteps the Galerkin triple-product
-   memory blowup at 160x160x9. *)
+   operators are geometric rediscretizations supplied by the caller, so
+   a level costs O(layers) to set up and the Galerkin triple product is
+   never formed. *)
 
 (* Cell-centered bilinear transfer in one dimension: fine cell i has a
    main coarse parent (weight 3/4) and a neighbour parent (weight 1/4) on
@@ -24,22 +24,15 @@ type transfer = {
   cny : int;
 }
 
-(* A smoothed level keeps the 7-point stencil as per-node lower couplings
-   (the upper ones are the neighbour's lower coupling, by symmetry) and
-   the Thomas factorization of each z column; its CSR is not kept. The
-   factorization's modified super-diagonal czm.(i + nx * ny) * inv_piv.(i)
-   is recomputed where it is used, from values the column solve has just
-   read, rather than stored. Node i is x-fastest, then y, then z, so a
-   column is strided by nx * ny. *)
+(* A smoothed level is its stencil plus the Thomas factorization of its z
+   columns. A column's pivots depend only on its x and y boundary classes,
+   so they are stored as inverse pivots per (class, layer), indexed like
+   the stencil's diagonal; the modified super-diagonal -gz.(iz) times the
+   inverse pivot is recomputed where it is used. Node i is x-fastest, then
+   y, then z, so a column is strided by nx * ny. *)
 type level = {
-  nx : int;
-  ny : int;
-  n : int;
-  diag : float array;
-  cxm : float array;      (* coupling to the x- neighbour, 0 at ix = 0 *)
-  cym : float array;      (* ... to the y- neighbour, 0 at iy = 0 *)
-  czm : float array;      (* ... to the z- neighbour, 0 at iz = 0 *)
-  inv_piv : float array;  (* 1 / Thomas pivot of the node's column *)
+  op : Stencil.t;
+  inv_piv : float array;  (* 1 / Thomas pivot, by Stencil.class_index *)
   down : transfer;        (* to the next-coarser level *)
   residual_metric : string;
 }
@@ -80,51 +73,54 @@ let axis_of ~fine ~coarse =
   done;
   { p0; w0; p1; w1 }
 
-let check_dim ~index a ~nx ~ny ~nz =
-  if Sparse.dim a <> nx * ny * nz then
+let check_dims ~index (op : Stencil.t) ~nx ~ny ~nz =
+  if op.Stencil.nx <> nx || op.Stencil.ny <> ny || op.Stencil.nz <> nz then
     invalid_arg
       (Printf.sprintf
-         "Multigrid.build: level %d matrix dim %d does not match %dx%dx%d"
-         index (Sparse.dim a) nx ny nz)
+         "Multigrid.build: level %d operator is %dx%dx%d, not %dx%dx%d"
+         index op.Stencil.nx op.Stencil.ny op.Stencil.nz nx ny nz)
 
-(* Extract the lower stencil from [a] and factor every z column
-   T = tridiag(czm, diag, czm+) with the Thomas algorithm. A pivot needs
-   only the one below it in its column, so rows are factored in memory
-   order, right after they are read. *)
-let level_of ~index ~a ~nx ~ny ~nz ~down =
-  check_dim ~index a ~nx ~ny ~nz;
-  let nxy = nx * ny in
-  let n = nxy * nz in
-  let diag = Array.make n 0.0 in
-  let cxm = Array.make n 0.0 and cym = Array.make n 0.0 in
-  let czm = Array.make n 0.0 and inv_piv = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let x_lo = if i mod nx > 0 then i - 1 else -1 in
-    let y_lo = if i / nx mod ny > 0 then i - nx else -1 in
-    Sparse.iter_row a i ~f:(fun j v ->
-        if j = i then diag.(i) <- v
-        else if j = x_lo then cxm.(i) <- v
-        else if j = y_lo then cym.(i) <- v
-        else if j = i - nxy then czm.(i) <- v);
-    let piv =
-      if i < nxy then diag.(i)
-      else diag.(i) -. (czm.(i) *. (czm.(i) *. inv_piv.(i - nxy)))
-    in
-    if not (piv > 0.0) then
-      invalid_arg
-        (Printf.sprintf
-           "Multigrid.build: non-positive column pivot %g at node %d of \
-            level %d"
-           piv i index);
-    inv_piv.(i) <- 1.0 /. piv
+(* Factor every z column T = tridiag(-gz, diag, -gz) with the Thomas
+   algorithm, one column per (x-class, y-class). Layers go bottom-up and
+   classes in the order of their first node, so a failure names the
+   first node whose pivot is not positive. *)
+let level_of ~index ~(op : Stencil.t) ~down =
+  let nx = op.Stencil.nx and ny = op.Stencil.ny in
+  let inv_piv = Array.make (Array.length op.Stencil.diag) 0.0 in
+  for iz = 0 to op.Stencil.nz - 1 do
+    List.iter
+      (fun yc ->
+         List.iter
+           (fun xc ->
+              let c = Stencil.class_index ~xc ~yc ~iz in
+              let d = op.Stencil.diag.(c) in
+              let piv =
+                if iz = 0 then d
+                else begin
+                  let g = op.Stencil.gz.(iz - 1) in
+                  let below = Stencil.class_index ~xc ~yc ~iz:(iz - 1) in
+                  d -. (g *. (g *. inv_piv.(below)))
+                end
+              in
+              if not (piv > 0.0) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Multigrid.build: non-positive column pivot %g at node \
+                      %d of level %d"
+                     piv
+                     ((((iz * ny) + Stencil.first_cell ny yc) * nx)
+                      + Stencil.first_cell nx xc)
+                     index);
+              inv_piv.(c) <- 1.0 /. piv)
+           (Stencil.classes nx))
+      (Stencil.classes ny)
   done;
-  { nx; ny; n; diag; cxm; cym; czm; inv_piv; down;
+  { op; inv_piv; down;
     residual_metric = Printf.sprintf "thermal.mg.level%d.residual" index }
 
-let build ~fine ~nx ~ny ~nz ~assemble () =
+let build ~(fine : Stencil.t) ~coarse () =
   Obs.Trace.with_span "thermal.mg.build" @@ fun () ->
-  if nx <= 0 || ny <= 0 || nz <= 0 then
-    invalid_arg "Multigrid.build: grid dimensions must be positive";
+  let nx = fine.Stencil.nx and ny = fine.Stencil.ny and nz = fine.Stencil.nz in
   (* Finest-first lateral dimensions: halve (rounding up) until either
      axis reaches the direct-solve scale. *)
   let dims =
@@ -144,9 +140,14 @@ let build ~fine ~nx ~ny ~nz ~assemble () =
          "Multigrid.build: coarsest level has %d nodes (> %d); grid too \
           anisotropic to coarsen"
          (bnx * bny * nz) coarsest_max_dim);
-  let matrix l =
-    let lnx, lny = dims.(l) in
-    if l = 0 then fine else assemble ~nx:lnx ~ny:lny
+  let op l =
+    if l = 0 then fine
+    else begin
+      let lnx, lny = dims.(l) in
+      let op = coarse ~nx:lnx ~ny:lny in
+      check_dims ~index:l op ~nx:lnx ~ny:lny ~nz;
+      op
+    end
   in
   let levels =
     Array.init (num - 1) (fun l ->
@@ -156,16 +157,17 @@ let build ~fine ~nx ~ny ~nz ~assemble () =
           { ax_x = axis_of ~fine:lnx ~coarse:cnx;
             ax_y = axis_of ~fine:lny ~coarse:cny; cnx; cny }
         in
-        level_of ~index:l ~a:(matrix l) ~nx:lnx ~ny:lny ~nz ~down)
+        level_of ~index:l ~op:(op l) ~down)
   in
-  let bottom = matrix (num - 1) in
-  check_dim ~index:(num - 1) bottom ~nx:bnx ~ny:bny ~nz;
-  let coarse = Dense.of_sparse bottom in
+  let coarse = Dense.of_stencil (op (num - 1)) in
   Obs.Metrics.gauge "thermal.mg.levels" (float_of_int num);
   { levels; coarse }
 
+let level_dim lv = Stencil.dim lv.op
+
 let fine_dim t =
-  if Array.length t.levels = 0 then Dense.dim t.coarse else t.levels.(0).n
+  if Array.length t.levels = 0 then Dense.dim t.coarse
+  else level_dim t.levels.(0)
 
 let num_levels t = Array.length t.levels + 1
 
@@ -175,18 +177,29 @@ let workspace t =
       vz = Array.make n 0.0; vs = Array.make n 0.0 }
   in
   Array.append
-    (Array.map (fun lv -> vectors lv.n) t.levels)
+    (Array.map (fun lv -> vectors (level_dim lv)) t.levels)
     [| vectors (Dense.dim t.coarse) |]
 
-(* Back substitution of column c's Thomas solve: on entry dst holds the
-   forward-eliminated column, on exit the column's solution. *)
-let back_substitute lv dst c =
-  let nxy = lv.nx * lv.ny in
-  let i = ref (lv.n - nxy + c - nxy) in
-  while !i >= c do
-    let up = !i + nxy in
-    dst.(!i) <- dst.(!i) -. (lv.czm.(up) *. lv.inv_piv.(!i) *. dst.(up));
-    i := !i - nxy
+(* Stencil.boundary_class, repeated so that the per-column and per-node
+   loops below make no call into another module. *)
+let boundary_class n i = (if i > 0 then 1 else 0) + if i < n - 1 then 2 else 0
+
+(* The distance between one layer's entries and the next in the tables
+   indexed by Stencil.class_index. *)
+let layer_stride = Stencil.class_index ~xc:0 ~yc:0 ~iz:1
+
+(* Back substitution of column c, whose inverse pivots start at [piv]:
+   on entry dst holds the forward-eliminated column, on exit the
+   column's solution. *)
+let back_substitute lv dst c ~piv =
+  let op = lv.op in
+  let nxy = op.Stencil.nx * op.Stencil.ny in
+  let gz = op.Stencil.gz and inv_piv = lv.inv_piv in
+  for iz = op.Stencil.nz - 2 downto 0 do
+    let i = c + (iz * nxy) in
+    dst.(i) <-
+      dst.(i)
+      +. (gz.(iz) *. inv_piv.(piv + (iz * layer_stride)) *. dst.(i + nxy))
   done
 
 (* dst <- M^-1 src for one symmetric z-line Gauss-Seidel sweep, the block
@@ -195,68 +208,76 @@ let back_substitute lv dst c =
    T u_c = src_c - L u; that right-hand side equals T u_c and is kept in
    [scratch]. Backward: columns in exact reverse order solve
    T dst_c = scratch_c - U dst. Each column's forward elimination is fused
-   into the pass that forms its right-hand side. *)
+   into the pass that forms its right-hand side. Every coupling enters
+   as [+. g *. v], the matrix entry being [-g]. *)
 let smooth lv ~src ~dst ~scratch =
-  let nx = lv.nx and ny = lv.ny and n = lv.n in
+  let op = lv.op in
+  let nx = op.Stencil.nx and ny = op.Stencil.ny and nz = op.Stencil.nz in
   let nxy = nx * ny in
-  let cxm = lv.cxm and cym = lv.cym in
-  let czm = lv.czm and inv_piv = lv.inv_piv in
+  let gx = op.Stencil.gx and gy = op.Stencil.gy and gz = op.Stencil.gz in
+  let inv_piv = lv.inv_piv in
   for iy = 0 to ny - 1 do
+    let row = Stencil.class_index ~xc:0 ~yc:(boundary_class ny iy) ~iz:0 in
     for ix = 0 to nx - 1 do
       let c = (iy * nx) + ix in
+      let piv = row + boundary_class nx ix in
       let prev = ref 0.0 in
-      let i = ref c in
-      while !i < n do
-        let k = !i in
+      for iz = 0 to nz - 1 do
+        let k = c + (iz * nxy) in
         let g = ref src.(k) in
-        if ix > 0 then g := !g -. (cxm.(k) *. dst.(k - 1));
-        if iy > 0 then g := !g -. (cym.(k) *. dst.(k - nx));
+        if ix > 0 then g := !g +. (gx.(iz) *. dst.(k - 1));
+        if iy > 0 then g := !g +. (gy.(iz) *. dst.(k - nx));
         scratch.(k) <- !g;
-        let y = (!g -. (czm.(k) *. !prev)) *. inv_piv.(k) in
+        if iz > 0 then g := !g +. (gz.(iz - 1) *. !prev);
+        let y = !g *. inv_piv.(piv + (iz * layer_stride)) in
         dst.(k) <- y;
-        prev := y;
-        i := k + nxy
+        prev := y
       done;
-      back_substitute lv dst c
+      back_substitute lv dst c ~piv
     done
   done;
   for iy = ny - 1 downto 0 do
+    let row = Stencil.class_index ~xc:0 ~yc:(boundary_class ny iy) ~iz:0 in
     for ix = nx - 1 downto 0 do
       let c = (iy * nx) + ix in
+      let piv = row + boundary_class nx ix in
       let prev = ref 0.0 in
-      let i = ref c in
-      while !i < n do
-        let k = !i in
+      for iz = 0 to nz - 1 do
+        let k = c + (iz * nxy) in
         let g = ref scratch.(k) in
-        if ix < nx - 1 then g := !g -. (cxm.(k + 1) *. dst.(k + 1));
-        if iy < ny - 1 then g := !g -. (cym.(k + nx) *. dst.(k + nx));
-        let y = (!g -. (czm.(k) *. !prev)) *. inv_piv.(k) in
+        if ix < nx - 1 then g := !g +. (gx.(iz) *. dst.(k + 1));
+        if iy < ny - 1 then g := !g +. (gy.(iz) *. dst.(k + nx));
+        if iz > 0 then g := !g +. (gz.(iz - 1) *. !prev);
+        let y = !g *. inv_piv.(piv + (iz * layer_stride)) in
         dst.(k) <- y;
-        prev := y;
-        i := k + nxy
+        prev := y
       done;
-      back_substitute lv dst c
+      back_substitute lv dst c ~piv
     done
   done
 
-(* vr <- vb - A vx, the upper couplings read from the neighbour's lower
-   ones. *)
+(* vr <- vb - A vx *)
 let level_residual lv v =
-  let nx = lv.nx and ny = lv.ny and n = lv.n in
+  let op = lv.op in
+  let nx = op.Stencil.nx and ny = op.Stencil.ny and nz = op.Stencil.nz in
   let nxy = nx * ny in
-  let diag = lv.diag and cxm = lv.cxm and cym = lv.cym and czm = lv.czm in
   let x = v.vx in
-  for iz = 0 to (n / nxy) - 1 do
+  for iz = 0 to nz - 1 do
+    let gx = op.Stencil.gx.(iz) and gy = op.Stencil.gy.(iz) in
+    let g_below = if iz > 0 then op.Stencil.gz.(iz - 1) else 0.0 in
+    let g_above = if iz < nz - 1 then op.Stencil.gz.(iz) else 0.0 in
     for iy = 0 to ny - 1 do
+      let row = Stencil.class_index ~xc:0 ~yc:(boundary_class ny iy) ~iz in
       for ix = 0 to nx - 1 do
         let i = (iz * nxy) + (iy * nx) + ix in
-        let acc = ref (diag.(i) *. x.(i)) in
-        if ix > 0 then acc := !acc +. (cxm.(i) *. x.(i - 1));
-        if ix < nx - 1 then acc := !acc +. (cxm.(i + 1) *. x.(i + 1));
-        if iy > 0 then acc := !acc +. (cym.(i) *. x.(i - nx));
-        if iy < ny - 1 then acc := !acc +. (cym.(i + nx) *. x.(i + nx));
-        if iz > 0 then acc := !acc +. (czm.(i) *. x.(i - nxy));
-        if i + nxy < n then acc := !acc +. (czm.(i + nxy) *. x.(i + nxy));
+        let d = op.Stencil.diag.(row + boundary_class nx ix) in
+        let acc = ref (d *. x.(i)) in
+        if ix > 0 then acc := !acc -. (gx *. x.(i - 1));
+        if ix < nx - 1 then acc := !acc -. (gx *. x.(i + 1));
+        if iy > 0 then acc := !acc -. (gy *. x.(i - nx));
+        if iy < ny - 1 then acc := !acc -. (gy *. x.(i + nx));
+        if iz > 0 then acc := !acc -. (g_below *. x.(i - nxy));
+        if iz < nz - 1 then acc := !acc -. (g_above *. x.(i + nxy));
         v.vr.(i) <- v.vb.(i) -. !acc
       done
     done
@@ -276,9 +297,9 @@ let restrict lv fine_v coarse_v =
   let { p0 = yp0; w0 = yw0; p1 = yp1; w1 = yw1 } = tr.ax_y in
   let cb = coarse_v.vb in
   Array.fill cb 0 (Array.length cb) 0.0;
-  let fnx = lv.nx and fny = lv.ny in
+  let fnx = lv.op.Stencil.nx and fny = lv.op.Stencil.ny in
   let cnx = tr.cnx in
-  let layers = lv.n / (fnx * fny) in
+  let layers = lv.op.Stencil.nz in
   for iz = 0 to layers - 1 do
     let fbase = iz * fny * fnx in
     let cbase = iz * tr.cny * cnx in
@@ -304,9 +325,9 @@ let prolong_add lv fine_v coarse_v =
   let { p0 = xp0; w0 = xw0; p1 = xp1; w1 = xw1 } = tr.ax_x in
   let { p0 = yp0; w0 = yw0; p1 = yp1; w1 = yw1 } = tr.ax_y in
   let cx = coarse_v.vx in
-  let fnx = lv.nx and fny = lv.ny in
+  let fnx = lv.op.Stencil.nx and fny = lv.op.Stencil.ny in
   let cnx = tr.cnx in
-  let layers = lv.n / (fnx * fny) in
+  let layers = lv.op.Stencil.nz in
   for iz = 0 to layers - 1 do
     let fbase = iz * fny * fnx in
     let cbase = iz * tr.cny * cnx in
@@ -346,7 +367,7 @@ let rec cycle t ws l =
        symmetric): vx <- vx + M^-1 (vb - A vx). *)
     level_residual lv v;
     smooth lv ~src:v.vr ~dst:v.vz ~scratch:v.vs;
-    for i = 0 to lv.n - 1 do
+    for i = 0 to level_dim lv - 1 do
       v.vx.(i) <- v.vx.(i) +. v.vz.(i)
     done
   end

@@ -8,8 +8,8 @@
     z direction is never coarsened — with a dense Cholesky solve on the
     coarsest level. Coarse operators are geometric rediscretizations of
     the same stack at halved lateral resolution (supplied by the caller
-    through [assemble]), not Galerkin products, which keeps hierarchy
-    construction O(n).
+    through [coarse]), not Galerkin products, so a level costs O(layers)
+    to set up.
 
     The smoother is z-line symmetric Gauss-Seidel, one sweep before and
     one after the coarse correction on every other level. Layers are a few
@@ -19,13 +19,13 @@
     tridiagonal block is solved exactly instead. The sweep visits the
     columns in (iy, ix) order and then in exact reverse order.
 
-    Each smoothed level stores only what the cycle reads: the diagonal,
-    the x-, y- and z- couplings of every node (the upper couplings follow
-    by symmetry, so the matrix's upper triangle is never read), and each
-    column's Thomas factorization as its inverse pivots (the modified
-    super-diagonal, the z+ coupling times the inverse pivot, is
-    recomputed where it is used). No level keeps its CSR matrix; the
-    coarsest keeps only its Cholesky factor.
+    Each smoothed level is its {!Stencil.t} plus the Thomas factorization
+    of its z columns as inverse pivots. A column's pivots depend only on
+    its x and y boundary classes, so they are stored per (class, layer)
+    like the stencil's diagonal (the modified super-diagonal, the z+
+    coupling times the inverse pivot, is recomputed where it is used). No
+    level keeps per-node coefficients; the coarsest keeps only its
+    Cholesky factor.
 
     One V-cycle with symmetric smoothing and restriction proportional to
     the prolongation transpose is a fixed symmetric positive-definite
@@ -39,25 +39,22 @@ type t
 (** An immutable multigrid hierarchy. *)
 
 val build :
-  fine:Sparse.t ->
-  nx:int -> ny:int -> nz:int ->
-  assemble:(nx:int -> ny:int -> Sparse.t) ->
-  unit -> t
-(** [build ~fine ~nx ~ny ~nz ~assemble ()] constructs the hierarchy for
-    the SPD matrix [fine] of dimension [nx * ny * nz] (x-major per layer,
-    as in [Mesh.node_index]). Lateral dimensions are halved (rounding up)
-    until either drops to 4 or below; each coarser operator is
-    [assemble ~nx ~ny] and the coarsest is factored with dense Cholesky.
-    A 40 x 40 surface grid yields levels 40, 20, 10, 5, 3.
+  fine:Stencil.t -> coarse:(nx:int -> ny:int -> Stencil.t) -> unit -> t
+(** [build ~fine ~coarse ()] constructs the hierarchy for the SPD
+    operator [fine]. Lateral dimensions are halved (rounding up) until
+    either drops to 4 or below; each coarser operator is [coarse ~nx ~ny]
+    and the coarsest is factored with dense Cholesky. A 40 x 40 surface
+    grid yields levels 40, 20, 10, 5, 3.
 
-    Raises [Invalid_argument] on a dimension mismatch, a non-positive
-    (or NaN) column pivot on a smoothed level — the message names the
-    level and the node, and a non-positive diagonal entry shows up this
-    way too — or a degenerate hierarchy whose coarsest level is still too
-    large to densify (> 4096 nodes); [Failure] if the coarsest level is
-    not positive definite (from the Cholesky factorization). Because
-    every pivot is checked here, {!apply} never divides by a zero or
-    negative pivot, so an indefinite column fails loudly at build time
+    Raises [Invalid_argument] when a coarse operator has the wrong
+    dimensions, on a non-positive (or NaN) column pivot on a smoothed
+    level — the message names the level and the first node of the
+    failing column class, and a non-positive diagonal entry shows up
+    this way too — or a degenerate hierarchy whose coarsest level is
+    still too large to densify (> 4096 nodes); [Failure] if the coarsest
+    level is not positive definite (from the Cholesky factorization).
+    Because every pivot is checked here, {!apply} never divides by a zero
+    or negative pivot, so an indefinite column fails loudly at build time
     instead of turning into NaN.
 
     Records the level count in the [thermal.mg.levels] gauge. *)

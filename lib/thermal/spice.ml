@@ -1,4 +1,4 @@
-(* The conductance matrix stores, per row i: the diagonal (the sum of every
+(* The conductance stencil holds, per row i: the diagonal (the sum of every
    conductance touching node i) and one negative offdiagonal -g_ij per
    neighbour. The grounded (boundary-to-ambient) conductance of node i is
    therefore diag(i) + sum of its (negative) offdiagonals. Expressing
@@ -9,16 +9,16 @@
 let to_string ?(title = "thermoplace thermal network (steady state)")
     problem =
   Obs.Trace.with_span "thermal.spice.export" @@ fun () ->
-  let m = Mesh.matrix problem in
+  let m = Mesh.stencil problem in
   let rhs = Mesh.rhs problem in
-  let n = Sparse.dim m in
+  let n = Stencil.dim m in
   let buf = Buffer.create (n * 64) in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "* %s\n" title;
   pr "* nodes: %d; V = temperature rise [K], I = power [W], R = [K/W]\n" n;
   for i = 0 to n - 1 do
     let ground = ref 0.0 in
-    Sparse.iter_row m i ~f:(fun j v ->
+    Stencil.iter_row m i ~f:(fun j v ->
         ground := !ground +. v;
         (* emit each coupling once, from the lower-numbered node *)
         if j > i && v < 0.0 then

@@ -12,38 +12,27 @@ type response = {
   cg_iterations : int;
 }
 
-let node_capacitances cfg ~extent material =
+(* Heat capacity of one tile of each layer. *)
+let layer_capacitances cfg ~extent material =
   let stack = cfg.Mesh.stack in
-  let nz = Stack.num_layers stack in
-  let n = cfg.Mesh.nx * cfg.Mesh.ny * nz in
   let dx = Geo.Rect.width extent /. float_of_int cfg.Mesh.nx *. 1e-6 in
   let dy = Geo.Rect.height extent /. float_of_int cfg.Mesh.ny *. 1e-6 in
-  let c = Array.make n 0.0 in
-  for iz = 0 to nz - 1 do
-    let dz = stack.Stack.layers.(iz).Stack.thickness_um *. 1e-6 in
-    let cap = material.volumetric_heat_j_m3k *. dx *. dy *. dz in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        c.(Mesh.node_index cfg ~ix ~iy ~iz) <- cap
-      done
-    done
-  done;
-  c
+  Array.map
+    (fun l ->
+       let dz = l.Stack.thickness_um *. 1e-6 in
+       material.volumetric_heat_j_m3k *. dx *. dy *. dz)
+    stack.Stack.layers
 
-(* The backward-Euler operator G + C/dt for one (config, extent): the
-   fault-free conductance assembly plus the capacitance diagonal. Used
-   for the fine system and, rediscretized at halved lateral resolution,
-   for the coarse multigrid levels. *)
-let shifted_matrix cfg ~extent ~material ~dt_s =
-  let g = Mesh.assemble_raw cfg ~extent in
-  let caps = node_capacitances cfg ~extent material in
-  let n = Sparse.dim g in
-  let b = Sparse.builder ~n in
-  for i = 0 to n - 1 do
-    Sparse.iter_row g i ~f:(fun j v -> Sparse.add b i j v);
-    Sparse.add b i i (caps.(i) /. dt_s)
-  done;
-  (Sparse.of_builder b, caps)
+(* The backward-Euler operator G + C/dt for one (config, extent), as C/dt
+   per layer and the shifted stencil: the fault-free conductance operator
+   with C/dt added to each diagonal entry last. Used for the fine system
+   and, rediscretized at halved lateral resolution, for the coarse
+   multigrid levels. *)
+let shifted_operator cfg ~extent ~material ~dt_s =
+  let c_dt =
+    Array.map (fun c -> c /. dt_s) (layer_capacitances cfg ~extent material)
+  in
+  (Stencil.shift (Mesh.operator cfg ~extent) c_dt, c_dt)
 
 (* Backward Euler: (G + C/dt) T_{k+1} = P + (C/dt) T_k. The shifted matrix
    is SPD whenever G is, so CG applies; consecutive steps warm-start. *)
@@ -55,30 +44,31 @@ let step_response cfg ~power ?(material = default_capacitance)
   let p = Mesh.rhs problem in
   let extent = Geo.Grid.extent power in
   let iterations = ref 0 in
-  (* steady state for normalization — through the full solve path (matrix
-     MRU cache, configured preconditioner, escalation ladder), not a raw
-     unpreconditioned CG on a privately rebuilt matrix *)
+  (* steady state for normalization — through the full solve path
+     (configured preconditioner, escalation ladder), not a raw
+     unpreconditioned CG *)
   let steady =
     Mesh.solve ~precond:(Mesh.precond_of_choice problem precond) problem
   in
   iterations := !iterations + steady.Mesh.cg_iterations;
   let steady_peak_k = Array.fold_left Float.max 0.0 steady.Mesh.temp in
-  (* one shifted matrix assembled for the whole window; its multigrid
-     hierarchy (when requested) is built on the shifted operator itself,
-     with coarse levels rediscretizing G + C/dt at halved resolution *)
-  let shifted, caps = shifted_matrix cfg ~extent ~material ~dt_s in
-  let n = Sparse.dim shifted in
+  (* one shifted operator for the whole window; its multigrid hierarchy
+     (when requested) is built on the shifted operator itself, with coarse
+     levels rediscretizing G + C/dt at halved resolution *)
+  let shifted, c_dt = shifted_operator cfg ~extent ~material ~dt_s in
+  let n = Stencil.dim shifted in
+  let nxy = cfg.Mesh.nx * cfg.Mesh.ny in
   let step_precond =
     match precond with
     | Mesh.Pc_jacobi -> Cg.Jacobi
     | Mesh.Pc_ssor omega -> Cg.Ssor omega
     | Mesh.Pc_mg ->
       let h =
-        Multigrid.build ~fine:shifted ~nx:cfg.Mesh.nx ~ny:cfg.Mesh.ny
-          ~nz:(Stack.num_layers cfg.Mesh.stack)
-          ~assemble:(fun ~nx ~ny ->
-              let coarse = { cfg with Mesh.nx; ny } in
-              fst (shifted_matrix coarse ~extent ~material ~dt_s))
+        Multigrid.build ~fine:shifted
+          ~coarse:(fun ~nx ~ny ->
+              fst
+                (shifted_operator { cfg with Mesh.nx; ny } ~extent ~material
+                   ~dt_s))
           ()
       in
       Cg.Multigrid h
@@ -88,7 +78,7 @@ let step_response cfg ~power ?(material = default_capacitance)
   let peaks = Array.make (steps + 1) 0.0 in
   for k = 1 to steps do
     let rhs =
-      Array.init n (fun i -> p.(i) +. (caps.(i) /. dt_s *. !temp.(i)))
+      Array.init n (fun i -> p.(i) +. (c_dt.(i / nxy) *. !temp.(i)))
     in
     let sol =
       Cg.solve shifted ~b:rhs ~tol:1e-10 ~x0:!temp ~precond:step_precond

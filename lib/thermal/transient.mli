@@ -36,11 +36,11 @@ val step_response :
     [Pc_ssor 1.2].
 
     The steady-state normalization solve goes through {!Mesh.solve} —
-    matrix MRU cache, configured preconditioner (multigrid hierarchy
-    included) and the escalation ladder — instead of a raw
-    unpreconditioned CG on a privately assembled matrix. Each implicit
-    step solves [(G + C/dt) T' = P + (C/dt) T] against one shifted
-    matrix assembled once for the whole window, preconditioned per
+    configured preconditioner (multigrid hierarchy included) and the
+    escalation ladder — instead of a raw unpreconditioned CG. Each
+    implicit step solves [(G + C/dt) T' = P + (C/dt) T] against one
+    shifted operator for the whole window — [G]'s stencil with the
+    per-layer [C/dt] added to its diagonal — preconditioned per
     [?precond]; [Pc_mg] builds a dedicated multigrid hierarchy on the
     shifted operator (coarse levels rediscretize [G + C/dt], not [G]).
     Step solves warm-start from the previous instant and are labelled

@@ -190,6 +190,28 @@ awk -v g="$peak_grad" -v p="$peak_peak" \
   exit 1
 }
 
+echo "== export smoke (thermoplace export)"
+# Every export file must be written, and the SPICE netlist must be whole
+# (ends with .end) with exactly the resistor count the command reports.
+# --ledger none keeps every ledger count below unchanged.
+export_dir=$(mktemp -d /tmp/thermoplace-export.XXXXXX)
+export_out=$(dune exec bin/thermoplace.exe -- \
+  export --test-set small --cycles 200 --outdir "$export_dir" --ledger none)
+for f in design.v cells.lef design.def thermal.sp layout.svg; do
+  test -s "$export_dir/$f" || {
+    echo "export smoke: $f missing" >&2
+    exit 1
+  }
+done
+test "$(tail -n 1 "$export_dir/thermal.sp")" = ".end"
+reported=$(echo "$export_out" | sed -n 's/.*thermal\.sp (\([0-9]*\) resistors).*/\1/p')
+test -n "$reported"
+test "$(grep -c '^R' "$export_dir/thermal.sp")" = "$reported" || {
+  echo "export smoke: thermal.sp R count differs from the reported $reported" >&2
+  exit 1
+}
+rm -rf "$export_dir"
+
 echo "== invariant checks (thermoplace check)"
 dune exec bin/thermoplace.exe -- check --test-set small --cycles 200 >/dev/null
 

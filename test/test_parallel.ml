@@ -154,7 +154,6 @@ let test_set_jobs_validation () =
 (* The multigrid-preconditioned solve is sequential by design; a pool
    of any size around it must leave the whole solve bit-identical. *)
 let test_mg_bit_identical_across_jobs () =
-  Thermal.Mesh.cache_clear ();
   let nx = 40 in
   let extent = Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:200.0 ~h:200.0 in
   let power = Geo.Grid.create ~nx ~ny:nx ~extent in

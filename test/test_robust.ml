@@ -214,7 +214,6 @@ let test_flow_nan_power_surfaced () =
 
 let test_flow_cg_stall_recovered_and_degraded () =
   let flow = Lazy.force small_flow in
-  Thermal.Mesh.cache_clear ();
   let reference =
     match
       Postplace.Flow.evaluate_result flow flow.Postplace.Flow.base_placement
