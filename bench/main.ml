@@ -401,12 +401,10 @@ let hist_sum name =
 
 (* The fft and adjoint suites' head-to-head at the production grid:
    greedy_rows (8 rows in chunks of 4, about 20 candidate rows, 160x160)
-   under flow [fl_a] and under [fl_b], each run twice: "cold" then
-   "warm". No operator, hierarchy or blur transfer outlives its problem,
-   so the two runs do the same work and differ only by process warm-up
-   (FFT plans, heap). Returns both sides' (cold, warm) results and the
-   summary fields they share, the times keyed by the side names [a] and
-   [b]. *)
+   once under flow [fl_a] and once under [fl_b]. No operator, hierarchy or
+   blur transfer outlives its problem, so each run starts cold (the keys
+   keep their "_cold" names). Returns both sides' results and the summary
+   fields they share, the times keyed by the side names [a] and [b]. *)
 let head_to_head (a, fl_a) (b, fl_b) =
   let num_rows =
     fl_a.Postplace.Flow.base_placement.Place.Placement.fp
@@ -415,26 +413,20 @@ let head_to_head (a, fl_a) (b, fl_b) =
   let rows = 8 and chunk = 4 in
   let stride = max 1 (num_rows / 20) in
   let coarse_nx = 160 in
-  let cold_warm f =
-    let run () =
-      Postplace.Optimizer.greedy_rows f ~rows ~chunk ~stride ~coarse_nx ()
-    in
-    let cold = time run in
-    (cold, time run)
+  let run f =
+    time (fun () ->
+        Postplace.Optimizer.greedy_rows f ~rows ~chunk ~stride ~coarse_nx ())
   in
-  let (ra_cold, ta_cold), (ra_warm, ta_warm) = cold_warm fl_a in
-  let (rb_cold, tb_cold), (rb_warm, tb_warm) = cold_warm fl_b in
-  ( (ra_cold, ra_warm),
-    (rb_cold, rb_warm),
+  let ra, ta = run fl_a in
+  let rb, tb = run fl_b in
+  ( ra,
+    rb,
     [ ("rows", j_i rows);
       ("stride", j_i stride);
       ("coarse_nx", j_i coarse_nx);
-      (a ^ "_cold_ms", ms ta_cold);
-      (a ^ "_warm_ms", ms ta_warm);
-      (b ^ "_cold_ms", ms tb_cold);
-      (b ^ "_warm_ms", ms tb_warm);
-      ("speedup_cold", j_f (ta_cold /. tb_cold));
-      ("speedup_warm", j_f (ta_warm /. tb_warm)) ] )
+      (a ^ "_cold_ms", ms ta);
+      (b ^ "_cold_ms", ms tb);
+      ("speedup_cold", j_f (ta /. tb)) ] )
 
 (* --- CG ENGINE -------------------------------------------------------------------- *)
 
@@ -793,7 +785,7 @@ let run_fft fl =
     ex_rank;
   let leaders = 3 in
   (* end-to-end: greedy_rows with fft screening vs the exact tier *)
-  let (ex_cold, ex_warm), (ff_cold, ff_warm), optimizer =
+  let ex, ff, optimizer =
     head_to_head ("exact", fl)
       ("fft", { fl with Postplace.Flow.screen = Postplace.Flow.Screen_fft })
   in
@@ -826,30 +818,24 @@ let run_fft fl =
       ("optimizer",
        j_obj
          (optimizer
-          @ [ ("exact_evaluations",
-               j_i ex_warm.Postplace.Optimizer.evaluations);
-              ("fft_evaluations", j_i ff_warm.Postplace.Optimizer.evaluations);
+          @ [ ("exact_evaluations", j_i ex.Postplace.Optimizer.evaluations);
+              ("fft_evaluations", j_i ff.Postplace.Optimizer.evaluations);
               ("fft_blur_evaluations",
-               j_i ff_warm.Postplace.Optimizer.blur_evaluations);
-              ("exact_peak_k",
-               j_f ex_warm.Postplace.Optimizer.predicted_peak_k);
-              ("fft_peak_k", j_f ff_warm.Postplace.Optimizer.predicted_peak_k);
-              ("plans_agree",
-               j_b
-                 (plan_of ff_cold = plan_of ex_cold
-                  && plan_of ff_warm = plan_of ex_warm));
+               j_i ff.Postplace.Optimizer.blur_evaluations);
+              ("exact_peak_k", j_f ex.Postplace.Optimizer.predicted_peak_k);
+              ("fft_peak_k", j_f ff.Postplace.Optimizer.predicted_peak_k);
+              ("plans_agree", j_b (plan_of ff = plan_of ex));
               ("peaks_identical",
                j_b
-                 (ff_warm.Postplace.Optimizer.predicted_peak_k
-                  = ex_warm.Postplace.Optimizer.predicted_peak_k)) ]));
+                 (ff.Postplace.Optimizer.predicted_peak_k
+                  = ex.Postplace.Optimizer.predicted_peak_k)) ]));
       ("telemetry",
        j_obj
          [ ("fft_radix2", counter "thermal.fft.radix2");
            ("fft_mixed_radix", counter "thermal.fft.mixed_radix");
            ("fft_bluestein", counter "thermal.fft.bluestein");
            ("blur_kernels", counter "thermal.blur.kernels");
-           ("blur_evals", counter "thermal.blur.evals");
-           ("cache_evictions", counter "thermal.mesh.cache.evictions") ]) ]
+           ("blur_evals", counter "thermal.blur.evals") ]) ]
 
 (* --- ADJOINT SENSITIVITY ------------------------------------------------------------ *)
 
@@ -896,7 +882,7 @@ let run_adjoint fl =
   in
   (* head-to-head at the production grid: exact greedy (peak guide, exact
      screen) vs the gradient guide *)
-  let (_, gr), (_, ad), optimizer =
+  let gr, ad, optimizer =
     head_to_head ("greedy", fl)
       ("gradient",
        { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient })
@@ -936,8 +922,7 @@ let run_adjoint fl =
        j_obj
          [ ("adjoint_solves", counter "thermal.adjoint.solves");
            ("adjoint_iterations", hist_sum "thermal.adjoint.iterations");
-           ("optimizer_adjoint_solves", counter "optimizer.adjoint_solves");
-           ("cache_evictions", counter "thermal.mesh.cache.evictions") ]) ]
+           ("optimizer_adjoint_solves", counter "optimizer.adjoint_solves") ]) ]
 
 (* --- serve: batch server throughput and fault isolation ----------------- *)
 

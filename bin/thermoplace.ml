@@ -1058,8 +1058,8 @@ let check_cmd =
 let optimize_cmd =
   let doc =
     "Allocate an empty-row budget with the greedy row-budget optimizer \
-     (true thermal solves per candidate, evaluated in parallel on the \
-     domain pool)."
+     (candidates priced from row profiles by thermal solves, fft screening \
+     or the gradient guide, in parallel on the domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(const run_optimize $ common_t $ jobs_arg $ screen_arg $ guide_arg

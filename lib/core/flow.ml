@@ -110,11 +110,11 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
   Robust.Cancel.check ();
   let tech = Celllib.Tech.default_65nm in
   let nl = bench.Netgen.Benchmark.netlist in
-  let rng = Geo.Rng.create seed in
   let activity =
     Obs.Trace.with_span "flow.activity" @@ fun () ->
     let sim = Logicsim.Sim.create nl in
-    Logicsim.Activity.measure sim workload (Geo.Rng.split rng)
+    Logicsim.Activity.measure sim workload
+      (Geo.Rng.split (Geo.Rng.create seed))
       ~warmup:warmup_cycles ~cycles:sim_cycles
   in
   Robust.Cancel.check ();
@@ -131,7 +131,6 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
   let cells_of tag = unit_cell_ids nl tag in
   let positions =
     Place.Global.place nl tech ~regions ~cells_of_region:cells_of
-      (Geo.Rng.split rng)
   in
   let base_placement =
     Place.Legalize.run nl fp ~regions ~cells_of_region:cells_of ~positions
@@ -268,7 +267,6 @@ let apply_default t ~utilization =
   Technique.uniform_slack nl t.tech ~unit_areas:t.unit_areas
     ~cells_of_region:(cells_of_region t) ~positions:t.positions
     ~from_core:t.base_placement.P.fp.Place.Floorplan.core ~utilization
-    (Geo.Rng.create (t.seed + 7))
 
 let apply_power_aware t ~utilization =
   let nl = t.bench.Netgen.Benchmark.netlist in
@@ -283,7 +281,6 @@ let apply_power_aware t ~utilization =
     ~unit_powers ~cells_of_region:(cells_of_region t)
     ~positions:t.positions
     ~from_core:t.base_placement.P.fp.Place.Floorplan.core ~utilization
-    (Geo.Rng.create (t.seed + 11))
 
 let rows_for_overhead ?(nearest = false) t frac =
   let rows =

@@ -10,20 +10,6 @@ type result = {
 let coarse_config flow ~nx =
   { flow.Flow.mesh_config with Thermal.Mesh.nx; ny = nx }
 
-let peak_of flow pl ~nx =
-  let power =
-    Power.Map.power_map pl ~per_cell_w:flow.Flow.per_cell_w ~nx ~ny:nx
-  in
-  let solution =
-    Flow.solve_power ~mesh_config:(coarse_config flow ~nx) flow power
-  in
-  (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
-    .Thermal.Metrics.peak_rise_k
-
-let evaluate_plan flow ~after ~nx =
-  let r = Technique.apply_row_insertions flow.Flow.base_placement after in
-  peak_of flow r.Technique.eri_placement ~nx
-
 (* Candidate *ranking* only has to separate peaks that differ by
    millikelvins, so trial solves stop at 1e-6 relative (inexact
    evaluation); the chosen plan is re-scored at full tolerance before it
@@ -37,23 +23,33 @@ let leaders = 3
 (* Projected-gradient iterations of the gradient guide's allocation. *)
 let prepass_steps = 8
 
-(* The power map of a trial plan — all a blur screening pass needs. *)
-let trial_power flow ~after ~nx =
-  let r = Technique.apply_row_insertions flow.Flow.base_placement after in
-  Power.Map.power_map r.Technique.eri_placement
-    ~per_cell_w:flow.Flow.per_cell_w ~nx ~ny:nx
+(* The nx x nx power map of each trial plan of a run, from the base rows'
+   profiles binned once here: O(rows * nx) per trial, no cell re-placed.
+   The profile is built before any pool map and only read after, so pool
+   size cannot change a plan. *)
+let trial_pricer flow ~nx =
+  let base = flow.Flow.base_placement in
+  let fp = base.Place.Placement.fp in
+  let profile =
+    Power.Map.row_profile base ~per_cell_w:flow.Flow.per_cell_w ~nx
+  in
+  fun after ->
+    Power.Map.of_row_profile profile
+      ~fp:(Place.Floorplan.with_extra_rows fp (List.length after))
+      ~rows:(Technique.shifted_rows ~num_rows:fp.Place.Floorplan.num_rows
+               after)
+      ~ny:nx
 
 (* One candidate evaluation, warm-started from the incumbent temperature
    field [x0]. All trial placements share the die extent (same number of
    inserted rows), so every solve in a round starts from a good point —
    most of the optimizer's speedup lives here. *)
-let eval_trial_sol flow ~after ~nx ~x0 ~tol =
+let eval_trial flow ~power ~nx ~x0 ~tol =
   (* cancellation point: candidate solves run at millisecond granularity,
      so a deadline abort requested by the serve watchdog lands here *)
   Robust.Cancel.check ();
   let solution =
-    Flow.solve_power ~mesh_config:(coarse_config flow ~nx) ~tol ?x0 flow
-      (trial_power flow ~after ~nx)
+    Flow.solve_power ~mesh_config:(coarse_config flow ~nx) ~tol ?x0 flow power
   in
   let peak =
     (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
@@ -61,9 +57,13 @@ let eval_trial_sol flow ~after ~nx ~x0 ~tol =
   in
   (peak, solution)
 
-let eval_trial flow ~after ~nx ~x0 ~tol =
-  let peak, solution = eval_trial_sol flow ~after ~nx ~x0 ~tol in
-  (peak, solution.Thermal.Mesh.temp)
+let evaluate_plan flow ~after ~nx =
+  let r = Technique.apply_row_insertions flow.Flow.base_placement after in
+  let power =
+    Power.Map.power_map r.Technique.eri_placement
+      ~per_cell_w:flow.Flow.per_cell_w ~nx ~ny:nx
+  in
+  fst (eval_trial flow ~power ~nx ~x0:None ~tol:Thermal.Cg.default_tol)
 
 (* The blur transfer is computed from the stack alone, never from the
    (possibly fault-injected) solve path, and then trusted for thousands
@@ -98,18 +98,21 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
      than leaders every candidate gets an exact solve anyway, so the blur
      tier cannot win and is skipped *)
   let screen = screening_enabled flow && num_cands > leaders in
+  let trial_power = trial_pricer flow ~nx:coarse_nx in
   let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
-  (* the plan is kept reversed: committing a chunk is a prepend, and
-     [Technique.apply_row_insertions] sorts its input, so order is free *)
+  (* the plan is kept reversed: committing a chunk is a prepend, and a
+     plan's order is free to both [Technique.shifted_rows] and
+     [Technique.apply_row_insertions] *)
   let rev_plan = ref [] in
   let remaining = ref rows in
   (* warm-start seed: the incumbent plan's temperature field *)
-  let _, temp0 =
-    eval_trial flow ~after:[] ~nx:coarse_nx ~x0:None ~tol:rank_tol
+  let _, sol0 =
+    eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
+      ~tol:rank_tol
   in
   incr evaluations;
-  let warm = ref temp0 in
+  let warm = ref sol0.Thermal.Mesh.temp in
   while !remaining > 0 do
     let step = min chunk !remaining in
     let x0 = Some !warm in
@@ -129,10 +132,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
         Obs.Trace.with_span "optimizer.screen" @@ fun () ->
         (* every trial in this round shares (config, extent), so the
            transfer of the first candidate's mesh serves all of them *)
-        let first = List.hd candidates in
-        let first_power =
-          trial_power flow ~after:(trial_of first) ~nx:coarse_nx
-        in
+        let first_power = trial_power (trial_of (List.hd candidates)) in
         let kernel =
           Thermal.Mesh.blur
             (Thermal.Mesh.build (coarse_config flow ~nx:coarse_nx)
@@ -151,7 +151,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
            maps, not by its absolute error. Under the default MG
            preconditioner this solve also builds the round's hierarchy. *)
         let first_peak, first_sol =
-          eval_trial_sol flow ~after:(trial_of first) ~nx:coarse_nx ~x0
+          eval_trial flow ~power:first_power ~nx:coarse_nx ~x0
             ~tol:rank_tol
         in
         let correction =
@@ -161,8 +161,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
         let blurred =
           Parallel.Pool.map_list candidates ~f:(fun cand ->
               Thermal.Blur.peak kernel ~correction
-                ~power:(trial_power flow ~after:(trial_of cand)
-                          ~nx:coarse_nx))
+                ~power:(trial_power (trial_of cand)))
         in
         blur_evaluations := !blur_evaluations + num_cands + 1;
         (* stable top-k on (corrected peak, candidate index): equal peaks
@@ -185,33 +184,33 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
               if not is_leader.(i) then None
               else if i = 0 then
                 (* the anchor solve used the leader inputs already *)
-                Some (first_peak, first_sol.Thermal.Mesh.temp)
+                Some (first_peak, first_sol)
               else
                 Some
-                  (eval_trial flow ~after:(trial_of cand) ~nx:coarse_nx ~x0
-                     ~tol:rank_tol))
+                  (eval_trial flow ~power:(trial_power (trial_of cand))
+                     ~nx:coarse_nx ~x0 ~tol:rank_tol))
       end
       else
         Parallel.Pool.map_list candidates ~f:(fun cand ->
             Some
-              (eval_trial flow ~after:(trial_of cand) ~nx:coarse_nx ~x0
-                 ~tol:rank_tol))
+              (eval_trial flow ~power:(trial_power (trial_of cand))
+                 ~nx:coarse_nx ~x0 ~tol:rank_tol))
     in
-    List.iter (fun o -> if o <> None then incr evaluations) outcomes;
+    List.iter (fun o -> if Option.is_some o then incr evaluations) outcomes;
     let best = ref None in
     List.iter2
       (fun cand outcome ->
          match outcome with
          | None -> ()
-         | Some (peak, temp) ->
+         | Some (peak, sol) ->
            (match !best with
             | Some (_, best_peak, _) when best_peak <= peak -> ()
-            | _ -> best := Some (cand, peak, temp)))
+            | _ -> best := Some (cand, peak, sol)))
       candidates outcomes;
     (match !best with
-     | Some (cand, _, temp) ->
+     | Some (cand, _, sol) ->
        rev_plan := List.rev_append (List.init step (fun _ -> cand)) !rev_plan;
-       warm := temp
+       warm := sol.Thermal.Mesh.temp
      | None -> assert false);
     remaining := !remaining - step
   done;
@@ -220,8 +219,8 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   (* re-score the winner at full tolerance, warm-started from its own
      ranking solution (a few iterations to polish 1e-6 down to 1e-10) *)
   let peak, _ =
-    eval_trial flow ~after:plan_list ~nx:coarse_nx ~x0:(Some !warm)
-      ~tol:Thermal.Cg.default_tol
+    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx
+      ~x0:(Some !warm) ~tol:Thermal.Cg.default_tol
   in
   incr evaluations;
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
@@ -333,9 +332,11 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   let rev_plan = ref [] in
   let remaining = ref rows in
   let cfg = coarse_config flow ~nx:coarse_nx in
+  let trial_power = trial_pricer flow ~nx:coarse_nx in
   (* the incumbent's rank-tolerance solution doubles as the adjoint's
      forward input and the warm start of the next round's confirmation *)
-  let _, sol0 = eval_trial_sol flow ~after:[] ~nx:coarse_nx ~x0:None
+  let _, sol0 =
+    eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
       ~tol:rank_tol
   in
   incr evaluations;
@@ -346,7 +347,7 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   while !remaining > 0 do
     Robust.Cancel.check ();
     let step = min chunk !remaining in
-    let inc_power = trial_power flow ~after:!rev_plan ~nx:coarse_nx in
+    let inc_power = trial_power !rev_plan in
     let problem = Thermal.Mesh.build cfg ~power:inc_power in
     let adj =
       Thermal.Adjoint.solve ~tol:rank_tol
@@ -359,13 +360,12 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
     in
-    (* price every candidate with re-binned power only — no solves; the
-       pool parallelism is over the re-binning, order is preserved *)
+    (* price every candidate by its trial map only — no solves; the pool
+       parallelism is over the maps, order is preserved *)
     let scores =
       Array.of_list
         (Parallel.Pool.map_list (Array.to_list candidates) ~f:(fun cand ->
-             sensitivity_score sens
-               (trial_power flow ~after:(trial_of cand) ~nx:coarse_nx)))
+             sensitivity_score sens (trial_power (trial_of cand))))
     in
     let counts = allocate scores ~step in
     Array.iteri
@@ -377,7 +377,7 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
     (* confirm the committed chunk with one exact (rank-tolerance) solve,
        warm-started from the incumbent field *)
     let _, sol =
-      eval_trial_sol flow ~after:!rev_plan ~nx:coarse_nx
+      eval_trial flow ~power:(trial_power !rev_plan) ~nx:coarse_nx
         ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:rank_tol
     in
     incr evaluations;
@@ -387,7 +387,7 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   let plan_list = List.rev !rev_plan in
   let final = Technique.apply_row_insertions base plan_list in
   let peak, _ =
-    eval_trial flow ~after:plan_list ~nx:coarse_nx
+    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx
       ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:Thermal.Cg.default_tol
   in
   incr evaluations;

@@ -3,11 +3,15 @@
     suitable optimization problems, e.g. the amount of empty rows ... to be
     inserted").
 
-    The optimizer spends an empty-row budget one chunk at a time: every
-    candidate insertion position is evaluated with a true (coarse-mesh)
-    thermal solve of the resulting placement, and the position with the
-    lowest peak temperature wins. This is slower than plain ERI but needs
-    no hotspot heuristics and handles multiple competing warm regions. *)
+    The optimizer spends an empty-row budget one chunk at a time: each round
+    prices every candidate insertion position on a coarse mesh, by a
+    warm-started thermal solve, by fft screening with exact solves for the
+    leaders only, or by the gradient guide's one adjoint solve (see
+    {!greedy_rows}), and commits the chunk with the lowest predicted peak.
+    Each trial's power map is built from the base placement's row profiles
+    ({!Power.Map.of_row_profile}), binned once per run; only the committed
+    plan becomes a placement. This is slower than plain ERI but needs no
+    hotspot heuristics and handles multiple competing warm regions. *)
 
 type result = {
   plan : Technique.eri_result;      (** the chosen insertions applied *)
@@ -58,7 +62,7 @@ val greedy_rows :
     When the flow's [guide] is {!Flow.Guide_gradient}, the per-candidate
     solves disappear entirely: each round runs one adjoint sensitivity
     solve at the incumbent ({!Thermal.Adjoint}), prices every candidate
-    by the inner product of the adjoint map with its re-binned power map
+    by the inner product of the adjoint map with its trial power map
     (no solve — the thermal system is linear, so the inner product is
     the candidate's first-order peak up to a round-constant), allocates
     the chunk across candidates with an 8-step continuous
@@ -70,5 +74,5 @@ val greedy_rows :
 
 val evaluate_plan : Flow.t -> after:int list -> nx:int -> float
 (** Peak temperature rise (K) of the base placement with the given
-    insertion plan applied, on an [nx] x [nx] mesh. Exposed for tests and
-    for comparing optimizer output against heuristic ERI. *)
+    insertion plan applied, on an [nx] x [nx] mesh. It bins the plan's
+    placement cell by cell, not from row profiles: the tests' oracle. *)

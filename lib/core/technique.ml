@@ -5,9 +5,8 @@ let area_overhead_pct ~base pl =
   let a0 = FP.core_area_um2 base.P.fp in
   100.0 *. (FP.core_area_um2 pl.P.fp -. a0) /. a0
 
-let uniform_slack nl tech ~unit_areas ~cells_of_region ~positions ~from_core
-    ~utilization ?(aspect = 1.0) rng =
-  ignore rng;
+let uniform_slack ?(aspect = 1.0) nl tech ~unit_areas ~cells_of_region
+    ~positions ~from_core ~utilization =
   let cell_area =
     Netlist.Types.fold_cells nl ~init:0.0 ~f:(fun acc _ c ->
         acc +. Celllib.Info.area_um2 tech c.Netlist.Types.kind)
@@ -19,9 +18,8 @@ let uniform_slack nl tech ~unit_areas ~cells_of_region ~positions ~from_core
   in
   Place.Legalize.run nl fp ~regions ~cells_of_region ~positions
 
-let power_aware_slack nl tech ~unit_areas ~unit_powers ~cells_of_region
-    ~positions ~from_core ~utilization ?(aspect = 1.0) rng =
-  ignore rng;
+let power_aware_slack ?(aspect = 1.0) nl tech ~unit_areas ~unit_powers
+    ~cells_of_region ~positions ~from_core ~utilization =
   let cell_area = Array.fold_left (fun s (_, a) -> s +. a) 0.0 unit_areas in
   let fp = FP.create tech ~cell_area_um2:cell_area ~utilization ~aspect in
   let core_area = FP.core_area_um2 fp in
@@ -84,17 +82,27 @@ let span_insertions fp (lo, hi) budget =
   let len = !hi - !lo + 1 in
   List.init budget (fun i -> !lo + (i * len / budget) mod len)
 
+(* Row r rises by the number of insertions a < r: running sums of the
+   insertions counted at the first row each one shifts. *)
+let shifted_rows ~num_rows after =
+  let first = Array.make num_rows 0 in
+  List.iter
+    (fun a ->
+       let k = max 0 (a + 1) in
+       if k < num_rows then first.(k) <- first.(k) + 1)
+    after;
+  let shift = ref 0 in
+  Array.mapi (fun r n -> shift := !shift + n; r + !shift) first
+
 (* Apply an explicit insertion plan: an empty row appears right above each
    listed row; rows further up shift. This is the primitive both the
    standard ERI and the greedy optimizer use. *)
 let apply_row_insertions pl after =
   let after = List.sort compare after in
-  let shift r = List.length (List.filter (fun a -> a < r) after) in
+  let rows = shifted_rows ~num_rows:pl.P.fp.FP.num_rows after in
   let fp' = FP.with_extra_rows pl.P.fp (List.length after) in
   let locs =
-    Array.map
-      (fun (l : P.loc) -> { l with P.row = l.P.row + shift l.P.row })
-      pl.P.locs
+    Array.map (fun (l : P.loc) -> { l with P.row = rows.(l.P.row) }) pl.P.locs
   in
   { eri_placement = P.make pl.P.nl fp' locs; inserted_after = after }
 

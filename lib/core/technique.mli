@@ -13,6 +13,7 @@ val area_overhead_pct : base:Place.Placement.t -> Place.Placement.t -> float
 (** Core-area increase in percent relative to [base]. *)
 
 val uniform_slack :
+  ?aspect:float ->
   Netlist.Types.t ->
   Celllib.Tech.t ->
   unit_areas:(int * float) array ->
@@ -20,14 +21,13 @@ val uniform_slack :
   positions:Place.Global.positions ->
   from_core:Geo.Rect.t ->
   utilization:float ->
-  ?aspect:float ->
-  Geo.Rng.t ->
   Place.Placement.t
 (** Re-place the design into a fresh core sized for [utilization], reusing
     the global placement (scaled into the new outline) — exactly "what
     happens when the utilization factor during placement is reduced". *)
 
 val power_aware_slack :
+  ?aspect:float ->
   Netlist.Types.t ->
   Celllib.Tech.t ->
   unit_areas:(int * float) array ->
@@ -36,8 +36,6 @@ val power_aware_slack :
   positions:Place.Global.positions ->
   from_core:Geo.Rect.t ->
   utilization:float ->
-  ?aspect:float ->
-  Geo.Rng.t ->
   Place.Placement.t
 (** Placement-time thermal awareness (the alternative the paper's intro
     contrasts with post-placement methods, after refs [7][8]): the same
@@ -52,10 +50,15 @@ type eri_result = {
   (** original row indices after which an empty row was inserted *)
 }
 
+val shifted_rows : num_rows:int -> int list -> int array
+(** [shifted_rows ~num_rows after] maps each of [num_rows] rows to its row
+    once an empty row is inserted above each listed row (in any order). *)
+
 val apply_row_insertions : Place.Placement.t -> int list -> eri_result
 (** Low-level primitive: insert one empty row above each listed (original)
-    row index; duplicates mean several empty rows at the same spot. Used by
-    ERI and by the greedy row-budget optimizer. *)
+    row index; duplicates mean several empty rows at the same spot. Cells
+    move by {!shifted_rows}. Used by ERI and by the greedy row-budget
+    optimizer. *)
 
 val empty_row_insertion :
   ?style:[ `Interleaved | `Clustered ] ->

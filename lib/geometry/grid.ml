@@ -5,10 +5,13 @@ type t = {
   data : float array;
 }
 
-let create ~nx ~ny ~extent =
+let of_array ~nx ~ny ~extent data =
   assert (nx > 0 && ny > 0);
-  assert (Rect.area extent > 0.0);
-  { nx; ny; extent; data = Array.make (nx * ny) 0.0 }
+  assert (Rect.area extent > 0.0 && Array.length data = nx * ny);
+  { nx; ny; extent; data }
+
+let create ~nx ~ny ~extent =
+  of_array ~nx ~ny ~extent (Array.make (nx * ny) 0.0)
 
 let nx t = t.nx
 let ny t = t.ny

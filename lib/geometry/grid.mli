@@ -9,6 +9,10 @@ type t
 val create : nx:int -> ny:int -> extent:Rect.t -> t
 (** Fresh all-zero field. [nx] and [ny] must be positive. *)
 
+val of_array : nx:int -> ny:int -> extent:Rect.t -> float array -> t
+(** The grid whose tile (ix, iy) is [data.(iy * nx + ix)]. [data] is taken
+    over, not copied; its length must be [nx * ny]. *)
+
 val nx : t -> int
 val ny : t -> int
 val extent : t -> Rect.t

@@ -23,7 +23,7 @@ let place_leaf positions (cells : T.cell_id array) (rect : Geo.Rect.t) =
       cells
   end
 
-let place nl tech ~regions ~cells_of_region ?(leaf_cells = 8) rng =
+let place ?(leaf_cells = 8) nl tech ~regions ~cells_of_region =
   Obs.Trace.with_span "place.global" @@ fun () ->
   let positions = Array.make (T.num_cells nl) (Float.nan, Float.nan) in
   let rec bisect (cells : T.cell_id array) (rect : Geo.Rect.t) =
@@ -34,7 +34,7 @@ let place nl tech ~regions ~cells_of_region ?(leaf_cells = 8) rng =
       let max_cell = Array.fold_left Float.max 0.0 areas in
       let result =
         Partition.bipartition nl ~cells ~areas ~target_a:0.5
-          ~tolerance:(Float.max max_cell (0.05 *. total)) rng
+          ~tolerance:(Float.max max_cell (0.05 *. total))
       in
       let frac =
         if total > 0.0 then Float.max 0.1 (Float.min 0.9 (result.Partition.area_a /. total))

@@ -12,14 +12,13 @@ type positions = (float * float) array
     given to the placer keep (nan, nan). *)
 
 val place :
+  ?leaf_cells:int ->
   Netlist.Types.t ->
   Celllib.Tech.t ->
   regions:Regions.region array ->
   cells_of_region:(int -> Netlist.Types.cell_id array) ->
-  ?leaf_cells:int ->
-  Geo.Rng.t ->
   positions
-(** [place nl tech ~regions ~cells_of_region rng] runs bisection inside
+(** [place nl tech ~regions ~cells_of_region] runs bisection inside
     every region. [leaf_cells] (default 8) bounds the recursion. *)
 
 val scaled : positions -> from_core:Geo.Rect.t -> to_core:Geo.Rect.t ->

@@ -109,8 +109,8 @@ module Buckets = struct
     scan_bucket t.max_gain
 end
 
-let bipartition nl ~cells ~areas ~target_a ~tolerance ?(max_passes = 4)
-    ?(max_net_pins = 64) rng =
+let bipartition ?(max_passes = 4) ?(max_net_pins = 64) nl ~cells ~areas
+    ~target_a ~tolerance =
   let n = Array.length cells in
   assert (Array.length areas = n);
   if n = 0 then { side = [||]; cut_nets = 0; area_a = 0.0 }
@@ -129,7 +129,6 @@ let bipartition nl ~cells ~areas ~target_a ~tolerance ?(max_passes = 4)
        done
      with Exit -> ());
     let area_a = ref !acc in
-    ignore rng;
     (* net membership per cell for incremental updates *)
     let cell_nets = Array.make n [] in
     Array.iteri

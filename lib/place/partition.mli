@@ -10,16 +10,15 @@ type result = {
 }
 
 val bipartition :
+  ?max_passes:int ->
+  ?max_net_pins:int ->
   Netlist.Types.t ->
   cells:Netlist.Types.cell_id array ->
   areas:float array ->
   target_a:float ->
   tolerance:float ->
-  ?max_passes:int ->
-  ?max_net_pins:int ->
-  Geo.Rng.t ->
   result
-(** [bipartition nl ~cells ~areas ~target_a ~tolerance rng] splits the
+(** [bipartition nl ~cells ~areas ~target_a ~tolerance] splits the
     subset so that side A holds a fraction [target_a] of the subset area
     (within [tolerance], an absolute area slack). The initial split follows
     the given cell order (which generators emit with good locality); FM

@@ -130,7 +130,6 @@ let test_partition_chain_cut_is_one () =
   let areas = Array.make 64 1.0 in
   let r =
     Place.Partition.bipartition nl ~cells ~areas ~target_a:0.5 ~tolerance:2.0
-      (Geo.Rng.create 1)
   in
   (* a chain split at the area balance point cuts exactly one net *)
   Alcotest.(check int) "chain cut" 1 r.Place.Partition.cut_nets;
@@ -144,7 +143,7 @@ let test_partition_balance_respected () =
   let total = Array.fold_left ( +. ) 0.0 areas in
   let r =
     Place.Partition.bipartition nl ~cells ~areas ~target_a:0.3
-      ~tolerance:(0.05 *. total) (Geo.Rng.create 2)
+      ~tolerance:(0.05 *. total)
   in
   if Float.abs (r.Place.Partition.area_a -. (0.3 *. total)) > 0.06 *. total
   then Alcotest.failf "target 30%% missed: %f of %f"
@@ -166,7 +165,6 @@ let test_partition_improves_shuffled_order () =
   in
   let r =
     Place.Partition.bipartition nl ~cells ~areas ~target_a:0.5 ~tolerance:2.0
-      (Geo.Rng.create 4)
   in
   Alcotest.(check bool)
     (Printf.sprintf "FM cut %d < initial %d" r.Place.Partition.cut_nets
@@ -178,7 +176,7 @@ let test_partition_empty () =
   let nl = chain_netlist 4 in
   let r =
     Place.Partition.bipartition nl ~cells:[||] ~areas:[||] ~target_a:0.5
-      ~tolerance:1.0 (Geo.Rng.create 1)
+      ~tolerance:1.0
   in
   Alcotest.(check int) "no cut" 0 r.Place.Partition.cut_nets
 
@@ -208,10 +206,7 @@ let small_flow () =
 
 let test_global_positions_inside_regions () =
   let nl, _fp, regions, cells = small_flow () in
-  let pos =
-    Place.Global.place nl tech ~regions ~cells_of_region:cells
-      (Geo.Rng.create 5)
-  in
+  let pos = Place.Global.place nl tech ~regions ~cells_of_region:cells in
   Array.iter
     (fun r ->
        Array.iter
@@ -237,10 +232,7 @@ let test_global_scaled () =
 
 let legalized () =
   let nl, fp, regions, cells = small_flow () in
-  let pos =
-    Place.Global.place nl tech ~regions ~cells_of_region:cells
-      (Geo.Rng.create 5)
-  in
+  let pos = Place.Global.place nl tech ~regions ~cells_of_region:cells in
   (nl, regions, cells,
    Place.Legalize.run nl fp ~regions ~cells_of_region:cells ~positions:pos)
 

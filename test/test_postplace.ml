@@ -379,6 +379,25 @@ let test_flow_seed_changes_activity () =
     (f1.Postplace.Flow.activity.Logicsim.Activity.toggle_rate
      <> f2.Postplace.Flow.activity.Logicsim.Activity.toggle_rate)
 
+(* Global placement, legalization and the Default and power-aware
+   re-placements draw no random numbers. The digests pin their output bit
+   for bit (floats are marshalled by their bits, without sharing). *)
+let test_flow_placement_digests_pinned () =
+  let fl = Lazy.force flow in
+  let digest v =
+    Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+  in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [ ("global positions", "38a71b5bf2e5f551586fe9d75880dd66",
+       digest fl.Postplace.Flow.positions);
+      ("base placement", "e98d7f6b7b25c7a525beec1834b016f0",
+       digest fl.Postplace.Flow.base_placement.P.locs);
+      ("default at 0.60", "369037b9e0cf6f62ba79a860ddd3f973",
+       digest (Postplace.Flow.apply_default fl ~utilization:0.60).P.locs);
+      ("power-aware at 0.60", "4c8648b4917449875af3a5fe77df7673",
+       digest (Postplace.Flow.apply_power_aware fl ~utilization:0.60).P.locs) ]
+
 (* --- row-insertion primitive ------------------------------------------------ *)
 
 let test_apply_row_insertions_mapping () =
@@ -399,6 +418,14 @@ let test_apply_row_insertions_mapping () =
       Alcotest.(check int) "shift" expected pl.P.locs.(cid).P.row);
   Alcotest.(check int) "legal" 0 (List.length (P.validate pl))
 
+let test_shifted_rows () =
+  (* row r moves up by the number of listed rows below it: -1 shifts every
+     row, the pair of 1s rows 2 and up, and 4 and 7 none of 5 rows *)
+  Alcotest.(check (array int)) "row table" [| 1; 2; 5; 6; 7 |]
+    (Postplace.Technique.shifted_rows ~num_rows:5 [ 4; -1; 1; 7; 1 ]);
+  Alcotest.(check (array int)) "empty plan" [| 0; 1; 2 |]
+    (Postplace.Technique.shifted_rows ~num_rows:3 [])
+
 let test_clustered_style_contiguous () =
   let ev = Lazy.force base_eval in
   let r =
@@ -414,6 +441,102 @@ let test_clustered_style_contiguous () =
        (List.length other));
   Alcotest.(check int) "legal" 0
     (List.length (P.validate r.Postplace.Technique.eri_placement))
+
+(* --- row profiles --------------------------------------------------------------- *)
+
+(* The small design at a lower utilization than [flow]: shorter rows with
+   more whitespace, so both flows' rows end in different x-tiles. *)
+let sparse_flow =
+  lazy
+    (let bench = Netgen.Benchmark.small () in
+     Postplace.Flow.prepare ~seed:11 ~sim_cycles:200 ~utilization:0.6
+       bench (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ]))
+
+(* Test set 1 ("scattered"), 12k cells: activity barely matters here. *)
+let scattered = lazy (Postplace.Experiment.test_set_1 ~sim_cycles:50 ())
+
+(* A trial's map as the optimizer prices it: the base rows' profile
+   spread over the rows the plan shifts them to. *)
+let trial_map fl profile after ~ny =
+  let fp = fl.Postplace.Flow.base_placement.P.fp in
+  Power.Map.of_row_profile profile
+    ~fp:(FP.with_extra_rows fp (List.length after))
+    ~rows:(Postplace.Technique.shifted_rows ~num_rows:fp.FP.num_rows after)
+    ~ny
+
+let prop_row_profile_matches_power_map =
+  (* plan entries: -1 stands for the top row, any other value for that
+     row modulo the row count; 0 and -1 are drawn often, and 0-12 entries
+     over ~10 rows repeat rows *)
+  let entry =
+    QCheck.Gen.(frequency
+                  [ (1, return 0); (1, return (-1)); (4, int_bound 999) ])
+  in
+  let gen =
+    QCheck.Gen.(quad bool (int_range 1 40) (int_range 1 40)
+                  (list_size (int_range 0 12) entry))
+  in
+  let print = QCheck.Print.(quad bool int int (list int)) in
+  QCheck.Test.make ~name:"row-profile map matches re-placed power_map"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (sparse, nx, ny, entries) ->
+       let fl = Lazy.force (if sparse then sparse_flow else flow) in
+       let base = fl.Postplace.Flow.base_placement in
+       let per_cell_w = fl.Postplace.Flow.per_cell_w in
+       let num_rows = base.P.fp.FP.num_rows in
+       let after =
+         List.map (fun e -> if e < 0 then num_rows - 1 else e mod num_rows)
+           entries
+       in
+       let oracle =
+         Power.Map.power_map
+           (Postplace.Technique.apply_row_insertions base after)
+             .Postplace.Technique.eri_placement
+           ~per_cell_w ~nx ~ny
+       in
+       let got =
+         trial_map fl (Power.Map.row_profile base ~per_cell_w ~nx) after ~ny
+       in
+       let tol = 1e-12 *. Geo.Grid.total oracle in
+       Geo.Grid.extent got = Geo.Grid.extent oracle
+       && Geo.Grid.nx got = nx && Geo.Grid.ny got = ny
+       && Geo.Grid.fold
+            (Geo.Grid.map2 got oracle ~f:(fun a b -> Float.abs (a -. b)))
+            ~init:true ~f:(fun ok d -> ok && d <= tol))
+
+(* Pricing a trial reads the row profile only: it allocates its nx x ny
+   map and a row table, never anything per cell, so the 12k-cell design
+   costs what the 244-cell one does. The median of five warm calls, as in
+   blur's allocation test. *)
+let test_trial_pricing_allocation () =
+  let n = 20 in
+  List.iter
+    (fun (name, fl) ->
+       let base = fl.Postplace.Flow.base_placement in
+       let num_rows = base.P.fp.FP.num_rows in
+       let profile =
+         Power.Map.row_profile base ~per_cell_w:fl.Postplace.Flow.per_cell_w
+           ~nx:n
+       in
+       let after = [ 0; num_rows / 2; num_rows / 2; num_rows - 1 ] in
+       let price () = ignore (trial_map fl profile after ~ny:n : Geo.Grid.t) in
+       price ();
+       let words () =
+         let minor, promoted, major = Gc.counters () in
+         minor +. major -. promoted
+       in
+       let call () =
+         let w0 = words () in
+         price ();
+         words () -. w0
+       in
+       let w = List.nth (List.sort compare (List.init 5 (fun _ -> call ()))) 2 in
+       let budget = float_of_int ((4 * n * n) + (4 * num_rows)) in
+       if w > budget then
+         Alcotest.failf "%s (%d cells, %d rows): a trial allocates %.0f words \
+                         (> %.0f)"
+           name (Netlist.Types.num_cells base.P.nl) num_rows w budget)
+    [ ("small", Lazy.force flow); ("scattered", Lazy.force scattered) ]
 
 (* --- electrothermal ------------------------------------------------------------- *)
 
@@ -543,6 +666,31 @@ let test_optimizer_side_wall_stack_exact_tier () =
        Alcotest.(check int) (name ^ " never blurs") 0
          r.Postplace.Optimizer.blur_evaluations)
     [ Postplace.Flow.Screen_auto; Postplace.Flow.Screen_fft ]
+
+(* The plans greedy_rows commits at the default 20x20 grid under each
+   screening tier and guide, recorded with cell-by-cell trial maps
+   (power_map of apply_row_insertions). Row-profile maps must commit the
+   same plans; the predicted peaks may differ only by rounding. *)
+let test_optimizer_plans_pinned () =
+  let fl = Lazy.force flow in
+  Parallel.Pool.set_jobs 1;
+  List.iter
+    (fun (name, screen, guide, plan, peak) ->
+       let r =
+         Postplace.Optimizer.greedy_rows
+           { fl with Postplace.Flow.screen; guide }
+           ~rows:6 ~chunk:2 ~stride:1 ()
+       in
+       Alcotest.(check (list int)) (name ^ " plan") plan
+         r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+       Alcotest.(check (float (1e-9 *. peak))) (name ^ " predicted peak") peak
+         r.Postplace.Optimizer.predicted_peak_k)
+    [ ("fft", Postplace.Flow.Screen_fft, Postplace.Flow.Guide_peak,
+       [ 0; 0; 1; 1; 2; 2 ], 0x1.b8583f4e86b75p-1);
+      ("exact", Postplace.Flow.Screen_exact, Postplace.Flow.Guide_peak,
+       [ 0; 0; 1; 1; 2; 2 ], 0x1.b8583f4e86b75p-1);
+      ("gradient", Postplace.Flow.Screen_auto, Postplace.Flow.Guide_gradient,
+       [ 0; 0; 0; 1; 1; 1 ], 0x1.b90088ad96d0cp-1) ]
 
 (* --- gradient guide ----------------------------------------------------------------- *)
 
@@ -829,12 +977,19 @@ let () =
            test_flow_evaluation_sane;
          Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
          Alcotest.test_case "seed changes activity" `Quick
-           test_flow_seed_changes_activity ]);
+           test_flow_seed_changes_activity;
+         Alcotest.test_case "placement digests pinned" `Quick
+           test_flow_placement_digests_pinned ]);
       ("insertion-primitive",
        [ Alcotest.test_case "mapping" `Quick
            test_apply_row_insertions_mapping;
+         Alcotest.test_case "shifted rows" `Quick test_shifted_rows;
          Alcotest.test_case "clustered style" `Quick
            test_clustered_style_contiguous ]);
+      ("row-profile",
+       [ Alcotest.test_case "trial pricing allocation bounded" `Quick
+           test_trial_pricing_allocation;
+         QCheck_alcotest.to_alcotest prop_row_profile_matches_power_map ]);
       ("electrothermal",
        [ Alcotest.test_case "feedback" `Quick test_electrothermal_feedback;
          Alcotest.test_case "leakage scaling" `Quick
@@ -852,7 +1007,9 @@ let () =
          Alcotest.test_case "faults force the exact tier" `Quick
            test_optimizer_fault_forces_exact_tier;
          Alcotest.test_case "side-wall-only stack takes the exact tier"
-           `Quick test_optimizer_side_wall_stack_exact_tier ]);
+           `Quick test_optimizer_side_wall_stack_exact_tier;
+         Alcotest.test_case "20x20 plans pinned" `Quick
+           test_optimizer_plans_pinned ]);
       ("gradient-guide",
        [ Alcotest.test_case "flow sensitivity smoke" `Quick
            test_flow_sensitivity_smoke;

@@ -100,8 +100,7 @@ let placed_small () =
   let cells tag =
     Array.of_list (Netlist.Types.cells_of_unit nl tag)
   in
-  let rng = Geo.Rng.create 3 in
-  let pos = Place.Global.place nl tech ~regions ~cells_of_region:cells rng in
+  let pos = Place.Global.place nl tech ~regions ~cells_of_region:cells in
   (bench, Place.Legalize.run nl fp ~regions ~cells_of_region:cells
      ~positions:pos)
 

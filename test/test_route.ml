@@ -26,10 +26,7 @@ let placed_small () =
   in
   let regions = Place.Regions.pack fp ~areas in
   let cells tag = Array.of_list (Netlist.Types.cells_of_unit nl tag) in
-  let pos =
-    Place.Global.place nl tech ~regions ~cells_of_region:cells
-      (Geo.Rng.create 3)
-  in
+  let pos = Place.Global.place nl tech ~regions ~cells_of_region:cells in
   Place.Legalize.run nl fp ~regions ~cells_of_region:cells ~positions:pos
 
 let test_demand_conserves_wirelength () =
