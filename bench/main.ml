@@ -203,7 +203,9 @@ let run_optimizer () =
            [ ("budget_rows", j_i rows);
              ("heuristic_reduction_pct", j_f (red he));
              ("greedy_reduction_pct", j_f (red oe));
-             ("coarse_solves", j_i optimized.Postplace.Optimizer.evaluations) ])
+             ("coarse_solves", j_i optimized.Postplace.Optimizer.evaluations);
+             ("blur_evaluations",
+              j_i optimized.Postplace.Optimizer.blur_evaluations) ])
       [ 8; 16; 24 ]
   in
   j_obj [ ("budgets", j_list budgets) ]
@@ -656,11 +658,12 @@ let run_mg fl =
 
 (* --- FFT SCREENING ----------------------------------------------------------------- *)
 
-(* Green's-function power blurring (Kemper et al.) as the O(n log n)
-   screening tier: FFT parity against a naive DFT, kernel characterization
-   cost, per-candidate blur vs warm MG-CG cost at 160x160, screening rank
-   fidelity at the optimizer's grid, and end-to-end greedy_rows under
-   Screen_fft vs Screen_exact. *)
+(* Green's-function power blurring (Kemper et al.), made exact, as the
+   optimizer's pricing tier: FFT parity against a naive DFT, kernel
+   characterization cost, per-candidate blur vs warm MG-CG cost at
+   160x160, rank agreement with rank-tolerance solves at the optimizer's
+   grid, and end-to-end greedy_rows under Screen_auto (labelled "fft")
+   vs Screen_exact. *)
 
 let run_fft fl =
   let base = fl.Postplace.Flow.base_placement in
@@ -759,8 +762,7 @@ let run_fft fl =
   in
   let exact_eval_ms = mean_ms (fun (_, _, t, _) -> t) in
   let blur_eval_ms = mean_ms (fun (_, _, _, t) -> t) in
-  (* screening rank fidelity: does the blurred ordering keep the exact
-     winner inside the leader set the optimizer re-scores? *)
+  (* rank fidelity: does the blurred ordering pick the solves' winner? *)
   let rank_nx = 40 in
   let cands40 =
     List.filter (fun r -> r mod 4 = 0) (List.init num_rows Fun.id)
@@ -783,11 +785,10 @@ let run_fft fl =
        max_disp := max !max_disp (abs (r - bl_rank.(i)));
        if r = 0 then winner_blur_rank := bl_rank.(i))
     ex_rank;
-  let leaders = 3 in
-  (* end-to-end: greedy_rows with fft screening vs the exact tier *)
+  (* end-to-end: greedy_rows pricing by the blur vs the exact tier *)
   let ex, ff, optimizer =
     head_to_head ("exact", fl)
-      ("fft", { fl with Postplace.Flow.screen = Postplace.Flow.Screen_fft })
+      ("fft", { fl with Postplace.Flow.screen = Postplace.Flow.Screen_auto })
   in
   j_obj
     [ ("fft_parity",
@@ -810,11 +811,10 @@ let run_fft fl =
        j_obj
          [ ("nx", j_i rank_nx);
            ("candidates", j_i (List.length cands40));
-           ("leaders", j_i leaders);
            ("winner_blur_rank", j_i !winner_blur_rank);
            ("max_rank_displacement", j_i !max_disp);
            ("max_peak_rel_err", j_f (max_rel_err scored));
-           ("winner_within_leaders", j_b (!winner_blur_rank < leaders)) ]);
+           ("winner_agrees", j_b (!winner_blur_rank = 0)) ]);
       ("optimizer",
        j_obj
          (optimizer
@@ -1283,7 +1283,7 @@ let suites =
     suite ~paper:false "fft"
       "FFT SCREENING -- Green's-function power blurring tier"
       (engineering
-       ^ ": FFT-blurred candidate ranking + exact leader re-scoring vs \
+       ^ ": candidates priced by the exact blur, one re-score solve, vs \
           all-exact evaluation")
       (kernel_suite run_fft);
     suite ~paper:false "adjoint"

@@ -182,11 +182,11 @@ let precond_arg =
 
 let screen_arg =
   let doc =
-    "Optimizer candidate-screening tier: $(b,auto) (fft unless a fault is \
-     armed), $(b,fft) (rank candidates with the O(n log n) Green's-function \
-     power blurring, re-score only the leaders with MG-CG), or $(b,exact) \
-     (full solve for every candidate). The emitted plan is bit-identical \
-     across tiers whenever the blur leader set contains the exact winner."
+    "Optimizer candidate-pricing tier: $(b,auto) (price every candidate \
+     with the exact modal power blur, no solve; solves instead while a \
+     fault is armed or on a stack with side-wall cooling) or $(b,exact) \
+     (an MG-CG solve for every candidate). Either way one full solve \
+     re-scores the committed plan, so equal plans report identical peaks."
   in
   Arg.(value & opt (names Flow.screen_names) "auto"
        & info [ "screen" ] ~docv:"S" ~doc)
@@ -1058,8 +1058,8 @@ let check_cmd =
 let optimize_cmd =
   let doc =
     "Allocate an empty-row budget with the greedy row-budget optimizer \
-     (candidates priced from row profiles by thermal solves, fft screening \
-     or the gradient guide, in parallel on the domain pool)."
+     (candidates priced from row profiles by the exact power blur, thermal \
+     solves or the gradient guide, in parallel on the domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(const run_optimize $ common_t $ jobs_arg $ screen_arg $ guide_arg

@@ -1,6 +1,6 @@
 module P = Place.Placement
 
-type screen_choice = Screen_auto | Screen_fft | Screen_exact
+type screen_choice = Screen_auto | Screen_exact
 
 type guide_choice = Guide_peak | Guide_gradient
 
@@ -13,8 +13,7 @@ let of_name kind table s =
 
 let name_of table c = fst (List.find (fun (_, c') -> c' = c) table)
 
-let screens =
-  [ ("auto", Screen_auto); ("fft", Screen_fft); ("exact", Screen_exact) ]
+let screens = [ ("auto", Screen_auto); ("exact", Screen_exact) ]
 
 let screen_names = List.map fst screens
 let screen_of_name = of_name "screen" screens

@@ -9,20 +9,19 @@
     power consumption unchanged": per-cell powers are computed once on the
     base placement and re-binned (not re-estimated) after each transform. *)
 
-type screen_choice = Screen_auto | Screen_fft | Screen_exact
-(** Candidate-screening tier for the optimizer's greedy sweep.
-    [Screen_fft] ranks candidates with the O(n log n) power-blurring
-    convolution ({!Thermal.Blur}) and re-scores only the leaders with the
-    exact MG-CG solver; [Screen_exact] solves every candidate exactly;
-    [Screen_auto] (the default) picks fft unless a fault is armed —
-    injected faults must reach the exact solve path they target, so
-    fault-injected runs always fall back to exact screening. A stack
-    that grounds neither its top nor its bottom face has no blur
-    transfer ({!Thermal.Mesh.blur_defined}), so [Screen_fft] and
-    [Screen_auto] both run the exact tier on it. *)
+type screen_choice = Screen_auto | Screen_exact
+(** Candidate-pricing tier for the optimizer's greedy sweep.
+    [Screen_auto] (the default) prices every candidate with the exact
+    modal blur ({!Thermal.Blur}, no solve) and [Screen_exact] solves
+    every candidate with MG-CG; either way the committed plan is
+    re-scored by one full solve. [Screen_auto] solves instead whenever a
+    fault is armed — injected faults must reach the solve path they
+    target — or the stack is one the blur is not exact for
+    ({!Thermal.Mesh.blur_exact}: side-wall conductance, or neither the
+    top nor the bottom face grounded). *)
 
 val screen_choice_name : screen_choice -> string
-(** ["auto"], ["fft"] or ["exact"] — for reports and config echoes. *)
+(** ["auto"] or ["exact"] — for reports and config echoes. *)
 
 val screen_of_name : string -> (screen_choice, string) result
 (** Parse a CLI / serve-request screen name; anything else is an [Error]
@@ -34,7 +33,7 @@ val screen_names : string list
 type guide_choice = Guide_peak | Guide_gradient
 (** How the optimizer ranks whitespace-allocation candidates.
     [Guide_peak] (the paper's scheme) evaluates candidates by their
-    predicted peak temperature — exact or screened thermal solves per
+    predicted peak temperature — a blur or a thermal solve per
     candidate. [Guide_gradient] ranks every candidate from one adjoint
     sensitivity solve at the incumbent ({!Thermal.Adjoint}): the
     per-tile [dT_peak/d(power)] map prices each candidate's power

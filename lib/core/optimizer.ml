@@ -17,9 +17,6 @@ let coarse_config flow ~nx =
    this alone saves ~40% of the ranking iterations. *)
 let rank_tol = 1e-6
 
-(* Screened candidates re-scored with an exact solve per round. *)
-let leaders = 3
-
 (* Projected-gradient iterations of the gradient guide's allocation. *)
 let prepass_steps = 8
 
@@ -65,24 +62,22 @@ let evaluate_plan flow ~after ~nx =
   in
   fst (eval_trial flow ~power ~nx ~x0:None ~tol:Thermal.Cg.default_tol)
 
-(* The blur transfer is computed from the stack alone, never from the
-   (possibly fault-injected) solve path, and then trusted for thousands
-   of evaluations, so any armed fault — whichever stage it targets —
-   forces the exact tier: injected faults must reach the solve path they
-   are aimed at, not be blurred away. A stack cooled through its side
-   walls alone has no blur transfer at all, so it takes the exact tier
-   under every screen choice. *)
+(* The blur is computed from the stack alone, never from the (possibly
+   fault-injected) solve path, and then trusted for every candidate, so
+   any armed fault — whichever stage it targets — forces the exact tier:
+   injected faults must reach the solve path they are aimed at, not be
+   blurred away. A stack the blur is not exact for (side walls, or no
+   grounded face) takes the exact tier under every screen choice. *)
 let screening_enabled flow =
-  Thermal.Mesh.blur_defined flow.Flow.mesh_config
+  Thermal.Mesh.blur_exact flow.Flow.mesh_config
   &&
   match flow.Flow.screen with
   | Flow.Screen_exact -> false
-  | Flow.Screen_fft -> true
   | Flow.Screen_auto ->
     not (List.exists Robust.Faults.armed Robust.Faults.all)
 
-(* The paper's scheme: rank candidates by their (screened or exact)
-   predicted peak. *)
+(* The paper's scheme: rank candidates by their predicted peak, blurred
+   (exact, no solve) when screening is enabled, solved otherwise. *)
 let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   Obs.Trace.with_span "optimizer.greedy_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
@@ -94,10 +89,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
     collect 0 []
   in
   let num_cands = List.length candidates in
-  (* screening pays one anchor solve per round; with no more candidates
-     than leaders every candidate gets an exact solve anyway, so the blur
-     tier cannot win and is skipped *)
-  let screen = screening_enabled flow && num_cands > leaders in
+  let screen = screening_enabled flow in
   let trial_power = trial_pricer flow ~nx:coarse_nx in
   let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
@@ -106,121 +98,71 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
      [Technique.apply_row_insertions] *)
   let rev_plan = ref [] in
   let remaining = ref rows in
-  (* warm-start seed: the incumbent plan's temperature field *)
-  let _, sol0 =
-    eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
-      ~tol:rank_tol
-  in
-  incr evaluations;
-  let warm = ref sol0.Thermal.Mesh.temp in
+  (* exact tier: the incumbent plan's temperature field, which warm-starts
+     every candidate solve of the next round *)
+  let warm = ref None in
+  if not screen then begin
+    let _, sol0 =
+      eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
+        ~tol:rank_tol
+    in
+    incr evaluations;
+    warm := Some sol0.Thermal.Mesh.temp
+  end;
   while !remaining > 0 do
     let step = min chunk !remaining in
-    let x0 = Some !warm in
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
     in
-    (* candidate trials are independent: evaluate them on the pool. The
+    (* candidate trials are independent: price them on the pool. The
        list order is preserved, and selection below walks it sequentially
-       with the seed's tie-break (strict improvement wins), so parallel
-       and sequential runs pick identical plans. Under fft screening the
-       non-leader entries are [None]; the leaders are solved with exactly
-       the inputs the exact tier would use (same x0, tolerance and
-       preconditioner), so whenever the leader set contains the exact
-       argmin the committed plan is bit-identical to exact screening. *)
-    let outcomes =
+       (strict improvement wins, first wins ties), so parallel and
+       sequential runs pick identical plans. *)
+    let priced =
       if screen then begin
-        Obs.Trace.with_span "optimizer.screen" @@ fun () ->
         (* every trial in this round shares (config, extent), so the
            transfer of the first candidate's mesh serves all of them *)
-        let first_power = trial_power (trial_of (List.hd candidates)) in
         let kernel =
           Thermal.Mesh.blur
             (Thermal.Mesh.build (coarse_config flow ~nx:coarse_nx)
-               ~power:first_power)
+               ~power:(trial_power (trial_of (List.hd candidates))))
         in
-        (* anchor the round with one exact (rank-tolerance) solve of the
-           first candidate and rank by blur corrected with the anchor's
-           exact-minus-blurred error field. Under the default adiabatic
-           walls the transfer is exact and the correction is only CG
-           residual noise; it is kept because it is cheap (one of the
-           round's solves) and makes the screen a control variate: the
-           transfer is linear in the power map, so if the model ever
-           degrades (non-zero side-wall conductance grounds boundary
-           tiles the adiabatic modes do not see) estimates err only by
-           the model error of the *difference* between candidate power
-           maps, not by its absolute error. Under the default MG
-           preconditioner this solve also builds the round's hierarchy. *)
-        let first_peak, first_sol =
-          eval_trial flow ~power:first_power ~nx:coarse_nx ~x0
-            ~tol:rank_tol
-        in
-        let correction =
-          Geo.Grid.map2 (Thermal.Mesh.active_layer_grid first_sol)
-            (Thermal.Blur.field kernel ~power:first_power) ~f:( -. )
-        in
-        let blurred =
-          Parallel.Pool.map_list candidates ~f:(fun cand ->
-              Thermal.Blur.peak kernel ~correction
-                ~power:(trial_power (trial_of cand)))
-        in
-        blur_evaluations := !blur_evaluations + num_cands + 1;
-        (* stable top-k on (corrected peak, candidate index): equal peaks
-           keep candidate order, matching the exact tier's first-wins
-           tie-break *)
-        let ranked =
-          List.sort compare (List.mapi (fun i p -> (p, i)) blurred)
-        in
-        let is_leader = Array.make num_cands false in
-        List.iteri
-          (fun rank (_, i) -> if rank < leaders then is_leader.(i) <- true)
-          ranked;
-        (* the anchor solve is reused below when candidate 0 leads (the
-           generic outcome counter picks it up there); otherwise it was
-           an extra exact solve and is accounted for here *)
-        if not is_leader.(0) then incr evaluations;
-        Parallel.Pool.map_list
-          (List.mapi (fun i c -> (i, c)) candidates)
-          ~f:(fun (i, cand) ->
-              if not is_leader.(i) then None
-              else if i = 0 then
-                (* the anchor solve used the leader inputs already *)
-                Some (first_peak, first_sol)
-              else
-                Some
-                  (eval_trial flow ~power:(trial_power (trial_of cand))
-                     ~nx:coarse_nx ~x0 ~tol:rank_tol))
-      end
-      else
+        blur_evaluations := !blur_evaluations + num_cands;
         Parallel.Pool.map_list candidates ~f:(fun cand ->
-            Some
-              (eval_trial flow ~power:(trial_power (trial_of cand))
-                 ~nx:coarse_nx ~x0 ~tol:rank_tol))
+            (Thermal.Blur.peak kernel ~power:(trial_power (trial_of cand)),
+             None))
+      end
+      else begin
+        evaluations := !evaluations + num_cands;
+        Parallel.Pool.map_list candidates ~f:(fun cand ->
+            let peak, sol =
+              eval_trial flow ~power:(trial_power (trial_of cand))
+                ~nx:coarse_nx ~x0:!warm ~tol:rank_tol
+            in
+            (peak, Some sol.Thermal.Mesh.temp))
+      end
     in
-    List.iter (fun o -> if Option.is_some o then incr evaluations) outcomes;
     let best = ref None in
     List.iter2
-      (fun cand outcome ->
-         match outcome with
-         | None -> ()
-         | Some (peak, sol) ->
-           (match !best with
-            | Some (_, best_peak, _) when best_peak <= peak -> ()
-            | _ -> best := Some (cand, peak, sol)))
-      candidates outcomes;
+      (fun cand (peak, temp) ->
+         match !best with
+         | Some (_, best_peak, _) when best_peak <= peak -> ()
+         | _ -> best := Some (cand, peak, temp))
+      candidates priced;
     (match !best with
-     | Some (cand, _, sol) ->
-       rev_plan := List.rev_append (List.init step (fun _ -> cand)) !rev_plan;
-       warm := sol.Thermal.Mesh.temp
+     | Some (cand, _, temp) ->
+       rev_plan := trial_of cand;
+       warm := temp
      | None -> assert false);
     remaining := !remaining - step
   done;
   let plan_list = List.rev !rev_plan in
   let final = Technique.apply_row_insertions base plan_list in
-  (* re-score the winner at full tolerance, warm-started from its own
-     ranking solution (a few iterations to polish 1e-6 down to 1e-10) *)
+  (* re-score the committed plan cold at full tolerance: the same solve
+     under either tier, so equal plans report bit-identical peaks *)
   let peak, _ =
-    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx
-      ~x0:(Some !warm) ~tol:Thermal.Cg.default_tol
+    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx ~x0:None
+      ~tol:Thermal.Cg.default_tol
   in
   incr evaluations;
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;

@@ -4,10 +4,10 @@
     inserted").
 
     The optimizer spends an empty-row budget one chunk at a time: each round
-    prices every candidate insertion position on a coarse mesh, by a
-    warm-started thermal solve, by fft screening with exact solves for the
-    leaders only, or by the gradient guide's one adjoint solve (see
-    {!greedy_rows}), and commits the chunk with the lowest predicted peak.
+    prices every candidate insertion position on a coarse mesh, by the
+    exact modal blur (no solve), by a warm-started thermal solve, or by the
+    gradient guide's one adjoint solve (see {!greedy_rows}), and commits
+    the chunk with the lowest predicted peak.
     Each trial's power map is built from the base placement's row profiles
     ({!Power.Map.of_row_profile}), binned once per run; only the committed
     plan becomes a placement. This is slower than plain ERI but needs no
@@ -17,11 +17,11 @@ type result = {
   plan : Technique.eri_result;      (** the chosen insertions applied *)
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
-  (** exact thermal solves spent (initial seed, anchor and
-      candidate/leader solves, and the final re-score); the blur transfer
-      is closed-form and costs no solve *)
+  (** exact thermal solves spent: the final re-score alone when every
+      candidate was blurred; otherwise also the initial seed and the
+      candidate (or gradient-guide confirmation) solves *)
   blur_evaluations : int;
-  (** FFT blur screenings spent; 0 when the exact tier ran *)
+  (** candidates priced by the blur; 0 when the exact tier ran *)
   adjoint_evaluations : int;
   (** adjoint sensitivity solves spent; 0 under [Guide_peak] *)
 }
@@ -40,24 +40,21 @@ val greedy_rows :
     evaluation uses a [coarse_nx] x [coarse_nx] thermal grid (default 20).
     Raises [Invalid_argument] on a non-positive budget or parameter.
 
-    Candidate solves within a round run concurrently on the
-    {!Parallel.Pool}, share the round's die extent (and so one
-    conductance operator), and are warm-started from the incumbent plan's temperature field. Selection
-    walks candidates in their fixed order with a strict-improvement
-    tie-break, so the chosen plan is identical for any pool size
-    (including sequential).
-
-    When the flow's [screen] tier resolves to fft (see
-    {!Flow.screen_choice}), each round solves the first candidate exactly
-    once (the anchor), ranks every candidate by the peak of its blurred
-    power map corrected by the anchor's exact-minus-blurred error field
-    (a control variate — see {!Thermal.Blur.peak}), then runs the exact
-    warm-started solve only for the 3 best-ranked candidates, the
-    leaders (ties keep candidate order). Anchor and leader solves use
-    exactly the inputs the exact tier would, so the committed plan is
-    bit-identical to [Screen_exact] whenever the leader set contains the
-    exact winner. Screening is skipped when a round has no more than 3
-    candidates.
+    When the flow's [screen] resolves to the blur (see
+    {!Flow.screen_choice}), each round builds the blur kernel of its die
+    extent once ({!Thermal.Mesh.blur}) and prices every candidate by
+    {!Thermal.Blur.peak}: the exact active-layer peak of its trial power
+    map, with no solve. Otherwise every candidate gets an MG-CG solve at
+    a 1e-6 ranking tolerance, warm-started from the incumbent plan's
+    temperature field (one seed solve before the first round).
+    Candidates within a round are priced concurrently on the
+    {!Parallel.Pool}, and selection walks them in their fixed order with
+    a strict-improvement tie-break, so the chosen plan is identical for
+    any pool size (including sequential). Both tiers end with the same
+    single cold full-tolerance solve of the committed plan, so
+    [predicted_peak_k] is a solve result, bit-identical across tiers
+    whenever their plans agree. A run spends [1] exact solve with the
+    blur and [2 + rounds * candidates] without it.
 
     When the flow's [guide] is {!Flow.Guide_gradient}, the per-candidate
     solves disappear entirely: each round runs one adjoint sensitivity

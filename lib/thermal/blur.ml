@@ -83,25 +83,10 @@ let field t ~power =
   Geo.Grid.of_function ~nx ~ny:t.b_ny ~extent:t.b_extent
     ~f:(fun ~ix ~iy -> a.((iy * nx) + ix))
 
-let peak ?correction t ~power =
-  (match correction with
-   | Some c ->
-     if Geo.Grid.nx c <> t.b_nx || Geo.Grid.ny c <> t.b_ny then
-       invalid_arg "Blur.peak: correction grid dimensions mismatch"
-   | None -> ());
+let peak t ~power =
   let a = apply t ~power in
   let best = ref neg_infinity in
-  (match correction with
-   | None ->
-     for i = 0 to Array.length a - 1 do
-       if a.(i) > !best then best := a.(i)
-     done
-   | Some c ->
-     let nx = t.b_nx in
-     for iy = 0 to t.b_ny - 1 do
-       for ix = 0 to nx - 1 do
-         let v = a.((iy * nx) + ix) +. Geo.Grid.get c ~ix ~iy in
-         if v > !best then best := v
-       done
-     done);
+  for i = 0 to Array.length a - 1 do
+    if a.(i) > !best then best := a.(i)
+  done;
   !best

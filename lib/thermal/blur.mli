@@ -6,8 +6,9 @@
     candidate power map then costs two 2-D DCTs ({!Fft.dct2_rows})
     instead of an iterative solve.
 
-    The die walls are adiabatic by default ([h_side_w_m2k = 0]) and the
-    stack's conductances are uniform per layer, so each layer's lateral
+    The die walls are adiabatic ([h_side_w_m2k = 0]; {!Mesh.blur}
+    refuses any other stack) and the stack's conductances are uniform
+    per layer, so each layer's lateral
     stencil is a free-end path Laplacian per axis. The DCT-II
     diagonalizes it exactly: mode k of an n-point path has eigenvalue
     2 (1 - cos(pi k / n)). Each lateral mode (kx, ky) therefore decouples
@@ -16,13 +17,6 @@
     closed form). Evaluation is T = IDCT(G * DCT(P)) on the nx x ny die
     itself — no mirror extension, no padding — and matches full solves of
     the discrete operator to rounding, not just to a screening tolerance.
-
-    If the stack has non-zero side-wall conductance, the boundary tiles
-    carry an extra ground term the modes do not see, and evaluations
-    degrade to estimates of the adiabatic die; rank-then-re-score (what
-    [Optimizer.greedy_rows] does under the fft screen tier, with the
-    anchor's correction field as a control variate) keeps committed plans
-    exact either way.
 
     A [t] is immutable and safe to share across pool workers; an
     evaluation allocates two nx * ny arrays plus per-batch transform
@@ -49,12 +43,5 @@ val field : t -> power:Geo.Grid.t -> Geo.Grid.t
     One forward and one inverse 2-D DCT, traced as the
     [thermal.blur.eval] span. *)
 
-val peak : ?correction:Geo.Grid.t -> t -> power:Geo.Grid.t -> float
-(** Maximum of {!field} without materializing the grid. With
-    [correction] (same dims, checked), the maximum of
-    [field + correction] instead: pass the exact-minus-blurred error
-    field of a reference power map to screen with a control variate.
-    The transfer is linear in the power map, so a corrected estimate
-    errs only by the model error of the *difference* from the reference
-    — zero when the transfer is exact, and still small under non-zero
-    side-wall conductance. *)
+val peak : t -> power:Geo.Grid.t -> float
+(** Maximum of {!field} without materializing the grid. *)

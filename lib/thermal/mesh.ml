@@ -220,9 +220,14 @@ let active_layer_grid s =
    conductances in series — the layers below present
    g_v s / (g_v + s) to the next one up, s being a layer's own ground
    plus what presents to it from further below — which is the same
-   recurrence without subtracting nearly equal numbers. *)
-let blur_defined cfg =
-  cfg.stack.Stack.h_top_w_m2k > 0.0 || cfg.stack.Stack.h_bottom_w_m2k > 0.0
+   recurrence without subtracting nearly equal numbers. The transfer is
+   exact only when the walls are adiabatic (a side wall grounds boundary
+   tiles the modes do not see) and a face is grounded (otherwise the
+   uniform mode has no heat path). *)
+let blur_exact cfg =
+  let s = cfg.stack in
+  s.Stack.h_side_w_m2k = 0.0
+  && (s.Stack.h_top_w_m2k > 0.0 || s.Stack.h_bottom_w_m2k > 0.0)
 
 let blur p =
   let cfg = p.p_config in
@@ -233,9 +238,9 @@ let blur p =
     let c = conductances cfg ~extent:p.p_extent in
     let nz = Stack.num_layers cfg.stack in
     let pl = cfg.stack.Stack.power_layer in
-    if not (blur_defined cfg) then
-      invalid_arg "Mesh.blur: no top or bottom heat path, the uniform mode \
-                   of the adiabatic die is singular";
+    if not (blur_exact cfg) then
+      invalid_arg "Mesh.blur: the modal transfer needs adiabatic side walls \
+                   and a grounded top or bottom face";
     let face =
       Array.init nz (fun iz ->
           (if iz = 0 then c.g_bottom else 0.0)

@@ -105,21 +105,20 @@ val layer_grid : solution -> iz:int -> Geo.Grid.t
 val active_layer_grid : solution -> Geo.Grid.t
 (** The thermal map of the paper's figures: the power-injection layer. *)
 
-val blur_defined : config -> bool
-(** Whether {!blur} is defined for this config: the stack grounds its
-    top or its bottom face. A die cooled through its side walls alone
-    has no adiabatic modal transfer (its uniform mode has no heat path);
-    only the exact solve handles it. *)
+val blur_exact : config -> bool
+(** Whether {!blur} is defined for this config: the side walls are
+    adiabatic ([h_side_w_m2k = 0]) and the stack grounds its top or its
+    bottom face. A side wall grounds boundary tiles the lateral modes do
+    not see, and a die with neither face grounded has no heat path for
+    its uniform mode; only the exact solve handles those stacks. *)
 
 val blur : problem -> Blur.t
-(** The power-blurring screening kernel for this problem's mesh: the
-    modal transfer of the stack on the die's DCT-II basis (see {!Blur}).
-    For each lateral mode it is the power-layer diagonal entry of the
-    inverse of one nz x nz tridiagonal system, computed in closed form
-    from the same per-layer conductances the stencil is built from — no
-    solve runs and no preconditioner is involved. Exact for the adiabatic
-    die; under non-zero side-wall conductance it is the adiabatic die's
-    transfer and so an estimate. Computed on first use, O(nx ny nz), and
-    kept on the problem next to the multigrid hierarchy. Traced as
-    [thermal.blur.characterize]. Raises [Invalid_argument] unless
-    {!blur_defined}. *)
+(** The power-blurring kernel for this problem's mesh: the modal transfer
+    of the stack on the die's DCT-II basis (see {!Blur}). For each
+    lateral mode it is the power-layer diagonal entry of the inverse of
+    one nz x nz tridiagonal system, computed in closed form from the same
+    per-layer conductances the stencil is built from — no solve runs and
+    no preconditioner is involved — so it is exact, never an estimate.
+    Computed on first use, O(nx ny nz), and kept on the problem next to
+    the multigrid hierarchy. Traced as [thermal.blur.characterize].
+    Raises [Invalid_argument] unless {!blur_exact}. *)

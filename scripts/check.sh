@@ -19,7 +19,15 @@ cd "$root"
 
 # Route every run's ledger record to a scratch file so the smoke can
 # assert exact growth without touching the working directory's ledger.
-ledger=$(mktemp /tmp/thermoplace-ledger.XXXXXX.jsonl)
+ledger=$(mktemp "${TMPDIR:-/tmp}/thermoplace-ledger.XXXXXX.jsonl")
+# Every scratch file, made here or further down, goes when the script
+# exits, on failure too; a name not made yet expands to "", which rm -f
+# ignores.
+trap 'rm -rf "$ledger" "${verdict-}" "${report-}" "${ckpt-}" \
+  "${perfetto-}" "${prom-}" "${hist-}" "${serve_jobs-}" "${serve_out-}" \
+  "${serve_out:+$serve_out.pairs}" "${serve_out2-}" \
+  "${serve_out2:+$serve_out2.jobs}" "${serve_out2:+$serve_out2.pairs}" \
+  "${serve_ledger-}" "${serve_err-}" "${serve_fifo-}" "${export_dir-}"' EXIT
 rm -f "$ledger"
 THERMOPLACE_LEDGER="$ledger"
 export THERMOPLACE_LEDGER
@@ -84,8 +92,8 @@ done
 # overhead), the steady-state justification, the multigrid checks
 # (plans agree, bit-identical across pools, at most 10 MG-CG iterations
 # at every size) and the fft screening checks (plans and peaks agree
-# with the exact tier, winner among the leaders, no Bluestein transform
-# on the screening grids) must all hold.
+# with the exact tier, the blur ranks the solves' winner first, no
+# Bluestein transform on the screening grids) must all hold.
 if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_mg.json \
   BENCH_fft.json; then
   echo "paper suites: a Fig. 6, transient, multigrid or fft check is false" >&2
@@ -96,7 +104,7 @@ echo "== bench regression gate (bench_diff vs committed baselines)"
 # A generous threshold absorbs machine-to-machine noise on top of the
 # baselines' own measured IQR; invariant flips (plans_agree,
 # parallel_bit_identical, ...) fail at any threshold.
-verdict=$(mktemp /tmp/thermoplace-verdict.XXXXXX.json)
+verdict=$(mktemp "${TMPDIR:-/tmp}/thermoplace-verdict.XXXXXX.json")
 dune exec bin/bench_diff.exe -- --threshold 0.60 --json "$verdict" \
   bench/baselines/cg.json BENCH_cg.json >/dev/null
 dune exec bin/json_check.exe -- "$verdict" baseline fresh ok failed keys
@@ -123,20 +131,17 @@ fi
 rm -f "$verdict"
 
 echo "== thermoplace --report / --prom smoke"
-report=$(mktemp /tmp/thermoplace-report.XXXXXX.json)
-ckpt=$(mktemp /tmp/thermoplace-ckpt.XXXXXX.json)
-perfetto=$(mktemp /tmp/thermoplace-perfetto.XXXXXX.json)
-prom=$(mktemp /tmp/thermoplace-metrics.XXXXXX.prom)
-hist=$(mktemp /tmp/thermoplace-history.XXXXXX.jsonl)
-serve_jobs=$(mktemp /tmp/thermoplace-serve-jobs.XXXXXX.jsonl)
-serve_out=$(mktemp /tmp/thermoplace-serve-out.XXXXXX.jsonl)
-serve_out2=$(mktemp /tmp/thermoplace-serve-out2.XXXXXX.jsonl)
-serve_ledger=$(mktemp /tmp/thermoplace-serve-ledger.XXXXXX.jsonl)
-serve_err=$(mktemp /tmp/thermoplace-serve-err.XXXXXX.log)
-serve_fifo=$(mktemp -u /tmp/thermoplace-serve-fifo.XXXXXX)
-trap 'rm -f "$report" "$ckpt" "$perfetto" "$prom" "$hist" "$ledger" \
-  "$serve_jobs" "$serve_out" "$serve_out2" "$serve_ledger" "$serve_err" \
-  "$serve_fifo"' EXIT
+report=$(mktemp "${TMPDIR:-/tmp}/thermoplace-report.XXXXXX.json")
+ckpt=$(mktemp "${TMPDIR:-/tmp}/thermoplace-ckpt.XXXXXX.json")
+perfetto=$(mktemp "${TMPDIR:-/tmp}/thermoplace-perfetto.XXXXXX.json")
+prom=$(mktemp "${TMPDIR:-/tmp}/thermoplace-metrics.XXXXXX.prom")
+hist=$(mktemp "${TMPDIR:-/tmp}/thermoplace-history.XXXXXX.jsonl")
+serve_jobs=$(mktemp "${TMPDIR:-/tmp}/thermoplace-serve-jobs.XXXXXX.jsonl")
+serve_out=$(mktemp "${TMPDIR:-/tmp}/thermoplace-serve-out.XXXXXX.jsonl")
+serve_out2=$(mktemp "${TMPDIR:-/tmp}/thermoplace-serve-out2.XXXXXX.jsonl")
+serve_ledger=$(mktemp "${TMPDIR:-/tmp}/thermoplace-serve-ledger.XXXXXX.jsonl")
+serve_err=$(mktemp "${TMPDIR:-/tmp}/thermoplace-serve-err.XXXXXX.log")
+serve_fifo=$(mktemp -u "${TMPDIR:-/tmp}/thermoplace-serve-fifo.XXXXXX")
 dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 --report "$report" \
   --prom "$prom" >/dev/null
@@ -194,7 +199,7 @@ echo "== export smoke (thermoplace export)"
 # Every export file must be written, and the SPICE netlist must be whole
 # (ends with .end) with exactly the resistor count the command reports.
 # --ledger none keeps every ledger count below unchanged.
-export_dir=$(mktemp -d /tmp/thermoplace-export.XXXXXX)
+export_dir=$(mktemp -d "${TMPDIR:-/tmp}/thermoplace-export.XXXXXX")
 export_out=$(dune exec bin/thermoplace.exe -- \
   export --test-set small --cycles 200 --outdir "$export_dir" --ledger none)
 for f in design.v cells.lef design.def thermal.sp layout.svg; do

@@ -152,7 +152,7 @@ let test_request_roundtrip () =
   let r =
     parse_ok
       {|{"id":"j1","test_set":"concentrated","technique":"hw","seed":7,
-         "cycles":321,"utilization":0.7,"precond":"mg","screen":"fft",
+         "cycles":321,"utilization":0.7,"precond":"mg","screen":"exact",
          "overhead":0.3,"rows":3,"deadline_ms":1500,"max_retries":1,
          "faults":"nan_power"}|}
   in
@@ -196,6 +196,7 @@ let test_request_validation () =
   reject "bad faults" {|{"id":"x","faults":"warp_core"}|};
   reject "non-string id" {|{"id":7}|};
   reject "unknown guide" {|{"id":"x","guide":"psychic"}|};
+  reject "retired fft screen" {|{"id":"x","screen":"fft"}|};
   (* a misspelt field is an admission error naming it, never a silent
      default *)
   match
@@ -235,6 +236,76 @@ let test_fingerprint_groups_configs () =
     (Job.fingerprint b);
   Alcotest.(check bool) "different cycles, different fingerprint" true
     (Job.fingerprint a <> Job.fingerprint c)
+
+(* Mutated request lines: a full request with one enum field set to any
+   name it accepts, the retired screen name "fft", the empty string or
+   junk, then up to three byte flips, truncations or insertions. Decoding
+   must never raise, and whatever it accepts must survive an encode,
+   print and decode unchanged. *)
+let fuzz_line =
+  let open QCheck.Gen in
+  let junk = [ "fft"; ""; {|\u0000x\u00ff|} ] in
+  let enums =
+    [ ("test_set", Postplace.Experiment.test_set_names);
+      ("technique", Job.technique_names);
+      ("precond", Postplace.Flow.precond_names);
+      ("screen", Postplace.Flow.screen_names);
+      ("guide", Postplace.Flow.guide_names) ]
+  in
+  let full field value =
+    String.concat ","
+      (List.map
+         (fun (k, v) ->
+            Printf.sprintf "\"%s\":%s" k
+              (if k = field then "\"" ^ value ^ "\"" else v))
+         [ ("id", {|"fz"|}); ("test_set", {|"small"|});
+           ("technique", {|"optimize"|}); ("seed", "3"); ("cycles", "200");
+           ("utilization", "0.7"); ("precond", {|"mg"|});
+           ("screen", {|"auto"|}); ("guide", {|"peak"|});
+           ("overhead", "0.3"); ("rows", "2"); ("deadline_ms", "1500");
+           ("max_retries", "1"); ("faults", {|"cg_stall:2"|}) ])
+  in
+  let mutate s =
+    let n = String.length s in
+    let* at = int_bound n in
+    let at' = min at (n - 1) in
+    oneof
+      [ (let+ x = int_range 1 255 in
+         if n = 0 then s
+         else
+           String.mapi
+             (fun i c -> if i = at' then Char.chr (Char.code c lxor x) else c)
+             s);
+        return (String.sub s 0 at);
+        (let+ ins =
+           oneof
+             [ map (String.make 1) char;
+               oneofl [ ","; "\""; "{"; "}"; "["; ":"; "null"; "1e999"; "-0";
+                        "\\u0000"; "\\"; {|"seed":1,|} ] ]
+         in
+         String.sub s 0 at ^ ins ^ String.sub s at (n - at)) ]
+  in
+  let* field, names = oneofl enums in
+  let* value = oneofl (names @ junk) in
+  let* steps = int_bound 3 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go steps ("{" ^ full field value ^ "}")
+
+let prop_request_codec_fuzz =
+  QCheck.Test.make ~name:"request codec survives mutated lines" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") fuzz_line)
+    (fun line ->
+       match Job.request_of_line line with
+       | exception e ->
+         QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+       | Error _ -> true
+       | Ok r ->
+         (match
+            Job.request_of_line (Obs.Json.to_string (Job.request_to_json r))
+          with
+          | Ok r2 when r2 = r -> true
+          | Ok _ -> QCheck.Test.fail_report "round trip changed the request"
+          | Error msg -> QCheck.Test.fail_reportf "re-decode failed: %s" msg))
 
 (* --- server end-to-end ----------------------------------------------------- *)
 
@@ -454,6 +525,7 @@ let () =
        [ Alcotest.test_case "round trip" `Quick test_request_roundtrip;
          Alcotest.test_case "validation" `Quick test_request_validation;
          Alcotest.test_case "guide field" `Quick test_request_guide_field;
+         QCheck_alcotest.to_alcotest prop_request_codec_fuzz;
          Alcotest.test_case "fingerprint batching identity" `Quick
            test_fingerprint_groups_configs ]);
       ("server",

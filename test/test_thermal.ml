@@ -1739,19 +1739,27 @@ let test_blur_validation () =
   (match Thermal.Blur.field kernel ~power:wrong with
    | _ -> Alcotest.fail "dimension mismatch accepted"
    | exception Invalid_argument _ -> ());
-  (* cooled through the side walls alone, the adiabatic die's uniform
-     mode has no heat path *)
-  let stack =
-    { Thermal.Stack.default_9layer with
-      Thermal.Stack.h_top_w_m2k = 0.0; h_bottom_w_m2k = 0.0;
-      h_side_w_m2k = 1e5 }
-  in
-  (match
-     Thermal.Mesh.blur
-       (Thermal.Mesh.build { blur_cfg with Thermal.Mesh.stack } ~power)
-   with
-   | _ -> Alcotest.fail "singular modal transfer accepted"
-   | exception Invalid_argument _ -> ())
+  (* the modal transfer is exact only for adiabatic side walls and a
+     grounded face: cooled through the side walls alone, the uniform
+     mode has no heat path; with grounded faces and side walls too, the
+     walls ground boundary tiles the modes do not see *)
+  let d = Thermal.Stack.default_9layer in
+  List.iter
+    (fun (name, stack) ->
+       let cfg = { blur_cfg with Thermal.Mesh.stack } in
+       Alcotest.(check bool) (name ^ " is not blur-exact") false
+         (Thermal.Mesh.blur_exact cfg);
+       match Thermal.Mesh.blur (Thermal.Mesh.build cfg ~power) with
+       | _ -> Alcotest.failf "%s: inexact modal transfer accepted" name
+       | exception Invalid_argument _ -> ())
+    [ ("side walls alone",
+       { d with
+         Thermal.Stack.h_top_w_m2k = 0.0; h_bottom_w_m2k = 0.0;
+         h_side_w_m2k = 1e5 });
+      ("side-walled, grounded",
+       { d with Thermal.Stack.h_side_w_m2k = 2e4 }) ];
+  Alcotest.(check bool) "the default stack is blur-exact" true
+    (Thermal.Mesh.blur_exact blur_cfg)
 
 let test_blur_kernel_cached () =
   let power = point_power [ (12, 12, 1.0) ] in
@@ -1787,8 +1795,7 @@ let test_blur_peak_allocation () =
        in
        let power = uniform_power ~nx:n ~ny:n ~total:0.02 in
        let kernel = Thermal.Mesh.blur (Thermal.Mesh.build cfg ~power) in
-       let correction = Geo.Grid.map power ~f:(fun v -> v *. 0.5) in
-       ignore (Thermal.Blur.peak kernel ~correction ~power : float);
+       ignore (Thermal.Blur.peak kernel ~power : float);
        let words () =
          let minor, promoted, major = Gc.counters () in
          minor +. major -. promoted
@@ -1798,7 +1805,7 @@ let test_blur_peak_allocation () =
           allocation *)
        let call () =
          let w0 = words () in
-         ignore (Thermal.Blur.peak kernel ~correction ~power : float);
+         ignore (Thermal.Blur.peak kernel ~power : float);
          words () -. w0
        in
        let w = List.nth (List.sort compare (List.init 5 (fun _ -> call ()))) 2 in
