@@ -12,8 +12,8 @@
      dune exec bench/main.exe -- NAME   -- one suite of the table at the
                                            end of this file: a paper
                                            experiment (fig5, fig6, table1,
-                                           ...) or a kernel suite (perf,
-                                           cg, mg, fft, adjoint, serve)
+                                           ...) or an engineering suite
+                                           (perf, solve, serve)
 
    `--jobs N` anywhere on the line sizes the domain pool. `--trials N`
    runs each selected suite N times and replaces every wall-clock
@@ -43,15 +43,12 @@ let rows_field f rows = ("rows", j_list (List.map (fun r -> j_obj (f r)) rows))
 let rows_suite flow experiment f () =
   j_obj [ rows_field f (experiment (Lazy.force flow)) ]
 
-(* [fl]'s stack on an nx x nx grid, placement [pl]'s power binned on it,
-   and the resulting mesh problem. *)
+(* [fl]'s stack on an nx x nx grid, and placement [pl]'s power binned on
+   it. *)
 let grid fl nx = { fl.Postplace.Flow.mesh_config with Thermal.Mesh.nx; ny = nx }
 
 let power_at fl ~nx pl =
   Power.Map.power_map pl ~per_cell_w:fl.Postplace.Flow.per_cell_w ~nx ~ny:nx
-
-let problem_at fl ~nx pl =
-  Thermal.Mesh.build (grid fl nx) ~power:(power_at fl ~nx pl)
 
 (* --- FIG 5 ------------------------------------------------------------- *)
 
@@ -351,7 +348,7 @@ let run_perf () =
   in
   j_obj [ ("ns_per_run", j_obj kernels) ]
 
-(* --- kernel-suite fixtures ------------------------------------------------------ *)
+(* --- SOLVE: the one flow solver and the pricing built on it ------------------ *)
 
 let time f =
   let t0 = Obs.Clock.now () in
@@ -360,510 +357,102 @@ let time f =
 
 let ms t = j_f (t *. 1e3)
 
-(* The cg, mg, fft and adjoint suites run on a fresh metrics registry and
-   a 1-domain pool, restored to the caller's size however the suite
-   exits. They benchmark the *exact* candidate-evaluation path (their
-   baselines predate fft screening), so test set 1 comes pinned to the
-   exact screening tier; the fft suite switches tiers itself. *)
-let kernel_suite run () =
-  let saved_jobs = Parallel.Pool.jobs () in
-  Obs.Metrics.reset ();
-  Parallel.Pool.set_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.set_jobs saved_jobs)
-    (fun () ->
-       run
-         { (Lazy.force flow1) with
-           Postplace.Flow.screen = Postplace.Flow.Screen_exact })
-
 let plan_of (r : Postplace.Optimizer.result) =
   r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
 
-(* Typed registry reads for the telemetry sections: a counter that was
-   never bumped reads 0, a histogram as its percentiles or its sum. The
-   reservoir keeps an unbiased sample of the whole stream, so p50/p90/p99
-   describe the full run, not its first 4096 observations. *)
-let counter name =
-  j_i (Option.value ~default:0 (Obs.Metrics.counter_value name))
-
-let hist_percentiles name =
-  match Obs.Metrics.histogram name with
-  | None -> Obs.Json.Null
-  | Some h ->
-    j_obj
-      [ ("count", j_i h.Obs.Metrics.count);
-        ("p50", j_f (Obs.Metrics.percentile h 0.50));
-        ("p90", j_f (Obs.Metrics.percentile h 0.90));
-        ("p99", j_f (Obs.Metrics.percentile h 0.99)) ]
+(* Registry reads for the telemetry block: a counter never bumped reads
+   0, a histogram its sum. *)
+let count name = Option.value ~default:0 (Obs.Metrics.counter_value name)
+let counter name = j_i (count name)
 
 let hist_sum name =
   match Obs.Metrics.histogram name with
   | None -> j_i 0
   | Some h -> j_i (int_of_float h.Obs.Metrics.sum)
 
-(* The fft and adjoint suites' head-to-head at the production grid:
-   greedy_rows (8 rows in chunks of 4, about 20 candidate rows, 160x160)
-   once under flow [fl_a] and once under [fl_b]. No operator, hierarchy or
-   blur transfer outlives its problem, so each run starts cold (the keys
-   keep their "_cold" names). Returns both sides' results and the summary
-   fields they share, the times keyed by the side names [a] and [b]. *)
-let head_to_head (a, fl_a) (b, fl_b) =
-  let num_rows =
-    fl_a.Postplace.Flow.base_placement.Place.Placement.fp
-      .Place.Floorplan.num_rows
-  in
-  let rows = 8 and chunk = 4 in
-  let stride = max 1 (num_rows / 20) in
-  let coarse_nx = 160 in
-  let run f =
-    time (fun () ->
-        Postplace.Optimizer.greedy_rows f ~rows ~chunk ~stride ~coarse_nx ())
-  in
-  let ra, ta = run fl_a in
-  let rb, tb = run fl_b in
-  ( ra,
-    rb,
-    [ ("rows", j_i rows);
-      ("stride", j_i stride);
-      ("coarse_nx", j_i coarse_nx);
-      (a ^ "_cold_ms", ms ta);
-      (b ^ "_cold_ms", ms tb);
-      ("speedup_cold", j_f (ta /. tb)) ] )
-
-(* --- CG ENGINE -------------------------------------------------------------------- *)
-
-(* Wall-clock comparison of the incremental/parallel solve engine against
-   the seed behaviour (fresh assembly + cold Jacobi solve everywhere,
-   quadratic plan append, sequential candidates). *)
-
-(* The seed's greedy_rows, reproduced verbatim as a baseline: quadratic
-   [plan @ ...] growth, a mesh build per trial, cold solves, one extra final
-   scoring solve. *)
-let seed_greedy fl ~rows ~chunk ~stride ~coarse_nx =
-  let peak_of pl =
-    let cfg =
-      { fl.Postplace.Flow.mesh_config with Thermal.Mesh.nx = coarse_nx;
-        ny = coarse_nx }
-    in
-    let power =
-      Power.Map.power_map pl ~per_cell_w:fl.Postplace.Flow.per_cell_w
-        ~nx:coarse_nx ~ny:coarse_nx
-    in
-    let solution =
-      Thermal.Mesh.solve (Thermal.Mesh.build cfg ~power)
-    in
-    (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
-      .Thermal.Metrics.peak_rise_k
-  in
-  let evaluate after =
-    let r =
-      Postplace.Technique.apply_row_insertions
-        fl.Postplace.Flow.base_placement after
-    in
-    peak_of r.Postplace.Technique.eri_placement
-  in
-  let base = fl.Postplace.Flow.base_placement in
-  let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
-  let candidates =
-    let rec collect r acc = if r >= num_rows then List.rev acc
-      else collect (r + stride) (r :: acc)
-    in
-    collect 0 []
-  in
-  let plan = ref [] in
-  let remaining = ref rows in
-  while !remaining > 0 do
-    let step = min chunk !remaining in
-    let best = ref None in
-    List.iter
-      (fun cand ->
-         let trial = !plan @ List.init step (fun _ -> cand) in
-         let peak = evaluate trial in
-         match !best with
-         | Some (_, best_peak) when best_peak <= peak -> ()
-         | _ -> best := Some (cand, peak))
-      candidates;
-    (match !best with
-     | Some (cand, _) -> plan := !plan @ List.init step (fun _ -> cand)
-     | None -> assert false);
-    remaining := !remaining - step
+(* Relative error of the library FFT against a naive O(n^2) DFT of a
+   random complex vector. *)
+let fft_parity_err n =
+  let st = Random.State.make [| 1997; n |] in
+  let re = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let im = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let fr = Array.copy re and fi = Array.copy im in
+  Thermal.Fft.fft ~re:fr ~im:fi;
+  let scale = ref 0.0 and err = ref 0.0 in
+  for k = 0 to n - 1 do
+    let sr = ref 0.0 and si = ref 0.0 in
+    for t = 0 to n - 1 do
+      let ang = -2.0 *. Float.pi *. float_of_int (k * t) /. float_of_int n in
+      sr := !sr +. (re.(t) *. cos ang) -. (im.(t) *. sin ang);
+      si := !si +. (re.(t) *. sin ang) +. (im.(t) *. cos ang)
+    done;
+    scale := Float.max !scale (Float.hypot !sr !si);
+    err := Float.max !err (Float.hypot (fr.(k) -. !sr) (fi.(k) -. !si))
   done;
-  let final =
-    Postplace.Technique.apply_row_insertions base !plan
-  in
-  (final.Postplace.Technique.inserted_after,
-   peak_of final.Postplace.Technique.eri_placement)
+  !err /. !scale
 
-let run_cg fl =
-  let cfg = fl.Postplace.Flow.mesh_config in
-  let power = power_at fl ~nx:40 fl.Postplace.Flow.base_placement in
-  (* kernel timings: one mesh build *)
-  let problem, t_asm_cold = time (fun () -> Thermal.Mesh.build cfg ~power) in
-  (* solver variants on the 40x40x9 system *)
-  let cold, t_cold = time (fun () -> Thermal.Mesh.solve problem) in
-  let ssor, t_ssor =
-    time (fun () -> Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem)
-  in
-  let warm, t_warm =
-    time (fun () -> Thermal.Mesh.solve ~x0:cold.Thermal.Mesh.temp problem)
-  in
-  (* optimizer scenario: seed behaviour vs the engine, sequential and
-     parallel *)
-  let rows = 8 and coarse_nx = 40 in
-  let (seed_plan, seed_peak), t_seed =
-    time (fun () -> seed_greedy fl ~rows ~chunk:4 ~stride:4 ~coarse_nx)
-  in
-  let engine jobs =
-    Parallel.Pool.set_jobs jobs;
-    time (fun () -> Postplace.Optimizer.greedy_rows fl ~rows ~coarse_nx ())
-  in
-  let r1, t_eng1 = engine 1 in
-  let r4, t_eng4 = engine 4 in
-  let parallel_identical =
-    plan_of r1 = plan_of r4
-    && r1.Postplace.Optimizer.predicted_peak_k
-       = r4.Postplace.Optimizer.predicted_peak_k
-  in
-  j_obj
-    [ ("kernel",
-       j_obj
-         [ ("assembly_cold_ms", ms t_asm_cold);
-           ("cold_jacobi_ms", ms t_cold);
-           ("cold_jacobi_iters", j_i cold.Thermal.Mesh.cg_iterations);
-           ("cold_ssor_ms", ms t_ssor);
-           ("cold_ssor_iters", j_i ssor.Thermal.Mesh.cg_iterations);
-           ("warm_jacobi_ms", ms t_warm);
-           ("warm_jacobi_iters", j_i warm.Thermal.Mesh.cg_iterations) ]);
-      ("optimizer",
-       j_obj
-         [ ("rows", j_i rows);
-           ("coarse_nx", j_i coarse_nx);
-           ("seed_ms", ms t_seed);
-           ("engine_ms", ms t_eng1);
-           ("engine_4domains_ms", ms t_eng4);
-           ("speedup", j_f (t_seed /. t_eng1));
-           ("speedup_4domains", j_f (t_seed /. t_eng4));
-           ("seed_peak_k", j_f seed_peak);
-           ("engine_peak_k", j_f r1.Postplace.Optimizer.predicted_peak_k);
-           ("plans_agree", j_b (plan_of r1 = seed_plan));
-           ("parallel_bit_identical", j_b parallel_identical) ]);
-      ("telemetry",
-       j_obj
-         [ ("cold_iterations",
-            hist_percentiles "thermal.cg.cold.iterations");
-           ("warm_iterations",
-            hist_percentiles "thermal.cg.warm.iterations") ]) ]
-
-(* --- MG ENGINE --------------------------------------------------------------------- *)
-
-(* Geometric-multigrid V-cycle preconditioner vs Jacobi / SSOR CG across
-   mesh sizes, with the iteration ceiling z-line smoothing earns (at most
-   10 MG-CG iterations at every size), plus the two invariants the
-   optimizer relies on when running under [Pc_mg]: greedy plans unchanged
-   and bit-identical parallel runs. *)
-
-let run_mg fl =
+(* The solver every flow-level solve runs (MG-CG) and what is priced on
+   it, on test set 1's base power map: per grid size the hierarchy build,
+   a cold solve and the exact blur against it; the adjoint against the
+   forward solve with a central-difference check; greedy_rows under both
+   guides at the production grid; the blur tier against the exact tier,
+   and 1 against 2 domains, at 40x40; FFT parity. Every count is exact,
+   so bench_diff holds it to its baseline. Each trial runs on a fresh
+   metrics registry and a 1-domain pool, restored to the caller's size
+   however the suite exits. *)
+let run_solve () =
+  let saved_jobs = Parallel.Pool.jobs () in
+  Obs.Metrics.reset ();
+  Parallel.Pool.set_jobs 1;
+  Fun.protect ~finally:(fun () -> Parallel.Pool.set_jobs saved_jobs)
+  @@ fun () ->
+  let fl = Lazy.force flow1 in
   let base = fl.Postplace.Flow.base_placement in
-  let speedup_160 = ref 0.0 in
-  let max_mg_iters = ref 0 in
+  let at40 = ref None in
   let size_rows =
     List.map
       (fun nx ->
-         let problem = problem_at fl ~nx base in
-         let jac, t_jac = time (fun () -> Thermal.Mesh.solve problem) in
-         let ssor, t_ssor =
-           time (fun () ->
-               Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem)
+         let power = power_at fl ~nx base in
+         let problem = Thermal.Mesh.build (grid fl nx) ~power in
+         let _, t_build = time (fun () -> Thermal.Mesh.multigrid problem) in
+         let cycles0 = count "thermal.mg.cycles" in
+         let sol, t_solve = time (fun () -> Thermal.Mesh.solve problem) in
+         let vcycles = count "thermal.mg.cycles" - cycles0 in
+         let kernel, t_char = time (fun () -> Thermal.Mesh.blur problem) in
+         let field, t_blur =
+           time (fun () -> Thermal.Blur.field kernel ~power)
          in
-         let hier, t_build =
-           time (fun () -> Thermal.Mesh.multigrid problem)
-         in
-         let mg, t_mg =
-           time (fun () ->
-               Thermal.Mesh.solve ~precond:(Thermal.Cg.Multigrid hier)
-                 problem)
-         in
-         (* agreement with the SSOR solve, relative to the peak rise *)
-         let scale =
-           Array.fold_left
-             (fun a v -> Float.max a (Float.abs v))
-             0.0 ssor.Thermal.Mesh.temp
-         in
-         let max_rel = ref 0.0 in
-         Array.iteri
-           (fun i v ->
-              max_rel :=
-                Float.max !max_rel
-                  (Float.abs (v -. mg.Thermal.Mesh.temp.(i)) /. scale))
-           ssor.Thermal.Mesh.temp;
-         let speedup = t_ssor /. t_mg in
-         if nx = 160 then speedup_160 := speedup;
-         max_mg_iters := max !max_mg_iters mg.Thermal.Mesh.cg_iterations;
+         let mg = Thermal.Mesh.active_layer_grid sol in
+         let gap = ref 0.0 in
+         Geo.Grid.iteri mg ~f:(fun ~ix ~iy v ->
+             gap :=
+               Float.max !gap (Float.abs (Geo.Grid.get field ~ix ~iy -. v)));
+         if nx = 40 then at40 := Some (problem, sol, t_solve);
          j_obj
            [ ("nx", j_i nx);
-             ("jacobi_ms", ms t_jac);
-             ("jacobi_iters", j_i jac.Thermal.Mesh.cg_iterations);
-             ("ssor_ms", ms t_ssor);
-             ("ssor_iters", j_i ssor.Thermal.Mesh.cg_iterations);
              ("mg_build_ms", ms t_build);
-             ("mg_solve_ms", ms t_mg);
-             ("mg_iters", j_i mg.Thermal.Mesh.cg_iterations);
-             ("mg_levels", j_i (Thermal.Multigrid.num_levels hier));
-             ("speedup_vs_ssor", j_f speedup);
-             ("max_rel_diff_vs_ssor", j_f !max_rel) ])
-      [ 40; 80; 160 ]
+             ("solve_ms", ms t_solve);
+             ("iterations", j_i sol.Thermal.Mesh.cg_iterations);
+             ("vcycles", j_i vcycles);
+             ("characterize_ms", ms t_char);
+             ("blur_eval_ms", ms t_blur);
+             ("blur_within_1e9", j_b (!gap <= 1e-9 *. Geo.Grid.max_value mg)) ])
+      [ 20; 40; 80; 160 ]
   in
-  (* parallel determinism of the MG-preconditioned solve itself *)
-  let p80 = problem_at fl ~nx:80 base in
-  let h80 = Thermal.Mesh.multigrid p80 in
-  let solve_mg80 () =
-    Thermal.Mesh.solve ~precond:(Thermal.Cg.Multigrid h80) p80
-  in
-  let mg1 = solve_mg80 () in
-  Parallel.Pool.set_jobs 4;
-  let mg4 = solve_mg80 () in
-  let solve_identical = mg1.Thermal.Mesh.temp = mg4.Thermal.Mesh.temp in
-  (* optimizer invariants: the greedy plan under the Pc_mg default matches
-     the one under SSOR(1.6), the retired ranking default, and Pc_mg runs
-     are bit-identical across pool sizes *)
-  let greedy jobs f =
-    Parallel.Pool.set_jobs jobs;
-    Postplace.Optimizer.greedy_rows f ~rows:8 ()
-  in
-  let r_ssor =
-    greedy 1
-      { fl with Postplace.Flow.mesh_precond = Thermal.Mesh.Pc_ssor 1.6 }
-  in
-  let r_mg1 = greedy 1 fl in
-  let r_mg4 = greedy 4 fl in
-  let parallel_identical =
-    solve_identical
-    && plan_of r_mg1 = plan_of r_mg4
-    && r_mg1.Postplace.Optimizer.predicted_peak_k
-       = r_mg4.Postplace.Optimizer.predicted_peak_k
-  in
-  j_obj
-    [ ("sizes", j_list size_rows);
-      ("speedup_vs_ssor_160", j_f !speedup_160);
-      ("iterations_within_10", j_b (!max_mg_iters <= 10));
-      ("plans_agree", j_b (plan_of r_ssor = plan_of r_mg1));
-      ("parallel_bit_identical", j_b parallel_identical);
-      ("telemetry",
-       j_obj
-         [ ("cold_iterations",
-            hist_percentiles "thermal.cg.cold.iterations");
-           ("vcycle_count", counter "thermal.mg.cycles");
-           ("vcycles_per_solve",
-            hist_percentiles "thermal.mg.solve.cycles") ]) ]
-
-(* --- FFT SCREENING ----------------------------------------------------------------- *)
-
-(* Green's-function power blurring (Kemper et al.), made exact, as the
-   optimizer's pricing tier: FFT parity against a naive DFT, kernel
-   characterization cost, per-candidate blur vs warm MG-CG cost at
-   160x160, rank agreement with rank-tolerance solves at the optimizer's
-   grid, and end-to-end greedy_rows under Screen_auto (labelled "fft")
-   vs Screen_exact. *)
-
-let run_fft fl =
-  let base = fl.Postplace.Flow.base_placement in
-  let num_rows = base.Place.Placement.fp.Place.Floorplan.num_rows in
-  (* FFT parity vs a naive O(n^2) DFT at power-of-two (8), mixed-radix
-     (40) and Bluestein (60, 127) lengths *)
-  let parity_err n =
-    let st = Random.State.make [| 1997; n |] in
-    let re = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-    let im = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-    let fr = Array.copy re and fi = Array.copy im in
-    Thermal.Fft.fft ~re:fr ~im:fi;
-    let scale = ref 0.0 and err = ref 0.0 in
-    for k = 0 to n - 1 do
-      let sr = ref 0.0 and si = ref 0.0 in
-      for t = 0 to n - 1 do
-        let ang =
-          -2.0 *. Float.pi *. float_of_int (k * t) /. float_of_int n
-        in
-        sr := !sr +. (re.(t) *. cos ang) -. (im.(t) *. sin ang);
-        si := !si +. (re.(t) *. sin ang) +. (im.(t) *. cos ang)
-      done;
-      scale := Float.max !scale (Float.hypot !sr !si);
-      err := Float.max !err (Float.hypot (fr.(k) -. !sr) (fi.(k) -. !si))
-    done;
-    !err /. !scale
-  in
-  let parity = List.map (fun n -> (n, parity_err n)) [ 8; 40; 60; 127 ] in
-  let parity_max =
-    List.fold_left (fun a (_, e) -> Float.max a e) 0.0 parity
-  in
-  (* One greedy round's candidate pricing on an nx x nx grid, as the
-     optimizer runs it: hierarchy and blur kernel built on the trial
-     extent, every trial solved at rank tolerance warm from the base
-     incumbent, and blurred. Returns the hierarchy build and kernel
-     characterization times and, per candidate, (exact peak, blurred
-     peak, solve time, blur time). *)
-  let rank_tol = 1e-6 in
-  let power_of ~nx after =
-    let r = Postplace.Technique.apply_row_insertions base after in
-    power_at fl ~nx r.Postplace.Technique.eri_placement
-  in
-  let chunk_plan cand = List.init 4 (fun _ -> cand) in
-  let price ~nx cands =
-    let cfg = grid fl nx in
-    let p_base = Thermal.Mesh.build cfg ~power:(power_of ~nx []) in
-    let h_base = Thermal.Mesh.multigrid p_base in
-    let inc =
-      Thermal.Mesh.solve ~tol:rank_tol ~precond:(Thermal.Cg.Multigrid h_base)
-        p_base
-    in
-    let p_first =
-      Thermal.Mesh.build cfg ~power:(power_of ~nx (chunk_plan (List.hd cands)))
-    in
-    let hier, t_mg_build = time (fun () -> Thermal.Mesh.multigrid p_first) in
-    let kernel, t_char = time (fun () -> Thermal.Mesh.blur p_first) in
-    let scored =
-      List.map
-        (fun cand ->
-           let power = power_of ~nx (chunk_plan cand) in
-           let problem = Thermal.Mesh.build cfg ~power in
-           let sol, t_ex =
-             time (fun () ->
-                 Thermal.Mesh.solve ~tol:rank_tol
-                   ~precond:(Thermal.Cg.Multigrid hier)
-                   ~x0:inc.Thermal.Mesh.temp problem)
-           in
-           let bl, t_bl = time (fun () -> Thermal.Blur.peak kernel ~power) in
-           let ex =
-             (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid sol))
-               .Thermal.Metrics.peak_rise_k
-           in
-           (ex, bl, t_ex, t_bl))
-        cands
-    in
-    (t_mg_build, t_char, scored)
-  in
-  let max_rel_err scored =
-    List.fold_left
-      (fun a (ex, bl, _, _) -> Float.max a (Float.abs (bl -. ex) /. ex))
-      0.0 scored
-  in
-  (* per-candidate cost at 160x160: one blurred peak vs one warm
-     rank-tolerance MG-CG solve -- the two things the optimizer can spend
-     on a candidate *)
-  let nx = 160 in
-  let cands8 = List.init 8 (fun i -> i * max 1 (num_rows / 8)) in
-  let bluestein () =
-    Option.value ~default:0 (Obs.Metrics.counter_value "thermal.fft.bluestein")
-  in
-  let bluestein0 = bluestein () in
-  let t_mg_build, t_char, scored160 = price ~nx cands8 in
-  let mean_ms f =
-    List.fold_left (fun a c -> a +. f c) 0.0 scored160
-    /. float_of_int (List.length cands8) *. 1e3
-  in
-  let exact_eval_ms = mean_ms (fun (_, _, t, _) -> t) in
-  let blur_eval_ms = mean_ms (fun (_, _, _, t) -> t) in
-  (* rank fidelity: does the blurred ordering pick the solves' winner? *)
-  let rank_nx = 40 in
-  let cands40 =
-    List.filter (fun r -> r mod 4 = 0) (List.init num_rows Fun.id)
-  in
-  let _, _, scored = price ~nx:rank_nx cands40 in
-  (* the screening grids' DCT lengths (160, 40) are 2-5-smooth *)
-  let bluestein_free = bluestein () = bluestein0 in
-  (* rank.(i) = position of candidate i sorted ascending, ties by index *)
-  let rank_positions scores =
-    let sorted = List.sort compare (List.mapi (fun i s -> (s, i)) scores) in
-    let pos = Array.make (List.length scores) 0 in
-    List.iteri (fun r (_, i) -> pos.(i) <- r) sorted;
-    pos
-  in
-  let ex_rank = rank_positions (List.map (fun (ex, _, _, _) -> ex) scored) in
-  let bl_rank = rank_positions (List.map (fun (_, bl, _, _) -> bl) scored) in
-  let max_disp = ref 0 and winner_blur_rank = ref 0 in
-  Array.iteri
-    (fun i r ->
-       max_disp := max !max_disp (abs (r - bl_rank.(i)));
-       if r = 0 then winner_blur_rank := bl_rank.(i))
-    ex_rank;
-  (* end-to-end: greedy_rows pricing by the blur vs the exact tier *)
-  let ex, ff, optimizer =
-    head_to_head ("exact", fl)
-      ("fft", { fl with Postplace.Flow.screen = Postplace.Flow.Screen_auto })
-  in
-  j_obj
-    [ ("fft_parity",
-       j_obj
-         [ ("sizes", j_list (List.map (fun (n, _) -> j_i n) parity));
-           ("rel_errs", j_list (List.map (fun (_, e) -> j_f e) parity));
-           ("max_rel_err", j_f parity_max);
-           ("within_1e9", j_b (parity_max <= 1e-9)) ]);
-      ("kernel",
-       j_obj
-         [ ("nx", j_i nx);
-           ("mg_build_ms", ms t_mg_build);
-           ("characterize_ms", ms t_char);
-           ("exact_eval_ms", j_f exact_eval_ms);
-           ("blur_eval_ms", j_f blur_eval_ms);
-           ("per_candidate_speedup", j_f (exact_eval_ms /. blur_eval_ms));
-           ("max_peak_rel_err", j_f (max_rel_err scored160));
-           ("bluestein_free", j_b bluestein_free) ]);
-      ("screening",
-       j_obj
-         [ ("nx", j_i rank_nx);
-           ("candidates", j_i (List.length cands40));
-           ("winner_blur_rank", j_i !winner_blur_rank);
-           ("max_rank_displacement", j_i !max_disp);
-           ("max_peak_rel_err", j_f (max_rel_err scored));
-           ("winner_agrees", j_b (!winner_blur_rank = 0)) ]);
-      ("optimizer",
-       j_obj
-         (optimizer
-          @ [ ("exact_evaluations", j_i ex.Postplace.Optimizer.evaluations);
-              ("fft_evaluations", j_i ff.Postplace.Optimizer.evaluations);
-              ("fft_blur_evaluations",
-               j_i ff.Postplace.Optimizer.blur_evaluations);
-              ("exact_peak_k", j_f ex.Postplace.Optimizer.predicted_peak_k);
-              ("fft_peak_k", j_f ff.Postplace.Optimizer.predicted_peak_k);
-              ("plans_agree", j_b (plan_of ff = plan_of ex));
-              ("peaks_identical",
-               j_b
-                 (ff.Postplace.Optimizer.predicted_peak_k
-                  = ex.Postplace.Optimizer.predicted_peak_k)) ]));
-      ("telemetry",
-       j_obj
-         [ ("fft_radix2", counter "thermal.fft.radix2");
-           ("fft_mixed_radix", counter "thermal.fft.mixed_radix");
-           ("fft_bluestein", counter "thermal.fft.bluestein");
-           ("blur_kernels", counter "thermal.blur.kernels");
-           ("blur_evals", counter "thermal.blur.evals") ]) ]
-
-(* --- ADJOINT SENSITIVITY ------------------------------------------------------------ *)
-
-(* The gradient guide's economics: one adjoint solve prices every
-   candidate at once, where the greedy peak guide pays a rank-tolerance
-   solve per chunk. Validates the adjoint against a superposition
-   central difference, times adjoint vs forward cost, then runs the
-   optimizer head-to-head at the production 160x160 grid. *)
-
-let run_adjoint fl =
-  (* forward vs adjoint cost and a finite-difference spot check at 40x40 *)
-  let nx = 40 in
-  let cfg40 = grid fl nx in
-  let problem = problem_at fl ~nx fl.Postplace.Flow.base_placement in
-  let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem) in
-  let fwd, t_fwd = time (fun () -> Thermal.Mesh.solve ~precond problem) in
+  (* the adjoint of the smoothed peak at 40x40, checked by a central
+     difference through superposition: the system is linear, so the
+     perturbed field is T0 +/- eps u with u = G^-1 e_tile, solved once *)
+  let problem, fwd, t_fwd = Option.get !at40 in
   let adj, t_adj =
-    time (fun () -> Thermal.Adjoint.solve ~precond ~forward:fwd problem)
+    time (fun () -> Thermal.Adjoint.solve ~forward:fwd problem)
   in
-  (* superposition central difference at the most sensitive tile: the
-     system is linear, so the perturbed field is T0 +/- eps u with
-     u = G^-1 e_tile solved once (same trick as the unit tests) *)
   let fd_rel =
-    let zp = cfg40.Thermal.Mesh.stack.Thermal.Stack.power_layer in
+    let cfg = Thermal.Mesh.config problem in
+    let zp = cfg.Thermal.Mesh.stack.Thermal.Stack.power_layer in
     let ix, iy = Geo.Grid.argmax adj.Thermal.Adjoint.sensitivity in
     let e = Array.make (Array.length adj.Thermal.Adjoint.lambda) 0.0 in
-    e.(Thermal.Mesh.node_index cfg40 ~ix ~iy ~iz:zp) <- 1.0;
-    let u = Thermal.Mesh.solve ~precond (Thermal.Mesh.with_rhs problem e) in
+    e.(Thermal.Mesh.node_index cfg ~ix ~iy ~iz:zp) <- 1.0;
+    let u = Thermal.Mesh.solve (Thermal.Mesh.with_rhs problem e) in
     let shifted s =
       Thermal.Adjoint.smoothed_peak ~sharpness:adj.Thermal.Adjoint.sharpness
         { fwd with
@@ -872,57 +461,103 @@ let run_adjoint fl =
               (fun i t -> t +. (s *. u.Thermal.Mesh.temp.(i)))
               fwd.Thermal.Mesh.temp }
     in
-    (* smaller step than the unit tests: at 40x40 the impulse response u
-       is large enough that beta^2 (eps u)^2 truncation dominates at
-       eps = 1e-5; the analytic evaluation tolerates the smaller step *)
+    (* at 40x40 the impulse response is large enough that truncation
+       dominates at the unit tests' eps = 1e-5 *)
     let eps = 1e-7 in
     let fd = (shifted eps -. shifted (-.eps)) /. (2.0 *. eps) in
     let sens = Geo.Grid.get adj.Thermal.Adjoint.sensitivity ~ix ~iy in
     Float.abs (fd -. sens) /. Float.max (Float.abs fd) 1e-30
   in
-  (* head-to-head at the production grid: exact greedy (peak guide, exact
-     screen) vs the gradient guide *)
-  let gr, ad, optimizer =
-    head_to_head ("greedy", fl)
-      ("gradient",
-       { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient })
+  let greedy ?(nx = 40) f =
+    Postplace.Optimizer.greedy_rows f ~rows:8 ~coarse_nx:nx ()
   in
-  let greedy_evals = gr.Postplace.Optimizer.evaluations in
-  let grad_evals = ad.Postplace.Optimizer.evaluations in
-  let grad_adjoints = ad.Postplace.Optimizer.adjoint_evaluations in
-  let grad_total = grad_evals + grad_adjoints in
-  let peak_gr = gr.Postplace.Optimizer.predicted_peak_k in
-  let peak_ad = ad.Postplace.Optimizer.predicted_peak_k in
-  let peak_delta = peak_ad -. peak_gr in
+  let gradient =
+    { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
+  in
+  (* both guides at the production grid *)
+  let guide name f =
+    let r, t = time (fun () -> greedy ~nx:160 f) in
+    ( r,
+      j_obj
+        [ ("guide", j_s name);
+          ("greedy_ms", ms t);
+          ("evaluations", j_i r.Postplace.Optimizer.evaluations);
+          ("blur_evaluations", j_i r.Postplace.Optimizer.blur_evaluations);
+          ("adjoint_evaluations",
+           j_i r.Postplace.Optimizer.adjoint_evaluations);
+          ("plan", j_list (List.map j_i (plan_of r)));
+          ("peak_k", j_f r.Postplace.Optimizer.predicted_peak_k) ] )
+  in
+  let by_peak, peak_row = guide "peak" fl in
+  let by_grad, grad_row = guide "gradient" gradient in
+  (* the blur tier against the exact tier, then 1 against 2 domains *)
+  let blurred = greedy fl in
+  let exact =
+    greedy { fl with Postplace.Flow.screen = Postplace.Flow.Screen_exact }
+  in
+  let same a b =
+    plan_of a = plan_of b
+    && a.Postplace.Optimizer.predicted_peak_k
+       = b.Postplace.Optimizer.predicted_peak_k
+  in
+  let on_two f =
+    Parallel.Pool.set_jobs 2;
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.set_jobs 1)
+      (fun () -> greedy f)
+  in
+  let parallel_identical =
+    same blurred (on_two fl) && same (greedy gradient) (on_two gradient)
+  in
+  (* every grid above is 2-5-smooth; parity then adds lengths 60 and 127 *)
+  let bluestein_free = count "thermal.fft.bluestein" = 0 in
+  let lengths = [ 8; 40; 60; 127 ] in
+  let parity = List.map fft_parity_err lengths in
   j_obj
-    [ ("adjoint_solve",
+    [ ("sizes", j_list size_rows);
+      ("adjoint",
        j_obj
-         [ ("nx", j_i nx);
+         [ ("nx", j_i 40);
            ("forward_ms", ms t_fwd);
            ("adjoint_ms", ms t_adj);
-           ("adjoint_vs_forward", j_f (t_adj /. t_fwd));
            ("forward_iterations", j_i fwd.Thermal.Mesh.cg_iterations);
            ("adjoint_iterations", j_i adj.Thermal.Adjoint.cg_iterations);
            ("fd_rel_err", j_f fd_rel);
            ("fd_within_1e6", j_b (fd_rel <= 1e-6)) ]);
-      ("optimizer",
+      ("guides", j_list [ peak_row; grad_row ]);
+      ("peak_within_tol",
+       j_b
+         (by_grad.Postplace.Optimizer.predicted_peak_k
+          -. by_peak.Postplace.Optimizer.predicted_peak_k
+          <= 0.05));
+      ("tiers",
        j_obj
-         (optimizer
-          @ [ ("greedy_evaluations", j_i greedy_evals);
-              ("gradient_evaluations", j_i grad_evals);
-              ("gradient_adjoint_evaluations", j_i grad_adjoints);
-              ("solve_ratio",
-               j_f (float_of_int greedy_evals /. float_of_int grad_total));
-              ("solve_ratio_ge_3x", j_b (greedy_evals >= 3 * grad_total));
-              ("greedy_peak_k", j_f peak_gr);
-              ("gradient_peak_k", j_f peak_ad);
-              ("peak_delta_k", j_f peak_delta);
-              ("peak_within_tol", j_b (peak_delta <= 0.05)) ]));
+         [ ("nx", j_i 40);
+           ("blur_evaluations",
+            j_i blurred.Postplace.Optimizer.blur_evaluations);
+           ("exact_evaluations", j_i exact.Postplace.Optimizer.evaluations);
+           ("plans_agree", j_b (plan_of blurred = plan_of exact));
+           ("peaks_identical",
+            j_b
+              (blurred.Postplace.Optimizer.predicted_peak_k
+               = exact.Postplace.Optimizer.predicted_peak_k)) ]);
+      ("parallel_bit_identical", j_b parallel_identical);
+      ("fft",
+       j_obj
+         [ ("parity_lengths", j_list (List.map j_i lengths));
+           ("parity_within_1e9",
+            j_b (List.for_all (fun e -> e <= 1e-9) parity));
+           ("bluestein_free", j_b bluestein_free) ]);
       ("telemetry",
        j_obj
-         [ ("adjoint_solves", counter "thermal.adjoint.solves");
-           ("adjoint_iterations", hist_sum "thermal.adjoint.iterations");
-           ("optimizer_adjoint_solves", counter "optimizer.adjoint_solves") ]) ]
+         [ ("cg_solves", counter "thermal.cg.solves");
+           ("cg_iterations", hist_sum "thermal.cg.iterations");
+           ("mg_cycles", counter "thermal.mg.cycles");
+           ("blur_evals", counter "thermal.blur.evals");
+           ("adjoint_solves", counter "thermal.adjoint.solves");
+           ("fft_radix2", counter "thermal.fft.radix2");
+           ("fft_mixed_radix", counter "thermal.fft.mixed_radix");
+           ("fft_bluestein", counter "thermal.fft.bluestein") ]) ]
 
 (* --- serve: batch server throughput and fault isolation ----------------- *)
 
@@ -1270,27 +905,12 @@ let suites =
       run_transient;
     suite ~paper:false "perf" "PERF -- kernel micro-benchmarks (bechamel)"
       engineering run_perf;
-    suite ~paper:false "cg"
-      "CG ENGINE -- warm starts, preconditioning, domains"
+    suite ~paper:false "solve"
+      "SOLVE -- MG-CG, the blur, the adjoint and the optimizer on them"
       (engineering
-       ^ ": incremental + parallel solve engine vs seed behaviour")
-      (kernel_suite run_cg);
-    suite ~paper:false "mg"
-      "MG ENGINE -- geometric multigrid V-cycle preconditioner"
-      (engineering
-       ^ ": multigrid-preconditioned CG vs Jacobi/SSOR-CG across mesh sizes")
-      (kernel_suite run_mg);
-    suite ~paper:false "fft"
-      "FFT SCREENING -- Green's-function power blurring tier"
-      (engineering
-       ^ ": candidates priced by the exact blur, one re-score solve, vs \
-          all-exact evaluation")
-      (kernel_suite run_fft);
-    suite ~paper:false "adjoint"
-      "ADJOINT SENSITIVITY -- gradient-guided whitespace allocation"
-      (engineering
-       ^ ": adjoint-priced candidate ranking vs per-chunk exact evaluation")
-      (kernel_suite run_adjoint);
+       ^ ": the one flow solver across grid sizes, the exact blur and the \
+          adjoint against it, both guides at 160x160")
+      run_solve;
     suite ~paper:false "serve"
       "BATCH SERVE -- same-fingerprint batching, fault isolation, retry"
       (engineering ^ ": thermoplace serve vs one process per job")

@@ -7,6 +7,10 @@
        against the baseline, or
      - a boolean invariant that held in the baseline (plans_agree,
        parallel_bit_identical, the fig6 checks, ...) flipped to false, or
+     - an integer result under "summary" (an iteration, V-cycle,
+       evaluation, solve, job or batch count, an exit code, a plan row)
+       differs from the baseline's: counts are exact and
+       machine-independent, so any change is a real one, or
      - a baseline key is missing from the fresh run.
 
    A "_ms" value is either a plain number (a single-trial sample) or the
@@ -20,13 +24,15 @@
    flat threshold (default 0.15 = +15%).
 
    Fresh keys absent from the baseline are ignored (new metrics may land
-   before their baseline is refreshed), and a false -> true flip is an
-   improvement, not a failure. --scale-times multiplies the fresh run's
-   "_ms" medians before comparison; scripts/check.sh uses it to prove
-   the gate actually trips on a simulated slowdown. --json FILE writes
-   the machine-readable verdict (per-key status, deltas, bands)
-   alongside the human output. All failures are printed, not just the
-   first. Exit codes: 0 clean, 1 regression, 2 usage / parse error. *)
+   before their baseline is refreshed), a false -> true flip is an
+   improvement, not a failure, and floats other than "_ms" keys (errors,
+   peaks, ratios) and the top-level "trials" echo are informational.
+   --scale-times multiplies the fresh run's "_ms" medians before
+   comparison; scripts/check.sh uses it to prove the gate actually trips
+   on a simulated slowdown. --json FILE writes the machine-readable
+   verdict (per-key status, deltas, bands) alongside the human output.
+   All failures are printed, not just the first. Exit codes: 0 clean,
+   1 regression, 2 usage / parse error. *)
 
 let threshold = ref 0.15
 let scale_times = ref 1.0
@@ -167,7 +173,14 @@ let rec diff path (base : Obs.Json.t) (fresh : Obs.Json.t option) =
        entry path "invalid" [];
        fail path "baseline is a boolean, fresh run is not")
   | Obs.Json.Bool false, Some _ -> ()
-  | _, Some _ -> ()  (* non-timing scalars are informational only *)
+  | Obs.Json.Int b, Some fresh when String.starts_with ~prefix:"summary." path
+    ->
+    (match fresh with
+     | Obs.Json.Int f when f = b -> entry path "ok" [ ("base", Obs.Json.Int b) ]
+     | _ ->
+       entry path "fail" [ ("base", Obs.Json.Int b); ("fresh", fresh) ];
+       fail path "count changed: %d -> %s" b (Obs.Json.to_string fresh))
+  | _, Some _ -> ()  (* other scalars are informational only *)
 
 let write_verdict path ~baseline_path ~fresh_path =
   let ordered = List.rev !entries in

@@ -169,17 +169,6 @@ let test_set =
   Arg.(value & opt (names Postplace.Experiment.test_set_names) "scattered"
        & info [ "test-set"; "t" ] ~docv:"SET" ~doc)
 
-let precond_arg =
-  let doc =
-    "CG preconditioner for every thermal solve. The default, $(b,mg) \
-     (geometric multigrid V-cycle; $(b,auto) is an alias), is the fastest \
-     at every mesh size. $(b,jacobi) and $(b,ssor) (omega 1.2) are \
-     debugging overrides; all choices produce the same temperatures to \
-     solver tolerance."
-  in
-  Arg.(value & opt (names Flow.precond_names) "auto"
-       & info [ "precond" ] ~docv:"P" ~doc)
-
 let screen_arg =
   let doc =
     "Optimizer candidate-pricing tier: $(b,auto) (price every candidate \
@@ -265,15 +254,14 @@ let obs_t =
    would name, plus the observability outputs. *)
 type common = {
   seed : int; cycles : int; utilization : float; test_set : string;
-  precond : string; obs : obs;
+  obs : obs;
 }
 
 let common_t =
-  let make seed cycles utilization test_set precond obs =
-    { seed; cycles; utilization; test_set; precond; obs }
+  let make seed cycles utilization test_set obs =
+    { seed; cycles; utilization; test_set; obs }
   in
-  Term.(const make $ seed $ cycles $ utilization $ test_set $ precond_arg
-        $ obs_t)
+  Term.(const make $ seed $ cycles $ utilization $ test_set $ obs_t)
 
 (* --- the run harness -------------------------------------------------------- *)
 
@@ -327,16 +315,14 @@ let run_job ~command (c : common) ?(config = []) ?(extra = []) ?technique
   let config =
     [ ("seed", Json.Int c.seed); ("cycles", Json.Int c.cycles);
       ("utilization", Json.Float c.utilization);
-      ("test_set", Json.String c.test_set);
-      ("precond", Json.String c.precond) ]
+      ("test_set", Json.String c.test_set) ]
     @ config
   in
   obs_begin ~command ~obs:c.obs ~config;
   let req =
     match
       Job.make ~test_set:c.test_set ?technique ~seed:c.seed ~cycles:c.cycles
-        ~utilization:c.utilization ~precond:c.precond ?screen ?guide
-        ?overhead ?rows command
+        ~utilization:c.utilization ?screen ?guide ?overhead ?rows command
     with
     | Ok req -> req
     | Error msg -> invalid_arg msg (* the converters enforce the same rules *)

@@ -18,21 +18,19 @@ let test_sets =
 
 let test_set_names = List.map fst test_sets
 
-let prepare_test_set ?seed ?utilization ?sim_cycles ?precond ?screen ?guide
-    name =
+let prepare_test_set ?seed ?utilization ?sim_cycles ?screen ?guide name =
   match List.assoc_opt name test_sets with
   | None ->
     invalid_arg (Printf.sprintf "Experiment: unknown test set %S" name)
   | Some make ->
     let bench, workload = make () in
-    Flow.prepare ?seed ?utilization ?sim_cycles ?precond ?screen ?guide bench
-      workload
+    Flow.prepare ?seed ?utilization ?sim_cycles ?screen ?guide bench workload
 
-let test_set_1 ?seed ?sim_cycles ?precond ?screen ?guide () =
-  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide "scattered"
+let test_set_1 ?seed ?sim_cycles ?precond:_ ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?screen ?guide "scattered"
 
-let test_set_2 ?seed ?sim_cycles ?precond ?screen ?guide () =
-  prepare_test_set ?seed ?sim_cycles ?precond ?screen ?guide "concentrated"
+let test_set_2 ?seed ?sim_cycles ?screen ?guide () =
+  prepare_test_set ?seed ?sim_cycles ?screen ?guide "concentrated"
 
 type point = {
   scheme : string;
@@ -160,16 +158,18 @@ let default_overheads = [ 0.05; 0.10; 0.15; 0.20; 0.25; 0.30; 0.35; 0.40 ]
 let rows_for_overhead = Flow.rows_for_overhead ~nearest:true
 
 (* The key names everything a checkpointed point depends on, including
-   the preconditioner (points are equal only to solver tolerance across
-   solvers) and the job layout (what one entry holds), so a checkpoint
-   from another solver or an older layout is refused, not mixed in. *)
+   the solver (points are equal only to solver tolerance across solvers;
+   every solve is MG-CG, so a key naming another precond is from an
+   older solver) and the job layout (what one entry holds), so a
+   checkpoint from another solver or an older layout is refused, not
+   mixed in. *)
 let fig6_key flow ~overheads =
   Printf.sprintf
-    "fig6 layout=default+hw,eri seed=%d mesh=%s precond=%s util=%h \
+    "fig6 layout=default+hw,eri seed=%d mesh=%s precond=mg util=%h \
      overheads=[%s]"
     flow.Flow.seed
     (mesh_fingerprint flow.Flow.mesh_config)
-    (Flow.precond_name flow) flow.Flow.base_utilization
+    flow.Flow.base_utilization
     (String.concat ";" (List.map (Printf.sprintf "%h") overheads))
 
 (* Sweep points are independent given the base evaluation, so the sweep

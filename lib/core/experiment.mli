@@ -11,8 +11,7 @@ val test_set_names : string list
     request's [test_set] both resolve here. *)
 
 val prepare_test_set : ?seed:int -> ?utilization:float -> ?sim_cycles:int ->
-  ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
-  ?guide:Flow.guide_choice -> string -> Flow.t
+  ?screen:Flow.screen_choice -> ?guide:Flow.guide_choice -> string -> Flow.t
 (** Prepare the named test set's benchmark and workload with
     {!Flow.prepare} (whose defaults apply). Raises [Invalid_argument] for
     a name not in {!test_set_names}. *)
@@ -22,14 +21,14 @@ val test_set_1 : ?seed:int -> ?sim_cycles:int ->
   ?guide:Flow.guide_choice -> unit -> Flow.t
 (** Four scattered small hotspots: units mul16a, div16, add64 and cmp32 run
     hot (they sit in different corners of the 3 x 3 region grid), the rest
-    are nearly idle. [?precond] selects the thermal-solve preconditioner
-    for every evaluation in the flow, [?screen] the optimizer's
+    are nearly idle. [?screen] selects the optimizer's
     candidate-screening tier and [?guide] its candidate-ranking signal
-    (see [Flow.prepare]). Equivalent to [prepare_test_set "scattered"]. *)
+    (see [Flow.prepare]). [?precond] is ignored: every solve is MG-CG,
+    and the argument stays for callers that still name [Pc_mg].
+    Equivalent to [prepare_test_set "scattered"]. *)
 
 val test_set_2 : ?seed:int -> ?sim_cycles:int ->
-  ?precond:Thermal.Mesh.precond_choice -> ?screen:Flow.screen_choice ->
-  ?guide:Flow.guide_choice -> unit -> Flow.t
+  ?screen:Flow.screen_choice -> ?guide:Flow.guide_choice -> unit -> Flow.t
 (** One large concentrated hotspot: the 20x20 multiplier (the biggest unit)
     runs hot. Equivalent to [prepare_test_set "concentrated"]. *)
 
@@ -69,7 +68,7 @@ val run_fig6 : ?overheads:float list -> ?checkpoint:string -> Flow.t -> fig6
     re-saved atomically after each evaluation and a rerun resumes from
     whatever the file holds, reproducing the uninterrupted sweep
     bit-identically. The checkpoint is keyed by a config fingerprint
-    (seed, mesh, preconditioner, utilization, overhead list and the job
+    (seed, mesh, solver, utilization, overhead list and the job
     layout); a mismatched or corrupt file raises
     [Robust.Error.Error (Checkpoint_corrupt _)].
 

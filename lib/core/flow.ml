@@ -38,7 +38,6 @@ type t = {
   seed : int;
   base_utilization : float;
   mesh_config : Thermal.Mesh.config;
-  mesh_precond : Thermal.Mesh.precond_choice;
   screen : screen_choice;
   guide : guide_choice;
 }
@@ -47,28 +46,17 @@ let mesh_config_name (cfg : Thermal.Mesh.config) =
   Printf.sprintf "%dx%dx%d" cfg.Thermal.Mesh.nx cfg.Thermal.Mesh.ny
     (Thermal.Stack.num_layers cfg.Thermal.Mesh.stack)
 
-(* "auto" is the default's spelling, so it names (and fingerprints as)
-   the default itself; the others are debugging overrides. *)
-let preconds =
-  Thermal.Mesh.
-    [ ("auto", Pc_mg); ("jacobi", Pc_jacobi); ("ssor", Pc_ssor 1.2);
-      ("mg", Pc_mg) ]
-
-let precond_names = List.map fst preconds
-let precond_of_name = of_name "precond" preconds
-
 let mesh_name t = mesh_config_name t.mesh_config
-
-let precond_name t = Thermal.Mesh.precond_choice_name t.mesh_precond
 
 (* The fingerprint is a pure function of the configuration, so it can be
    computed from a job request *before* paying for [prepare] — the serve
-   loop batches same-fingerprint jobs on exactly this identity. *)
-let config_fingerprint ?(extra = []) ~mesh_config ~precond ~screen ~guide
-    ~seed ~utilization () =
+   loop batches same-fingerprint jobs on exactly this identity. Every
+   solve is MG-CG; [precond=mg] stays so older ledger records compare. *)
+let config_fingerprint ?(extra = []) ~mesh_config ~screen ~guide ~seed
+    ~utilization () =
   String.concat "|"
     ([ "mesh=" ^ mesh_config_name mesh_config;
-       "precond=" ^ Thermal.Mesh.precond_choice_name precond;
+       "precond=mg";
        "screen=" ^ screen_choice_name screen;
        "guide=" ^ guide_choice_name guide;
        Printf.sprintf "seed=%d" seed;
@@ -76,9 +64,8 @@ let config_fingerprint ?(extra = []) ~mesh_config ~precond ~screen ~guide
      @ List.map (fun (k, v) -> k ^ "=" ^ v) extra)
 
 let fingerprint ?extra t =
-  config_fingerprint ?extra ~mesh_config:t.mesh_config
-    ~precond:t.mesh_precond ~screen:t.screen ~guide:t.guide ~seed:t.seed
-    ~utilization:t.base_utilization ()
+  config_fingerprint ?extra ~mesh_config:t.mesh_config ~screen:t.screen
+    ~guide:t.guide ~seed:t.seed ~utilization:t.base_utilization ()
 
 let unit_cell_ids nl tag = Array.of_list (Netlist.Types.cells_of_unit nl tag)
 
@@ -103,8 +90,7 @@ let compute_unit_areas tech bench =
 
 let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
     ?(warmup_cycles = 64) ?(mesh_config = Thermal.Mesh.default_config)
-    ?(precond = Thermal.Mesh.Pc_mg) ?(screen = Screen_auto)
-    ?(guide = Guide_peak) bench workload =
+    ?(screen = Screen_auto) ?(guide = Guide_peak) bench workload =
   Obs.Trace.with_span "flow.prepare" @@ fun () ->
   Robust.Cancel.check ();
   let tech = Celllib.Tech.default_65nm in
@@ -142,8 +128,7 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
   { bench; tech; workload; activity; unit_areas; base_placement;
     base_regions = regions; positions;
     per_cell_w = power.Power.Model.per_cell_w; power_report = power; seed;
-    base_utilization = utilization; mesh_config; mesh_precond = precond;
-    screen; guide }
+    base_utilization = utilization; mesh_config; screen; guide }
 
 type evaluation = {
   placement : P.t;
@@ -169,15 +154,9 @@ let flow_power_map t pl =
     Geo.Grid.set map ~ix:0 ~iy:0 Float.nan;
   map
 
-let precond_of t problem =
-  Thermal.Mesh.precond_of_choice problem t.mesh_precond
-
-(* Every flow-level thermal solve goes through here, so no stage can fall
-   back to an implicit solver default. *)
 let solve_power_result ?mesh_config ?tol ?x0 t power =
   let cfg = Option.value mesh_config ~default:t.mesh_config in
-  let problem = Thermal.Mesh.build cfg ~power in
-  Thermal.Mesh.solve_result ?tol ?x0 ~precond:(precond_of t problem) problem
+  Thermal.Mesh.solve_result ?tol ?x0 (Thermal.Mesh.build cfg ~power)
 
 let solve_power ?mesh_config ?tol ?x0 t power =
   match solve_power_result ?mesh_config ?tol ?x0 t power with
@@ -211,7 +190,7 @@ let evaluate_result t pl =
        hotspots);
   Obs.Metrics.observe "flow.peak_rise_k" metrics.Thermal.Metrics.peak_rise_k;
   Obs.Metrics.observe "flow.evaluate.peak_rise_k"
-    ~labels:[ ("mesh", mesh_name t); ("precond", precond_name t) ]
+    ~labels:[ ("mesh", mesh_name t) ]
     metrics.Thermal.Metrics.peak_rise_k;
   let timing =
     Obs.Trace.with_span "sta.analyze" @@ fun () ->
@@ -229,9 +208,8 @@ let sensitivity_result ?sharpness t pl =
   Robust.Cancel.check ();
   let power_map = flow_power_map t pl in
   let* () = Robust.Validate.first_failure [ Checks.power_map power_map ] in
-  let problem = Thermal.Mesh.build t.mesh_config ~power:power_map in
-  Thermal.Adjoint.solve_result ?sharpness ~precond:(precond_of t problem)
-    problem
+  Thermal.Adjoint.solve_result ?sharpness
+    (Thermal.Mesh.build t.mesh_config ~power:power_map)
 
 let sensitivity ?sharpness t pl =
   match sensitivity_result ?sharpness t pl with
@@ -249,7 +227,7 @@ let check_design t pl =
         Checks.power_map power_map;
         Checks.mesh_matrix (Thermal.Mesh.stencil problem) ]
   in
-  match Thermal.Mesh.solve_result ~precond:(precond_of t problem) problem with
+  match Thermal.Mesh.solve_result problem with
   | Ok solution ->
     pre
     @ Robust.Validate.run_all

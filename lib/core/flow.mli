@@ -63,13 +63,8 @@ type t = {
   seed : int;
   base_utilization : float;
   mesh_config : Thermal.Mesh.config;
-  mesh_precond : Thermal.Mesh.precond_choice;
-  (** CG preconditioner for every thermal solve this flow runs:
-      evaluation, checking, sensitivity, the optimizer's candidate
-      ranking and the electrothermal loop. [Pc_mg] (the geometric
-      multigrid V-cycle) by default, the fastest solve at every mesh
-      size; [Pc_jacobi] and [Pc_ssor] remain as debugging overrides and
-      give the same temperatures to solver tolerance. *)
+  (** the mesh every thermal solve of this flow runs on; each solve is
+      MG-preconditioned CG ({!Thermal.Mesh.solve_result}'s default) *)
   screen : screen_choice;
   (** Screening tier for optimizer candidate ranking (see
       {!screen_choice}). Only the optimizer consults this: full
@@ -85,30 +80,17 @@ val mesh_name : t -> string
 (** ["40x40x9"]-style mesh dimensions, for fingerprints and metric
     labels. *)
 
-val precond_name : t -> string
-(** The configured preconditioner: ["mg"], ["jacobi"] or ["ssor"]. *)
-
-val precond_of_name :
-  string -> (Thermal.Mesh.precond_choice, string) result
-(** Parse a CLI / serve-request preconditioner name. ["auto"] is an alias
-    of the default ["mg"] — it resolves to [Pc_mg], so it fingerprints as
-    [precond=mg]; ["jacobi"] and ["ssor"] (omega 1.2) are debugging
-    overrides. Anything else is an [Error] naming the bad value. *)
-
-val precond_names : string list
-(** Every name {!precond_of_name} accepts, ["auto"] first. *)
-
 val fingerprint : ?extra:(string * string) list -> t -> string
 (** Readable pipe-joined configuration fingerprint:
-    [mesh=…|precond=…|screen=…|guide=…|seed=…|util=…], with [extra]
+    [mesh=…|precond=mg|screen=…|guide=…|seed=…|util=…], with [extra]
     key/value pairs appended in order. Two runs with equal fingerprints
     solved the same configured problem — the identity the run ledger
-    records and [thermoplace history diff] compares. *)
+    records and [thermoplace history diff] compares. [precond=mg] is a
+    constant (every solve is MG-CG), kept so older records compare. *)
 
 val config_fingerprint :
   ?extra:(string * string) list ->
   mesh_config:Thermal.Mesh.config ->
-  precond:Thermal.Mesh.precond_choice ->
   screen:screen_choice ->
   guide:guide_choice ->
   seed:int ->
@@ -126,7 +108,6 @@ val prepare :
   ?sim_cycles:int ->
   ?warmup_cycles:int ->
   ?mesh_config:Thermal.Mesh.config ->
-  ?precond:Thermal.Mesh.precond_choice ->
   ?screen:screen_choice ->
   ?guide:guide_choice ->
   Netgen.Benchmark.t ->
@@ -134,7 +115,6 @@ val prepare :
   t
 (** Defaults: seed 42, utilization 0.85 (the compact base placement),
     1000 measured cycles after 64 warm-up cycles, 40 x 40 x 9 mesh,
-    [Pc_mg] for every thermal solve (see the [mesh_precond] field),
     [Screen_auto] candidate screening, [Guide_peak] candidate ranking. *)
 
 type evaluation = {
@@ -146,18 +126,12 @@ type evaluation = {
   timing : Sta.Timing.result;
 }
 
-val precond_of : t -> Thermal.Mesh.problem -> Thermal.Cg.precond
-(** The flow's preconditioner resolved against a problem (for solves
-    that need the problem itself, such as the adjoint). *)
-
 val solve_power_result :
   ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
   t -> Geo.Grid.t -> (Thermal.Mesh.solution, Robust.Error.t) result
-(** Build the mesh for a W-per-tile power map and solve it under the
-    flow's preconditioner. [mesh_config]
-    overrides the flow's mesh (the optimizer ranks on its own grid);
-    [tol] and [x0] are as in {!Thermal.Mesh.solve_result}. Every
-    flow-level solve goes through here or {!precond_of}. *)
+(** Build the mesh for a W-per-tile power map and solve it with MG-CG.
+    [mesh_config] overrides the flow's mesh (the optimizer ranks on its
+    own grid); [tol] and [x0] are as in {!Thermal.Mesh.solve_result}. *)
 
 val solve_power :
   ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
@@ -182,10 +156,9 @@ val sensitivity_result :
   (Thermal.Adjoint.t, Robust.Error.t) result
 (** Adjoint sensitivity of the smoothed peak temperature at a placement:
     re-bin power, validate it, then one forward and one adjoint solve
-    through the flow's configured mesh and preconditioner
-    ({!Thermal.Adjoint.solve_result}). The result's [sensitivity] grid is
-    the per-tile [dT_peak/d(power)] map in K/W that [Guide_gradient]
-    ranks candidates with. *)
+    on the flow's mesh ({!Thermal.Adjoint.solve_result}). The result's
+    [sensitivity] grid is the per-tile [dT_peak/d(power)] map in K/W
+    that [Guide_gradient] ranks candidates with. *)
 
 val sensitivity : ?sharpness:float -> t -> Place.Placement.t ->
   Thermal.Adjoint.t

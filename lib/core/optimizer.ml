@@ -292,9 +292,8 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
     let inc_power = trial_power !rev_plan in
     let problem = Thermal.Mesh.build cfg ~power:inc_power in
     let adj =
-      Thermal.Adjoint.solve ~tol:rank_tol
-        ~precond:(Flow.precond_of flow problem) ?x0:!lambda
-        ~forward:!incumbent problem
+      Thermal.Adjoint.solve ~tol:rank_tol ?x0:!lambda ~forward:!incumbent
+        problem
     in
     incr adjoint_evaluations;
     lambda := Some adj.Thermal.Adjoint.lambda;

@@ -31,8 +31,6 @@ type request = {
   seed : int;
   cycles : int;
   utilization : float;
-  precond : Thermal.Mesh.precond_choice;
-  precond_name : string;
   screen : Flow.screen_choice;
   screen_name : string;
   guide : Flow.guide_choice;
@@ -66,7 +64,12 @@ let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
       (utilization > 0.0 && utilization <= 1.0)
       "utilization must be in (0, 1]"
   in
-  let* precond_v = tag (Flow.precond_of_name precond) in
+  (* every solve is MG-CG; the field stays for clients that name it *)
+  let* () =
+    require
+      (precond = "auto" || precond = "mg")
+      (Printf.sprintf "unknown precond %S" precond)
+  in
   let* screen_v = tag (Flow.screen_of_name screen) in
   let* guide_v = tag (Flow.guide_of_name guide) in
   let* () =
@@ -86,10 +89,9 @@ let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
   in
   Ok
     { id; test_set; technique = technique_v; seed; cycles; utilization;
-      precond = precond_v; precond_name = precond; screen = screen_v;
-      screen_name = screen; guide = guide_v; guide_name = guide; overhead;
-      rows; deadline_ms; max_retries; faults = faults_v;
-      faults_spec = faults }
+      screen = screen_v; screen_name = screen; guide = guide_v;
+      guide_name = guide; overhead; rows; deadline_ms; max_retries;
+      faults = faults_v; faults_spec = faults }
 
 let fields =
   [ "id"; "test_set"; "technique"; "seed"; "cycles"; "utilization";
@@ -156,7 +158,6 @@ let request_to_json r =
        ("seed", Obs.Json.Int r.seed);
        ("cycles", Obs.Json.Int r.cycles);
        ("utilization", Obs.Json.Float r.utilization);
-       ("precond", Obs.Json.String r.precond_name);
        ("screen", Obs.Json.String r.screen_name);
        ("guide", Obs.Json.String r.guide_name);
        ("overhead", Obs.Json.Float r.overhead) ]
@@ -177,16 +178,15 @@ let config_json r =
    groups queued jobs on this string before paying for a flow. *)
 let fingerprint ?(extra = []) r =
   Flow.config_fingerprint ~mesh_config:Thermal.Mesh.default_config
-    ~precond:r.precond ~screen:r.screen ~guide:r.guide ~seed:r.seed
-    ~utilization:r.utilization
+    ~screen:r.screen ~guide:r.guide ~seed:r.seed ~utilization:r.utilization
     ~extra:
       ([ ("set", r.test_set); ("cycles", string_of_int r.cycles) ] @ extra)
     ()
 
 let prepare_flow r =
   Postplace.Experiment.prepare_test_set ~seed:r.seed
-    ~utilization:r.utilization ~sim_cycles:r.cycles ~precond:r.precond
-    ~screen:r.screen ~guide:r.guide r.test_set
+    ~utilization:r.utilization ~sim_cycles:r.cycles ~screen:r.screen
+    ~guide:r.guide r.test_set
 
 type applied = {
   placement : Place.Placement.t;

@@ -10,6 +10,8 @@
     v}
 
     Only [id] is required; everything else has the CLI's defaults.
+    [precond] takes ["auto"] or ["mg"] and selects nothing: every solve
+    is MG-CG, and the field is kept for clients that name it.
     Parsing is strict (unknown fields, unknown enum values,
     out-of-range numbers and malformed fault specs are admission
     errors) because an invalid request must be rejected before a flow
@@ -37,11 +39,6 @@ type request = {
   seed : int;
   cycles : int;
   utilization : float;
-  precond : Thermal.Mesh.precond_choice;
-  (** ["auto"] (the default) and ["mg"] both parse to [Pc_mg], so they
-      share a fingerprint; ["jacobi"] and ["ssor"] are debugging
-      overrides *)
-  precond_name : string;         (** as spelled in the request *)
   screen : Postplace.Flow.screen_choice;
   screen_name : string;
   guide : Postplace.Flow.guide_choice;
@@ -68,8 +65,9 @@ val make :
     against their tables, numbers against their ranges, the fault spec
     against {!Robust.Faults.parse_spec}. Errors name the job id.
     Defaults: test set ["small"], technique ["eri"], seed 42, 1000
-    cycles, utilization 0.85, precond ["auto"], screen ["auto"], guide
-    ["peak"], overhead 0.2, no faults. *)
+    cycles, utilization 0.85, screen ["auto"], guide ["peak"], overhead
+    0.2, no faults. [precond] must be ["auto"] or ["mg"] and is not
+    stored. *)
 
 val request_of_json : Obs.Json.t -> (request, string) result
 (** Decode and {!make} one request. A field outside the schema above is

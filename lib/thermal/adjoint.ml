@@ -51,7 +51,7 @@ let smoothed_peak ~sharpness (s : Mesh.solution) =
   !tmax +. (log !sum /. sharpness)
 
 let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
-    ?precond ?x0 ?forward p =
+    ?x0 ?forward p =
   Obs.Trace.with_span "thermal.adjoint.solve" @@ fun () ->
   if not (Float.is_finite sharpness) || sharpness <= 0.0 then
     invalid_arg "Adjoint.solve: sharpness must be positive";
@@ -62,7 +62,7 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
       if Array.length s.Mesh.temp <> n then
         invalid_arg "Adjoint.solve: forward solution does not match problem";
       Ok s
-    | None -> Mesh.solve_result ~tol ?precond p
+    | None -> Mesh.solve_result ~tol p
   in
   match fwd with
   | Error e -> Error e
@@ -94,7 +94,7 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
           exp (sharpness *. (fwd.Mesh.temp.(node) -. !peak_rise_k)) /. !sum
       done
     done;
-    (match Mesh.solve_result ~tol ?precond ?x0 (Mesh.with_rhs p rhs) with
+    (match Mesh.solve_result ~tol ?x0 (Mesh.with_rhs p rhs) with
      | Error e -> Error e
      | Ok adj ->
        (* power enters the rhs with unit coefficient at the power-layer
@@ -113,7 +113,7 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
            smoothed_peak_k; lambda = adj.Mesh.temp; sensitivity;
            cg_iterations = adj.Mesh.cg_iterations })
 
-let solve ?tol ?sharpness ?precond ?x0 ?forward p =
-  match solve_result ?tol ?sharpness ?precond ?x0 ?forward p with
+let solve ?tol ?sharpness ?x0 ?forward p =
+  match solve_result ?tol ?sharpness ?x0 ?forward p with
   | Ok a -> a
   | Error e -> Robust.Error.raise_ e

@@ -42,18 +42,18 @@ val smoothed_peak : sharpness:float -> Mesh.solution -> float
     differentiates. Raises [Invalid_argument] unless [sharpness > 0]. *)
 
 val solve_result :
-  ?tol:float -> ?sharpness:float -> ?precond:Cg.precond ->
-  ?x0:float array -> ?forward:Mesh.solution -> Mesh.problem ->
+  ?tol:float -> ?sharpness:float -> ?x0:float array ->
+  ?forward:Mesh.solution -> Mesh.problem ->
   (t, Robust.Error.t) result
 (** Differentiate the smoothed peak of [problem]'s solution. Runs the
     forward solve unless [?forward] supplies one already computed (the
     optimizer reuses its incumbent solution; dimensions are validated),
     then one adjoint solve of the same matrix with the objective
     gradient as source. Both solves go through {!Mesh.solve_result} —
-    escalation ladder, structured errors and warm-start bookkeeping
-    included; [?x0] warm-starts the adjoint iteration from a previous
-    [lambda]. Telemetry: [thermal.adjoint.solves],
-    [thermal.adjoint.iterations],
+    MG-CG on the problem's shared hierarchy, escalation ladder,
+    structured errors and warm-start bookkeeping included; [?x0]
+    warm-starts the adjoint iteration from a previous [lambda].
+    Telemetry: [thermal.adjoint.solves], [thermal.adjoint.iterations],
     [thermal.adjoint.peak_sensitivity_k_per_w] and
     [thermal.adjoint.smoothing_gap_k] in {!Obs.Metrics}, under a
     ["thermal.adjoint.solve"] trace span.
@@ -62,6 +62,6 @@ val solve_result :
     mismatched [?forward]. *)
 
 val solve :
-  ?tol:float -> ?sharpness:float -> ?precond:Cg.precond ->
-  ?x0:float array -> ?forward:Mesh.solution -> Mesh.problem -> t
+  ?tol:float -> ?sharpness:float -> ?x0:float array ->
+  ?forward:Mesh.solution -> Mesh.problem -> t
 (** {!solve_result}, raising [Robust.Error.Error] on solver failure. *)

@@ -152,17 +152,7 @@ let multigrid p =
     p.p_mg := Some h;
     h
 
-type precond_choice = Pc_jacobi | Pc_ssor of float | Pc_mg
-
-let precond_choice_name = function
-  | Pc_jacobi -> "jacobi"
-  | Pc_ssor _ -> "ssor"
-  | Pc_mg -> "mg"
-
-let precond_of_choice p = function
-  | Pc_jacobi -> Cg.Jacobi
-  | Pc_ssor omega -> Cg.Ssor omega
-  | Pc_mg -> Cg.Multigrid (multigrid p)
+type precond_choice = Pc_mg
 
 type solution = {
   config : config;
@@ -173,10 +163,15 @@ type solution = {
   cg_rungs : string list;
 }
 
+(* The hierarchy is built before the span opens, so a first solve bills
+   it to [thermal.mg.build] beside [thermal.solve], not inside it. *)
 let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
+  let precond =
+    match precond with Some pc -> pc | None -> Cg.Multigrid (multigrid p)
+  in
   Obs.Trace.with_span "thermal.solve" @@ fun () ->
   let esc =
-    Cg.solve_escalating p.p_stencil ~b:p.p_rhs ~tol ?max_iter ?precond ?x0 ()
+    Cg.solve_escalating p.p_stencil ~b:p.p_rhs ~tol ?max_iter ~precond ?x0 ()
   in
   let outcome = esc.Cg.esc_outcome in
   match esc.Cg.esc_status with

@@ -54,18 +54,12 @@ val multigrid : problem -> Multigrid.t
     Coarse levels are fault-free {!operator}s of the same stack and
     extent at halved lateral resolution. *)
 
-type precond_choice = Pc_jacobi | Pc_ssor of float | Pc_mg
-(** A preconditioner selection that is plain data — CLI flags and
-    [Flow] configuration carry this, and it is resolved against a
-    concrete problem by {!precond_of_choice} (the multigrid variant needs
-    the problem's hierarchy). *)
-
-val precond_choice_name : precond_choice -> string
-(** ["jacobi"], ["ssor"] or ["mg"] — for reports and config echoes. *)
-
-val precond_of_choice : problem -> precond_choice -> Cg.precond
-(** Resolve a choice against a problem; [Pc_mg] builds (or reuses) the
-    problem's {!multigrid} hierarchy. *)
+type precond_choice = Pc_mg
+(** The one solver every flow-level solve runs: CG preconditioned by the
+    problem's {!multigrid} hierarchy, what {!solve_result} runs when no
+    [?precond] is given. Nothing in the library reads it; it is kept so
+    callers that still name the solver
+    ([Experiment.test_set_1 ~precond:Pc_mg]) compile. *)
 
 type solution = {
   config : config;
@@ -80,10 +74,12 @@ type solution = {
 
 val solve_result : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
   ?x0:float array -> problem -> (solution, Robust.Error.t) result
-(** Defaults: [tol] {!Cg.default_tol}, [max_iter] / [precond] / [x0] as in
-    {!Cg.solve}. Passing [x0] warm-starts CG from a previous temperature
-    field (the optimizer seeds candidate solves with the incumbent
-    solution).
+(** Defaults: [tol] {!Cg.default_tol}, [precond] [Cg.Multigrid] over this
+    problem's {!multigrid} hierarchy (built on first use, outside the
+    [thermal.solve] span), [max_iter] / [x0] as in {!Cg.solve}. An
+    explicit [?precond] ([Cg.Jacobi], [Cg.Ssor]) is a reference solve for
+    tests. Passing [x0] warm-starts CG from a previous temperature field
+    (the optimizer seeds candidate solves with the incumbent solution).
 
     The solve runs through {!Cg.solve_escalating}: a first-attempt
     failure is retried down the Jacobi / SSOR / restart ladder, a

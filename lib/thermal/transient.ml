@@ -37,7 +37,7 @@ let shifted_operator cfg ~extent ~material ~dt_s =
 (* Backward Euler: (G + C/dt) T_{k+1} = P + (C/dt) T_k. The shifted matrix
    is SPD whenever G is, so CG applies; consecutive steps warm-start. *)
 let step_response cfg ~power ?(material = default_capacitance)
-    ?(dt_s = 2e-6) ?(steps = 60) ?(precond = Mesh.Pc_ssor 1.2) () =
+    ?(dt_s = 2e-6) ?(steps = 60) () =
   if dt_s <= 0.0 || steps <= 0 then
     invalid_arg "Transient.step_response: non-positive dt or steps";
   let problem = Mesh.build cfg ~power in
@@ -45,33 +45,24 @@ let step_response cfg ~power ?(material = default_capacitance)
   let extent = Geo.Grid.extent power in
   let iterations = ref 0 in
   (* steady state for normalization — through the full solve path
-     (configured preconditioner, escalation ladder), not a raw
-     unpreconditioned CG *)
-  let steady =
-    Mesh.solve ~precond:(Mesh.precond_of_choice problem precond) problem
-  in
+     (multigrid, escalation ladder) *)
+  let steady = Mesh.solve problem in
   iterations := !iterations + steady.Mesh.cg_iterations;
   let steady_peak_k = Array.fold_left Float.max 0.0 steady.Mesh.temp in
-  (* one shifted operator for the whole window; its multigrid hierarchy
-     (when requested) is built on the shifted operator itself, with coarse
-     levels rediscretizing G + C/dt at halved resolution *)
+  (* one shifted operator for the whole window; its multigrid hierarchy is
+     built on the shifted operator itself, with coarse levels
+     rediscretizing G + C/dt at halved resolution *)
   let shifted, c_dt = shifted_operator cfg ~extent ~material ~dt_s in
   let n = Stencil.dim shifted in
   let nxy = cfg.Mesh.nx * cfg.Mesh.ny in
   let step_precond =
-    match precond with
-    | Mesh.Pc_jacobi -> Cg.Jacobi
-    | Mesh.Pc_ssor omega -> Cg.Ssor omega
-    | Mesh.Pc_mg ->
-      let h =
-        Multigrid.build ~fine:shifted
-          ~coarse:(fun ~nx ~ny ->
-              fst
-                (shifted_operator { cfg with Mesh.nx; ny } ~extent ~material
-                   ~dt_s))
-          ()
-      in
-      Cg.Multigrid h
+    Cg.Multigrid
+      (Multigrid.build ~fine:shifted
+         ~coarse:(fun ~nx ~ny ->
+             fst
+               (shifted_operator { cfg with Mesh.nx; ny } ~extent ~material
+                  ~dt_s))
+         ())
   in
   let temp = ref (Array.make n 0.0) in
   let times = Array.make (steps + 1) 0.0 in

@@ -30,19 +30,17 @@ type response = {
 
 val step_response :
   Mesh.config -> power:Geo.Grid.t -> ?material:material -> ?dt_s:float ->
-  ?steps:int -> ?precond:Mesh.precond_choice -> unit -> response
+  ?steps:int -> unit -> response
 (** Apply the power map as a step at t=0 from ambient and integrate.
-    Defaults: [dt_s] 2e-6, [steps] 60 (covering ~0.12 ms), [precond]
-    [Pc_ssor 1.2].
+    Defaults: [dt_s] 2e-6, [steps] 60 (covering ~0.12 ms).
 
-    The steady-state normalization solve goes through {!Mesh.solve} —
-    configured preconditioner (multigrid hierarchy included) and the
-    escalation ladder — instead of a raw unpreconditioned CG. Each
-    implicit step solves [(G + C/dt) T' = P + (C/dt) T] against one
-    shifted operator for the whole window — [G]'s stencil with the
-    per-layer [C/dt] added to its diagonal — preconditioned per
-    [?precond]; [Pc_mg] builds a dedicated multigrid hierarchy on the
-    shifted operator (coarse levels rediscretize [G + C/dt], not [G]).
-    Step solves warm-start from the previous instant and are labelled
-    ["transient"] in the CG history ring. Counters:
-    [thermal.transient.steps] and [thermal.transient.iterations]. *)
+    Every solve is multigrid-preconditioned CG. The steady-state
+    normalization solve goes through {!Mesh.solve} (the problem's own
+    hierarchy and the escalation ladder). Each implicit step solves
+    [(G + C/dt) T' = P + (C/dt) T] against one shifted operator for the
+    whole window — [G]'s stencil with the per-layer [C/dt] added to its
+    diagonal — under a dedicated hierarchy built on that operator (coarse
+    levels rediscretize [G + C/dt], not [G]). Step solves warm-start from
+    the previous instant and are labelled ["transient"] in the CG history
+    ring. Counters: [thermal.transient.steps] and
+    [thermal.transient.iterations]. *)

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Full repository gate: build everything, run the test suites and the
-# quickstart example, smoke-run the solver-engine, multigrid,
-# fft-screening and adjoint-sensitivity benches (cache + warm-start +
-# preconditioner + pool + blur tier + gradient guide) and gate them
-# against the committed bench/baselines via bench_diff (wall-clock
-# regressions and invariant flips fail the run),
+# quickstart example, smoke-run the solve bench (MG-CG, the blur, the
+# adjoint, both guides, the blur tier and the pool) and the serve bench
+# and gate them against the committed bench/baselines via bench_diff
+# (wall-clock regressions, changed counts and invariant flips fail the
+# run),
 # smoke the CLI with --report, --perfetto and --prom, validate the JSON
 # all three write, exercise the invariant-check subcommand and the
 # fault-injection harness (structured exit codes), prove the sweep
@@ -27,7 +27,8 @@ trap 'rm -rf "$ledger" "${verdict-}" "${report-}" "${ckpt-}" \
   "${perfetto-}" "${prom-}" "${hist-}" "${serve_jobs-}" "${serve_out-}" \
   "${serve_out:+$serve_out.pairs}" "${serve_out2-}" \
   "${serve_out2:+$serve_out2.jobs}" "${serve_out2:+$serve_out2.pairs}" \
-  "${serve_ledger-}" "${serve_err-}" "${serve_fifo-}" "${export_dir-}"' EXIT
+  "${serve_ledger-}" "${serve_err-}" "${serve_fifo-}" "${export_dir-}" \
+  "${doubled-}"' EXIT
 rm -f "$ledger"
 THERMOPLACE_LEDGER="$ledger"
 export THERMOPLACE_LEDGER
@@ -44,24 +45,11 @@ dune runtest
 echo "== quickstart example"
 dune exec examples/quickstart.exe >/dev/null
 
-echo "== solver engine bench smoke (2 trials)"
-dune exec bench/main.exe -- --jobs 2 --trials 2 cg >/dev/null
-dune exec bin/json_check.exe -- BENCH_cg.json experiment trials summary
-
-echo "== multigrid bench smoke"
-dune exec bench/main.exe -- --jobs 2 mg >/dev/null
-dune exec bin/json_check.exe -- BENCH_mg.json experiment summary
-
-echo "== fft screening bench smoke"
-dune exec bench/main.exe -- --jobs 2 fft >/dev/null
+echo "== solve bench smoke (2 trials)"
+dune exec bench/main.exe -- --jobs 2 --trials 2 solve >/dev/null
 dune exec bin/json_check.exe -- \
-  BENCH_fft.json experiment summary summary.screening summary.optimizer
-
-echo "== adjoint sensitivity bench smoke"
-dune exec bench/main.exe -- --jobs 2 adjoint >/dev/null
-dune exec bin/json_check.exe -- \
-  BENCH_adjoint.json experiment summary summary.adjoint_solve \
-  summary.optimizer
+  BENCH_solve.json experiment trials summary summary.sizes summary.adjoint \
+  summary.guides summary.tiers summary.fft summary.telemetry
 
 echo "== batch serve bench smoke"
 dune exec bench/main.exe -- --jobs 2 serve >/dev/null 2>&1
@@ -71,8 +59,7 @@ dune exec bin/json_check.exe -- \
 
 # A telemetry read that misses its series, or a counter never bumped,
 # must not land in a kernel summary as null.
-for f in BENCH_cg.json BENCH_mg.json BENCH_fft.json BENCH_adjoint.json \
-  BENCH_serve.json; do
+for f in BENCH_solve.json BENCH_serve.json; do
   if grep -q null "$f"; then
     echo "bench smoke: $f contains null" >&2
     exit 1
@@ -80,7 +67,7 @@ for f in BENCH_cg.json BENCH_mg.json BENCH_fft.json BENCH_adjoint.json \
 done
 
 # Each bench run appended one ledger record.
-dune exec bin/json_check.exe -- --jsonl "$ledger" 5
+dune exec bin/json_check.exe -- --jsonl "$ledger" 2
 
 echo "== paper suites (all 13 experiments)"
 THERMOPLACE_LEDGER=none dune exec bench/main.exe -- --jobs 2 >/dev/null
@@ -89,46 +76,57 @@ for name in fig5 fig6 table1 timing congestion ablation optimizer \
   dune exec bin/json_check.exe -- "BENCH_$name.json" experiment summary
 done
 # The paper's shape checks (ERI and HW above Default, monotone in
-# overhead), the steady-state justification, the multigrid checks
-# (plans agree, bit-identical across pools, at most 10 MG-CG iterations
-# at every size) and the fft screening checks (plans and peaks agree
-# with the exact tier, the blur ranks the solves' winner first, no
-# Bluestein transform on the screening grids) must all hold.
-if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_mg.json \
-  BENCH_fft.json; then
-  echo "paper suites: a Fig. 6, transient, multigrid or fft check is false" >&2
+# overhead), the steady-state justification and the solve checks (the
+# blur matches MG-CG at every size, the adjoint its central difference,
+# the blur tier the exact tier's plan and peak, 2 domains 1, FFT parity,
+# no Bluestein transform on the screening grids) must all hold.
+if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_solve.json; then
+  echo "paper suites: a Fig. 6, transient or solve check is false" >&2
   exit 1
 fi
 
 echo "== bench regression gate (bench_diff vs committed baselines)"
 # A generous threshold absorbs machine-to-machine noise on top of the
 # baselines' own measured IQR; invariant flips (plans_agree,
-# parallel_bit_identical, ...) fail at any threshold.
+# parallel_bit_identical, ...) and changed counts (iterations, V-cycles,
+# evaluations, solves, jobs, batches) fail at any threshold.
 verdict=$(mktemp "${TMPDIR:-/tmp}/thermoplace-verdict.XXXXXX.json")
 dune exec bin/bench_diff.exe -- --threshold 0.60 --json "$verdict" \
-  bench/baselines/cg.json BENCH_cg.json >/dev/null
+  bench/baselines/solve.json BENCH_solve.json >/dev/null
 dune exec bin/json_check.exe -- "$verdict" baseline fresh ok failed keys
-dune exec bin/bench_diff.exe -- --threshold 0.60 \
-  bench/baselines/mg.json BENCH_mg.json >/dev/null
-dune exec bin/bench_diff.exe -- --threshold 0.60 \
-  bench/baselines/fft.json BENCH_fft.json >/dev/null
-dune exec bin/bench_diff.exe -- --threshold 0.60 \
-  bench/baselines/adjoint.json BENCH_adjoint.json >/dev/null
 dune exec bin/bench_diff.exe -- --threshold 0.60 \
   bench/baselines/serve.json BENCH_serve.json >/dev/null
 # Sanity of the gate itself: clean against itself, trips on a simulated
 # +100% slowdown (medians compared, so this holds for statistics
-# baselines exactly as it did for legacy scalars).
+# baselines exactly as it did for legacy scalars) and on one doubled
+# iteration count.
 dune exec bin/bench_diff.exe -- \
-  bench/baselines/cg.json bench/baselines/cg.json >/dev/null
+  bench/baselines/solve.json bench/baselines/solve.json >/dev/null
 rc=0
 dune exec bin/bench_diff.exe -- --scale-times 2.0 \
-  bench/baselines/cg.json bench/baselines/cg.json >/dev/null 2>&1 || rc=$?
+  bench/baselines/solve.json bench/baselines/solve.json >/dev/null 2>&1 \
+  || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "bench_diff: expected exit 1 on simulated slowdown, got $rc" >&2
   exit 1
 fi
-rm -f "$verdict"
+doubled=$(mktemp "${TMPDIR:-/tmp}/thermoplace-doubled.XXXXXX.json")
+iters=$(sed -n 's/.*"cg_iterations": \([0-9]*\).*/\1/p' \
+  bench/baselines/solve.json)
+sed "s/\"cg_iterations\": $iters,/\"cg_iterations\": $((iters * 2)),/" \
+  bench/baselines/solve.json >"$doubled"
+if cmp -s "$doubled" bench/baselines/solve.json; then
+  echo "bench_diff self-check: no iteration count to double" >&2
+  exit 1
+fi
+rc=0
+dune exec bin/bench_diff.exe -- \
+  bench/baselines/solve.json "$doubled" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "bench_diff: expected exit 1 on a doubled iteration count, got $rc" >&2
+  exit 1
+fi
+rm -f "$verdict" "$doubled"
 
 echo "== thermoplace --report / --prom smoke"
 report=$(mktemp "${TMPDIR:-/tmp}/thermoplace-report.XXXXXX.json")
@@ -239,12 +237,12 @@ if [ "$rc" -ne 10 ]; then
   echo "fault smoke: expected exit 10 for cg_stall, got $rc" >&2
   exit 1
 fi
-# A single stall under the multigrid preconditioner must be recovered by
-# the escalation ladder (the MG first attempt earns the cold-Jacobi rung),
-# so the flow still exits 0.
+# A single stall of an MG-CG solve must be recovered by the escalation
+# ladder (the MG first attempt earns the cold-Jacobi rung), so the flow
+# still exits 0.
 rc=0
 THERMOPLACE_FAULTS=cg_stall dune exec bin/thermoplace.exe -- \
-  flow --test-set small --cycles 200 --precond mg >/dev/null 2>&1 || rc=$?
+  flow --test-set small --cycles 200 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 0 ]; then
   echo "fault smoke: expected exit 0 for recovered cg_stall under mg, got $rc" >&2
   exit 1
@@ -349,28 +347,27 @@ dune exec bin/thermoplace.exe -- \
   sweep --test-set small --cycles 200 --checkpoint "$ckpt" >/dev/null
 
 echo "== run ledger + history smoke"
-# Every run above — 5 benches, 8 thermoplace runs (2 of them
+# Every run above — 2 benches, 8 thermoplace runs (2 of them
 # fault-injected failures) and the 2 sweeps — appended exactly one
 # record to the scratch ledger (the serve smokes wrote to their own
 # explicit --ledger files, which beat THERMOPLACE_LEDGER).
-dune exec bin/json_check.exe -- --jsonl "$ledger" 15
-# Two optimize runs differing only in preconditioner (the MG default vs
-# the Jacobi debugging override), into a fresh ledger (the explicit
-# --ledger flag beats THERMOPLACE_LEDGER), so history diff sees exactly
-# the config delta.
+dune exec bin/json_check.exe -- --jsonl "$ledger" 12
+# Two optimize runs differing only in guide (the peak default vs the
+# gradient), into a fresh ledger (the explicit --ledger flag beats
+# THERMOPLACE_LEDGER), so history diff sees exactly the config delta.
 rm -f "$hist"
 dune exec bin/thermoplace.exe -- \
   optimize --test-set small --cycles 200 --rows 1 --jobs 1 \
   --ledger "$hist" >/dev/null
 dune exec bin/thermoplace.exe -- \
   optimize --test-set small --cycles 200 --rows 1 --jobs 1 \
-  --precond jacobi --ledger "$hist" >/dev/null
+  --guide gradient --ledger "$hist" >/dev/null
 dune exec bin/json_check.exe -- --jsonl "$hist" 2
 dune exec bin/thermoplace.exe -- history list --ledger "$hist" >/dev/null
 diff_out=$(dune exec bin/thermoplace.exe -- \
   history diff --ledger "$hist" 0 1)
-echo "$diff_out" | grep -q 'precond' || {
-  echo "history diff: expected a precond config delta" >&2
+echo "$diff_out" | grep -q 'guide' || {
+  echo "history diff: expected a guide config delta" >&2
   exit 1
 }
 dune exec bin/thermoplace.exe -- \
@@ -381,21 +378,6 @@ wc -l <"$hist" | grep -qx '2' || {
   echo "history smoke: expected exactly 2 records" >&2
   exit 1
 }
-
-echo "== precond auto is an alias of the mg default"
-# Both spellings resolve to the same solver, so both runs must record the
-# same configuration fingerprint (precond=mg).
-rm -f "$hist"
-dune exec bin/thermoplace.exe -- \
-  flow --test-set small --cycles 200 --precond auto --ledger "$hist" >/dev/null
-dune exec bin/thermoplace.exe -- \
-  flow --test-set small --cycles 200 --precond mg --ledger "$hist" >/dev/null
-fingerprints=$(dune exec bin/json_check.exe -- --jsonl-field "$hist" fingerprint)
-test "$(echo "$fingerprints" | sort -u | wc -l)" -eq 1 || {
-  echo "precond alias: auto and mg fingerprints differ" >&2
-  exit 1
-}
-echo "$fingerprints" | grep -q 'precond=mg'
 
 echo "== CLI fingerprints name the test set and cycle count"
 # Every CLI fingerprint starts from the flow identity serve batches on

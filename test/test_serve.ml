@@ -197,6 +197,8 @@ let test_request_validation () =
   reject "non-string id" {|{"id":7}|};
   reject "unknown guide" {|{"id":"x","guide":"psychic"}|};
   reject "retired fft screen" {|{"id":"x","screen":"fft"}|};
+  reject "retired jacobi precond" {|{"id":"x","precond":"jacobi"}|};
+  reject "retired ssor precond" {|{"id":"x","precond":"ssor"}|};
   (* a misspelt field is an admission error naming it, never a silent
      default *)
   match
@@ -235,20 +237,29 @@ let test_fingerprint_groups_configs () =
   Alcotest.(check string) "same flow, same fingerprint" (Job.fingerprint a)
     (Job.fingerprint b);
   Alcotest.(check bool) "different cycles, different fingerprint" true
-    (Job.fingerprint a <> Job.fingerprint c)
+    (Job.fingerprint a <> Job.fingerprint c);
+  (* precond selects nothing: a request naming it batches with one that
+     does not, and the fingerprint keeps the precond=mg older ledger
+     records carry *)
+  let m = parse_ok {|{"id":"m","cycles":200,"precond":"mg"}|} in
+  Alcotest.(check string) "precond splits nothing" (Job.fingerprint a)
+    (Job.fingerprint m);
+  Alcotest.(check bool) "fingerprint keeps precond=mg" true
+    (List.mem "precond=mg" (String.split_on_char '|' (Job.fingerprint a)))
 
 (* Mutated request lines: a full request with one enum field set to any
-   name it accepts, the retired screen name "fft", the empty string or
-   junk, then up to three byte flips, truncations or insertions. Decoding
+   name it accepts, the retired screen name "fft" or precond name
+   "jacobi", the empty string or junk, then up to three byte flips,
+   truncations or insertions. Decoding
    must never raise, and whatever it accepts must survive an encode,
    print and decode unchanged. *)
 let fuzz_line =
   let open QCheck.Gen in
-  let junk = [ "fft"; ""; {|\u0000x\u00ff|} ] in
+  let junk = [ "fft"; "jacobi"; ""; {|\u0000x\u00ff|} ] in
   let enums =
     [ ("test_set", Postplace.Experiment.test_set_names);
       ("technique", Job.technique_names);
-      ("precond", Postplace.Flow.precond_names);
+      ("precond", [ "auto"; "mg" ]);
       ("screen", Postplace.Flow.screen_names);
       ("guide", Postplace.Flow.guide_names) ]
   in

@@ -412,7 +412,7 @@ let test_mesh_solve_options_threaded () =
   (* max_iter reaches Cg: an impossible budget must fail through the
      whole escalation ladder and surface as a structured error *)
   (match
-     Thermal.Mesh.solve ~tol:1e-14 ~max_iter:1
+     Thermal.Mesh.solve ~tol:1e-14 ~max_iter:1 ~precond:Thermal.Cg.Jacobi
        (Thermal.Mesh.build small_cfg ~power:p)
    with
    | _ -> Alcotest.fail "capped solve did not fail"
@@ -420,8 +420,11 @@ let test_mesh_solve_options_threaded () =
        Robust.Error.Error (Robust.Error.Solver_diverged { rungs; _ }) ->
      Alcotest.(check (list string)) "full ladder attempted"
        [ "requested"; "ssor"; "restart" ] rungs);
-  (* precond reaches Cg: SSOR solve agrees with the Jacobi default *)
-  let jac = Thermal.Mesh.solve ~tol:1e-12 (Thermal.Mesh.build small_cfg ~power:p) in
+  (* precond reaches Cg: SSOR solve agrees with Jacobi *)
+  let jac =
+    Thermal.Mesh.solve ~tol:1e-12 ~precond:Thermal.Cg.Jacobi
+      (Thermal.Mesh.build small_cfg ~power:p)
+  in
   let ssor =
     Thermal.Mesh.solve ~tol:1e-12 ~precond:(Thermal.Cg.Ssor 1.5)
       (Thermal.Mesh.build small_cfg ~power:p)
@@ -436,6 +439,24 @@ let test_mesh_solve_options_threaded () =
   let warm = Thermal.Mesh.solve ~x0:cold.Thermal.Mesh.temp prob in
   Alcotest.(check bool) "warm mesh solve immediate" true
     (warm.Thermal.Mesh.cg_iterations <= 1)
+
+(* Without [?precond] a mesh solve is MG-CG on the problem's own
+   hierarchy: the history ring labels it "mg" and the V-cycle histogram
+   gets its one per-solve sample. *)
+let test_mesh_default_is_mg () =
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Thermal.Cg.clear_histories ();
+  let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
+  ignore (Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p));
+  Alcotest.(check (list string)) "history label" [ "mg" ]
+    (List.map
+       (fun h -> h.Thermal.Cg.h_label)
+       (Thermal.Cg.recent_histories ()));
+  Alcotest.(check (option int)) "one V-cycle sample" (Some 1)
+    (Option.map
+       (fun h -> h.Obs.Metrics.count)
+       (Obs.Metrics.histogram "thermal.mg.solve.cycles"))
 
 (* --- dense direct solver ------------------------------------------------------ *)
 
@@ -470,6 +491,18 @@ let test_dense_rejects_indefinite () =
   (match Thermal.Dense.of_stencil m with
    | _ -> Alcotest.fail "indefinite matrix accepted"
    | exception Failure _ -> ())
+
+(* A deliberately lopsided power map: two unequal hotspots on a warm
+   background (for the adjoint, the softmax objective then spreads
+   non-trivial weight over several tiles). *)
+let lopsided_power ~nx ~ny ~total =
+  let extent = Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:200.0 ~h:200.0 in
+  let g = Geo.Grid.create ~nx ~ny ~extent in
+  let base = 0.2 *. total /. float_of_int (nx * ny) in
+  Geo.Grid.iteri g ~f:(fun ~ix ~iy _ -> Geo.Grid.set g ~ix ~iy base);
+  Geo.Grid.add g ~ix:(nx / 4) ~iy:(ny / 4) (0.5 *. total);
+  Geo.Grid.add g ~ix:(3 * nx / 4) ~iy:(3 * ny / 4) (0.3 *. total);
+  g
 
 (* --- transient ------------------------------------------------------------------ *)
 
@@ -524,54 +557,111 @@ let test_transient_flat_tau_is_finite () =
   check_float "flat response settles at zero rise" 0.0
     r.Thermal.Transient.steady_peak_k
 
-let test_transient_precond_parity_and_iterations () =
-  (* regression for the transient solve path: it used to run a raw
-     unpreconditioned CG on a privately assembled matrix, ignoring the
-     configured preconditioner entirely. The trajectories must agree
-     across preconditioners (same system, tight tolerance) and the
-     stronger smoother must pay fewer total iterations. *)
-  let p = uniform_power ~nx:8 ~ny:8 ~total:0.02 in
-  let cfg = { Thermal.Mesh.default_config with Thermal.Mesh.nx = 8; ny = 8 } in
-  let rj =
-    Thermal.Transient.step_response cfg ~power:p ~dt_s:2e-5 ~steps:40
-      ~precond:Thermal.Mesh.Pc_jacobi ()
+(* Backward Euler written out against the dense Cholesky oracle on a
+   6x6x9 stack: the shifted operator [G + C/dt] from [Mesh.operator] and
+   [Stencil.shift], factored once, stepped from ambient. [step_response]
+   (MG-CG at 1e-10) must follow it to 1e-9 of each instant's peak. *)
+let test_transient_matches_backward_euler () =
+  let nx = 6 and dt_s = 2e-5 and steps = 20 in
+  let cfg =
+    { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
   in
-  let rs =
-    Thermal.Transient.step_response cfg ~power:p ~dt_s:2e-5 ~steps:40
-      ~precond:(Thermal.Mesh.Pc_ssor 1.2) ()
+  let power = lopsided_power ~nx ~ny:nx ~total:0.02 in
+  let r = Thermal.Transient.step_response cfg ~power ~dt_s ~steps () in
+  let extent = Geo.Grid.extent power in
+  let tile_m2 =
+    (Geo.Grid.tile_width power *. 1e-6) *. (Geo.Grid.tile_height power *. 1e-6)
   in
-  let rm =
-    Thermal.Transient.step_response cfg ~power:p ~dt_s:2e-5 ~steps:40
-      ~precond:Thermal.Mesh.Pc_mg ()
+  let c_dt =
+    Array.map
+      (fun l ->
+         Thermal.Transient.default_capacitance
+           .Thermal.Transient.volumetric_heat_j_m3k
+         *. tile_m2 *. (l.Thermal.Stack.thickness_um *. 1e-6) /. dt_s)
+      cfg.Thermal.Mesh.stack.Thermal.Stack.layers
   in
-  Array.iteri
-    (fun k pj ->
-       check_float ~eps:1e-7
-         (Printf.sprintf "jacobi/ssor parity at step %d" k) pj
-         rs.Thermal.Transient.peak_rise_k.(k);
-       check_float ~eps:1e-7
-         (Printf.sprintf "jacobi/mg parity at step %d" k) pj
-         rm.Thermal.Transient.peak_rise_k.(k))
-    rj.Thermal.Transient.peak_rise_k;
-  Alcotest.(check bool)
-    (Printf.sprintf "ssor %d iterations < jacobi %d"
-       rs.Thermal.Transient.cg_iterations rj.Thermal.Transient.cg_iterations)
-    true
-    (rs.Thermal.Transient.cg_iterations < rj.Thermal.Transient.cg_iterations)
+  let chol =
+    Thermal.Dense.of_stencil
+      (Thermal.Stencil.shift (Thermal.Mesh.operator cfg ~extent) c_dt)
+  in
+  let p = Thermal.Mesh.rhs (Thermal.Mesh.build cfg ~power) in
+  let n = Array.length p in
+  let temp = Array.make n 0.0 and rhs = Array.make n 0.0 in
+  for k = 1 to steps do
+    Array.iteri
+      (fun i t -> rhs.(i) <- p.(i) +. (c_dt.(i / (nx * nx)) *. t))
+      temp;
+    Thermal.Dense.solve_into chol rhs temp;
+    let want = Array.fold_left Float.max 0.0 temp in
+    let got = r.Thermal.Transient.peak_rise_k.(k) in
+    if Float.abs (got -. want) > 1e-9 *. want then
+      Alcotest.failf "step %d: step_response %.15g vs backward Euler %.15g" k
+        got want
+  done
+
+(* Random adiabatic stacks (1-6 layers, 8x8 to 16x16, random sinks and
+   power): the step response never cools, and its last instant reaches
+   the steady peak. The window is 16 steps of dt = 4 tau, tau being the
+   column bound C (R_vertical + 1 / h_max) per unit area. It bounds the
+   slowest time constant (the uniform mode's, an RC chain whose
+   trace(G^-1 C) it bounds), so that mode decays by 5^-16 ~ 7e-12. *)
+let prop_transient_reaches_steady =
+  QCheck.Test.make ~name:"transient rises monotonically to the steady peak"
+    ~count:20
+    QCheck.(triple (int_range 8 16) (int_range 8 16) (int_range 0 100000))
+    (fun (nx, ny, seed) ->
+       let rng = Geo.Rng.create seed in
+       let uniform lo hi = lo +. Geo.Rng.float rng (hi -. lo) in
+       let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
+       let nz = 1 + Geo.Rng.int rng 6 in
+       let layers =
+         Array.init nz (fun i ->
+             { Thermal.Stack.layer_name = Printf.sprintf "l%d" i;
+               thickness_um = uniform 1.0 20.0;
+               conductivity_w_mk = log_uniform 0.5 400.0 })
+       in
+       let h_top = log_uniform 1e2 1e6 in
+       let h_bottom = if Geo.Rng.bool rng then 0.0 else log_uniform 1e2 1e6 in
+       let stack =
+         { Thermal.Stack.layers; power_layer = Geo.Rng.int rng nz;
+           h_top_w_m2k = h_top; h_bottom_w_m2k = h_bottom;
+           h_side_w_m2k = 0.0 }
+       in
+       let extent =
+         Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:(uniform 50.0 400.0)
+           ~h:(uniform 50.0 400.0)
+       in
+       let power = Geo.Grid.create ~nx ~ny ~extent in
+       Geo.Grid.iteri power ~f:(fun ~ix ~iy _ ->
+           Geo.Grid.set power ~ix ~iy (Geo.Rng.float rng 0.01));
+       let sum f = Array.fold_left (fun a l -> a +. f l) 0.0 layers in
+       let dz l = l.Thermal.Stack.thickness_um *. 1e-6 in
+       let tau =
+         sum (fun l ->
+             Thermal.Transient.default_capacitance
+               .Thermal.Transient.volumetric_heat_j_m3k *. dz l)
+         *. (sum (fun l -> dz l /. l.Thermal.Stack.conductivity_w_mk)
+             +. (1.0 /. Float.max h_top h_bottom))
+       in
+       let steps = 16 in
+       let r =
+         Thermal.Transient.step_response { Thermal.Mesh.nx; ny; stack } ~power
+           ~dt_s:(4.0 *. tau) ~steps ()
+       in
+       let peaks = r.Thermal.Transient.peak_rise_k in
+       let steady = r.Thermal.Transient.steady_peak_k in
+       for k = 1 to steps do
+         if peaks.(k) < peaks.(k - 1) -. (1e-9 *. steady) then
+           QCheck.Test.fail_reportf "nz=%d %dx%d: peak fell %.15g -> %.15g \
+                                     at step %d" nz nx ny peaks.(k - 1)
+             peaks.(k) k
+       done;
+       if Float.abs (peaks.(steps) -. steady) > 1e-6 *. steady then
+         QCheck.Test.fail_reportf "nz=%d %dx%d: final peak %.15g vs steady \
+                                   %.15g" nz nx ny peaks.(steps) steady;
+       true)
 
 (* --- adjoint ------------------------------------------------------------------ *)
-
-(* A deliberately lopsided power map: two unequal hotspots on a warm
-   background, so the softmax objective spreads non-trivial weight over
-   several tiles. *)
-let lopsided_power ~nx ~ny ~total =
-  let extent = Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:200.0 ~h:200.0 in
-  let g = Geo.Grid.create ~nx ~ny ~extent in
-  let base = 0.2 *. total /. float_of_int (nx * ny) in
-  Geo.Grid.iteri g ~f:(fun ~ix ~iy _ -> Geo.Grid.set g ~ix ~iy base);
-  Geo.Grid.add g ~ix:(nx / 4) ~iy:(ny / 4) (0.5 *. total);
-  Geo.Grid.add g ~ix:(3 * nx / 4) ~iy:(3 * ny / 4) (0.3 *. total);
-  g
 
 (* Central-difference validation through superposition: the system is
    linear, so T(P + s e_tile) = T0 + s u with u = G^-1 e_tile solved
@@ -581,12 +671,12 @@ let lopsided_power ~nx ~ny ~total =
    relative match attainable (a naive re-solve per perturbation cannot
    beat ~1e-3: truncation and solver noise pull eps in opposite
    directions). *)
-let fd_probe cfg problem (adj : Thermal.Adjoint.t) ~precond ~ix ~iy =
+let fd_probe cfg problem (adj : Thermal.Adjoint.t) ~ix ~iy =
   let zp = cfg.Thermal.Mesh.stack.Thermal.Stack.power_layer in
   let n = Array.length adj.Thermal.Adjoint.lambda in
   let e = Array.make n 0.0 in
   e.(Thermal.Mesh.node_index cfg ~ix ~iy ~iz:zp) <- 1.0;
-  let u = Thermal.Mesh.solve ~precond (Thermal.Mesh.with_rhs problem e) in
+  let u = Thermal.Mesh.solve (Thermal.Mesh.with_rhs problem e) in
   let fwd = adj.Thermal.Adjoint.forward in
   let eps = 1e-5 in
   let shifted s =
@@ -606,24 +696,21 @@ let fd_probe cfg problem (adj : Thermal.Adjoint.t) ~precond ~ix ~iy =
        (relative %.3g > 1e-6)"
       ix iy sens fd rel
 
-let fd_validate ~nx ~precond_choice () =
+let fd_validate ~nx () =
   let cfg =
     { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
   in
   let power = lopsided_power ~nx ~ny:nx ~total:0.05 in
   let problem = Thermal.Mesh.build cfg ~power in
-  let precond = Thermal.Mesh.precond_of_choice problem precond_choice in
-  let adj = Thermal.Adjoint.solve ~precond problem in
+  let adj = Thermal.Adjoint.solve problem in
   (* probe the most sensitive tile and a cool corner *)
   let hx, hy = Geo.Grid.argmax adj.Thermal.Adjoint.sensitivity in
-  fd_probe cfg problem adj ~precond ~ix:hx ~iy:hy;
-  fd_probe cfg problem adj ~precond ~ix:0 ~iy:0
+  fd_probe cfg problem adj ~ix:hx ~iy:hy;
+  fd_probe cfg problem adj ~ix:0 ~iy:0
 
-let test_adjoint_fd_ssor_8 () =
-  fd_validate ~nx:8 ~precond_choice:(Thermal.Mesh.Pc_ssor 1.2) ()
+let test_adjoint_fd_mg_8 () = fd_validate ~nx:8 ()
 
-let test_adjoint_fd_mg_16 () =
-  fd_validate ~nx:16 ~precond_choice:Thermal.Mesh.Pc_mg ()
+let test_adjoint_fd_mg_16 () = fd_validate ~nx:16 ()
 
 let test_adjoint_fd_full_system () =
   (* the looser sanity check the superposition trick replaces: actually
@@ -828,34 +915,28 @@ let square n = { Thermal.Mesh.default_config with Thermal.Mesh.nx = n; ny = n }
 let test_pin_solves_40 () =
   let power = lopsided_power ~nx:40 ~ny:40 ~total:0.2 in
   List.iter
-    (fun (choice, digest) ->
+    (fun (name, precond, digest) ->
        let p = Thermal.Mesh.build (square 40) ~power in
-       let s =
-         Thermal.Mesh.solve
-           ~precond:(Thermal.Mesh.precond_of_choice p choice) p
-       in
-       Alcotest.(check string)
-         (Thermal.Mesh.precond_choice_name choice)
-         digest (digest_floats s.Thermal.Mesh.temp))
-    [ (Thermal.Mesh.Pc_mg, "06e4e9f6fe7dc7c1ddab67e0e5015560");
-      (Thermal.Mesh.Pc_jacobi, "c243fb86f0309c5ebb5f521556348733");
-      (Thermal.Mesh.Pc_ssor 1.2, "49b8740ee3cb5eb86caad3a9342146c5") ]
+       let s = Thermal.Mesh.solve ~precond:(precond p) p in
+       Alcotest.(check string) name digest
+         (digest_floats s.Thermal.Mesh.temp))
+    Thermal.Cg.
+      [ ("mg", (fun p -> Multigrid (Thermal.Mesh.multigrid p)),
+         "06e4e9f6fe7dc7c1ddab67e0e5015560");
+        ("jacobi", (fun _ -> Jacobi), "c243fb86f0309c5ebb5f521556348733");
+        ("ssor", (fun _ -> Ssor 1.2), "49b8740ee3cb5eb86caad3a9342146c5") ]
 
+(* The MG trajectory, as it was when the transient also offered Jacobi
+   and SSOR. *)
 let test_pin_transient_16 () =
   let power = lopsided_power ~nx:16 ~ny:16 ~total:0.05 in
-  let peaks =
-    List.concat_map
-      (fun precond ->
-         let r =
-           Thermal.Transient.step_response (square 16) ~power ~dt_s:2e-5
-             ~steps:20 ~precond ()
-         in
-         Array.to_list r.Thermal.Transient.peak_rise_k)
-      [ Thermal.Mesh.Pc_jacobi; Thermal.Mesh.Pc_ssor 1.2; Thermal.Mesh.Pc_mg ]
+  let r =
+    Thermal.Transient.step_response (square 16) ~power ~dt_s:2e-5 ~steps:20
+      ()
   in
-  Alcotest.(check string) "peak trajectories"
-    "095f1a4a7a96df5336168b5982bc44a4"
-    (digest_floats (Array.of_list peaks))
+  Alcotest.(check string) "peak trajectory"
+    "1bc92eba8256494ba51e0ec40d5e0562"
+    (digest_floats r.Thermal.Transient.peak_rise_k)
 
 let test_pin_spice_10 () =
   let cfg =
@@ -1084,8 +1165,7 @@ let test_mg_precond_parity_and_iterations () =
   in
   let problem = Thermal.Mesh.build cfg ~power:p in
   let ssor = Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem in
-  let precond = Thermal.Mesh.precond_of_choice problem Thermal.Mesh.Pc_mg in
-  let mg = Thermal.Mesh.solve ~precond problem in
+  let mg = Thermal.Mesh.solve problem in
   Alcotest.(check bool)
     (Printf.sprintf "mg iterations (%d) below ssor (%d)"
        mg.Thermal.Mesh.cg_iterations ssor.Thermal.Mesh.cg_iterations)
@@ -1150,7 +1230,7 @@ let test_mg_rejects_non_positive_pivot () =
 let test_mg_escalation_recovers () =
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
   let problem = Thermal.Mesh.build small_cfg ~power:p in
-  let precond = Thermal.Mesh.precond_of_choice problem Thermal.Mesh.Pc_mg in
+  let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem) in
   let esc =
     Robust.Faults.with_fault Robust.Faults.Cg_stall (fun () ->
         Thermal.Cg.solve_escalating
@@ -1176,12 +1256,11 @@ let test_mg_precond_records_vcycles () =
   Obs.Metrics.reset ();
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
   let problem = Thermal.Mesh.build small_cfg ~power:p in
-  let precond = Thermal.Mesh.precond_of_choice problem Thermal.Mesh.Pc_mg in
   let cycles () =
     Option.value ~default:0 (Obs.Metrics.counter_value "thermal.mg.cycles")
   in
   let before = cycles () in
-  let sol = Thermal.Mesh.solve ~precond problem in
+  let sol = Thermal.Mesh.solve problem in
   let applies = cycles () - before in
   Alcotest.(check bool) "V-cycles applied" true (applies > 0);
   match Obs.Metrics.histogram "thermal.mg.solve.cycles" with
@@ -1450,9 +1529,9 @@ let small_flow =
        (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ]))
 
 (* A Perturb_matrix fault poisons exactly the next mesh build: the solve
-   fails loudly down the whole escalation ladder under the default and
-   under multigrid, the structure check names it, and the next healthy
-   build solves. *)
+   fails loudly down the whole escalation ladder under Jacobi and under
+   the multigrid default, the structure check names it, and the next
+   healthy build solves. *)
 let test_mesh_perturbed_matrix_fails () =
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
   let diverges precond_of =
@@ -1467,9 +1546,8 @@ let test_mesh_perturbed_matrix_fails () =
       Alcotest.(check bool) "full ladder attempted" true
         (List.mem "restart" rungs)
   in
+  diverges (fun _ -> Some Thermal.Cg.Jacobi);
   diverges (fun _ -> None);
-  diverges (fun problem ->
-      Some (Thermal.Mesh.precond_of_choice problem Thermal.Mesh.Pc_mg));
   let flow = Lazy.force small_flow in
   let outcomes =
     Robust.Faults.with_fault Robust.Faults.Perturb_matrix (fun () ->
@@ -1951,7 +2029,9 @@ let () =
            test_mesh_vertical_profile;
          Alcotest.test_case "1-D analytic" `Quick test_mesh_1d_analytic;
          Alcotest.test_case "solver options threaded" `Quick
-           test_mesh_solve_options_threaded ]);
+           test_mesh_solve_options_threaded;
+         Alcotest.test_case "default solve is MG-CG" `Quick
+           test_mesh_default_is_mg ]);
       ("dense",
        [ Alcotest.test_case "matches cg" `Quick test_dense_matches_cg;
          Alcotest.test_case "cross-checks mesh" `Quick
@@ -1966,11 +2046,12 @@ let () =
          Alcotest.test_case "validation" `Quick test_transient_validation;
          Alcotest.test_case "flat tau stays finite" `Quick
            test_transient_flat_tau_is_finite;
-         Alcotest.test_case "precond parity and iterations" `Quick
-           test_transient_precond_parity_and_iterations ]);
+         Alcotest.test_case "matches backward Euler" `Quick
+           test_transient_matches_backward_euler;
+         QCheck_alcotest.to_alcotest prop_transient_reaches_steady ]);
       ("adjoint",
-       [ Alcotest.test_case "FD validation ssor 8x8" `Quick
-           test_adjoint_fd_ssor_8;
+       [ Alcotest.test_case "FD validation mg 8x8" `Quick
+           test_adjoint_fd_mg_8;
          Alcotest.test_case "FD validation mg 16x16" `Quick
            test_adjoint_fd_mg_16;
          Alcotest.test_case "FD full-system sanity" `Quick
