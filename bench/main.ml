@@ -257,6 +257,7 @@ let run_guide =
          ("reduction_pct", j_f r.gd_reduction_pct);
          ("area_overhead_pct", j_f r.gd_area_overhead_pct);
          ("exact_solves", j_i r.gd_exact_solves);
+         ("blur_evaluations", j_i r.gd_blur_evaluations);
          ("adjoint_solves", j_i r.gd_adjoint_solves) ])
 
 (* --- TRANSIENT (model validation) ------------------------------------------------- *)
@@ -357,6 +358,31 @@ let time f =
 
 let ms t = j_f (t *. 1e3)
 
+(* Mean seconds per call of [f] over [reps] calls, each on its own input
+   from [fresh], made untimed: [Mesh.multigrid] and [Mesh.blur] cache
+   their result on the problem, so a repeat on one problem would time a
+   lookup. Metrics are off meanwhile, so the telemetry block counts one
+   pass per grid size whatever [reps] is. *)
+let mean_time ~reps fresh f =
+  let saved = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled saved) @@ fun () ->
+  let total = ref 0.0 in
+  for _ = 1 to reps do
+    let x = fresh () in
+    total := !total +. snd (time (fun () -> f x))
+  done;
+  !total /. float_of_int reps
+
+(* Repetitions of the MG build, the blur characterization and one blur
+   evaluation per grid size: each step's timed total clears 10 ms, so one
+   GC slice moves its mean by a fraction of Obs.Gate's 1 ms floor. *)
+let reps_at = function
+  | 20 -> (128, 1024, 512)
+  | 40 -> (128, 256, 128)
+  | 80 -> (128, 64, 32)
+  | _ -> (128, 16, 8)
+
 let plan_of (r : Postplace.Optimizer.result) =
   r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
 
@@ -395,11 +421,10 @@ let fft_parity_err n =
    it, on test set 1's base power map: per grid size the hierarchy build,
    a cold solve and the exact blur against it; the adjoint against the
    forward solve with a central-difference check; greedy_rows under both
-   guides at the production grid; the blur tier against the exact tier,
-   and 1 against 2 domains, at 40x40; FFT parity. Every count is exact,
-   so bench_diff holds it to its baseline. Each trial runs on a fresh
-   metrics registry and a 1-domain pool, restored to the caller's size
-   however the suite exits. *)
+   guides at the production grid, and on 1 against 2 domains at 40x40;
+   FFT parity. Every count is exact, so bench_diff holds it to its
+   baseline. Each trial runs on a fresh metrics registry and a 1-domain
+   pool, restored to the caller's size however the suite exits. *)
 let run_solve () =
   let saved_jobs = Parallel.Pool.jobs () in
   Obs.Metrics.reset ();
@@ -413,14 +438,22 @@ let run_solve () =
     List.map
       (fun nx ->
          let power = power_at fl ~nx base in
-         let problem = Thermal.Mesh.build (grid fl nx) ~power in
-         let _, t_build = time (fun () -> Thermal.Mesh.multigrid problem) in
+         let build () = Thermal.Mesh.build (grid fl nx) ~power in
+         let problem = build () in
+         let mg_reps, char_reps, eval_reps = reps_at nx in
+         let t_build = mean_time ~reps:mg_reps build Thermal.Mesh.multigrid in
+         (* the timed solve below runs on a ready hierarchy *)
+         ignore (Thermal.Mesh.multigrid problem : Thermal.Multigrid.t);
          let cycles0 = count "thermal.mg.cycles" in
          let sol, t_solve = time (fun () -> Thermal.Mesh.solve problem) in
          let vcycles = count "thermal.mg.cycles" - cycles0 in
-         let kernel, t_char = time (fun () -> Thermal.Mesh.blur problem) in
-         let field, t_blur =
-           time (fun () -> Thermal.Blur.field kernel ~power)
+         let kernel = Thermal.Mesh.blur problem in
+         let t_char = mean_time ~reps:char_reps build Thermal.Mesh.blur in
+         let field = Thermal.Blur.field kernel ~power in
+         let t_blur =
+           mean_time ~reps:eval_reps
+             (fun () -> kernel)
+             (fun k -> Thermal.Blur.field k ~power)
          in
          let mg = Thermal.Mesh.active_layer_grid sol in
          let gap = ref 0.0 in
@@ -468,15 +501,14 @@ let run_solve () =
     let sens = Geo.Grid.get adj.Thermal.Adjoint.sensitivity ~ix ~iy in
     Float.abs (fd -. sens) /. Float.max (Float.abs fd) 1e-30
   in
-  let greedy ?(nx = 40) f =
-    Postplace.Optimizer.greedy_rows f ~rows:8 ~coarse_nx:nx ()
+  let greedy ?(nx = 40) guide =
+    Postplace.Optimizer.greedy_rows fl ~rows:8 ~guide ~coarse_nx:nx ()
   in
-  let gradient =
-    { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
-  in
+  let peak = Postplace.Flow.Guide_peak in
+  let gradient = Postplace.Flow.Guide_gradient in
   (* both guides at the production grid *)
-  let guide name f =
-    let r, t = time (fun () -> greedy ~nx:160 f) in
+  let guide name g =
+    let r, t = time (fun () -> greedy ~nx:160 g) in
     ( r,
       j_obj
         [ ("guide", j_s name);
@@ -488,26 +520,22 @@ let run_solve () =
           ("plan", j_list (List.map j_i (plan_of r)));
           ("peak_k", j_f r.Postplace.Optimizer.predicted_peak_k) ] )
   in
-  let by_peak, peak_row = guide "peak" fl in
+  let by_peak, peak_row = guide "peak" peak in
   let by_grad, grad_row = guide "gradient" gradient in
-  (* the blur tier against the exact tier, then 1 against 2 domains *)
-  let blurred = greedy fl in
-  let exact =
-    greedy { fl with Postplace.Flow.screen = Postplace.Flow.Screen_exact }
-  in
+  (* 1 against 2 domains *)
   let same a b =
     plan_of a = plan_of b
     && a.Postplace.Optimizer.predicted_peak_k
        = b.Postplace.Optimizer.predicted_peak_k
   in
-  let on_two f =
+  let on_two g =
     Parallel.Pool.set_jobs 2;
     Fun.protect
       ~finally:(fun () -> Parallel.Pool.set_jobs 1)
-      (fun () -> greedy f)
+      (fun () -> greedy g)
   in
   let parallel_identical =
-    same blurred (on_two fl) && same (greedy gradient) (on_two gradient)
+    same (greedy peak) (on_two peak) && same (greedy gradient) (on_two gradient)
   in
   (* every grid above is 2-5-smooth; parity then adds lengths 60 and 127 *)
   let bluestein_free = count "thermal.fft.bluestein" = 0 in
@@ -530,17 +558,6 @@ let run_solve () =
          (by_grad.Postplace.Optimizer.predicted_peak_k
           -. by_peak.Postplace.Optimizer.predicted_peak_k
           <= 0.05));
-      ("tiers",
-       j_obj
-         [ ("nx", j_i 40);
-           ("blur_evaluations",
-            j_i blurred.Postplace.Optimizer.blur_evaluations);
-           ("exact_evaluations", j_i exact.Postplace.Optimizer.evaluations);
-           ("plans_agree", j_b (plan_of blurred = plan_of exact));
-           ("peaks_identical",
-            j_b
-              (blurred.Postplace.Optimizer.predicted_peak_k
-               = exact.Postplace.Optimizer.predicted_peak_k)) ]);
       ("parallel_bit_identical", j_b parallel_identical);
       ("fft",
        j_obj

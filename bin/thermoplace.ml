@@ -169,24 +169,17 @@ let test_set =
   Arg.(value & opt (names Postplace.Experiment.test_set_names) "scattered"
        & info [ "test-set"; "t" ] ~docv:"SET" ~doc)
 
-let screen_arg =
-  let doc =
-    "Optimizer candidate-pricing tier: $(b,auto) (price every candidate \
-     with the exact modal power blur, no solve; solves instead while a \
-     fault is armed or on a stack with side-wall cooling) or $(b,exact) \
-     (an MG-CG solve for every candidate). Either way one full solve \
-     re-scores the committed plan, so equal plans report identical peaks."
-  in
-  Arg.(value & opt (names Flow.screen_names) "auto"
-       & info [ "screen" ] ~docv:"S" ~doc)
-
 let guide_arg =
   let doc =
-    "Optimizer candidate-ranking signal: $(b,peak) (evaluate each \
-     candidate's predicted peak temperature — the paper's scheme) or \
-     $(b,gradient) (one adjoint sensitivity solve per round prices every \
-     candidate from the dT_peak/d(power) map; only the committed chunk \
-     is confirmed exactly — far fewer solves at matched quality)."
+    "Optimizer candidate-ranking signal: $(b,peak) (price each \
+     candidate's predicted peak temperature — the paper's scheme — by \
+     the exact modal power blur, then re-score the committed plan with \
+     one solve; on a stack with side-wall cooling, or while a fault is \
+     armed, an MG-CG solve per candidate instead) or $(b,gradient) (one \
+     adjoint sensitivity solve per round prices every candidate from \
+     the dT_peak/d(power) map; a seed solve, one confirmation solve per \
+     round and the final re-score: rounds + 2 solves plus one adjoint \
+     per round)."
   in
   Arg.(value & opt (names Flow.guide_names) "peak"
        & info [ "guide" ] ~docv:"G" ~doc)
@@ -310,7 +303,7 @@ let obs_end ~command ~obs ~config ~sections =
    and the ledger record wrap [body], which returns the report sections
    and the exit status. *)
 let run_job ~command (c : common) ?(config = []) ?(extra = []) ?technique
-    ?screen ?guide ?overhead ?rows body =
+    ?guide ?overhead ?rows body =
   with_structured_errors @@ fun () ->
   let config =
     [ ("seed", Json.Int c.seed); ("cycles", Json.Int c.cycles);
@@ -322,7 +315,7 @@ let run_job ~command (c : common) ?(config = []) ?(extra = []) ?technique
   let req =
     match
       Job.make ~test_set:c.test_set ?technique ~seed:c.seed ~cycles:c.cycles
-        ~utilization:c.utilization ?screen ?guide ?overhead ?rows command
+        ~utilization:c.utilization ?guide ?overhead ?rows command
     with
     | Ok req -> req
     | Error msg -> invalid_arg msg (* the converters enforce the same rules *)
@@ -552,8 +545,8 @@ let rows_arg =
 
 (* Under the gradient guide, the base placement's sensitivity map: where a
    watt buys the most peak temperature. *)
-let sensitivity_sections flow =
-  match flow.Flow.guide with
+let sensitivity_sections (req : Job.request) flow =
+  match req.Job.guide with
   | Flow.Guide_peak -> []
   | Flow.Guide_gradient ->
     let adj =
@@ -578,20 +571,22 @@ let sensitivity_sections flow =
            ("smoothing_gap_k", Json.Float gap);
            ("cg_iterations", Json.Int adj.Thermal.Adjoint.cg_iterations) ]) ]
 
-let run_optimize c jobs screen guide rows =
+let run_optimize c jobs guide rows =
   Parallel.Pool.set_jobs jobs;
   run_job ~command:"optimize" c
     ~config:
       [ ("rows", Json.Int rows); ("jobs", Json.Int jobs);
-        ("screen", Json.String screen); ("guide", Json.String guide) ]
-    ~extra:[ ("rows", string_of_int rows); ("jobs", string_of_int jobs) ]
-    ~technique:"optimize" ~screen ~guide ~rows
+        ("guide", Json.String guide) ]
+    ~extra:
+      [ ("rows", string_of_int rows); ("jobs", string_of_int jobs);
+        ("guide", guide) ]
+    ~technique:"optimize" ~guide ~rows
   @@ fun req flow ->
   let base =
     Run.phase "evaluate" (fun () -> Flow.evaluate flow flow.Flow.base_placement)
   in
   Format.printf "base thermal: %a@." Thermal.Metrics.pp base.Flow.metrics;
-  let sens_sections = sensitivity_sections flow in
+  let sens_sections = sensitivity_sections req flow in
   let applied, ex = apply_and_score ~phase:"optimize" ~flow ~base req in
   let r = Option.get applied.Job.optimizer in
   let module O = Postplace.Optimizer in
@@ -744,16 +739,23 @@ let run_serve input output queue_cap flow_slots max_retries retry_base_ms
           base_delay_ms = retry_base_ms };
       ledger = !Run.ledger_path }
   in
+  (* A read error on the input (a directory, an I/O fault) ends the run
+     as an unreadable input would have at open, never as end of input. *)
   let summary =
-    Fun.protect
-      ~finally:(fun () ->
-        close_output ();
-        if input <> "-" then Unix.close in_fd)
-      (fun () ->
-         Parallel.Pool.with_pool ~jobs @@ fun () ->
-         Run.phase "serve" @@ fun () ->
-         Serve.Server.run ~config:server_config ~input:in_fd ~output:out_ch
-           ())
+    match
+      Fun.protect
+        ~finally:(fun () ->
+          close_output ();
+          if input <> "-" then Unix.close in_fd)
+        (fun () ->
+           Parallel.Pool.with_pool ~jobs @@ fun () ->
+           Run.phase "serve" @@ fun () ->
+           Serve.Server.run ~config:server_config ~input:in_fd ~output:out_ch
+             ())
+    with
+    | summary -> summary
+    | exception Unix.Unix_error (e, _, _) ->
+      fail "thermoplace: cannot read %s: %s" input (Unix.error_message e)
   in
   (* The summary goes to stderr: stdout may be the response stream. *)
   Printf.eprintf "thermoplace: serve summary %s\n"
@@ -1044,12 +1046,12 @@ let check_cmd =
 let optimize_cmd =
   let doc =
     "Allocate an empty-row budget with the greedy row-budget optimizer \
-     (candidates priced from row profiles by the exact power blur, thermal \
-     solves or the gradient guide, in parallel on the domain pool)."
+     (candidates priced from row profiles by the exact power blur where it \
+     is defined, thermal solves where it is not, or the gradient guide, in \
+     parallel on the domain pool)."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const run_optimize $ common_t $ jobs_arg $ screen_arg $ guide_arg
-          $ rows_arg)
+    Term.(const run_optimize $ common_t $ jobs_arg $ guide_arg $ rows_arg)
 
 let export_cmd =
   let doc =

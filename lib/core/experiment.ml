@@ -18,19 +18,19 @@ let test_sets =
 
 let test_set_names = List.map fst test_sets
 
-let prepare_test_set ?seed ?utilization ?sim_cycles ?screen ?guide name =
+let prepare_test_set ?seed ?utilization ?sim_cycles name =
   match List.assoc_opt name test_sets with
   | None ->
     invalid_arg (Printf.sprintf "Experiment: unknown test set %S" name)
   | Some make ->
     let bench, workload = make () in
-    Flow.prepare ?seed ?utilization ?sim_cycles ?screen ?guide bench workload
+    Flow.prepare ?seed ?utilization ?sim_cycles bench workload
 
-let test_set_1 ?seed ?sim_cycles ?precond:_ ?screen ?guide () =
-  prepare_test_set ?seed ?sim_cycles ?screen ?guide "scattered"
+let test_set_1 ?seed ?sim_cycles ?precond:_ ?screen:_ ?guide:_ () =
+  prepare_test_set ?seed ?sim_cycles "scattered"
 
-let test_set_2 ?seed ?sim_cycles ?screen ?guide () =
-  prepare_test_set ?seed ?sim_cycles ?screen ?guide "concentrated"
+let test_set_2 ?seed ?sim_cycles () =
+  prepare_test_set ?seed ?sim_cycles "concentrated"
 
 type point = {
   scheme : string;
@@ -457,12 +457,13 @@ type guide_row = {
   gd_reduction_pct : float;
   gd_area_overhead_pct : float;
   gd_exact_solves : int;
+  gd_blur_evaluations : int;
   gd_adjoint_solves : int;
 }
 
 let run_guide ?(rows = 8) flow =
   let base = Flow.evaluate flow flow.Flow.base_placement in
-  let row_of scheme ~exact ~adjoint (ev : Flow.evaluation) =
+  let row_of scheme ~exact ~blur ~adjoint (ev : Flow.evaluation) =
     { gd_scheme = scheme;
       gd_peak_rise_k = ev.Flow.metrics.Thermal.Metrics.peak_rise_k;
       gd_reduction_pct =
@@ -472,18 +473,12 @@ let run_guide ?(rows = 8) flow =
         Technique.area_overhead_pct ~base:base.Flow.placement
           ev.Flow.placement;
       gd_exact_solves = exact;
+      gd_blur_evaluations = blur;
       gd_adjoint_solves = adjoint }
   in
-  (* both optimizer guides run the exact screening tier so the solve
-     counts compare like for like *)
-  let peak_flow =
-    { flow with Flow.screen = Flow.Screen_exact; guide = Flow.Guide_peak }
-  in
-  let grad_flow =
-    { flow with Flow.screen = Flow.Screen_exact; guide = Flow.Guide_gradient }
-  in
-  let peak_r = Optimizer.greedy_rows peak_flow ~rows () in
-  let grad_r = Optimizer.greedy_rows grad_flow ~rows () in
+  let optimize guide = Optimizer.greedy_rows flow ~rows ~guide () in
+  let peak_r = optimize Flow.Guide_peak in
+  let grad_r = optimize Flow.Guide_gradient in
   let peak_ev =
     Flow.evaluate flow peak_r.Optimizer.plan.Technique.eri_placement
   in
@@ -494,12 +489,15 @@ let run_guide ?(rows = 8) flow =
   let eri = Flow.apply_eri flow ~base ~rows in
   let eri_ev = Flow.evaluate flow eri.Technique.eri_placement in
   let hw_ev = Flow.evaluate flow (Flow.apply_hw flow ~on:base ()) in
-  [ row_of "greedy (peak guide)" ~exact:peak_r.Optimizer.evaluations
-      ~adjoint:0 peak_ev;
-    row_of "gradient guide" ~exact:grad_r.Optimizer.evaluations
-      ~adjoint:grad_r.Optimizer.adjoint_evaluations grad_ev;
-    row_of "ERI heuristic" ~exact:0 ~adjoint:0 eri_ev;
-    row_of "HW heuristic" ~exact:0 ~adjoint:0 hw_ev ]
+  let optimized scheme (r : Optimizer.result) ev =
+    row_of scheme ~exact:r.Optimizer.evaluations
+      ~blur:r.Optimizer.blur_evaluations
+      ~adjoint:r.Optimizer.adjoint_evaluations ev
+  in
+  [ optimized "greedy (peak guide)" peak_r peak_ev;
+    optimized "gradient guide" grad_r grad_ev;
+    row_of "ERI heuristic" ~exact:0 ~blur:0 ~adjoint:0 eri_ev;
+    row_of "HW heuristic" ~exact:0 ~blur:0 ~adjoint:0 hw_ev ]
 
 type glitch_row = {
   gl_metric : string;

@@ -11,7 +11,7 @@ val test_set_names : string list
     request's [test_set] both resolve here. *)
 
 val prepare_test_set : ?seed:int -> ?utilization:float -> ?sim_cycles:int ->
-  ?screen:Flow.screen_choice -> ?guide:Flow.guide_choice -> string -> Flow.t
+  string -> Flow.t
 (** Prepare the named test set's benchmark and workload with
     {!Flow.prepare} (whose defaults apply). Raises [Invalid_argument] for
     a name not in {!test_set_names}. *)
@@ -21,14 +21,14 @@ val test_set_1 : ?seed:int -> ?sim_cycles:int ->
   ?guide:Flow.guide_choice -> unit -> Flow.t
 (** Four scattered small hotspots: units mul16a, div16, add64 and cmp32 run
     hot (they sit in different corners of the 3 x 3 region grid), the rest
-    are nearly idle. [?screen] selects the optimizer's
-    candidate-screening tier and [?guide] its candidate-ranking signal
-    (see [Flow.prepare]). [?precond] is ignored: every solve is MG-CG,
-    and the argument stays for callers that still name [Pc_mg].
-    Equivalent to [prepare_test_set "scattered"]. *)
+    are nearly idle. Equivalent to [prepare_test_set "scattered"].
+    [?precond], [?screen] and [?guide] are ignored: every solve is MG-CG,
+    pricing is not a choice, and the guide is an argument of
+    {!Optimizer.greedy_rows}, not part of the prepared problem. They
+    stay for callers that still name [Pc_mg], [Screen_auto] and
+    [Guide_peak]. *)
 
-val test_set_2 : ?seed:int -> ?sim_cycles:int ->
-  ?screen:Flow.screen_choice -> ?guide:Flow.guide_choice -> unit -> Flow.t
+val test_set_2 : ?seed:int -> ?sim_cycles:int -> unit -> Flow.t
 (** One large concentrated hotspot: the 20x20 multiplier (the biggest unit)
     runs hot. Equivalent to [prepare_test_set "concentrated"]. *)
 
@@ -166,16 +166,19 @@ type guide_row = {
   gd_area_overhead_pct : float;
   gd_exact_solves : int;           (** optimizer thermal solves; 0 for
                                        the heuristic controls *)
+  gd_blur_evaluations : int;       (** candidates priced by the blur;
+                                       peak guide only *)
   gd_adjoint_solves : int;         (** adjoint solves; gradient guide only *)
 }
 
 val run_guide : ?rows:int -> Flow.t -> guide_row list
 (** Head-to-head at one row budget (default 8): the greedy optimizer
-    under the peak guide (exact screening), the same optimizer under the
-    adjoint gradient guide, and the paper's ERI and HW heuristics as
-    controls. All four placements are re-evaluated on the flow's full
-    mesh, so the rows compare end temperature, area overhead and the
-    solve budget spent to get there. *)
+    under the peak guide (blur-priced on the default stack: 1 solve),
+    the same optimizer under the adjoint gradient guide (rounds + 2
+    solves and one adjoint per round), and the paper's ERI and HW
+    heuristics as controls. All four placements are re-evaluated on the
+    flow's full mesh, so the rows compare end temperature, area overhead
+    and the budget spent to get there. *)
 
 type glitch_row = {
   gl_metric : string;

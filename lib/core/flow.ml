@@ -1,28 +1,18 @@
 module P = Place.Placement
 
-type screen_choice = Screen_auto | Screen_exact
+type screen_choice = Screen_auto
 
 type guide_choice = Guide_peak | Guide_gradient
 
-(* One name table per choice: the CLI's option parsers, the serve request
-   codec and the fingerprint all spell choices through these. *)
-let of_name kind table s =
-  match List.assoc_opt s table with
-  | Some c -> Ok c
-  | None -> Error (Printf.sprintf "unknown %s %S" kind s)
-
-let name_of table c = fst (List.find (fun (_, c') -> c' = c) table)
-
-let screens = [ ("auto", Screen_auto); ("exact", Screen_exact) ]
-
-let screen_names = List.map fst screens
-let screen_of_name = of_name "screen" screens
-let screen_choice_name = name_of screens
-
+(* One name table: the CLI's option parser and the serve request codec
+   both spell the guide through it. *)
 let guides = [ ("peak", Guide_peak); ("gradient", Guide_gradient) ]
 let guide_names = List.map fst guides
-let guide_of_name = of_name "guide" guides
-let guide_choice_name = name_of guides
+
+let guide_of_name s =
+  match List.assoc_opt s guides with
+  | Some g -> Ok g
+  | None -> Error (Printf.sprintf "unknown guide %S" s)
 
 type t = {
   bench : Netgen.Benchmark.t;
@@ -38,8 +28,6 @@ type t = {
   seed : int;
   base_utilization : float;
   mesh_config : Thermal.Mesh.config;
-  screen : screen_choice;
-  guide : guide_choice;
 }
 
 let mesh_config_name (cfg : Thermal.Mesh.config) =
@@ -52,20 +40,13 @@ let mesh_name t = mesh_config_name t.mesh_config
    computed from a job request *before* paying for [prepare] — the serve
    loop batches same-fingerprint jobs on exactly this identity. Every
    solve is MG-CG; [precond=mg] stays so older ledger records compare. *)
-let config_fingerprint ?(extra = []) ~mesh_config ~screen ~guide ~seed
-    ~utilization () =
+let config_fingerprint ?(extra = []) ~mesh_config ~seed ~utilization () =
   String.concat "|"
     ([ "mesh=" ^ mesh_config_name mesh_config;
        "precond=mg";
-       "screen=" ^ screen_choice_name screen;
-       "guide=" ^ guide_choice_name guide;
        Printf.sprintf "seed=%d" seed;
        Printf.sprintf "util=%g" utilization ]
      @ List.map (fun (k, v) -> k ^ "=" ^ v) extra)
-
-let fingerprint ?extra t =
-  config_fingerprint ?extra ~mesh_config:t.mesh_config ~screen:t.screen
-    ~guide:t.guide ~seed:t.seed ~utilization:t.base_utilization ()
 
 let unit_cell_ids nl tag = Array.of_list (Netlist.Types.cells_of_unit nl tag)
 
@@ -90,7 +71,7 @@ let compute_unit_areas tech bench =
 
 let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
     ?(warmup_cycles = 64) ?(mesh_config = Thermal.Mesh.default_config)
-    ?(screen = Screen_auto) ?(guide = Guide_peak) bench workload =
+    bench workload =
   Obs.Trace.with_span "flow.prepare" @@ fun () ->
   Robust.Cancel.check ();
   let tech = Celllib.Tech.default_65nm in
@@ -128,7 +109,7 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
   { bench; tech; workload; activity; unit_areas; base_placement;
     base_regions = regions; positions;
     per_cell_w = power.Power.Model.per_cell_w; power_report = power; seed;
-    base_utilization = utilization; mesh_config; screen; guide }
+    base_utilization = utilization; mesh_config }
 
 type evaluation = {
   placement : P.t;

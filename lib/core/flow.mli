@@ -9,42 +9,28 @@
     power consumption unchanged": per-cell powers are computed once on the
     base placement and re-binned (not re-estimated) after each transform. *)
 
-type screen_choice = Screen_auto | Screen_exact
-(** Candidate-pricing tier for the optimizer's greedy sweep.
-    [Screen_auto] (the default) prices every candidate with the exact
-    modal blur ({!Thermal.Blur}, no solve) and [Screen_exact] solves
-    every candidate with MG-CG; either way the committed plan is
-    re-scored by one full solve. [Screen_auto] solves instead whenever a
-    fault is armed — injected faults must reach the solve path they
-    target — or the stack is one the blur is not exact for
-    ({!Thermal.Mesh.blur_exact}: side-wall conductance, or neither the
-    top nor the bottom face grounded). *)
-
-val screen_choice_name : screen_choice -> string
-(** ["auto"] or ["exact"] — for reports and config echoes. *)
-
-val screen_of_name : string -> (screen_choice, string) result
-(** Parse a CLI / serve-request screen name; anything else is an [Error]
-    naming the bad value. *)
-
-val screen_names : string list
-(** Every name {!screen_of_name} accepts, ["auto"] first. *)
+type screen_choice = Screen_auto
+(** Nothing reads this type. Pricing is not a choice: the optimizer
+    prices candidates by the exact modal blur where it is defined and by
+    MG-CG solves otherwise ({!Optimizer.greedy_rows}). It survives, with
+    {!Experiment.test_set_1}'s ignored [?screen], only for callers that
+    still name [Screen_auto]. *)
 
 type guide_choice = Guide_peak | Guide_gradient
-(** How the optimizer ranks whitespace-allocation candidates.
-    [Guide_peak] (the paper's scheme) evaluates candidates by their
-    predicted peak temperature — a blur or a thermal solve per
-    candidate. [Guide_gradient] ranks every candidate from one adjoint
-    sensitivity solve at the incumbent ({!Thermal.Adjoint}): the
-    per-tile [dT_peak/d(power)] map prices each candidate's power
+(** How the optimizer ranks whitespace-allocation candidates (its
+    [?guide] argument, {!Optimizer.greedy_rows}). [Guide_peak] (the
+    paper's scheme) prices every candidate by its predicted peak
+    temperature: a blur, or a thermal solve where the blur is not
+    exact. [Guide_gradient] ranks every candidate from one adjoint
+    sensitivity solve per round at the incumbent ({!Thermal.Adjoint}):
+    the per-tile [dT_peak/d(power)] map prices each candidate's power
     redistribution without any per-candidate solve, and only the
-    committed winner is confirmed exactly. *)
-
-val guide_choice_name : guide_choice -> string
-(** ["peak"] or ["gradient"] — for reports and config echoes. *)
+    committed chunk is confirmed exactly. A run option, not part of
+    the prepared problem. *)
 
 val guide_of_name : string -> (guide_choice, string) result
-(** Parse a CLI / serve-request guide name, as {!screen_of_name}. *)
+(** Parse a CLI / serve-request guide name; anything else is an [Error]
+    naming the bad value. *)
 
 val guide_names : string list
 (** Every name {!guide_of_name} accepts, ["peak"] first. *)
@@ -65,14 +51,11 @@ type t = {
   mesh_config : Thermal.Mesh.config;
   (** the mesh every thermal solve of this flow runs on; each solve is
       MG-preconditioned CG ({!Thermal.Mesh.solve_result}'s default) *)
-  screen : screen_choice;
-  (** Screening tier for optimizer candidate ranking (see
-      {!screen_choice}). Only the optimizer consults this: full
-      evaluations, checks and sweeps always solve exactly. *)
-  guide : guide_choice;
-  (** Candidate-ranking signal for the optimizer (see {!guide_choice}).
-      Like [screen], only the optimizer consults this. *)
 }
+(** The prepared problem of the paper's Fig. 2: activity, placement,
+    per-cell power and the RC network. It carries no run option; what
+    the optimizer spends on it is an argument of
+    {!Optimizer.greedy_rows}. *)
 
 val cells_of_region : t -> int -> Netlist.Types.cell_id array
 
@@ -80,27 +63,22 @@ val mesh_name : t -> string
 (** ["40x40x9"]-style mesh dimensions, for fingerprints and metric
     labels. *)
 
-val fingerprint : ?extra:(string * string) list -> t -> string
-(** Readable pipe-joined configuration fingerprint:
-    [mesh=…|precond=mg|screen=…|guide=…|seed=…|util=…], with [extra]
-    key/value pairs appended in order. Two runs with equal fingerprints
-    solved the same configured problem — the identity the run ledger
-    records and [thermoplace history diff] compares. [precond=mg] is a
-    constant (every solve is MG-CG), kept so older records compare. *)
-
 val config_fingerprint :
   ?extra:(string * string) list ->
   mesh_config:Thermal.Mesh.config ->
-  screen:screen_choice ->
-  guide:guide_choice ->
   seed:int ->
   utilization:float ->
   unit ->
   string
-(** The same fingerprint computed from configuration alone, without
-    paying for {!prepare} — [fingerprint t] equals [config_fingerprint]
-    over [t]'s fields. The serve loop batches same-fingerprint job
-    requests on this identity before preparing anything. *)
+(** Readable pipe-joined problem fingerprint:
+    [mesh=…|precond=mg|seed=…|util=…], with [extra] key/value pairs
+    appended in order. It is a pure function of the configuration, so
+    the serve loop batches and caches prepared flows on it before
+    preparing anything; equal fingerprints name the same prepared
+    problem. [precond=mg] is a constant (every solve is MG-CG), kept so
+    older ledger records compare. Records written before the guide
+    became an optimizer argument also carry [screen=…|guide=…] after
+    it; [thermoplace history] reads them unchanged. *)
 
 val prepare :
   ?seed:int ->
@@ -108,14 +86,11 @@ val prepare :
   ?sim_cycles:int ->
   ?warmup_cycles:int ->
   ?mesh_config:Thermal.Mesh.config ->
-  ?screen:screen_choice ->
-  ?guide:guide_choice ->
   Netgen.Benchmark.t ->
   Logicsim.Workload.t ->
   t
 (** Defaults: seed 42, utilization 0.85 (the compact base placement),
-    1000 measured cycles after 64 warm-up cycles, 40 x 40 x 9 mesh,
-    [Screen_auto] candidate screening, [Guide_peak] candidate ranking. *)
+    1000 measured cycles after 64 warm-up cycles, 40 x 40 x 9 mesh. *)
 
 type evaluation = {
   placement : Place.Placement.t;

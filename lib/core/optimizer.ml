@@ -62,19 +62,17 @@ let evaluate_plan flow ~after ~nx =
   in
   fst (eval_trial flow ~power ~nx ~x0:None ~tol:Thermal.Cg.default_tol)
 
-(* The blur is computed from the stack alone, never from the (possibly
+(* Pricing is not a choice: the blur prices every candidate wherever it
+   is exact, and warm-started solves price them everywhere else. The blur
+   is computed from the stack alone, never from the (possibly
    fault-injected) solve path, and then trusted for every candidate, so
-   any armed fault — whichever stage it targets — forces the exact tier:
+   any armed fault — whichever stage it targets — takes the solves:
    injected faults must reach the solve path they are aimed at, not be
    blurred away. A stack the blur is not exact for (side walls, or no
-   grounded face) takes the exact tier under every screen choice. *)
+   grounded face) takes the solves too. *)
 let screening_enabled flow =
   Thermal.Mesh.blur_exact flow.Flow.mesh_config
-  &&
-  match flow.Flow.screen with
-  | Flow.Screen_exact -> false
-  | Flow.Screen_auto ->
-    not (List.exists Robust.Faults.armed Robust.Faults.all)
+  && not (List.exists Robust.Faults.armed Robust.Faults.all)
 
 (* The paper's scheme: rank candidates by their predicted peak, blurred
    (exact, no solve) when screening is enabled, solved otherwise. *)
@@ -335,12 +333,13 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
     blur_evaluations = 0; adjoint_evaluations = !adjoint_evaluations }
 
-let greedy_rows flow ~rows ?(chunk = 4) ?(stride = 4) ?(coarse_nx = 20) () =
+let greedy_rows flow ~rows ?(guide = Flow.Guide_peak) ?(chunk = 4)
+    ?(stride = 4) ?(coarse_nx = 20) () =
   if rows <= 0 then invalid_arg "Optimizer.greedy_rows: non-positive budget";
   if chunk <= 0 || stride <= 0 || coarse_nx <= 0 then
     invalid_arg "Optimizer.greedy_rows: non-positive parameter";
   let result =
-    match flow.Flow.guide with
+    match guide with
     | Flow.Guide_peak -> peak_rows flow ~rows ~chunk ~stride ~coarse_nx
     | Flow.Guide_gradient -> gradient_rows flow ~rows ~chunk ~stride ~coarse_nx
   in

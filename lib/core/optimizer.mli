@@ -5,9 +5,10 @@
 
     The optimizer spends an empty-row budget one chunk at a time: each round
     prices every candidate insertion position on a coarse mesh, by the
-    exact modal blur (no solve), by a warm-started thermal solve, or by the
-    gradient guide's one adjoint solve (see {!greedy_rows}), and commits
-    the chunk with the lowest predicted peak.
+    exact modal blur (no solve) where it is defined, by a warm-started
+    thermal solve where it is not, or by the gradient guide's one adjoint
+    solve (see {!greedy_rows}), and commits the chunk with the lowest
+    predicted peak.
     Each trial's power map is built from the base placement's row profiles
     ({!Power.Map.of_row_profile}), binned once per run; only the committed
     plan becomes a placement. This is slower than plain ERI but needs no
@@ -29,35 +30,40 @@ type result = {
 val greedy_rows :
   Flow.t ->
   rows:int ->
+  ?guide:Flow.guide_choice ->
   ?chunk:int ->
   ?stride:int ->
   ?coarse_nx:int ->
   unit ->
   result
 (** [greedy_rows flow ~rows ()] allocates [rows] empty rows on the flow's
-    base placement. [chunk] rows are committed per greedy step (default 4),
-    candidate positions are every [stride]-th row (default 4), and candidate
-    evaluation uses a [coarse_nx] x [coarse_nx] thermal grid (default 20).
+    base placement. [guide] picks the candidate-ranking signal (default
+    {!Flow.Guide_peak}, the paper's scheme). [chunk] rows are committed
+    per greedy step (default 4), candidate positions are every
+    [stride]-th row (default 4), and candidate evaluation uses a
+    [coarse_nx] x [coarse_nx] thermal grid (default 20).
     Raises [Invalid_argument] on a non-positive budget or parameter.
 
-    When the flow's [screen] resolves to the blur (see
-    {!Flow.screen_choice}), each round builds the blur kernel of its die
-    extent once ({!Thermal.Mesh.blur}) and prices every candidate by
+    Under {!Flow.Guide_peak} the tier is not a choice. Where the blur is
+    exact for the flow's stack ({!Thermal.Mesh.blur_exact}) and no fault
+    is armed, each round builds the blur kernel of its die extent once
+    ({!Thermal.Mesh.blur}) and prices every candidate by
     {!Thermal.Blur.peak}: the exact active-layer peak of its trial power
-    map, with no solve. Otherwise every candidate gets an MG-CG solve at
-    a 1e-6 ranking tolerance, warm-started from the incumbent plan's
-    temperature field (one seed solve before the first round).
-    Candidates within a round are priced concurrently on the
-    {!Parallel.Pool}, and selection walks them in their fixed order with
-    a strict-improvement tie-break, so the chosen plan is identical for
-    any pool size (including sequential). Both tiers end with the same
-    single cold full-tolerance solve of the committed plan, so
-    [predicted_peak_k] is a solve result, bit-identical across tiers
-    whenever their plans agree. A run spends [1] exact solve with the
-    blur and [2 + rounds * candidates] without it.
+    map, with no solve. Otherwise (a side-walled stack, no grounded
+    face, or an armed fault, which must reach the solve path it
+    targets) every candidate gets an MG-CG solve at a 1e-6 ranking
+    tolerance, warm-started from the incumbent plan's temperature field
+    (one seed solve before the first round). Candidates within a round
+    are priced concurrently on the {!Parallel.Pool}, and selection walks
+    them in their fixed order with a strict-improvement tie-break, so
+    the chosen plan is identical for any pool size (including
+    sequential). Both tiers end with the same single cold
+    full-tolerance solve of the committed plan, so [predicted_peak_k] is
+    a solve result. A run spends [1] exact solve with the blur and
+    [2 + rounds * candidates] without it.
 
-    When the flow's [guide] is {!Flow.Guide_gradient}, the per-candidate
-    solves disappear entirely: each round runs one adjoint sensitivity
+    Under {!Flow.Guide_gradient} the per-candidate pricing disappears
+    entirely: each round runs one adjoint sensitivity
     solve at the incumbent ({!Thermal.Adjoint}), prices every candidate
     by the inner product of the adjoint map with its trial power map
     (no solve — the thermal system is linear, so the inner product is
@@ -65,9 +71,9 @@ val greedy_rows :
     the chunk across candidates with an 8-step continuous
     projected-gradient pre-pass rounded by largest remainder, and
     confirms the committed chunk with a single exact warm-started solve.
-    Exact solves per run drop from O(rounds * candidates) to
-    [rounds + 2] (seed and final re-score) plus [rounds] adjoint solves;
-    selection remains deterministic for any pool size. *)
+    A run spends [rounds + 2] exact solves (seed and final re-score)
+    plus [rounds] adjoint solves, on any stack; selection remains
+    deterministic for any pool size. *)
 
 val evaluate_plan : Flow.t -> after:int list -> nx:int -> float
 (** Peak temperature rise (K) of the base placement with the given

@@ -256,18 +256,22 @@ let parse_number st =
     digits1 "exponent"
   end;
   let s = String.sub st.src start (st.pos - start) in
-  if !is_float then
+  (* a literal beyond the float range ("1e999") has no finite value; read
+     as [Float infinity] it would print back as the "inf" sentinel string,
+     so it is refused rather than silently changing type *)
+  let float_of s =
     match float_of_string_opt s with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> parse_error "number %S out of range at offset %d" s start
     | None -> parse_error "bad number %S at offset %d" s start
+  in
+  if !is_float then float_of s
   else
     match int_of_string_opt s with
     | Some i -> Int i
     | None ->
       (* integer too wide for 63 bits: keep the value as a float *)
-      (match float_of_string_opt s with
-       | Some f -> Float f
-       | None -> parse_error "bad number %S at offset %d" s start)
+      float_of s
 
 let rec parse_value st =
   skip_ws st;

@@ -26,7 +26,9 @@ val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed). Numbers must
     match the strict JSON grammar — no leading ["+"], no bare trailing
     dot (["1.e5"]), no leading zeros; those without a fraction or
-    exponent part parse as [Int] when they fit, [Float] otherwise;
+    exponent part parse as [Int] when they fit, [Float] otherwise; a
+    number beyond the float range (["1e999"]) is an error, so a parsed
+    value prints back and re-parses unchanged;
     [\uXXXX] escapes decode to UTF-8. *)
 
 val of_string_exn : string -> t

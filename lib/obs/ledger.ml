@@ -104,35 +104,30 @@ let append_or_warn ~prog path record =
 
 let load path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    let result = ref (Ok ()) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-         let lineno = ref 0 in
-         (try
-            while !result = Ok () do
-              let line = input_line ic in
-              incr lineno;
-              if String.trim line <> "" then
-                match Json.of_string line with
-                | Error msg ->
-                  result :=
-                    Error (Printf.sprintf "line %d: %s" !lineno msg)
-                | Ok json -> (
-                  match validate_record json with
-                  | Ok r -> records := r :: !records
-                  | Error msg ->
-                    result :=
-                      Error (Printf.sprintf "line %d: %s" !lineno msg))
-            done
-          with End_of_file -> ()));
-    match !result with
-    | Ok () -> Ok (List.rev !records)
-    | Error _ as e -> (match e with Error m -> Error m | _ -> assert false)
-  end
+  else
+    (* an unreadable path (a directory, no permission, an I/O fault) is
+       an [Error] like a corrupt line, never an exception *)
+    match open_in path with
+    | exception Sys_error msg -> Error ("unreadable: " ^ msg)
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+           let rec go lineno records =
+             match input_line ic with
+             | exception End_of_file -> Ok (List.rev records)
+             | exception Sys_error msg -> Error ("unreadable: " ^ msg)
+             | line when String.trim line = "" -> go (lineno + 1) records
+             | line -> (
+               let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+               match Json.of_string line with
+               | Error msg -> fail msg
+               | Ok json -> (
+                 match validate_record json with
+                 | Ok r -> go (lineno + 1) (r :: records)
+                 | Error msg -> fail msg))
+           in
+           go 1 [])
 
 (* --- record accessors (for the history CLI and tests) ------------------- *)
 

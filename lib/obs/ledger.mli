@@ -64,7 +64,8 @@ val append_or_warn : prog:string -> string option -> Json.t -> unit
 val load : string -> (Json.t list, string) result
 (** Parse every non-blank line, oldest first. A missing file is an empty
     ledger; a malformed or schema-incompatible line is an [Error]
-    naming the line number. *)
+    naming the line number, and an unreadable path (a directory, no
+    permission) an [Error] naming the cause. Never raises. *)
 
 (** {1 Record accessors} — tolerant readers for the history CLI. *)
 

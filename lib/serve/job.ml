@@ -31,8 +31,6 @@ type request = {
   seed : int;
   cycles : int;
   utilization : float;
-  screen : Flow.screen_choice;
-  screen_name : string;
   guide : Flow.guide_choice;
   guide_name : string;
   overhead : float;
@@ -47,7 +45,7 @@ let ( let* ) = Result.bind
 
 let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
     ?(cycles = 1000) ?(utilization = 0.85) ?(precond = "auto")
-    ?(screen = "auto") ?(guide = "peak") ?(overhead = 0.2) ?rows
+    ?(guide = "peak") ?(overhead = 0.2) ?rows
     ?deadline_ms ?max_retries ?(faults = "") id =
   let tag r = Result.map_error (fun m -> id ^ ": " ^ m) r in
   let require ok msg = if ok then Ok () else Error (id ^ ": " ^ msg) in
@@ -70,7 +68,6 @@ let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
       (precond = "auto" || precond = "mg")
       (Printf.sprintf "unknown precond %S" precond)
   in
-  let* screen_v = tag (Flow.screen_of_name screen) in
   let* guide_v = tag (Flow.guide_of_name guide) in
   let* () =
     require (overhead >= 0.0 && overhead <= 4.0) "overhead must be in [0, 4]"
@@ -89,13 +86,12 @@ let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
   in
   Ok
     { id; test_set; technique = technique_v; seed; cycles; utilization;
-      screen = screen_v; screen_name = screen; guide = guide_v;
-      guide_name = guide; overhead; rows; deadline_ms; max_retries;
-      faults = faults_v; faults_spec = faults }
+      guide = guide_v; guide_name = guide; overhead; rows; deadline_ms;
+      max_retries; faults = faults_v; faults_spec = faults }
 
 let fields =
   [ "id"; "test_set"; "technique"; "seed"; "cycles"; "utilization";
-    "precond"; "screen"; "guide"; "overhead"; "rows"; "deadline_ms";
+    "precond"; "guide"; "overhead"; "rows"; "deadline_ms";
     "max_retries"; "faults" ]
 
 let field json name to_v ~kind =
@@ -133,15 +129,14 @@ let request_of_json json =
     let* cycles = int "cycles" in
     let* utilization = num "utilization" in
     let* precond = str "precond" in
-    let* screen = str "screen" in
     let* guide = str "guide" in
     let* overhead = num "overhead" in
     let* rows = int "rows" in
     let* deadline_ms = num "deadline_ms" in
     let* max_retries = int "max_retries" in
     let* faults = str "faults" in
-    make ?test_set ?technique ?seed ?cycles ?utilization ?precond ?screen
-      ?guide ?overhead ?rows ?deadline_ms ?max_retries ?faults id
+    make ?test_set ?technique ?seed ?cycles ?utilization ?precond ?guide
+      ?overhead ?rows ?deadline_ms ?max_retries ?faults id
   | _ -> Error "request is not a JSON object"
 
 let request_of_line line =
@@ -158,7 +153,6 @@ let request_to_json r =
        ("seed", Obs.Json.Int r.seed);
        ("cycles", Obs.Json.Int r.cycles);
        ("utilization", Obs.Json.Float r.utilization);
-       ("screen", Obs.Json.String r.screen_name);
        ("guide", Obs.Json.String r.guide_name);
        ("overhead", Obs.Json.Float r.overhead) ]
      @ opt "rows" (fun v -> Obs.Json.Int v) r.rows
@@ -173,20 +167,20 @@ let config_json r =
   | Obs.Json.Obj fields -> List.remove_assoc "id" fields
   | _ -> assert false
 
-(* The batching identity: everything [prepare_flow] consumes. Computable
-   without preparing anything, which is the whole point — the server
-   groups queued jobs on this string before paying for a flow. *)
+(* The problem identity: everything [prepare_flow] consumes and nothing
+   else. Computable without preparing anything, which is the whole point
+   — the server groups queued jobs on this string before paying for a
+   flow. *)
 let fingerprint ?(extra = []) r =
   Flow.config_fingerprint ~mesh_config:Thermal.Mesh.default_config
-    ~screen:r.screen ~guide:r.guide ~seed:r.seed ~utilization:r.utilization
+    ~seed:r.seed ~utilization:r.utilization
     ~extra:
       ([ ("set", r.test_set); ("cycles", string_of_int r.cycles) ] @ extra)
     ()
 
 let prepare_flow r =
   Postplace.Experiment.prepare_test_set ~seed:r.seed
-    ~utilization:r.utilization ~sim_cycles:r.cycles ~screen:r.screen
-    ~guide:r.guide r.test_set
+    ~utilization:r.utilization ~sim_cycles:r.cycles r.test_set
 
 type applied = {
   placement : Place.Placement.t;
@@ -231,7 +225,7 @@ let apply ~(flow : Flow.t) ~(base : Flow.evaluation) r =
     placed (Flow.apply_hw flow ~on:(Flow.evaluate flow (default ())) ())
   | Optimize ->
     let rows = Option.value r.rows ~default:2 in
-    let res = Postplace.Optimizer.greedy_rows flow ~rows () in
+    let res = Postplace.Optimizer.greedy_rows flow ~rows ~guide:r.guide () in
     let plan = res.Postplace.Optimizer.plan in
     { placement = plan.Postplace.Technique.eri_placement;
       plan = Some plan.Postplace.Technique.inserted_after;

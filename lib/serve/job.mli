@@ -3,8 +3,8 @@
     A request is one line of JSON:
 
     {v
-    {"id":"job-1","test_set":"small","technique":"eri","seed":42,
-     "cycles":200,"utilization":0.85,"precond":"mg","screen":"auto",
+    {"id":"job-1","test_set":"small","technique":"optimize","seed":42,
+     "cycles":200,"utilization":0.85,"precond":"mg","guide":"peak",
      "overhead":0.2,"rows":2,"deadline_ms":5000,"max_retries":2,
      "faults":"nan_power"}
     v}
@@ -39,11 +39,10 @@ type request = {
   seed : int;
   cycles : int;
   utilization : float;
-  screen : Postplace.Flow.screen_choice;
-  screen_name : string;
   guide : Postplace.Flow.guide_choice;
   (** optimizer candidate-ranking signal; ["peak"] (default) or
-      ["gradient"] in the request JSON *)
+      ["gradient"] in the request JSON. A run option: it is not part of
+      the {!fingerprint}, so it never splits a batch. *)
   guide_name : string;
   overhead : float;              (** area budget fraction, [0, 4] *)
   rows : int option;             (** explicit row budget (eri/optimize) *)
@@ -57,15 +56,15 @@ type request = {
 
 val make :
   ?test_set:string -> ?technique:string -> ?seed:int -> ?cycles:int ->
-  ?utilization:float -> ?precond:string -> ?screen:string ->
-  ?guide:string -> ?overhead:float -> ?rows:int -> ?deadline_ms:float ->
+  ?utilization:float -> ?precond:string -> ?guide:string ->
+  ?overhead:float -> ?rows:int -> ?deadline_ms:float ->
   ?max_retries:int -> ?faults:string -> string ->
   (request, string) result
 (** [make id] validates a request from its spelled values: enum names
     against their tables, numbers against their ranges, the fault spec
     against {!Robust.Faults.parse_spec}. Errors name the job id.
     Defaults: test set ["small"], technique ["eri"], seed 42, 1000
-    cycles, utilization 0.85, screen ["auto"], guide ["peak"], overhead
+    cycles, utilization 0.85, guide ["peak"], overhead
     0.2, no faults. [precond] must be ["auto"] or ["mg"] and is not
     stored. *)
 
@@ -80,10 +79,15 @@ val config_json : request -> (string * Obs.Json.t) list
 (** Request echo (without [id]) for the per-job ledger record. *)
 
 val fingerprint : ?extra:(string * string) list -> request -> string
-(** The batching identity — {!Postplace.Flow.config_fingerprint} over
-    the request plus [set]/[cycles] extras, then [extra] in order.
-    Computable without preparing a flow; equal fingerprints share one
-    prepared flow and its cached base evaluation. *)
+(** The problem identity —
+    [mesh=…|precond=mg|seed=…|util=…|set=…|cycles=…], that is
+    {!Postplace.Flow.config_fingerprint} over the request plus
+    [set]/[cycles] extras, then [extra] in order. Computable without
+    preparing a flow. It is the server's batch key, its flow-cache key
+    and the fingerprint of every response and per-job ledger record:
+    equal fingerprints share one prepared flow and its cached base
+    evaluation, whatever their technique or [guide] (which the per-job
+    config echo records). *)
 
 val prepare_flow : request -> Postplace.Flow.t
 (** Prepare the request's test set

@@ -32,7 +32,9 @@ module Reader = struct
   let eof t = t.eof && Stdlib.Queue.is_empty t.lines
 
   (* [`Line l | `Eof | `Timeout | `Interrupted]; [`Interrupted] means a
-     signal arrived mid-wait — the caller re-checks its stop flag. *)
+     signal arrived mid-wait — the caller re-checks its stop flag. Any
+     other read error (a directory, an I/O fault) raises [Unix_error]:
+     it is not end of input. *)
   let rec next t ~timeout_s =
     match Stdlib.Queue.take_opt t.lines with
     | Some l -> `Line l
@@ -393,16 +395,22 @@ let run ?(config = default_config) ~input ~output () =
       end
     end
   in
+  (* a read error on the input propagates to the caller, but never with
+     the watchdog domain still running or the SIGTERM handler still
+     installed *)
+  Fun.protect
+    ~finally:(fun () ->
+      Watchdog.shutdown wd;
+      match prev_handler with
+      | Some h -> Sys.set_signal Sys.sigterm h
+      | None -> ())
+  @@ fun () ->
   loop ();
   let drained_on_signal = Atomic.get stop in
   (* graceful drain: stop accepting, finish everything already admitted *)
   while not (Queue.is_empty queue) do
     process_batch ()
   done;
-  Watchdog.shutdown wd;
-  (match prev_handler with
-   | Some h -> Sys.set_signal Sys.sigterm h
-   | None -> ());
   { accepted = counts.c_accepted; rejected = counts.c_rejected;
     invalid = counts.c_invalid; succeeded = counts.c_succeeded;
     failed = counts.c_failed; deadline_exceeded = counts.c_deadline;

@@ -54,4 +54,7 @@ val run :
     Metrics: [serve.queue.depth] gauge, [serve.jobs{outcome=...}]
     counters, [serve.job.latency_ms{technique=...}] histograms,
     [serve.batches], [serve.batch.size], [serve.retries],
-    [serve.flow_cache.hits]/[.misses]. *)
+    [serve.flow_cache.hits]/[.misses]. A read error on [input] other
+    than [EINTR] (a directory, an I/O fault) is not end of input: it
+    raises [Unix.Unix_error] once the watchdog is stopped and the
+    SIGTERM handler restored. *)

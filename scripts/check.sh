@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full repository gate: build everything, run the test suites and the
 # quickstart example, smoke-run the solve bench (MG-CG, the blur, the
-# adjoint, both guides, the blur tier and the pool) and the serve bench
+# adjoint, both guides and the pool) and the serve bench
 # and gate them against the committed bench/baselines via bench_diff
 # (wall-clock regressions, changed counts and invariant flips fail the
 # run),
@@ -49,7 +49,7 @@ echo "== solve bench smoke (2 trials)"
 dune exec bench/main.exe -- --jobs 2 --trials 2 solve >/dev/null
 dune exec bin/json_check.exe -- \
   BENCH_solve.json experiment trials summary summary.sizes summary.adjoint \
-  summary.guides summary.tiers summary.fft summary.telemetry
+  summary.guides summary.fft summary.telemetry
 
 echo "== batch serve bench smoke"
 dune exec bench/main.exe -- --jobs 2 serve >/dev/null 2>&1
@@ -78,7 +78,7 @@ done
 # The paper's shape checks (ERI and HW above Default, monotone in
 # overhead), the steady-state justification and the solve checks (the
 # blur matches MG-CG at every size, the adjoint its central difference,
-# the blur tier the exact tier's plan and peak, 2 domains 1, FFT parity,
+# the gradient guide's peak the peak guide's, 2 domains 1, FFT parity,
 # no Bluestein transform on the screening grids) must all hold.
 if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_solve.json; then
   echo "paper suites: a Fig. 6, transient or solve check is false" >&2
@@ -192,6 +192,18 @@ awk -v g="$peak_grad" -v p="$peak_peak" \
   echo "gradient guide smoke: peak $peak_grad K > peak-guide $peak_peak K + 0.05" >&2
   exit 1
 }
+
+echo "== retired options are refused"
+# Pricing is not a choice: --screen is gone, and naming it is a usage
+# error (Cmdliner exit 124), never a silently ignored option.
+rc=0
+dune exec bin/thermoplace.exe -- \
+  optimize --test-set small --cycles 200 --rows 1 --screen exact \
+  --ledger none >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "optimize --screen exact: expected usage error 124, got $rc" >&2
+  exit 1
+fi
 
 echo "== export smoke (thermoplace export)"
 # Every export file must be written, and the SPICE netlist must be whole
@@ -352,20 +364,31 @@ echo "== run ledger + history smoke"
 # record to the scratch ledger (the serve smokes wrote to their own
 # explicit --ledger files, which beat THERMOPLACE_LEDGER).
 dune exec bin/json_check.exe -- --jsonl "$ledger" 12
-# Two optimize runs differing only in guide (the peak default vs the
-# gradient), into a fresh ledger (the explicit --ledger flag beats
-# THERMOPLACE_LEDGER), so history diff sees exactly the config delta.
-rm -f "$hist"
+# A fresh ledger (the explicit --ledger flag beats THERMOPLACE_LEDGER)
+# seeded with one record in the format written before the guide became
+# an optimizer argument (screen= and guide= in the fingerprint, "screen"
+# in the config), then two optimize runs differing only in guide (the
+# peak default vs the gradient), so history diff sees exactly the
+# config deltas: the retired screen echo, then the guide.
+printf '%s\n' '{"schema_version":1,"timestamp_s":1790000000.0,"command":"optimize","fingerprint":"mesh=40x40x9|precond=mg|screen=auto|guide=peak|seed=42|util=0.85|set=small|cycles=200|rows=1|jobs=1","config":{"seed":42,"cycles":200,"utilization":0.85,"test_set":"small","rows":1,"jobs":1,"screen":"auto","guide":"peak"},"phases_ms":{"prepare_ms":7.194,"evaluate_ms":23.904,"optimize_ms":8.389,"evaluate_after_ms":31.964,"total_ms":71.976},"cg_iterations":26,"peak_rise_k":1.2013884621866202,"plan_hash":"cfcd208495d565ef66e7dff9f98764da","outcome":"ok","exit_code":0}' \
+  >"$hist"
 dune exec bin/thermoplace.exe -- \
   optimize --test-set small --cycles 200 --rows 1 --jobs 1 \
   --ledger "$hist" >/dev/null
 dune exec bin/thermoplace.exe -- \
   optimize --test-set small --cycles 200 --rows 1 --jobs 1 \
   --guide gradient --ledger "$hist" >/dev/null
-dune exec bin/json_check.exe -- --jsonl "$hist" 2
+dune exec bin/json_check.exe -- --jsonl "$hist" 3
 dune exec bin/thermoplace.exe -- history list --ledger "$hist" >/dev/null
+dune exec bin/thermoplace.exe -- history show --ledger "$hist" 0 >/dev/null
 diff_out=$(dune exec bin/thermoplace.exe -- \
   history diff --ledger "$hist" 0 1)
+echo "$diff_out" | grep -q 'screen' || {
+  echo "history diff: expected the older record's screen config delta" >&2
+  exit 1
+}
+diff_out=$(dune exec bin/thermoplace.exe -- \
+  history diff --ledger "$hist" 1 2)
 echo "$diff_out" | grep -q 'guide' || {
   echo "history diff: expected a guide config delta" >&2
   exit 1
@@ -373,9 +396,9 @@ echo "$diff_out" | grep -q 'guide' || {
 dune exec bin/thermoplace.exe -- \
   history trend --ledger "$hist" --key optimize_ms >/dev/null
 # history subcommands only read — the ledgers must not have grown.
-dune exec bin/json_check.exe -- --jsonl "$hist" 2
-wc -l <"$hist" | grep -qx '2' || {
-  echo "history smoke: expected exactly 2 records" >&2
+dune exec bin/json_check.exe -- --jsonl "$hist" 3
+wc -l <"$hist" | grep -qx '3' || {
+  echo "history smoke: expected exactly 3 records" >&2
   exit 1
 }
 

@@ -489,7 +489,10 @@ let test_json_strict_numbers () =
        | Ok _ -> Alcotest.failf "non-JSON number %S accepted" s
        | Error _ -> ())
     [ "+1"; "1.e5"; ".5"; "01"; "1."; "-"; "--1"; "1e"; "1e+"; "0x10";
-      "1_000"; "nan"; "infinity" ];
+      "1_000"; "nan"; "infinity";
+      (* beyond the float range: read as infinity, they would print back
+         as the "inf" sentinel string, a different JSON value *)
+      "1e999"; "-1e999"; String.make 400 '9' ];
   List.iter
     (fun (s, expect) ->
        match Obs.Json.of_string s with
@@ -500,7 +503,8 @@ let test_json_strict_numbers () =
       ("10", Obs.Json.Int 10); ("-120", Obs.Json.Int (-120));
       ("0.5", Obs.Json.Float 0.5); ("1e5", Obs.Json.Float 1e5);
       ("1.25e-3", Obs.Json.Float 1.25e-3); ("2E+2", Obs.Json.Float 200.0);
-      ("0.0", Obs.Json.Float 0.0) ]
+      ("0.0", Obs.Json.Float 0.0); ("1e308", Obs.Json.Float 1e308);
+      ("1e-999", Obs.Json.Float 0.0) ]
 
 (* Every float — finite or not — must survive print-and-parse with its
    exact bit pattern, via [to_float] for the sentinel cases. *)

@@ -595,62 +595,93 @@ let test_optimizer_validation () =
 let cg_solves () =
   Option.value ~default:0 (Obs.Metrics.counter_value "thermal.cg.solves")
 
+(* The reference greedy: every candidate of every round priced by a cold
+   full-tolerance solve of its cell-by-cell binned placement
+   ({!Postplace.Optimizer.evaluate_plan}, no blur, no row profile, no
+   warm start), strict improvement wins and the first candidate wins
+   ties. Returns the committed insertions, as [greedy_rows] reports them,
+   and the plan's peak. It spends rounds x candidates solves. *)
+let reference_greedy fl ~rows ~chunk ~stride ~nx =
+  let base = fl.Postplace.Flow.base_placement in
+  let num_rows = base.P.fp.FP.num_rows in
+  let candidates =
+    List.init ((num_rows + stride - 1) / stride) (fun i -> i * stride)
+  in
+  let rec go plan remaining =
+    if remaining = 0 then plan
+    else begin
+      let step = min chunk remaining in
+      let trial c = plan @ List.init step (fun _ -> c) in
+      let best =
+        List.fold_left
+          (fun best c ->
+             let peak =
+               Postplace.Optimizer.evaluate_plan fl ~after:(trial c) ~nx
+             in
+             match best with
+             | Some (_, best_peak) when best_peak <= peak -> best
+             | _ -> Some (c, peak))
+          None candidates
+      in
+      go (trial (fst (Option.get best))) (remaining - step)
+    end
+  in
+  let plan = go [] rows in
+  ( (Postplace.Technique.apply_row_insertions base plan)
+      .Postplace.Technique.inserted_after,
+    Postplace.Optimizer.evaluate_plan fl ~after:plan ~nx )
+
+let inserted (r : Postplace.Optimizer.result) =
+  r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
+
+(* rounds x candidates for [rows] in chunks of [chunk] over every
+   [stride]-th row of the small flow *)
+let priced fl ~rows ~chunk ~stride =
+  let num_rows = fl.Postplace.Flow.base_placement.P.fp.FP.num_rows in
+  ((rows + chunk - 1) / chunk) * ((num_rows + stride - 1) / stride)
+
 let test_optimizer_fft_screening_parity () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
-  let run screen =
-    let solves0 = cg_solves () in
-    let r =
-      Postplace.Optimizer.greedy_rows
-        { fl with Postplace.Flow.screen }
-        ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
-    in
-    (r, cg_solves () - solves0)
+  let solves0 = cg_solves () in
+  let r =
+    Postplace.Optimizer.greedy_rows fl ~rows:4 ~chunk:2 ~stride:2
+      ~coarse_nx:16 ()
   in
-  let ex, _ = run Postplace.Flow.Screen_exact in
-  let ff, ff_solves = run Postplace.Flow.Screen_auto in
-  Alcotest.(check (list int)) "blur tier picks the exact tier's plan"
-    ex.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
-    ff.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-  (* bit-identical: both tiers re-score the committed plan with the same
-     cold full-tolerance solve *)
-  Alcotest.(check bool) "same predicted peak" true
-    (ex.Postplace.Optimizer.predicted_peak_k
-     = ff.Postplace.Optimizer.predicted_peak_k);
+  let blur_solves = cg_solves () - solves0 in
+  let plan, peak = reference_greedy fl ~rows:4 ~chunk:2 ~stride:2 ~nx:16 in
+  Alcotest.(check (list int)) "blur tier picks the reference greedy's plan"
+    plan (inserted r);
+  Alcotest.(check (float (1e-12 *. peak))) "reference greedy's peak" peak
+    r.Postplace.Optimizer.predicted_peak_k;
   (* 4 rows in chunks of 2 is 2 rounds over every 2nd row *)
-  let num_rows = fl.Postplace.Flow.base_placement.P.fp.FP.num_rows in
-  let priced = 2 * ((num_rows + 1) / 2) in
-  Alcotest.(check int) "exact tier never blurs" 0
-    ex.Postplace.Optimizer.blur_evaluations;
-  Alcotest.(check int) "exact tier: seed, every candidate, re-score"
-    (2 + priced) ex.Postplace.Optimizer.evaluations;
-  Alcotest.(check int) "blur tier blurs every candidate" priced
-    ff.Postplace.Optimizer.blur_evaluations;
+  Alcotest.(check int) "blur tier blurs every candidate"
+    (priced fl ~rows:4 ~chunk:2 ~stride:2)
+    r.Postplace.Optimizer.blur_evaluations;
   Alcotest.(check int) "blur tier solves only the re-score" 1
-    ff.Postplace.Optimizer.evaluations;
-  Alcotest.(check int) "blur tier runs one CG solve" 1 ff_solves
+    r.Postplace.Optimizer.evaluations;
+  Alcotest.(check int) "blur tier runs one CG solve" 1 blur_solves
 
 let test_optimizer_fault_forces_exact_tier () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
-  (* Screen_auto with any armed fault must fall back to the exact tier:
-     injected faults have to reach the solve path they target. One stall
-     is absorbed by the first solve's escalation ladder. *)
+  (* any armed fault must take the exact tier: injected faults have to
+     reach the solve path they target. One stall is absorbed by the
+     first solve's escalation ladder. *)
   let r =
     Robust.Faults.with_fault Robust.Faults.Cg_stall (fun () ->
-        Postplace.Optimizer.greedy_rows
-          { fl with Postplace.Flow.screen = Postplace.Flow.Screen_auto }
-          ~rows:2 ~chunk:2 ~stride:2 ~coarse_nx:16 ())
+        Postplace.Optimizer.greedy_rows fl ~rows:2 ~chunk:2 ~stride:2
+          ~coarse_nx:16 ())
   in
-  Alcotest.(check int) "auto tier does not blur under armed faults" 0
+  Alcotest.(check int) "no blur under armed faults" 0
     r.Postplace.Optimizer.blur_evaluations
 
 let test_optimizer_side_wall_stack_exact_tier () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
   (* the blur is exact only for adiabatic side walls and a grounded face:
-     on any other stack screening must fall back to the exact tier, not
-     raise and not estimate *)
+     on any other stack pricing must take the exact tier, not raise and
+     not estimate *)
   let cfg = fl.Postplace.Flow.mesh_config in
   let stack0 = cfg.Thermal.Mesh.stack in
   List.iter
@@ -659,21 +690,21 @@ let test_optimizer_side_wall_stack_exact_tier () =
          { fl with
            Postplace.Flow.mesh_config = { cfg with Thermal.Mesh.stack } }
        in
-       let run screen =
-         Postplace.Optimizer.greedy_rows
-           { fl with Postplace.Flow.screen }
-           ~rows:4 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
+       let r =
+         Postplace.Optimizer.greedy_rows fl ~rows:4 ~chunk:2 ~stride:2
+           ~coarse_nx:16 ()
        in
-       let ex = run Postplace.Flow.Screen_exact in
-       let r = run Postplace.Flow.Screen_auto in
-       Alcotest.(check (list int)) (name ^ ": auto picks the exact tier's plan")
-         ex.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
-         r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
-       Alcotest.(check bool) (name ^ ": same predicted peak") true
-         (ex.Postplace.Optimizer.predicted_peak_k
-          = r.Postplace.Optimizer.predicted_peak_k);
-       Alcotest.(check int) (name ^ ": auto never blurs") 0
-         r.Postplace.Optimizer.blur_evaluations)
+       let plan, peak = reference_greedy fl ~rows:4 ~chunk:2 ~stride:2 ~nx:16 in
+       Alcotest.(check (list int)) (name ^ ": the reference greedy's plan")
+         plan (inserted r);
+       Alcotest.(check (float (1e-12 *. peak)))
+         (name ^ ": the reference greedy's peak") peak
+         r.Postplace.Optimizer.predicted_peak_k;
+       Alcotest.(check int) (name ^ ": never blurs") 0
+         r.Postplace.Optimizer.blur_evaluations;
+       Alcotest.(check int) (name ^ ": seed, every candidate, re-score")
+         (2 + priced fl ~rows:4 ~chunk:2 ~stride:2)
+         r.Postplace.Optimizer.evaluations)
     [ ("side walls alone",
        { stack0 with
          Thermal.Stack.h_top_w_m2k = 0.0; h_bottom_w_m2k = 0.0;
@@ -682,28 +713,30 @@ let test_optimizer_side_wall_stack_exact_tier () =
        { stack0 with Thermal.Stack.h_side_w_m2k = 2e4 }) ]
 
 (* The plans greedy_rows commits at the default 20x20 grid under each
-   screening tier and guide, recorded with cell-by-cell trial maps
-   (power_map of apply_row_insertions). Row-profile maps must commit the
-   same plans; the predicted peaks may differ only by rounding. *)
+   guide, and the reference greedy's, recorded with cell-by-cell trial
+   maps (power_map of apply_row_insertions). Row-profile maps must commit
+   the same plans; the predicted peaks may differ only by rounding. *)
 let test_optimizer_plans_pinned () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
+  let greedy guide () =
+    let r =
+      Postplace.Optimizer.greedy_rows fl ~rows:6 ~guide ~chunk:2 ~stride:1 ()
+    in
+    (inserted r, r.Postplace.Optimizer.predicted_peak_k)
+  in
   List.iter
-    (fun (name, screen, guide, plan, peak) ->
-       let r =
-         Postplace.Optimizer.greedy_rows
-           { fl with Postplace.Flow.screen; guide }
-           ~rows:6 ~chunk:2 ~stride:1 ()
-       in
-       Alcotest.(check (list int)) (name ^ " plan") plan
-         r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after;
+    (fun (name, run, plan, peak) ->
+       let got_plan, got_peak = run () in
+       Alcotest.(check (list int)) (name ^ " plan") plan got_plan;
        Alcotest.(check (float (1e-9 *. peak))) (name ^ " predicted peak") peak
-         r.Postplace.Optimizer.predicted_peak_k)
-    [ ("fft", Postplace.Flow.Screen_auto, Postplace.Flow.Guide_peak,
+         got_peak)
+    [ ("fft", greedy Postplace.Flow.Guide_peak,
        [ 0; 0; 1; 1; 2; 2 ], 0x1.b8583f4e86b75p-1);
-      ("exact", Postplace.Flow.Screen_exact, Postplace.Flow.Guide_peak,
+      ("exact",
+       (fun () -> reference_greedy fl ~rows:6 ~chunk:2 ~stride:1 ~nx:20),
        [ 0; 0; 1; 1; 2; 2 ], 0x1.b8583f4e86b75p-1);
-      ("gradient", Postplace.Flow.Screen_auto, Postplace.Flow.Guide_gradient,
+      ("gradient", greedy Postplace.Flow.Guide_gradient,
        [ 0; 0; 0; 1; 1; 1 ], 0x1.b90088ad96d0cp-1) ]
 
 (* --- gradient guide ----------------------------------------------------------------- *)
@@ -720,36 +753,28 @@ let test_flow_sensitivity_smoke () =
     (adj.Thermal.Adjoint.smoothed_peak_k
      >= adj.Thermal.Adjoint.peak_rise_k -. 1e-9)
 
-let test_fingerprint_encodes_guide () =
+(* The guide is an optimizer argument, not part of the prepared problem:
+   the fingerprint of the flow's configuration names the problem alone. *)
+let test_guide_not_in_fingerprint () =
   let fl = Lazy.force flow in
-  let fp = Postplace.Flow.fingerprint fl in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "fingerprint mentions guide" true
-    (contains fp "|guide=peak|");
-  let fp' =
-    Postplace.Flow.fingerprint
-      { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
-  in
-  Alcotest.(check bool) "guide changes the fingerprint" true (fp <> fp')
+  Alcotest.(check string) "problem identity only"
+    "mesh=40x40x9|precond=mg|seed=11|util=0.85"
+    (Postplace.Flow.config_fingerprint
+       ~mesh_config:fl.Postplace.Flow.mesh_config ~seed:fl.Postplace.Flow.seed
+       ~utilization:fl.Postplace.Flow.base_utilization ())
 
 let test_gradient_guide_matches_peak_quality () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
   let run guide =
-    Postplace.Optimizer.greedy_rows
-      { fl with
-        Postplace.Flow.screen = Postplace.Flow.Screen_exact;
-        guide }
-      ~rows:3 ~chunk:2 ~stride:2 ~coarse_nx:16 ()
+    Postplace.Optimizer.greedy_rows fl ~rows:3 ~guide ~chunk:2 ~stride:2
+      ~coarse_nx:16 ()
   in
   let peak = run Postplace.Flow.Guide_peak in
   let grad = run Postplace.Flow.Guide_gradient in
   (* the gradient guide must land within a small tolerance of the
-     exhaustive greedy peak while spending far fewer exact solves *)
+     blur-priced greedy peak while spending fewer exact solves than the
+     reference greedy's one per candidate *)
   Alcotest.(check bool)
     (Printf.sprintf "gradient peak %.4f K within 0.05 K of greedy %.4f K"
        grad.Postplace.Optimizer.predicted_peak_k
@@ -766,7 +791,7 @@ let test_gradient_guide_matches_peak_quality () =
           grad.Postplace.Optimizer.plan.Postplace.Technique.eri_placement));
   Alcotest.(check bool) "gradient mode spends fewer exact solves" true
     (grad.Postplace.Optimizer.evaluations
-     < peak.Postplace.Optimizer.evaluations);
+     < priced fl ~rows:3 ~chunk:2 ~stride:2);
   Alcotest.(check bool) "gradient mode ran adjoint solves" true
     (grad.Postplace.Optimizer.adjoint_evaluations > 0);
   Alcotest.(check int) "peak mode runs no adjoints" 0
@@ -775,9 +800,8 @@ let test_gradient_guide_matches_peak_quality () =
 let test_gradient_guide_parallel_identical () =
   let fl = Lazy.force flow in
   let run () =
-    Postplace.Optimizer.greedy_rows
-      { fl with Postplace.Flow.guide = Postplace.Flow.Guide_gradient }
-      ~rows:3 ~chunk:2 ~stride:3 ~coarse_nx:16 ()
+    Postplace.Optimizer.greedy_rows fl ~rows:3
+      ~guide:Postplace.Flow.Guide_gradient ~chunk:2 ~stride:3 ~coarse_nx:16 ()
   in
   Parallel.Pool.set_jobs 1;
   let seq = run () in
@@ -1030,8 +1054,8 @@ let () =
       ("gradient-guide",
        [ Alcotest.test_case "flow sensitivity smoke" `Quick
            test_flow_sensitivity_smoke;
-         Alcotest.test_case "fingerprint encodes guide" `Quick
-           test_fingerprint_encodes_guide;
+         Alcotest.test_case "guide not in fingerprint" `Quick
+           test_guide_not_in_fingerprint;
          Alcotest.test_case "matches peak-guide quality" `Quick
            test_gradient_guide_matches_peak_quality;
          Alcotest.test_case "parallel identical to sequential" `Quick

@@ -354,6 +354,171 @@ let test_package_checkpoint_resume () =
       in
       Alcotest.(check bool) "resumed identical" true (reference = resumed))
 
+(* --- loader fuzz ------------------------------------------------------------------ *)
+
+let mutated =
+  Mutate.gen
+    ~inserts:
+      [ ","; "\""; "{"; "}"; "["; "]"; ":"; "\n"; "null"; "1e999"; "-0";
+        "\\u0000"; "\\"; {|"index":-1,|} ]
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let write_all path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* A fig6 checkpoint as the sweep writes it: two overheads on the small
+   flow, so four job entries (two Default+HW pairs, two ERI points). *)
+let fig6_checkpoint =
+  lazy
+    (let flow = Lazy.force small_flow in
+     with_tmp (fun path ->
+         ignore
+           (Postplace.Experiment.run_fig6 ~overheads:[ 0.2; 0.4 ]
+              ~checkpoint:path flow
+            : Postplace.Experiment.fig6);
+         let text = read_all path in
+         let key =
+           Option.get
+             (Option.bind
+                (Obs.Json.member "key" (Obs.Json.of_string_exn text))
+                Obs.Json.to_string_opt)
+         in
+         (text, key)))
+
+let prop_checkpoint_fuzz =
+  QCheck.Test.make ~name:"checkpoint loader survives mutated files"
+    ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (QCheck.Gen.delay (fun () ->
+            mutated (fst (Lazy.force fig6_checkpoint)))))
+    (fun text ->
+       let key = snd (Lazy.force fig6_checkpoint) in
+       with_tmp @@ fun path ->
+       write_all path text;
+       match C.load ~path ~key with
+       | exception e ->
+         QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+       | Error (E.Checkpoint_corrupt _) -> true
+       | Error e ->
+         QCheck.Test.fail_reportf "not Checkpoint_corrupt: %s" (E.to_string e)
+       | Ok entries -> (
+         with_tmp @@ fun again ->
+         C.save ~path:again ~key ~entries;
+         match C.load ~path:again ~key with
+         | Ok entries' when entries' = entries -> true
+         | Ok _ -> QCheck.Test.fail_report "save and reload changed entries"
+         | Error e -> QCheck.Test.fail_reportf "reload: %s" (E.to_string e)))
+
+(* A two-record ledger as runs append it: a CLI optimize record and a
+   served job's. *)
+let ledger_text =
+  lazy
+    (with_tmp (fun path ->
+         Obs.Ledger.append ~path
+           (Obs.Ledger.make_record ~timestamp_s:1.5e9
+              ~config:
+                [ ("rows", Obs.Json.Int 2); ("guide", Obs.Json.String "peak") ]
+              ~phases_ms:[ ("prepare", 812.25); ("optimize", 0.125) ]
+              ~cg_iterations:64 ~peak_rise_k:2.887485157807853
+              ~plan_hash:"0123456789abcdef0123456789abcdef"
+              ~command:"optimize"
+              ~fingerprint:
+                "mesh=40x40x9|precond=mg|seed=42|util=0.85|set=small|\
+                 cycles=200|rows=2|jobs=1|guide=peak"
+              ~outcome:"ok" ~exit_code:0 ());
+         Obs.Ledger.append ~path
+           (Obs.Ledger.make_record ~timestamp_s:1.5e9 ~job_id:"j-1"
+              ~phases_ms:[ ("job_ms", 3.5) ] ~error:"invariant violated"
+              ~command:"serve.job" ~fingerprint:"" ~outcome:"failed"
+              ~exit_code:11 ());
+         read_all path))
+
+let prop_ledger_fuzz =
+  QCheck.Test.make ~name:"ledger loader survives mutated files" ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (QCheck.Gen.delay (fun () -> mutated (Lazy.force ledger_text))))
+    (fun text ->
+       with_tmp @@ fun path ->
+       write_all path text;
+       match Obs.Ledger.load path with
+       | exception e ->
+         QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+       | Error _ -> true
+       | Ok records -> (
+         with_tmp @@ fun again ->
+         List.iter (Obs.Ledger.append ~path:again) records;
+         match Obs.Ledger.load again with
+         | Ok records' when records' = records -> true
+         | Ok _ -> QCheck.Test.fail_report "append and reload changed records"
+         | Error msg -> QCheck.Test.fail_reportf "reload: %s" msg))
+
+(* --- unreadable inputs ----------------------------------------------------------- *)
+
+let with_tmp_dir f =
+  let dir = Filename.temp_dir "robust_dir" "" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) (fun () -> f dir)
+
+let test_ledger_unreadable_path () =
+  with_tmp_dir @@ fun dir ->
+  match Obs.Ledger.load dir with
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "a directory loaded as a ledger"
+  | Error msg ->
+    Alcotest.(check bool) "names the cause" true
+      (contains ~needle:"unreadable" msg)
+
+(* The CLI, built beside the tests: exit status and stderr lines of one
+   run, with the ledger disabled. *)
+let run_cli args =
+  let exe = "../bin/thermoplace.exe" in
+  with_tmp @@ fun err ->
+  let status =
+    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Unix.close null)
+      (fun () ->
+         let env =
+           Array.of_list
+             ("THERMOPLACE_LEDGER=none"
+              :: List.filter
+                   (fun v -> not (String.starts_with ~prefix:"THERMOPLACE_" v))
+                   (Array.to_list (Unix.environment ())))
+         in
+         let pid =
+           Unix.create_process_env exe (Array.of_list (exe :: args)) env null
+             null fd
+         in
+         snd (Unix.waitpid [] pid))
+  in
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_all err))
+  in
+  ((match status with Unix.WEXITED c -> c | _ -> -1), lines)
+
+let test_cli_history_unreadable_ledger () =
+  with_tmp_dir @@ fun dir ->
+  let code, lines = run_cli [ "history"; "list"; "--ledger"; dir ] in
+  Alcotest.(check int) "exit 1, as for a corrupt line" 1 code;
+  match lines with
+  | [ l ] ->
+    Alcotest.(check bool) "names the ledger" true (contains ~needle:dir l)
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines)
+
+let test_cli_serve_unreadable_input () =
+  with_tmp_dir @@ fun dir ->
+  let code, lines =
+    run_cli [ "serve"; "--input"; dir; "--output"; "-"; "--jobs"; "1" ]
+  in
+  Alcotest.(check int) "exit 2, as for a missing file" 2 code;
+  match lines with
+  | [ l ] ->
+    Alcotest.(check bool) "names the input" true (contains ~needle:dir l)
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines)
+
 let () =
   Obs.Metrics.set_enabled true;
   Alcotest.run "robust"
@@ -370,6 +535,15 @@ let () =
        [ Alcotest.test_case "round trip" `Quick test_checkpoint_roundtrip;
          Alcotest.test_case "corruption detected" `Quick
            test_checkpoint_corruption ]);
+      ("loaders",
+       [ QCheck_alcotest.to_alcotest prop_checkpoint_fuzz;
+         QCheck_alcotest.to_alcotest prop_ledger_fuzz;
+         Alcotest.test_case "ledger on a directory" `Quick
+           test_ledger_unreadable_path;
+         Alcotest.test_case "history on a directory" `Quick
+           test_cli_history_unreadable_ledger;
+         Alcotest.test_case "serve on a directory" `Quick
+           test_cli_serve_unreadable_input ]);
       ("flow-faults",
        [ Alcotest.test_case "nan power surfaced" `Quick
            test_flow_nan_power_surfaced;

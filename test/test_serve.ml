@@ -152,7 +152,7 @@ let test_request_roundtrip () =
   let r =
     parse_ok
       {|{"id":"j1","test_set":"concentrated","technique":"hw","seed":7,
-         "cycles":321,"utilization":0.7,"precond":"mg","screen":"exact",
+         "cycles":321,"utilization":0.7,"precond":"mg","guide":"gradient",
          "overhead":0.3,"rows":3,"deadline_ms":1500,"max_retries":1,
          "faults":"nan_power"}|}
   in
@@ -196,19 +196,19 @@ let test_request_validation () =
   reject "bad faults" {|{"id":"x","faults":"warp_core"}|};
   reject "non-string id" {|{"id":7}|};
   reject "unknown guide" {|{"id":"x","guide":"psychic"}|};
-  reject "retired fft screen" {|{"id":"x","screen":"fft"}|};
   reject "retired jacobi precond" {|{"id":"x","precond":"jacobi"}|};
   reject "retired ssor precond" {|{"id":"x","precond":"ssor"}|};
-  (* a misspelt field is an admission error naming it, never a silent
-     default *)
-  match
-    Job.request_of_line
-      {|{"id":"typo","cycles":200,"technique":"eri","overheaad":0.4}|}
-  with
-  | Ok _ -> Alcotest.fail "unknown field accepted"
-  | Error msg ->
-    Alcotest.(check string) "error names the field"
-      {|typo: unknown field "overheaad"|} msg
+  (* a misspelt or retired field is an admission error naming it, never
+     a silent default *)
+  let unknown_field line want =
+    match Job.request_of_line line with
+    | Ok _ -> Alcotest.failf "unknown field accepted: %s" line
+    | Error msg -> Alcotest.(check string) "error names the field" want msg
+  in
+  unknown_field {|{"id":"typo","cycles":200,"technique":"eri","overheaad":0.4}|}
+    {|typo: unknown field "overheaad"|};
+  unknown_field {|{"id":"s","screen":"auto"}|} {|s: unknown field "screen"|};
+  unknown_field {|{"id":"s","screen":"exact"}|} {|s: unknown field "screen"|}
 
 let test_request_guide_field () =
   let d = parse_ok {|{"id":"d"}|} in
@@ -223,10 +223,16 @@ let test_request_guide_field () =
   (match Job.request_of_json (Job.request_to_json g) with
    | Ok g2 -> Alcotest.(check bool) "guide round trips" true (g = g2)
    | Error msg -> Alcotest.failf "reparse failed: %s" msg);
-  (* the guide reshapes the optimizer's solve sequence, so it must
-     split a batch *)
-  Alcotest.(check bool) "guide splits the batch" true
-    (Job.fingerprint d <> Job.fingerprint g)
+  (* the guide is a run option of the optimizer, not part of the
+     prepared problem: it must neither change the problem fingerprint
+     nor split a batch *)
+  Alcotest.(check string) "guide does not change the problem fingerprint"
+    (Job.fingerprint d) (Job.fingerprint g);
+  Alcotest.(check (list string)) "the problem identity and nothing else"
+    [ "mesh"; "precond"; "seed"; "util"; "set"; "cycles" ]
+    (List.map
+       (fun kv -> List.hd (String.split_on_char '=' kv))
+       (String.split_on_char '|' (Job.fingerprint g)))
 
 let test_fingerprint_groups_configs () =
   let a = parse_ok {|{"id":"a","cycles":200}|} in
@@ -248,11 +254,9 @@ let test_fingerprint_groups_configs () =
     (List.mem "precond=mg" (String.split_on_char '|' (Job.fingerprint a)))
 
 (* Mutated request lines: a full request with one enum field set to any
-   name it accepts, the retired screen name "fft" or precond name
-   "jacobi", the empty string or junk, then up to three byte flips,
-   truncations or insertions. Decoding
-   must never raise, and whatever it accepts must survive an encode,
-   print and decode unchanged. *)
+   name it accepts, the retired precond name "jacobi", the empty string
+   or junk, then {!Mutate.gen}. Decoding must never raise, and whatever
+   it accepts must survive an encode, print and decode unchanged. *)
 let fuzz_line =
   let open QCheck.Gen in
   let junk = [ "fft"; "jacobi"; ""; {|\u0000x\u00ff|} ] in
@@ -260,7 +264,6 @@ let fuzz_line =
     [ ("test_set", Postplace.Experiment.test_set_names);
       ("technique", Job.technique_names);
       ("precond", [ "auto"; "mg" ]);
-      ("screen", Postplace.Flow.screen_names);
       ("guide", Postplace.Flow.guide_names) ]
   in
   let full field value =
@@ -272,35 +275,17 @@ let fuzz_line =
          [ ("id", {|"fz"|}); ("test_set", {|"small"|});
            ("technique", {|"optimize"|}); ("seed", "3"); ("cycles", "200");
            ("utilization", "0.7"); ("precond", {|"mg"|});
-           ("screen", {|"auto"|}); ("guide", {|"peak"|});
+           ("guide", {|"peak"|});
            ("overhead", "0.3"); ("rows", "2"); ("deadline_ms", "1500");
            ("max_retries", "1"); ("faults", {|"cg_stall:2"|}) ])
   in
-  let mutate s =
-    let n = String.length s in
-    let* at = int_bound n in
-    let at' = min at (n - 1) in
-    oneof
-      [ (let+ x = int_range 1 255 in
-         if n = 0 then s
-         else
-           String.mapi
-             (fun i c -> if i = at' then Char.chr (Char.code c lxor x) else c)
-             s);
-        return (String.sub s 0 at);
-        (let+ ins =
-           oneof
-             [ map (String.make 1) char;
-               oneofl [ ","; "\""; "{"; "}"; "["; ":"; "null"; "1e999"; "-0";
-                        "\\u0000"; "\\"; {|"seed":1,|} ] ]
-         in
-         String.sub s 0 at ^ ins ^ String.sub s at (n - at)) ]
-  in
   let* field, names = oneofl enums in
   let* value = oneofl (names @ junk) in
-  let* steps = int_bound 3 in
-  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
-  go steps ("{" ^ full field value ^ "}")
+  Mutate.gen
+    ~inserts:
+      [ ","; "\""; "{"; "}"; "["; ":"; "null"; "1e999"; "-0"; "\\u0000";
+        "\\"; {|"seed":1,|} ]
+    ("{" ^ full field value ^ "}")
 
 let prop_request_codec_fuzz =
   QCheck.Test.make ~name:"request codec survives mutated lines" ~count:500
@@ -422,6 +407,44 @@ let test_fault_isolation () =
      whole file was one batch *)
   Alcotest.(check int) "one batch" 1 s1.Server.batches
 
+(* The guide is a run option of the optimizer, not part of the problem:
+   optimize jobs that differ only in guide share one batch and one
+   prepared flow, and each still runs its own guide — its result is the
+   one it gets when served alone. *)
+let test_guides_share_flow () =
+  let opt guide id =
+    job ~extra:(Printf.sprintf {|,"technique":"optimize","guide":"%s"|} guide)
+      id
+  in
+  let misses () =
+    Option.value ~default:0
+      (Obs.Metrics.counter_value "serve.flow_cache.misses")
+  in
+  let m0 = misses () in
+  let s, r = run_server [ opt "peak" "p"; opt "gradient" "g" ] in
+  Alcotest.(check int) "one batch" 1 s.Server.batches;
+  Alcotest.(check int) "one prepared flow" 1 (misses () - m0);
+  let result run id =
+    match Obs.Json.member "result" (find_response run id) with
+    | Some j -> j
+    | None -> Alcotest.failf "%s has no result" id
+  in
+  List.iter
+    (fun (guide, id) ->
+       let _, alone = run_server [ opt guide id ] in
+       Alcotest.(check string) (id ^ ": as if served alone")
+         (Obs.Json.to_string (result alone id))
+         (Obs.Json.to_string (result r id)))
+    [ ("peak", "p"); ("gradient", "g") ];
+  let adjoints id =
+    Option.bind (Obs.Json.member "adjoint_evaluations" (result r id))
+      Obs.Json.to_int
+  in
+  Alcotest.(check (option int)) "the peak guide runs no adjoint" (Some 0)
+    (adjoints "p");
+  Alcotest.(check bool) "the gradient guide runs its adjoints" true
+    (Option.value ~default:0 (adjoints "g") > 0)
+
 let test_deadline_exceeded () =
   let s, r =
     run_server [ job "fast"; job ~extra:{|,"deadline_ms":0.5|} "slow" ]
@@ -541,6 +564,8 @@ let () =
            test_fingerprint_groups_configs ]);
       ("server",
        [ Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
+         Alcotest.test_case "guides share one prepared flow" `Quick
+           test_guides_share_flow;
          Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
          Alcotest.test_case "backpressure" `Quick test_backpressure;
          Alcotest.test_case "retry recovers transient" `Quick
