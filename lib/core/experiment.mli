@@ -22,8 +22,8 @@ val test_set_1 : ?seed:int -> ?sim_cycles:int ->
 (** Four scattered small hotspots: units mul16a, div16, add64 and cmp32 run
     hot (they sit in different corners of the 3 x 3 region grid), the rest
     are nearly idle. Equivalent to [prepare_test_set "scattered"].
-    [?precond], [?screen] and [?guide] are ignored: every solve is MG-CG,
-    pricing is not a choice, and the guide is an argument of
+    [?precond], [?screen] and [?guide] are ignored: the solver and the
+    pricing are not choices, and the guide is an argument of
     {!Optimizer.greedy_rows}, not part of the prepared problem. They
     stay for callers that still name [Pc_mg], [Screen_auto] and
     [Guide_peak]. *)

@@ -38,8 +38,9 @@ let mesh_name t = mesh_config_name t.mesh_config
 
 (* The fingerprint is a pure function of the configuration, so it can be
    computed from a job request *before* paying for [prepare] — the serve
-   loop batches same-fingerprint jobs on exactly this identity. Every
-   solve is MG-CG; [precond=mg] stays so older ledger records compare. *)
+   loop batches same-fingerprint jobs on exactly this identity. The
+   solver is not a choice; [precond=mg] stays so older ledger records
+   compare. *)
 let config_fingerprint ?(extra = []) ~mesh_config ~seed ~utilization () =
   String.concat "|"
     ([ "mesh=" ^ mesh_config_name mesh_config;
@@ -147,7 +148,7 @@ let solve_power ?mesh_config ?tol ?x0 t power =
 let evaluate_result t pl =
   Obs.Trace.with_span "flow.evaluate" @@ fun () ->
   (* cancellation point: every candidate evaluation passes through here,
-     so a watchdog-requested deadline abort fires within one solve *)
+     so a job past its deadline aborts within one solve *)
   Robust.Cancel.check ();
   let power_map = flow_power_map t pl in
   let* () = Robust.Validate.first_failure [ Checks.power_map power_map ] in

@@ -50,7 +50,9 @@ type t = {
   base_utilization : float;
   mesh_config : Thermal.Mesh.config;
   (** the mesh every thermal solve of this flow runs on; each solve is
-      MG-preconditioned CG ({!Thermal.Mesh.solve_result}'s default) *)
+      {!Thermal.Mesh.solve_result}'s default: the modal engine on an
+      adiabatic-walled stack with a grounded face when no solver fault
+      is in play, MG-preconditioned CG otherwise *)
 }
 (** The prepared problem of the paper's Fig. 2: activity, placement,
     per-cell power and the RC network. It carries no run option; what
@@ -75,10 +77,11 @@ val config_fingerprint :
     appended in order. It is a pure function of the configuration, so
     the serve loop batches and caches prepared flows on it before
     preparing anything; equal fingerprints name the same prepared
-    problem. [precond=mg] is a constant (every solve is MG-CG), kept so
-    older ledger records compare. Records written before the guide
-    became an optimizer argument also carry [screen=…|guide=…] after
-    it; [thermoplace history] reads them unchanged. *)
+    problem. [precond=mg] is a constant that selects nothing (the solver
+    is not a choice), kept so older ledger records compare. Records
+    written before the guide became an optimizer argument also carry
+    [screen=…|guide=…] after it; [thermoplace history] reads them
+    unchanged. *)
 
 val prepare :
   ?seed:int ->
@@ -104,9 +107,11 @@ type evaluation = {
 val solve_power_result :
   ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
   t -> Geo.Grid.t -> (Thermal.Mesh.solution, Robust.Error.t) result
-(** Build the mesh for a W-per-tile power map and solve it with MG-CG.
-    [mesh_config] overrides the flow's mesh (the optimizer ranks on its
-    own grid); [tol] and [x0] are as in {!Thermal.Mesh.solve_result}. *)
+(** Build the mesh for a W-per-tile power map and solve it
+    ({!Thermal.Mesh.solve_result}: modal where that is exact, MG-CG
+    otherwise). [mesh_config] overrides the flow's mesh (the optimizer
+    ranks on its own grid); [tol] and [x0] are as in
+    {!Thermal.Mesh.solve_result}, which applies them to MG-CG alone. *)
 
 val solve_power :
   ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->

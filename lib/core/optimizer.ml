@@ -43,7 +43,7 @@ let trial_pricer flow ~nx =
    most of the optimizer's speedup lives here. *)
 let eval_trial flow ~power ~nx ~x0 ~tol =
   (* cancellation point: candidate solves run at millisecond granularity,
-     so a deadline abort requested by the serve watchdog lands here *)
+     so a job past its deadline aborts here *)
   Robust.Cancel.check ();
   let solution =
     Flow.solve_power ~mesh_config:(coarse_config flow ~nx) ~tol ?x0 flow power

@@ -1,20 +1,34 @@
-(* Cooperative cancellation: a single process-global request slot read at
-   well-known checkpoints on the hot paths (Flow evaluation, optimizer
-   candidate loops). OCaml domains cannot be killed from outside, so a
-   watchdog that wants to abort an overrunning job stores the structured
-   error here and the job raises it at its next checkpoint — inside a
-   pooled chunk that takes the pool's normal first-exception containment
-   path, so the pool itself survives the cancellation. *)
+(* Cooperative cancellation by deadline: a single process-global slot
+   holding the running job's absolute deadline, read at well-known
+   checkpoints on the hot paths (Flow evaluation, the optimizer's
+   candidate loops, CG iterations, after a modal solve). OCaml domains
+   cannot be killed from outside, so the job itself compares the clock
+   with its deadline at each checkpoint and raises the structured error
+   there — inside a pooled chunk that takes the pool's normal
+   first-exception containment path, so the pool itself survives. *)
 
-let slot : Error.t option Atomic.t = Atomic.make None
+type deadline = {
+  at : float; (* absolute Obs.Clock time *)
+  job_id : string;
+  t0 : float;
+  deadline_ms : float;
+}
 
-let request e = Atomic.set slot (Some e)
+let slot : deadline option Atomic.t = Atomic.make None
+
+let arm_deadline ~job_id ~t0 ~deadline_ms =
+  Atomic.set slot
+    (Some { at = t0 +. (deadline_ms /. 1e3); job_id; t0; deadline_ms })
 
 let clear () = Atomic.set slot None
-
-let pending () = Atomic.get slot
 
 let check () =
   match Atomic.get slot with
   | None -> ()
-  | Some e -> Error.raise_ e
+  | Some d ->
+    let now = Obs.Clock.now () in
+    if now >= d.at then
+      Error.raise_
+        (Error.Deadline_exceeded
+           { job_id = d.job_id; elapsed_ms = (now -. d.t0) *. 1e3;
+             deadline_ms = d.deadline_ms })

@@ -40,11 +40,12 @@ type t =
       backpressure instead of being buffered without bound. *)
   | Deadline_exceeded of {
       job_id : string;
-      elapsed_ms : float;   (** wall clock burned when the watchdog fired *)
+      elapsed_ms : float;   (** wall clock burned when the check fired *)
       deadline_ms : float;  (** the job's configured deadline *)
     }
-  (** The per-job watchdog cancelled an attempt that overran its
-      deadline; the pool stays healthy and keeps serving other jobs. *)
+  (** A job ran past its deadline and was cancelled at its next
+      {!Cancel.check}; the pool stays healthy and keeps serving other
+      jobs. *)
 
 exception Error of t
 (** The single carrier exception for code that cannot return [result]. *)

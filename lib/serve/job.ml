@@ -62,7 +62,8 @@ let make ?(test_set = "small") ?(technique = "eri") ?(seed = 42)
       (utilization > 0.0 && utilization <= 1.0)
       "utilization must be in (0, 1]"
   in
-  (* every solve is MG-CG; the field stays for clients that name it *)
+  (* the solver is not a choice; the field stays for clients that name
+     it *)
   let* () =
     require
       (precond = "auto" || precond = "mg")

@@ -10,8 +10,9 @@
     v}
 
     Only [id] is required; everything else has the CLI's defaults.
-    [precond] takes ["auto"] or ["mg"] and selects nothing: every solve
-    is MG-CG, and the field is kept for clients that name it.
+    [precond] takes ["auto"] or ["mg"] and selects nothing: the solver
+    is not a choice ({!Thermal.Mesh.solve_result}), and the field is
+    kept for clients that name it.
     Parsing is strict (unknown fields, unknown enum values,
     out-of-range numbers and malformed fault specs are admission
     errors) because an invalid request must be rejected before a flow

@@ -1,16 +1,16 @@
 (* The serve loop: admission with backpressure, same-fingerprint
-   batching over a prepared-flow cache, per-job fault arming, watchdog
+   batching over a prepared-flow cache, per-job fault arming, clock-checked
    deadlines, retry with seeded backoff, graceful SIGTERM drain.
 
    Single-threaded by design: one main loop reads requests (a
    select-based line reader, so SIGTERM interrupts a blocking read via
    EINTR), admits them into the bounded queue, and executes one batch at
-   a time over the shared Parallel.Pool. The only extra domain is the
-   lazily-spawned watchdog, which polls the armed deadline and posts a
-   Robust.Cancel request — the job then aborts at its next cooperative
-   checkpoint inside the solver loops, taking the pool's normal
-   first-exception containment path. One job can therefore fail, time
-   out, or carry an armed fault without perturbing any other job. *)
+   a time over the shared Parallel.Pool. A job's deadline is armed in
+   Robust.Cancel for the whole job; the job compares the clock with it at
+   each cooperative checkpoint inside the solver and optimizer loops and
+   aborts there, taking the pool's normal first-exception containment
+   path. One job can therefore fail, time out, or carry an armed fault
+   without perturbing any other job. *)
 
 module Flow = Postplace.Flow
 
@@ -64,74 +64,19 @@ module Reader = struct
       end
 end
 
-(* --- deadline watchdog ---------------------------------------------------- *)
-
-(* One polling domain, spawned on the first job that carries a deadline.
-   [arm]/[disarm] and the watchdog's firing are serialized by [m]: after
-   [disarm] returns, no firing for the old deadline can still be in
-   flight, so the caller can safely clear the Cancel slot without racing
-   a stale request into the next job. *)
-module Watchdog = struct
-  type t = {
-    m : Mutex.t;
-    mutable armed : (float * string * float * float) option;
-    (* (absolute deadline, job_id, deadline_ms, t0) *)
-    mutable stop : bool;
-    mutable domain : unit Domain.t option;
-    poll_s : float;
-  }
-
-  let create ~poll_s =
-    { m = Mutex.create (); armed = None; stop = false; domain = None;
-      poll_s }
-
-  let rec loop t =
-    let stop =
-      Mutex.protect t.m (fun () ->
-          (match t.armed with
-           | Some (at, job_id, deadline_ms, t0) when Obs.Clock.now () >= at ->
-             Robust.Cancel.request
-               (Robust.Error.Deadline_exceeded
-                  { job_id;
-                    elapsed_ms = (Obs.Clock.now () -. t0) *. 1e3;
-                    deadline_ms });
-             t.armed <- None
-           | _ -> ());
-          t.stop)
-    in
-    if not stop then begin
-      Unix.sleepf t.poll_s;
-      loop t
-    end
-
-  let arm t ~job_id ~t0 ~deadline_ms =
-    Mutex.protect t.m (fun () ->
-        t.armed <- Some (t0 +. (deadline_ms /. 1e3), job_id, deadline_ms, t0);
-        if t.domain = None then
-          t.domain <- Some (Domain.spawn (fun () -> loop t)))
-
-  let disarm t = Mutex.protect t.m (fun () -> t.armed <- None)
-
-  let shutdown t =
-    Mutex.protect t.m (fun () -> t.stop <- true);
-    Option.iter Domain.join t.domain;
-    t.domain <- None
-end
-
 (* --- configuration and summary -------------------------------------------- *)
 
 type config = {
   queue_capacity : int;
   policy : Policy.t;
   flow_slots : int;
-  watchdog_poll_ms : float;
   ledger : string option;
   handle_sigterm : bool;
 }
 
 let default_config =
   { queue_capacity = 64; policy = Policy.default; flow_slots = 4;
-    watchdog_poll_ms = 2.0; ledger = None; handle_sigterm = true }
+    ledger = None; handle_sigterm = true }
 
 type summary = {
   accepted : int;
@@ -183,14 +128,15 @@ let run ?(config = default_config) ~input ~output () =
   in
   let reader = Reader.create input in
   let queue = Queue.create ~capacity:config.queue_capacity in
-  let wd = Watchdog.create ~poll_s:(config.watchdog_poll_ms /. 1e3) in
   let counts =
     { c_accepted = 0; c_rejected = 0; c_invalid = 0; c_succeeded = 0;
       c_failed = 0; c_deadline = 0; c_retries = 0; c_batches = 0 }
   in
   (* fingerprint -> (flow, base evaluation), MRU. Populated only by a
-     fully successful prepare+evaluate, so a fault- or deadline-poisoned
-     job can never cache a tainted flow for its batch mates. *)
+     fully successful prepare+evaluate that ran with no fault armed, so
+     a fault- or deadline-poisoned job can never cache a tainted flow for
+     its batch mates — not even one its fault left intact but solved by
+     another path (a stalled CG recovered on a later rung). *)
   let cache : (string * (Flow.t * Flow.evaluation)) list ref = ref [] in
   let lineno = ref 0 in
   let respond json =
@@ -276,7 +222,7 @@ let run ?(config = default_config) ~input ~output () =
     in
     go (if block then 0.25 else 0.0)
   in
-  let lookup_flow req fp =
+  let lookup_flow ~cacheable req fp =
     match List.assoc_opt fp !cache with
     | Some v ->
       Obs.Metrics.count "serve.flow_cache.hits";
@@ -287,7 +233,7 @@ let run ?(config = default_config) ~input ~output () =
       let flow = Job.prepare_flow req in
       let base = Flow.evaluate flow flow.Flow.base_placement in
       let v = (flow, base) in
-      cache := take config.flow_slots ((fp, v) :: !cache);
+      if cacheable then cache := take config.flow_slots ((fp, v) :: !cache);
       v
   in
   let execute_job (req : Job.request) =
@@ -299,19 +245,16 @@ let run ?(config = default_config) ~input ~output () =
       | None -> config.policy.Policy.max_retries
     in
     let rec attempt_loop attempt =
-      Robust.Cancel.clear ();
       (* faults model a transient poisoning of one job: armed before the
          first attempt only, so a retry runs clean *)
-      if attempt = 1 then
+      let faulted = attempt = 1 && req.Job.faults <> [] in
+      if faulted then
         List.iter
           (fun (f, n) -> Robust.Faults.arm ~times:n f)
           req.Job.faults;
-      Option.iter
-        (fun d -> Watchdog.arm wd ~job_id:req.Job.id ~t0 ~deadline_ms:d)
-        req.Job.deadline_ms;
       let res =
         match
-          let flow, base = lookup_flow req fp in
+          let flow, base = lookup_flow ~cacheable:(not faulted) req fp in
           Job.execute ~flow ~base req
         with
         | r -> Ok r
@@ -319,8 +262,6 @@ let run ?(config = default_config) ~input ~output () =
         | exception e ->
           Error (Robust.Error.Worker_failed { detail = Printexc.to_string e })
       in
-      Watchdog.disarm wd;
-      Robust.Cancel.clear ();
       if req.Job.faults <> [] then Robust.Faults.clear ();
       match res with
       | Ok r -> (Ok r, attempt)
@@ -335,7 +276,14 @@ let run ?(config = default_config) ~input ~output () =
         end
         else (Error e, attempt)
     in
-    let result, attempts = attempt_loop 1 in
+    (* the deadline spans every attempt and the backoff between them *)
+    Option.iter
+      (fun d ->
+         Robust.Cancel.arm_deadline ~job_id:req.Job.id ~t0 ~deadline_ms:d)
+      req.Job.deadline_ms;
+    let result, attempts =
+      Fun.protect ~finally:Robust.Cancel.clear (fun () -> attempt_loop 1)
+    in
     let elapsed_ms = (Obs.Clock.now () -. t0) *. 1e3 in
     Obs.Metrics.observe "serve.job.latency_ms"
       ~labels:[ ("technique", Job.technique_name req.Job.technique) ]
@@ -396,11 +344,9 @@ let run ?(config = default_config) ~input ~output () =
     end
   in
   (* a read error on the input propagates to the caller, but never with
-     the watchdog domain still running or the SIGTERM handler still
-     installed *)
+     the SIGTERM handler still installed *)
   Fun.protect
     ~finally:(fun () ->
-      Watchdog.shutdown wd;
       match prev_handler with
       | Some h -> Sys.set_signal Sys.sigterm h
       | None -> ())

@@ -7,11 +7,18 @@
     flow and its cached mesh/multigrid/blur state amortize across the
     batch, and writes one JSON response line per request to [output].
 
-    Fault isolation is the contract: each job's armed faults, watchdog
-    deadline and retry loop are scoped to that job alone. A failing,
-    timed-out or fault-poisoned job produces one structured failure
-    response and ledger record; every other job — including batch mates —
-    completes bit-identically to a run without the poisoned job. The
+    Fault isolation is the contract: each job's armed faults, deadline
+    and retry loop are scoped to that job alone. A deadline
+    (["deadline_ms"], measured from the job's start and spanning its
+    retries) is armed in {!Robust.Cancel} while the job runs: the job
+    compares the clock with it at each cooperative checkpoint (flow
+    evaluations, optimizer candidates, CG iterations, the end of a modal
+    solve) and fails with [Deadline_exceeded] at the first one past it.
+    A failing, timed-out or fault-poisoned job produces one structured
+    failure response and ledger record; every other job — including
+    batch mates — completes bit-identically to a run without the
+    poisoned job: a flow prepared while a job's faults are armed serves
+    that attempt alone and is never cached. The
     server itself exits its loop normally in both the EOF and SIGTERM
     cases; SIGTERM stops admission, drains everything already accepted,
     and is reported via [drained_on_signal]. *)
@@ -20,7 +27,6 @@ type config = {
   queue_capacity : int;       (** bounded admission queue (default 64) *)
   policy : Policy.t;          (** retry/backoff policy *)
   flow_slots : int;           (** prepared-flow MRU capacity (default 4) *)
-  watchdog_poll_ms : float;   (** deadline poll period (default 2 ms) *)
   ledger : string option;     (** per-job ledger path; [None] disables *)
   handle_sigterm : bool;      (** install the SIGTERM drain handler *)
 }
@@ -56,5 +62,4 @@ val run :
     [serve.batches], [serve.batch.size], [serve.retries],
     [serve.flow_cache.hits]/[.misses]. A read error on [input] other
     than [EINTR] (a directory, an I/O fault) is not end of input: it
-    raises [Unix.Unix_error] once the watchdog is stopped and the
-    SIGTERM handler restored. *)
+    raises [Unix.Unix_error] once the SIGTERM handler is restored. *)

@@ -4,8 +4,10 @@
    definite. For any differentiable objective f(T), the chain rule gives
    df/dP = G^-T (df/dT) = G^-1 (df/dT) — the transpose solve IS a plain
    solve because G is self-adjoint — so the full per-tile sensitivity map
-   costs exactly one extra CG solve, sharing the operator, multigrid
-   hierarchy and warm starts of the forward path.
+   costs exactly one extra solve of the same problem through
+   Mesh.solve_result: modal where that is exact (the source sits in the
+   power layer alone, so one forward transform), MG-CG on the shared
+   hierarchy with warm starts otherwise.
 
    The objective is a log-sum-exp smoothing of the active-layer peak:
 

@@ -4,8 +4,8 @@
     conductance matrix, so for a differentiable objective [f(T)] the
     sensitivity to the power map is one extra solve of the {e same}
     system: [df/dP = G^-T (df/dT)] and [G^T = G]. The adjoint solve
-    reuses the problem's operator, multigrid hierarchy and warm starts
-    via {!Mesh.with_rhs}.
+    reuses the problem's operator (and, on the MG-CG path, its multigrid
+    hierarchy and warm starts) via {!Mesh.with_rhs}.
 
     The objective is a log-sum-exp smoothing of the active-layer peak,
     [f(T) = (1/beta) log sum exp(beta T_i)]: an upper bound on the true
@@ -32,7 +32,8 @@ type t = {
   sensitivity : Geo.Grid.t;
   (** per-tile [df/d(power)] in K/W: [lambda] restricted to the power
       layer, on the die extent *)
-  cg_iterations : int;            (** iterations of the adjoint solve *)
+  cg_iterations : int;
+  (** CG iterations of the adjoint solve; [0] when it was modal *)
 }
 
 val smoothed_peak : sharpness:float -> Mesh.solution -> float
@@ -49,10 +50,13 @@ val solve_result :
     forward solve unless [?forward] supplies one already computed (the
     optimizer reuses its incumbent solution; dimensions are validated),
     then one adjoint solve of the same matrix with the objective
-    gradient as source. Both solves go through {!Mesh.solve_result} —
-    MG-CG on the problem's shared hierarchy, escalation ladder,
-    structured errors and warm-start bookkeeping included; [?x0]
-    warm-starts the adjoint iteration from a previous [lambda].
+    gradient as source. Both solves go through {!Mesh.solve_result}, so
+    they take its engine rule: the modal solve on an adiabatic-walled,
+    grounded stack with no solver fault in play (exact; [?tol] and [?x0] do not
+    apply and [cg_iterations] is [0]), MG-CG on the problem's shared
+    hierarchy otherwise — escalation ladder, structured errors and
+    warm-start bookkeeping included, with [?x0] warm-starting the
+    adjoint iteration from a previous [lambda].
     Telemetry: [thermal.adjoint.solves], [thermal.adjoint.iterations],
     [thermal.adjoint.peak_sensitivity_k_per_w] and
     [thermal.adjoint.smoothing_gap_k] in {!Obs.Metrics}, under a

@@ -3,20 +3,20 @@
     exact modal transfer: for the linear steady-state RC network the
     active-layer temperature rise is a linear function of the power map,
     and on the die's own DCT-II basis that function is diagonal. Every
-    candidate power map then costs two 2-D DCTs ({!Fft.dct2_rows})
-    instead of an iterative solve.
+    candidate power map then costs two 2-D DCTs ({!Modal.forward} and
+    {!Modal.inverse}) instead of a solve.
 
     The die walls are adiabatic ([h_side_w_m2k = 0]; {!Mesh.blur}
     refuses any other stack) and the stack's conductances are uniform
-    per layer, so each layer's lateral
-    stencil is a free-end path Laplacian per axis. The DCT-II
-    diagonalizes it exactly: mode k of an n-point path has eigenvalue
-    2 (1 - cos(pi k / n)). Each lateral mode (kx, ky) therefore decouples
-    into one small vertical system, and the transfer G(kx, ky) is the
+    per layer, so each lateral mode (kx, ky) decouples into one small
+    vertical system ({!Modal}), and the transfer G(kx, ky) is the
     power-layer response of that system ({!Mesh.blur} computes it in
-    closed form). Evaluation is T = IDCT(G * DCT(P)) on the nx x ny die
-    itself — no mirror extension, no padding — and matches full solves of
-    the discrete operator to rounding, not just to a screening tolerance.
+    closed form). The blur is the one-layer case of {!Modal}'s transform
+    pipeline, with a diagonal product where {!Modal.solve} runs one
+    tridiagonal solve per mode. Evaluation is T = IDCT(G * DCT(P)) on
+    the nx x ny die itself — no mirror extension, no padding — and
+    matches full solves of the discrete operator to rounding, not just
+    to a screening tolerance.
 
     A [t] is immutable and safe to share across pool workers; an
     evaluation allocates two nx * ny arrays plus per-batch transform

@@ -225,10 +225,9 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     while !breakdown = None && (not !converged) && !iterations < max_iter do
       incr iterations;
       (* cooperative cancellation at iteration granularity (one atomic
-         read, negligible next to the product): a deadline posted by the
-         serve watchdog aborts a solve within one iteration instead of
-         only between flow phases — an MG-preconditioned solve may take
-         fewer than twenty iterations in all *)
+         read when no deadline is armed, negligible next to the product):
+         a job past its deadline aborts a solve within one iteration
+         instead of only between flow phases *)
       Robust.Cancel.check ();
       Stencil.mul m p ap;
       let pap = dot p ap in

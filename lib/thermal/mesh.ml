@@ -11,6 +11,9 @@ type problem = {
   p_extent : Geo.Rect.t;
   p_stencil : Stencil.t;
   p_rhs : float array;
+  p_poisoned : bool;
+  (* the build consumed a Perturb_matrix fault: the fault is no longer
+     armed, so only this flag keeps the solve on the CG path it targets *)
   p_mg : Multigrid.t option ref;
   (* the multigrid hierarchy, built on first use *)
   p_blur : Blur.t option ref;
@@ -74,6 +77,14 @@ let conductances cfg ~extent =
     g_bottom = stack.Stack.h_bottom_w_m2k *. tile_area;
     g_top = stack.Stack.h_top_w_m2k *. tile_area }
 
+(* Each layer's face ground per tile: the bottom face on layer 0, the top
+   face on the last layer, both on a one-layer stack. *)
+let face_grounds c =
+  let nz = Array.length c.g_x in
+  Array.init nz (fun iz ->
+      (if iz = 0 then c.g_bottom else 0.0)
+      +. if iz = nz - 1 then c.g_top else 0.0)
+
 (* The conductance matrix as a stencil. A diagonal entry sums every
    conductance touching its node in a fixed order — below, south, west,
    east, north, above, then the bottom face, the top face and the x and
@@ -135,7 +146,7 @@ let build cfg ~power =
   Geo.Grid.iteri power ~f:(fun ~ix ~iy w ->
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
   { p_config = cfg; p_extent = extent; p_stencil = stencil; p_rhs = rhs;
-    p_mg = ref None; p_blur = ref None }
+    p_poisoned = poisoned; p_mg = ref None; p_blur = ref None }
 
 let multigrid p =
   match !(p.p_mg) with
@@ -163,9 +174,59 @@ type solution = {
   cg_rungs : string list;
 }
 
+(* Where the operator is block-diagonal on the DCT-II basis, which makes
+   the blur and the modal solve exact: adiabatic side walls (a side wall
+   grounds boundary tiles the lateral modes do not see) and a grounded
+   face (otherwise the uniform mode has no heat path). *)
+let blur_exact cfg =
+  let s = cfg.stack in
+  s.Stack.h_side_w_m2k = 0.0
+  && (s.Stack.h_top_w_m2k > 0.0 || s.Stack.h_bottom_w_m2k > 0.0)
+
+(* ||b - A x|| / ||b||, 0 for a zero right-hand side. *)
+let relative_residual stencil ~b x =
+  let ax = Array.make (Array.length b) 0.0 in
+  Stencil.mul stencil x ax;
+  let rr = ref 0.0 and bb = ref 0.0 in
+  for i = 0 to Array.length b - 1 do
+    let d = b.(i) -. ax.(i) in
+    rr := !rr +. (d *. d);
+    bb := !bb +. (b.(i) *. b.(i))
+  done;
+  if !bb = 0.0 then 0.0 else sqrt (!rr /. !bb)
+
+(* The modal solve of [p]'s system, or [None] when its measured residual
+   is not finite (a NaN or infinite source): the CG ladder then reports
+   the structured failure, as it would have without the engine. *)
+let modal_solution p =
+  Obs.Trace.with_span "thermal.modal.solve" @@ fun () ->
+  let cfg = p.p_config in
+  let c = conductances cfg ~extent:p.p_extent in
+  let temp =
+    Modal.solve ~nx:cfg.nx ~ny:cfg.ny ~face:(face_grounds c) ~g_x:c.g_x
+      ~g_y:c.g_y ~g_v:c.g_v p.p_rhs
+  in
+  Obs.Metrics.count "thermal.modal.solves";
+  let residual = relative_residual p.p_stencil ~b:p.p_rhs temp in
+  if Float.is_finite residual then
+    Some
+      { config = cfg; extent = p.p_extent; temp; cg_iterations = 0;
+        cg_residual = residual; cg_rungs = [] }
+  else None
+
+(* The modal engine solves unless a preconditioner asks for a CG
+   reference solve or a fault aimed at the solver is in play: an armed
+   [Cg_stall], or a [Perturb_matrix] this build consumed, must reach the
+   CG path it targets. The other faults do not route: [Nan_power]
+   reaches CG through the non-finite residual, and [Kill_worker] aims at
+   the pool, so a job carrying it solves as its clean batch mates do. *)
+let modal_applies ?precond p =
+  Option.is_none precond && (not p.p_poisoned) && blur_exact p.p_config
+  && not (Robust.Faults.armed Robust.Faults.Cg_stall)
+
 (* The hierarchy is built before the span opens, so a first solve bills
    it to [thermal.mg.build] beside [thermal.solve], not inside it. *)
-let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
+let cg_solution ~tol ?max_iter ?precond ?x0 p =
   let precond =
     match precond with Some pc -> pc | None -> Cg.Multigrid (multigrid p)
   in
@@ -192,6 +253,19 @@ let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
          cg_residual = outcome.Cg.residual;
          cg_rungs = esc.Cg.esc_rungs }
 
+let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
+  let modal =
+    if modal_applies ?precond p then
+      Obs.Trace.with_span "thermal.solve" (fun () -> modal_solution p)
+    else None
+  in
+  match modal with
+  | Some s ->
+    (* the deadline checkpoint CG's iterations would have passed *)
+    Robust.Cancel.check ();
+    Ok s
+  | None -> cg_solution ~tol ?max_iter ?precond ?x0 p
+
 let solve ?tol ?max_iter ?precond ?x0 p =
   match solve_result ?tol ?max_iter ?precond ?x0 p with
   | Ok s -> s
@@ -215,15 +289,8 @@ let active_layer_grid s =
    conductances in series — the layers below present
    g_v s / (g_v + s) to the next one up, s being a layer's own ground
    plus what presents to it from further below — which is the same
-   recurrence without subtracting nearly equal numbers. The transfer is
-   exact only when the walls are adiabatic (a side wall grounds boundary
-   tiles the modes do not see) and a face is grounded (otherwise the
-   uniform mode has no heat path). *)
-let blur_exact cfg =
-  let s = cfg.stack in
-  s.Stack.h_side_w_m2k = 0.0
-  && (s.Stack.h_top_w_m2k > 0.0 || s.Stack.h_bottom_w_m2k > 0.0)
-
+   recurrence without subtracting nearly equal numbers. It is defined
+   where [blur_exact] holds. *)
 let blur p =
   let cfg = p.p_config in
   match !(p.p_blur) with
@@ -236,11 +303,7 @@ let blur p =
     if not (blur_exact cfg) then
       invalid_arg "Mesh.blur: the modal transfer needs adiabatic side walls \
                    and a grounded top or bottom face";
-    let face =
-      Array.init nz (fun iz ->
-          (if iz = 0 then c.g_bottom else 0.0)
-          +. if iz = nz - 1 then c.g_top else 0.0)
-    in
+    let face = face_grounds c in
     (* the sweeps are written out so no float crosses a call *)
     let transfer ~lx ~ly =
       let below = ref 0.0 in

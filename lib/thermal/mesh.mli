@@ -28,8 +28,11 @@ val build : config -> power:Geo.Grid.t -> problem
     Fault hook: an armed {!Robust.Faults.Perturb_matrix} poisons this
     build's operator — layer 0's lateral couplings become NaN, the
     diagonal is left alone — so the solve fails through CG's breakdown
-    guards and [Checks.mesh_matrix] reports it. Derived operators
-    ({!operator}) never consume it. *)
+    guards and [Checks.mesh_matrix] reports it. The build consumes the
+    fault, so the problem remembers it: every solve of a poisoned
+    problem (and of its {!with_rhs} copies) takes the CG path, never the
+    modal engine, which would solve the unpoisoned conductances cleanly.
+    Derived operators ({!operator}) never consume it. *)
 
 val operator : config -> extent:Geo.Rect.t -> Stencil.t
 (** The fault-free conductance operator of a config on a die extent. For
@@ -52,40 +55,63 @@ val multigrid : problem -> Multigrid.t
 (** The geometric multigrid hierarchy for this problem's operator, built
     on first use and kept on the problem (and its {!with_rhs} copies).
     Coarse levels are fault-free {!operator}s of the same stack and
-    extent at halved lateral resolution. *)
+    extent at halved lateral resolution. A fault-free solve of a stack
+    where {!blur_exact} holds never builds it. *)
 
 type precond_choice = Pc_mg
-(** The one solver every flow-level solve runs: CG preconditioned by the
-    problem's {!multigrid} hierarchy, what {!solve_result} runs when no
-    [?precond] is given. Nothing in the library reads it; it is kept so
-    callers that still name the solver
+(** Nothing in the library reads it: the solver is not a choice
+    ({!solve_result}). It is kept so callers that still name it
     ([Experiment.test_set_1 ~precond:Pc_mg]) compile. *)
 
 type solution = {
   config : config;
   extent : Geo.Rect.t;
-  temp : float array;       (** node temperature rises, x-major per layer *)
-  cg_iterations : int;
+  temp : float array;
+  (** node temperature rises over every layer, x-major per layer
+      ({!node_index}) *)
+  cg_iterations : int;      (** CG iterations; [0] for a modal solve *)
   cg_residual : float;
+  (** the measured relative residual [||b - A x|| / ||b||] of [temp]
+      ([0] for a zero right-hand side), from either engine *)
   cg_rungs : string list;
   (** escalation rungs CG went through to produce this solution; [[]]
-      for a clean first-attempt convergence *)
+      for a clean first-attempt convergence and for a modal solve *)
 }
 
 val solve_result : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
   ?x0:float array -> problem -> (solution, Robust.Error.t) result
-(** Defaults: [tol] {!Cg.default_tol}, [precond] [Cg.Multigrid] over this
-    problem's {!multigrid} hierarchy (built on first use, outside the
-    [thermal.solve] span), [max_iter] / [x0] as in {!Cg.solve}. An
-    explicit [?precond] ([Cg.Jacobi], [Cg.Ssor]) is a reference solve for
-    tests. Passing [x0] warm-starts CG from a previous temperature field
-    (the optimizer seeds candidate solves with the incumbent solution).
+(** The steady-state solve. Two engines, one rule:
 
-    The solve runs through {!Cg.solve_escalating}: a first-attempt
-    failure is retried down the Jacobi / SSOR / restart ladder, a
-    recovery is logged as a warning and recorded in [cg_rungs], and only
-    when every rung fails does this return
-    [Error (Solver_diverged { rungs; _ })] with the full attempt list. *)
+    - {b Modal.} When no [?precond] is given, {!blur_exact} holds for the
+      config (adiabatic side walls, a grounded face), the operator is not
+      poisoned (see {!build}) and no {!Robust.Faults.Cg_stall} is armed
+      (the one armed fault aimed at the solve; [Kill_worker] targets the
+      pool and does not route), the solve is {!Modal.solve} on the die's
+      DCT-II basis: a 2-D DCT of each layer's right-hand side (skipped for
+      an all-zero layer), one nz x nz tridiagonal solve per lateral mode
+      and the inverse transforms, built from the same per-layer
+      conductances as the stencil and the blur. It is exact to rounding,
+      so [?tol], [?x0] and [?max_iter] do not apply to it; [cg_iterations]
+      is [0], [cg_rungs] [[]] and [cg_residual] is measured with one
+      {!Stencil.mul}. A result whose measured residual is not finite (a
+      NaN or infinite source) is handed to MG-CG, whose ladder reports
+      the structured failure. Traced as a [thermal.modal.solve] span
+      under [thermal.solve] and counted in [thermal.modal.solves]; a
+      {!Robust.Cancel.check} follows it.
+    - {b MG-CG.} Every other solve — side-walled or ungrounded stacks,
+      poisoned builds, an armed [Cg_stall], non-finite sources and
+      explicit [?precond] reference solves — is
+      preconditioned CG. Defaults: [tol] {!Cg.default_tol}, [precond]
+      [Cg.Multigrid] over this problem's {!multigrid} hierarchy (built on
+      first use, outside the [thermal.solve] span), [max_iter] / [x0] as
+      in {!Cg.solve}; [x0] warm-starts CG from a previous temperature
+      field (the optimizer's exact tier seeds candidate solves with the
+      incumbent solution). The solve runs through
+      {!Cg.solve_escalating}: a first-attempt failure is retried down the
+      Jacobi / SSOR / restart ladder, a recovery is logged as a warning
+      and recorded in [cg_rungs], and only when every rung fails does
+      this return [Error (Solver_diverged { rungs; _ })] with the full
+      attempt list. *)
 
 val solve : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
   ?x0:float array -> problem -> solution
@@ -102,11 +128,12 @@ val active_layer_grid : solution -> Geo.Grid.t
 (** The thermal map of the paper's figures: the power-injection layer. *)
 
 val blur_exact : config -> bool
-(** Whether {!blur} is defined for this config: the side walls are
-    adiabatic ([h_side_w_m2k = 0]) and the stack grounds its top or its
-    bottom face. A side wall grounds boundary tiles the lateral modes do
-    not see, and a die with neither face grounded has no heat path for
-    its uniform mode; only the exact solve handles those stacks. *)
+(** Whether the operator is block-diagonal on the die's DCT-II basis, so
+    {!blur} is defined and {!solve_result} may solve modally: the side
+    walls are adiabatic ([h_side_w_m2k = 0]) and the stack grounds its
+    top or its bottom face. A side wall grounds boundary tiles the
+    lateral modes do not see, and a die with neither face grounded has no
+    heat path for its uniform mode; only MG-CG handles those stacks. *)
 
 val blur : problem -> Blur.t
 (** The power-blurring kernel for this problem's mesh: the modal transfer

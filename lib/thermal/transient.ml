@@ -44,8 +44,8 @@ let step_response cfg ~power ?(material = default_capacitance)
   let p = Mesh.rhs problem in
   let extent = Geo.Grid.extent power in
   let iterations = ref 0 in
-  (* steady state for normalization — through the full solve path
-     (multigrid, escalation ladder) *)
+  (* steady state for normalization — through the full solve path (the
+     modal engine where it applies, MG-CG and its ladder otherwise) *)
   let steady = Mesh.solve problem in
   iterations := !iterations + steady.Mesh.cg_iterations;
   let steady_peak_k = Array.fold_left Float.max 0.0 steady.Mesh.temp in

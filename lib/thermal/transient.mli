@@ -24,8 +24,9 @@ type response = {
   steady_peak_k : float;        (** the steady-state solve's peak *)
   tau_63_s : float;             (** time to reach 63.2% of steady peak *)
   cg_iterations : int;
-  (** total CG iterations across the steady solve and every implicit
-      step — the regression guard for the preconditioned solve path *)
+  (** total CG iterations across the steady solve (0 when it was modal)
+      and every implicit step — the regression guard for the
+      preconditioned solve path *)
 }
 
 val step_response :
@@ -34,9 +35,11 @@ val step_response :
 (** Apply the power map as a step at t=0 from ambient and integrate.
     Defaults: [dt_s] 2e-6, [steps] 60 (covering ~0.12 ms).
 
-    Every solve is multigrid-preconditioned CG. The steady-state
-    normalization solve goes through {!Mesh.solve} (the problem's own
-    hierarchy and the escalation ladder). Each implicit step solves
+    The steady-state normalization solve goes through {!Mesh.solve}, so
+    it takes that solve's engine rule: modal on an adiabatic-walled,
+    grounded stack with no solver fault in play, MG-CG with the escalation
+    ladder otherwise. Each implicit step is multigrid-preconditioned CG:
+    it solves
     [(G + C/dt) T' = P + (C/dt) T] against one shifted operator for the
     whole window — [G]'s stencil with the per-layer [C/dt] added to its
     diagonal — under a dedicated hierarchy built on that operator (coarse

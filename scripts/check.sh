@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full repository gate: build everything, run the test suites and the
-# quickstart example, smoke-run the solve bench (MG-CG, the blur, the
-# adjoint, both guides and the pool) and the serve bench
+# quickstart example, smoke-run the solve bench (the modal engine and
+# MG-CG, the blur, the adjoint, both guides and the pool) and the serve
+# bench
 # and gate them against the committed bench/baselines via bench_diff
 # (wall-clock regressions, changed counts and invariant flips fail the
 # run),
@@ -77,7 +78,8 @@ for name in fig5 fig6 table1 timing congestion ablation optimizer \
 done
 # The paper's shape checks (ERI and HW above Default, monotone in
 # overhead), the steady-state justification and the solve checks (the
-# blur matches MG-CG at every size, the adjoint its central difference,
+# modal solve and the blur match MG-CG at every size, the adjoint its
+# central difference,
 # the gradient guide's peak the peak guide's, 2 domains 1, FFT parity,
 # no Bluestein transform on the screening grids) must all hold.
 if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_solve.json; then
@@ -146,9 +148,13 @@ dune exec bin/thermoplace.exe -- \
 dune exec bin/json_check.exe -- \
   "$report" schema_version config spans metrics warnings base result \
   convergence
-# The Prometheus exposition must carry typed series from the same run.
-grep -q '^# TYPE thermal_cg_iterations_count gauge$' "$prom"
-grep -q '^thermal_cg_iterations{quantile="0.5"}' "$prom"
+# The Prometheus exposition must carry typed series from the same run: a
+# histogram's quantiles and the counter of the solves that made them (a
+# fault-free flow's solves are modal and record no CG iterations).
+grep -q '^# TYPE flow_peak_rise_k gauge$' "$prom"
+grep -q '^flow_peak_rise_k{quantile="0.5"}' "$prom"
+grep -q '^# TYPE thermal_modal_solves counter$' "$prom"
+grep -q '^thermal_modal_solves [1-9]' "$prom"
 
 echo "== full-size flow smoke (scattered test set)"
 # Every other CLI smoke runs the small test set, whose netlist has no

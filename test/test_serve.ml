@@ -392,20 +392,39 @@ let test_fault_isolation () =
   Alcotest.(check string) "poisoned job failed" "failed" (outcome bad);
   Alcotest.(check int) "invariant exit class" 11 (int_field bad "exit_code");
   (* the three clean jobs' result payloads are bit-identical across runs *)
-  List.iter
-    (fun id ->
-       let result run =
-         match Obs.Json.member "result" (find_response run id) with
-         | Some j -> Obs.Json.to_string j
-         | None -> Alcotest.failf "%s has no result" id
-       in
-       Alcotest.(check string)
-         (Printf.sprintf "%s bit-identical with poisoned mate" id)
-         (result r0) (result r1))
-    [ "a1"; "a2"; "a3" ];
+  let mates_identical ~behind run =
+    List.iter
+      (fun id ->
+         let result run =
+           match Obs.Json.member "result" (find_response run id) with
+           | Some j -> Obs.Json.to_string j
+           | None -> Alcotest.failf "%s has no result" id
+         in
+         Alcotest.(check string)
+           (Printf.sprintf "%s bit-identical %s" id behind)
+           (result r0) (result run))
+      [ "a1"; "a2"; "a3" ]
+  in
+  mates_identical ~behind:"with poisoned mate" r1;
   (* all four shared one prepared flow: the fingerprints agree and the
      whole file was one batch *)
-  Alcotest.(check int) "one batch" 1 s1.Server.batches
+  Alcotest.(check int) "one batch" 1 s1.Server.batches;
+  (* a faulted job that leads the batch pays the flow-cache miss, and
+     prepares its flow while its fault is armed: a stalled CG recovered
+     on a later rung solves the base by another path, and a fault aimed
+     at the pool leaves it alone. Either way its mates get the base a
+     clean batch caches *)
+  List.iter
+    (fun fault ->
+       let s2, r2 =
+         run_server
+           (job ~extra:(Printf.sprintf {|,"faults":"%s"|} fault) "lead"
+            :: clean)
+       in
+       Alcotest.(check int) (fault ^ " leader shares the batch") 1
+         s2.Server.batches;
+       mates_identical ~behind:(Printf.sprintf "behind a %s leader" fault) r2)
+    [ "cg_stall"; "kill_worker" ]
 
 (* The guide is a run option of the optimizer, not part of the problem:
    optimize jobs that differ only in guide share one batch and one

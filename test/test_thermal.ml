@@ -433,30 +433,92 @@ let test_mesh_solve_options_threaded () =
     (fun i v -> check_float ~eps:1e-8 "ssor mesh solve" v
         ssor.Thermal.Mesh.temp.(i))
     jac.Thermal.Mesh.temp;
-  (* x0 reaches Cg: restarting from the answer converges immediately *)
+  (* x0 reaches Cg: restarting from the answer converges immediately.
+     This stack's default solve is modal, which takes no x0, so both
+     solves name the problem's MG hierarchy *)
   let prob = Thermal.Mesh.build small_cfg ~power:p in
-  let cold = Thermal.Mesh.solve prob in
-  let warm = Thermal.Mesh.solve ~x0:cold.Thermal.Mesh.temp prob in
+  let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid prob) in
+  let cold = Thermal.Mesh.solve ~precond prob in
+  let warm = Thermal.Mesh.solve ~precond ~x0:cold.Thermal.Mesh.temp prob in
+  Alcotest.(check bool) "cold mesh solve iterates" true
+    (cold.Thermal.Mesh.cg_iterations > 1);
   Alcotest.(check bool) "warm mesh solve immediate" true
     (warm.Thermal.Mesh.cg_iterations <= 1)
 
-(* Without [?precond] a mesh solve is MG-CG on the problem's own
-   hierarchy: the history ring labels it "mg" and the V-cycle histogram
-   gets its one per-solve sample. *)
-let test_mesh_default_is_mg () =
+(* Without [?precond] a mesh solve on the default (adiabatic-walled,
+   grounded) stack is modal: no CG history entry, one
+   [thermal.modal.solves], no iteration and a measured residual. A
+   side-walled stack and an armed [Cg_stall] keep MG-CG on the problem's
+   own hierarchy: the history ring labels it "mg" and the V-cycle
+   histogram gets its one per-solve sample. [Kill_worker] aims at the
+   pool, not the solve, so it leaves the solve modal. *)
+let test_mesh_default_is_modal () =
   Obs.Metrics.set_enabled true;
+  let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
+  let labels () =
+    List.map (fun h -> h.Thermal.Cg.h_label) (Thermal.Cg.recent_histories ())
+  in
+  let modal_solves () =
+    Option.value ~default:0
+      (Obs.Metrics.counter_value "thermal.modal.solves")
+  in
+  let vcycle_samples () =
+    Option.map
+      (fun h -> h.Obs.Metrics.count)
+      (Obs.Metrics.histogram "thermal.mg.solve.cycles")
+  in
   Obs.Metrics.reset ();
   Thermal.Cg.clear_histories ();
-  let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
-  ignore (Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p));
-  Alcotest.(check (list string)) "history label" [ "mg" ]
-    (List.map
-       (fun h -> h.Thermal.Cg.h_label)
-       (Thermal.Cg.recent_histories ()));
-  Alcotest.(check (option int)) "one V-cycle sample" (Some 1)
-    (Option.map
-       (fun h -> h.Obs.Metrics.count)
-       (Obs.Metrics.histogram "thermal.mg.solve.cycles"))
+  let problem = Thermal.Mesh.build small_cfg ~power:p in
+  let s = Thermal.Mesh.solve problem in
+  Alcotest.(check (list string)) "no CG history" [] (labels ());
+  Alcotest.(check int) "one modal solve" 1 (modal_solves ());
+  Alcotest.(check (option int)) "no V-cycle sample" None (vcycle_samples ());
+  Alcotest.(check int) "no CG iteration" 0 s.Thermal.Mesh.cg_iterations;
+  Alcotest.(check (list string)) "no rung" [] s.Thermal.Mesh.cg_rungs;
+  (* the residual is ||b - A x|| / ||b|| of the returned field *)
+  let b = Thermal.Mesh.rhs problem in
+  let ax = Array.make (Array.length b) 0.0 in
+  Thermal.Stencil.mul (Thermal.Mesh.stencil problem) s.Thermal.Mesh.temp ax;
+  let norm a = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 a) in
+  let measured = norm (Array.mapi (fun i v -> v -. ax.(i)) b) /. norm b in
+  check_float ~eps:1e-20 "residual is measured" measured
+    s.Thermal.Mesh.cg_residual;
+  Alcotest.(check bool)
+    (Printf.sprintf "residual %.3g in (0, 1e-10]" s.Thermal.Mesh.cg_residual)
+    true
+    (s.Thermal.Mesh.cg_residual > 0.0 && s.Thermal.Mesh.cg_residual <= 1e-10);
+  let mg_only name solve =
+    Obs.Metrics.reset ();
+    Thermal.Cg.clear_histories ();
+    ignore (solve () : Thermal.Mesh.solution);
+    Alcotest.(check (option string)) (name ^ ": history label") (Some "mg")
+      (List.nth_opt (labels ()) 0);
+    Alcotest.(check (option int)) (name ^ ": one V-cycle sample") (Some 1)
+      (vcycle_samples ());
+    Alcotest.(check int) (name ^ ": no modal solve") 0 (modal_solves ())
+  in
+  mg_only "side-walled" (fun () ->
+      let stack =
+        { small_cfg.Thermal.Mesh.stack with Thermal.Stack.h_side_w_m2k = 2e4 }
+      in
+      Thermal.Mesh.solve
+        (Thermal.Mesh.build { small_cfg with Thermal.Mesh.stack } ~power:p));
+  mg_only "armed fault" (fun () ->
+      Robust.Faults.with_fault Robust.Faults.Cg_stall (fun () ->
+          Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p)));
+  Obs.Metrics.reset ();
+  Thermal.Cg.clear_histories ();
+  let pooled =
+    Robust.Faults.with_fault Robust.Faults.Kill_worker (fun () ->
+        Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p))
+  in
+  Alcotest.(check (list string)) "armed kill_worker: no CG history" []
+    (labels ());
+  Alcotest.(check int) "armed kill_worker: one modal solve" 1
+    (modal_solves ());
+  Alcotest.(check bool) "armed kill_worker: the clean field" true
+    (pooled.Thermal.Mesh.temp = s.Thermal.Mesh.temp)
 
 (* --- dense direct solver ------------------------------------------------------ *)
 
@@ -804,11 +866,14 @@ let test_adjoint_fault_structured_error () =
 
 let test_adjoint_warm_start () =
   (* warm-starting the adjoint from a previous lambda must converge to
-     the same field *)
+     the same field in fewer iterations. Side walls keep both adjoint
+     solves on MG-CG, the path that takes x0 *)
   let nx = 8 in
-  let cfg =
-    { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
+  let stack =
+    { Thermal.Mesh.default_config.Thermal.Mesh.stack with
+      Thermal.Stack.h_side_w_m2k = 2e4 }
   in
+  let cfg = { Thermal.Mesh.nx = nx; ny = nx; stack } in
   let power = lopsided_power ~nx ~ny:nx ~total:0.05 in
   let problem = Thermal.Mesh.build cfg ~power in
   let cold = Thermal.Adjoint.solve problem in
@@ -821,9 +886,9 @@ let test_adjoint_warm_start () =
        check_float ~eps:1e-8 (Printf.sprintf "lambda %d" i) v
          warm.Thermal.Adjoint.lambda.(i))
     cold.Thermal.Adjoint.lambda;
-  Alcotest.(check bool) "warm restart converges immediately" true
+  Alcotest.(check bool) "warm restart takes fewer iterations" true
     (warm.Thermal.Adjoint.cg_iterations
-     <= cold.Thermal.Adjoint.cg_iterations)
+     < cold.Thermal.Adjoint.cg_iterations)
 
 (* --- spice export ------------------------------------------------------------ *)
 
@@ -1165,7 +1230,11 @@ let test_mg_precond_parity_and_iterations () =
   in
   let problem = Thermal.Mesh.build cfg ~power:p in
   let ssor = Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem in
-  let mg = Thermal.Mesh.solve problem in
+  let mg =
+    Thermal.Mesh.solve
+      ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
+      problem
+  in
   Alcotest.(check bool)
     (Printf.sprintf "mg iterations (%d) below ssor (%d)"
        mg.Thermal.Mesh.cg_iterations ssor.Thermal.Mesh.cg_iterations)
@@ -1260,7 +1329,11 @@ let test_mg_precond_records_vcycles () =
     Option.value ~default:0 (Obs.Metrics.counter_value "thermal.mg.cycles")
   in
   let before = cycles () in
-  let sol = Thermal.Mesh.solve problem in
+  let sol =
+    Thermal.Mesh.solve
+      ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
+      problem
+  in
   let applies = cycles () - before in
   Alcotest.(check bool) "V-cycles applied" true (applies > 0);
   match Obs.Metrics.histogram "thermal.mg.solve.cycles" with
@@ -1756,11 +1829,16 @@ let point_power sources =
 let test_blur_reproduces_impulse_response () =
   (* a 1 W delta in the middle of the die: the modal transfer is exact
      for the discrete operator, so the blurred field must match a full
-     solve to solver tolerance *)
+     solve to solver tolerance. The reference is MG-CG, which shares no
+     transform with the blur *)
   let power = point_power [ (12, 12, 1.0) ] in
   let problem = Thermal.Mesh.build blur_cfg ~power in
   let kernel = Thermal.Mesh.blur problem in
-  let exact = Thermal.Mesh.solve problem in
+  let exact =
+    Thermal.Mesh.solve
+      ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
+      problem
+  in
   let g = Thermal.Mesh.active_layer_grid exact in
   let peak = Geo.Grid.max_value g in
   let field = Thermal.Blur.field kernel ~power in
@@ -1775,11 +1853,15 @@ let test_blur_reproduces_impulse_response () =
 let test_blur_screens_composed_sources () =
   (* off-center sources, including one near a wall: boundary placement
      is the regime where naive shift-invariant blurring breaks down; the
-     exact transfer must not care *)
+     exact transfer must not care. The reference is MG-CG, as above *)
   let power = point_power [ (8, 14, 0.5); (16, 10, 0.3); (2, 4, 0.4) ] in
   let problem = Thermal.Mesh.build blur_cfg ~power in
   let kernel = Thermal.Mesh.blur problem in
-  let exact = Thermal.Mesh.solve problem in
+  let exact =
+    Thermal.Mesh.solve
+      ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
+      problem
+  in
   let g = Thermal.Mesh.active_layer_grid exact in
   let peak = Geo.Grid.max_value g in
   let field = Thermal.Blur.field kernel ~power in
@@ -1919,8 +2001,9 @@ let dense_solve_refined m b ~ground =
 (* Random adiabatic stacks against the dense oracle: 1-6 layers of
    1-20 um at 0.5-400 W/(m K), each face sink off or 1e2-1e6 (at least
    one on), odd and prime grid sizes, random extent and power. The modal
-   transfer is exact for the discrete operator, so the blurred active
-   layer must match the direct solve to rounding. *)
+   transfer and the modal solve are exact for the discrete operator, so
+   the blurred active layer and the default solve's field on every layer
+   must match the direct solve to rounding. *)
 let prop_blur_matches_dense =
   QCheck.Test.make ~name:"Blur.field matches dense Cholesky on random stacks"
     ~count:150
@@ -1986,6 +2069,22 @@ let prop_blur_matches_dense =
        if !err > 1e-12 *. !peak then
          QCheck.Test.fail_reportf "nz=%d %dx%d: |blur - dense| = %.2e vs %.2e"
            nz nx ny !err !peak;
+       let solved = Thermal.Mesh.solve problem in
+       if solved.Thermal.Mesh.cg_iterations <> 0 then
+         QCheck.Test.fail_reportf "nz=%d %dx%d: the default solve ran CG"
+           nz nx ny;
+       let peak = Array.fold_left (fun m d -> Float.max m (Float.abs d)) 0.0
+           direct in
+       let err = ref 0.0 in
+       Array.iteri
+         (fun i d ->
+            err :=
+              Float.max !err (Float.abs (solved.Thermal.Mesh.temp.(i) -. d)))
+         direct;
+       if !err > 1e-12 *. peak then
+         QCheck.Test.fail_reportf
+           "nz=%d %dx%d: |Mesh.solve - dense| = %.2e vs %.2e" nz nx ny !err
+           peak;
        true)
 
 let () =
@@ -2030,8 +2129,8 @@ let () =
          Alcotest.test_case "1-D analytic" `Quick test_mesh_1d_analytic;
          Alcotest.test_case "solver options threaded" `Quick
            test_mesh_solve_options_threaded;
-         Alcotest.test_case "default solve is MG-CG" `Quick
-           test_mesh_default_is_mg ]);
+         Alcotest.test_case "default solve is modal" `Quick
+           test_mesh_default_is_modal ]);
       ("dense",
        [ Alcotest.test_case "matches cg" `Quick test_dense_matches_cg;
          Alcotest.test_case "cross-checks mesh" `Quick
