@@ -136,12 +136,12 @@ let flow_power_map t pl =
     Geo.Grid.set map ~ix:0 ~iy:0 Float.nan;
   map
 
-let solve_power_result ?mesh_config ?tol ?x0 t power =
+let solve_power_result ?mesh_config t power =
   let cfg = Option.value mesh_config ~default:t.mesh_config in
-  Thermal.Mesh.solve_result ?tol ?x0 (Thermal.Mesh.build cfg ~power)
+  Thermal.Mesh.solve_result (Thermal.Mesh.build cfg ~power)
 
-let solve_power ?mesh_config ?tol ?x0 t power =
-  match solve_power_result ?mesh_config ?tol ?x0 t power with
+let solve_power ?mesh_config t power =
+  match solve_power_result ?mesh_config t power with
   | Ok s -> s
   | Error e -> Robust.Error.raise_ e
 

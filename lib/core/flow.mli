@@ -12,7 +12,7 @@
 type screen_choice = Screen_auto
 (** Nothing reads this type. Pricing is not a choice: the optimizer
     prices candidates by the exact modal blur where it is defined and by
-    MG-CG solves otherwise ({!Optimizer.greedy_rows}). It survives, with
+    thermal solves otherwise ({!Optimizer.greedy_rows}). It survives, with
     {!Experiment.test_set_1}'s ignored [?screen], only for callers that
     still name [Screen_auto]. *)
 
@@ -105,17 +105,16 @@ type evaluation = {
 }
 
 val solve_power_result :
-  ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
-  t -> Geo.Grid.t -> (Thermal.Mesh.solution, Robust.Error.t) result
+  ?mesh_config:Thermal.Mesh.config -> t -> Geo.Grid.t ->
+  (Thermal.Mesh.solution, Robust.Error.t) result
 (** Build the mesh for a W-per-tile power map and solve it
     ({!Thermal.Mesh.solve_result}: modal where that is exact, MG-CG
     otherwise). [mesh_config] overrides the flow's mesh (the optimizer
-    ranks on its own grid); [tol] and [x0] are as in
-    {!Thermal.Mesh.solve_result}, which applies them to MG-CG alone. *)
+    ranks on its own grid). *)
 
 val solve_power :
-  ?mesh_config:Thermal.Mesh.config -> ?tol:float -> ?x0:float array ->
-  t -> Geo.Grid.t -> Thermal.Mesh.solution
+  ?mesh_config:Thermal.Mesh.config -> t -> Geo.Grid.t ->
+  Thermal.Mesh.solution
 (** {!solve_power_result}, raising [Robust.Error.Error] on failure. *)
 
 val evaluate_result : t -> Place.Placement.t ->

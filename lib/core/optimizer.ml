@@ -10,13 +10,6 @@ type result = {
 let coarse_config flow ~nx =
   { flow.Flow.mesh_config with Thermal.Mesh.nx; ny = nx }
 
-(* Candidate *ranking* only has to separate peaks that differ by
-   millikelvins, so trial solves stop at 1e-6 relative (inexact
-   evaluation); the chosen plan is re-scored at full tolerance before it
-   is reported. CG convergence is roughly linear in requested digits, so
-   this alone saves ~40% of the ranking iterations. *)
-let rank_tol = 1e-6
-
 (* Projected-gradient iterations of the gradient guide's allocation. *)
 let prepass_steps = 8
 
@@ -37,16 +30,13 @@ let trial_pricer flow ~nx =
                after)
       ~ny:nx
 
-(* One candidate evaluation, warm-started from the incumbent temperature
-   field [x0]. All trial placements share the die extent (same number of
-   inserted rows), so every solve in a round starts from a good point —
-   most of the optimizer's speedup lives here. *)
-let eval_trial flow ~power ~nx ~x0 ~tol =
+(* One trial map's solve on the ranking grid, and its peak. *)
+let eval_trial flow ~power ~nx =
   (* cancellation point: candidate solves run at millisecond granularity,
      so a job past its deadline aborts here *)
   Robust.Cancel.check ();
   let solution =
-    Flow.solve_power ~mesh_config:(coarse_config flow ~nx) ~tol ?x0 flow power
+    Flow.solve_power ~mesh_config:(coarse_config flow ~nx) flow power
   in
   let peak =
     (Thermal.Metrics.of_map (Thermal.Mesh.active_layer_grid solution))
@@ -60,10 +50,10 @@ let evaluate_plan flow ~after ~nx =
     Power.Map.power_map r.Technique.eri_placement
       ~per_cell_w:flow.Flow.per_cell_w ~nx ~ny:nx
   in
-  fst (eval_trial flow ~power ~nx ~x0:None ~tol:Thermal.Cg.default_tol)
+  fst (eval_trial flow ~power ~nx)
 
 (* Pricing is not a choice: the blur prices every candidate wherever it
-   is exact, and warm-started solves price them everywhere else. The blur
+   is exact, and solves price them everywhere else. The blur
    is computed from the stack alone, never from the (possibly
    fault-injected) solve path, and then trusted for every candidate, so
    any armed fault — whichever stage it targets — takes the solves:
@@ -96,27 +86,12 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
      [Technique.apply_row_insertions] *)
   let rev_plan = ref [] in
   let remaining = ref rows in
-  (* exact tier: the incumbent plan's temperature field, which warm-starts
-     every candidate solve of the next round *)
-  let warm = ref None in
-  if not screen then begin
-    let _, sol0 =
-      eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
-        ~tol:rank_tol
-    in
-    incr evaluations;
-    warm := Some sol0.Thermal.Mesh.temp
-  end;
   while !remaining > 0 do
     let step = min chunk !remaining in
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
     in
-    (* candidate trials are independent: price them on the pool. The
-       list order is preserved, and selection below walks it sequentially
-       (strict improvement wins, first wins ties), so parallel and
-       sequential runs pick identical plans. *)
-    let priced =
+    let price =
       if screen then begin
         (* every trial in this round shares (config, extent), so the
            transfer of the first candidate's mesh serves all of them *)
@@ -126,42 +101,36 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
                ~power:(trial_power (trial_of (List.hd candidates))))
         in
         blur_evaluations := !blur_evaluations + num_cands;
-        Parallel.Pool.map_list candidates ~f:(fun cand ->
-            (Thermal.Blur.peak kernel ~power:(trial_power (trial_of cand)),
-             None))
+        fun power -> Thermal.Blur.peak kernel ~power
       end
       else begin
         evaluations := !evaluations + num_cands;
-        Parallel.Pool.map_list candidates ~f:(fun cand ->
-            let peak, sol =
-              eval_trial flow ~power:(trial_power (trial_of cand))
-                ~nx:coarse_nx ~x0:!warm ~tol:rank_tol
-            in
-            (peak, Some sol.Thermal.Mesh.temp))
+        fun power -> fst (eval_trial flow ~power ~nx:coarse_nx)
       end
+    in
+    (* candidate trials are independent: price them on the pool. The
+       list order is preserved, and selection below walks it sequentially
+       (strict improvement wins, first wins ties), so parallel and
+       sequential runs pick identical plans. *)
+    let priced =
+      Parallel.Pool.map_list candidates ~f:(fun cand ->
+          price (trial_power (trial_of cand)))
     in
     let best = ref None in
     List.iter2
-      (fun cand (peak, temp) ->
+      (fun cand peak ->
          match !best with
-         | Some (_, best_peak, _) when best_peak <= peak -> ()
-         | _ -> best := Some (cand, peak, temp))
+         | Some (_, best_peak) when best_peak <= peak -> ()
+         | _ -> best := Some (cand, peak))
       candidates priced;
-    (match !best with
-     | Some (cand, _, temp) ->
-       rev_plan := trial_of cand;
-       warm := temp
-     | None -> assert false);
+    rev_plan := trial_of (fst (Option.get !best));
     remaining := !remaining - step
   done;
   let plan_list = List.rev !rev_plan in
   let final = Technique.apply_row_insertions base plan_list in
-  (* re-score the committed plan cold at full tolerance: the same solve
-     under either tier, so equal plans report bit-identical peaks *)
-  let peak, _ =
-    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx ~x0:None
-      ~tol:Thermal.Cg.default_tol
-  in
+  (* re-score the committed plan: the same solve under either tier, so
+     equal plans report bit-identical peaks *)
+  let peak, _ = eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx in
   incr evaluations;
   { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
     blur_evaluations = !blur_evaluations; adjoint_evaluations = 0 }
@@ -174,7 +143,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
    f(P) ~ f(P_inc) + <lambda, P - P_inc>. The incumbent term is common
    to all candidates of a round, so ranking by <lambda, P_c> needs no
    per-candidate solve at all — only the committed chunk is confirmed
-   with one exact (rank-tolerance) re-solve. *)
+   with one exact solve. *)
 
 (* <sensitivity, power>: the candidate's first-order objective up to the
    round-constant incumbent term. Both grids live on the coarse
@@ -273,28 +242,19 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
   let remaining = ref rows in
   let cfg = coarse_config flow ~nx:coarse_nx in
   let trial_power = trial_pricer flow ~nx:coarse_nx in
-  (* the incumbent's rank-tolerance solution doubles as the adjoint's
-     forward input and the warm start of the next round's confirmation *)
-  let _, sol0 =
-    eval_trial flow ~power:(trial_power []) ~nx:coarse_nx ~x0:None
-      ~tol:rank_tol
-  in
+  (* the incumbent's solution is the adjoint's forward input; the last
+     confirmation's peak is the committed plan's *)
+  let peak0, sol0 = eval_trial flow ~power:(trial_power []) ~nx:coarse_nx in
   incr evaluations;
   let incumbent = ref sol0 in
-  (* warm-start the adjoint iteration from the previous round's lambda:
-     the softmax source drifts slowly between nearby plans *)
-  let lambda = ref None in
+  let peak = ref peak0 in
   while !remaining > 0 do
     Robust.Cancel.check ();
     let step = min chunk !remaining in
     let inc_power = trial_power !rev_plan in
     let problem = Thermal.Mesh.build cfg ~power:inc_power in
-    let adj =
-      Thermal.Adjoint.solve ~tol:rank_tol ?x0:!lambda ~forward:!incumbent
-        problem
-    in
+    let adj = Thermal.Adjoint.solve ~forward:!incumbent problem in
     incr adjoint_evaluations;
-    lambda := Some adj.Thermal.Adjoint.lambda;
     let sens = adj.Thermal.Adjoint.sensitivity in
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
@@ -313,24 +273,17 @@ let gradient_rows flow ~rows ~chunk ~stride ~coarse_nx =
            rev_plan :=
              List.rev_append (List.init n (fun _ -> candidates.(i))) !rev_plan)
       counts;
-    (* confirm the committed chunk with one exact (rank-tolerance) solve,
-       warm-started from the incumbent field *)
-    let _, sol =
+    (* confirm the committed chunk with one exact solve *)
+    let p, sol =
       eval_trial flow ~power:(trial_power !rev_plan) ~nx:coarse_nx
-        ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:rank_tol
     in
     incr evaluations;
     incumbent := sol;
+    peak := p;
     remaining := !remaining - step
   done;
-  let plan_list = List.rev !rev_plan in
-  let final = Technique.apply_row_insertions base plan_list in
-  let peak, _ =
-    eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx
-      ~x0:(Some (!incumbent).Thermal.Mesh.temp) ~tol:Thermal.Cg.default_tol
-  in
-  incr evaluations;
-  { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
+  let final = Technique.apply_row_insertions base (List.rev !rev_plan) in
+  { plan = final; predicted_peak_k = !peak; evaluations = !evaluations;
     blur_evaluations = 0; adjoint_evaluations = !adjoint_evaluations }
 
 let greedy_rows flow ~rows ?(guide = Flow.Guide_peak) ?(chunk = 4)

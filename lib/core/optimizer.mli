@@ -5,10 +5,10 @@
 
     The optimizer spends an empty-row budget one chunk at a time: each round
     prices every candidate insertion position on a coarse mesh, by the
-    exact modal blur (no solve) where it is defined, by a warm-started
-    thermal solve where it is not, or by the gradient guide's one adjoint
-    solve (see {!greedy_rows}), and commits the chunk with the lowest
-    predicted peak.
+    exact modal blur (no solve) where it is defined, by a thermal solve
+    where it is not, or by the gradient guide's one adjoint solve (see
+    {!greedy_rows}), and commits the chunk with the lowest predicted
+    peak.
     Each trial's power map is built from the base placement's row profiles
     ({!Power.Map.of_row_profile}), binned once per run; only the committed
     plan becomes a placement. This is slower than plain ERI but needs no
@@ -19,8 +19,9 @@ type result = {
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
   (** exact thermal solves spent: the final re-score alone when every
-      candidate was blurred; otherwise also the initial seed and the
-      candidate (or gradient-guide confirmation) solves *)
+      candidate was blurred, plus the candidate solves when they were
+      solved; under the gradient guide the incumbent's seed solve and one
+      confirmation per round *)
   blur_evaluations : int;
   (** candidates priced by the blur; 0 when the exact tier ran *)
   adjoint_evaluations : int;
@@ -51,16 +52,15 @@ val greedy_rows :
     {!Thermal.Blur.peak}: the exact active-layer peak of its trial power
     map, with no solve. Otherwise (a side-walled stack, no grounded
     face, or an armed fault, which must reach the solve path it
-    targets) every candidate gets an MG-CG solve at a 1e-6 ranking
-    tolerance, warm-started from the incumbent plan's temperature field
-    (one seed solve before the first round). Candidates within a round
-    are priced concurrently on the {!Parallel.Pool}, and selection walks
-    them in their fixed order with a strict-improvement tie-break, so
-    the chosen plan is identical for any pool size (including
-    sequential). Both tiers end with the same single cold
-    full-tolerance solve of the committed plan, so [predicted_peak_k] is
-    a solve result. A run spends [1] exact solve with the blur and
-    [2 + rounds * candidates] without it.
+    targets) every candidate gets a thermal solve
+    ({!Flow.solve_power}). Each round picks one of the two prices and
+    runs one selection walk: candidates are priced concurrently on the
+    {!Parallel.Pool}, and selection walks them in their fixed order with
+    a strict-improvement tie-break, so the chosen plan is identical for
+    any pool size (including sequential). Both tiers end with the same
+    single solve of the committed plan, so [predicted_peak_k] is a solve
+    result. A run spends [1] exact solve with the blur and
+    [rounds * candidates + 1] without it.
 
     Under {!Flow.Guide_gradient} the per-candidate pricing disappears
     entirely: each round runs one adjoint sensitivity
@@ -70,9 +70,10 @@ val greedy_rows :
     the candidate's first-order peak up to a round-constant), allocates
     the chunk across candidates with an 8-step continuous
     projected-gradient pre-pass rounded by largest remainder, and
-    confirms the committed chunk with a single exact warm-started solve.
-    A run spends [rounds + 2] exact solves (seed and final re-score)
-    plus [rounds] adjoint solves, on any stack; selection remains
+    confirms the committed chunk with a single exact solve; the last
+    confirmation's peak is [predicted_peak_k]. A run spends
+    [rounds + 1] exact solves (the incumbent's seed solve and one per
+    round) plus [rounds] adjoint solves, on any stack; selection remains
     deterministic for any pool size. *)
 
 val evaluate_plan : Flow.t -> after:int list -> nx:int -> float

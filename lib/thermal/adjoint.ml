@@ -7,7 +7,7 @@
    costs exactly one extra solve of the same problem through
    Mesh.solve_result: modal where that is exact (the source sits in the
    power layer alone, so one forward transform), MG-CG on the shared
-   hierarchy with warm starts otherwise.
+   hierarchy otherwise.
 
    The objective is a log-sum-exp smoothing of the active-layer peak:
 
@@ -30,10 +30,9 @@ type t = {
   cg_iterations : int;
 }
 
-(* Stabilized log-sum-exp over the active layer of a solution's field. *)
-let smoothed_peak ~sharpness (s : Mesh.solution) =
-  if not (Float.is_finite sharpness) || sharpness <= 0.0 then
-    invalid_arg "Adjoint.smoothed_peak: sharpness must be positive";
+(* The stabilized log-sum-exp's two passes over the active layer of a
+   solution's field: its peak [tmax] and sum_i exp(beta (T_i - tmax)). *)
+let peak_and_exp_sum ~sharpness (s : Mesh.solution) =
   let cfg = s.Mesh.config in
   let zp = cfg.Mesh.stack.Stack.power_layer in
   let tmax = ref neg_infinity in
@@ -50,13 +49,20 @@ let smoothed_peak ~sharpness (s : Mesh.solution) =
       sum := !sum +. exp (sharpness *. (v -. !tmax))
     done
   done;
-  !tmax +. (log !sum /. sharpness)
+  (!tmax, !sum)
 
-let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
-    ?x0 ?forward p =
-  Obs.Trace.with_span "thermal.adjoint.solve" @@ fun () ->
+let check_sharpness ~fn sharpness =
   if not (Float.is_finite sharpness) || sharpness <= 0.0 then
-    invalid_arg "Adjoint.solve: sharpness must be positive";
+    invalid_arg (fn ^ ": sharpness must be positive")
+
+let smoothed_peak ~sharpness s =
+  check_sharpness ~fn:"Adjoint.smoothed_peak" sharpness;
+  let tmax, sum = peak_and_exp_sum ~sharpness s in
+  tmax +. (log sum /. sharpness)
+
+let solve_result ?(sharpness = default_sharpness) ?forward p =
+  Obs.Trace.with_span "thermal.adjoint.solve" @@ fun () ->
+  check_sharpness ~fn:"Adjoint.solve" sharpness;
   let n = Array.length (Mesh.rhs p) in
   let fwd =
     match forward with
@@ -64,28 +70,15 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
       if Array.length s.Mesh.temp <> n then
         invalid_arg "Adjoint.solve: forward solution does not match problem";
       Ok s
-    | None -> Mesh.solve_result ~tol p
+    | None -> Mesh.solve_result p
   in
   match fwd with
   | Error e -> Error e
   | Ok fwd ->
     let cfg = Mesh.config p in
     let zp = cfg.Mesh.stack.Stack.power_layer in
-    let peak_rise_k = ref neg_infinity in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        let v = fwd.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-        if v > !peak_rise_k then peak_rise_k := v
-      done
-    done;
-    let sum = ref 0.0 in
-    for iy = 0 to cfg.Mesh.ny - 1 do
-      for ix = 0 to cfg.Mesh.nx - 1 do
-        let v = fwd.Mesh.temp.(Mesh.node_index cfg ~ix ~iy ~iz:zp) in
-        sum := !sum +. exp (sharpness *. (v -. !peak_rise_k))
-      done
-    done;
-    let smoothed_peak_k = !peak_rise_k +. (log !sum /. sharpness) in
+    let peak_rise_k, sum = peak_and_exp_sum ~sharpness fwd in
+    let smoothed_peak_k = peak_rise_k +. (log sum /. sharpness) in
     (* adjoint source: df/dT = softmax weights on the active layer, zero
        on every other node *)
     let rhs = Array.make n 0.0 in
@@ -93,10 +86,10 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
       for ix = 0 to cfg.Mesh.nx - 1 do
         let node = Mesh.node_index cfg ~ix ~iy ~iz:zp in
         rhs.(node) <-
-          exp (sharpness *. (fwd.Mesh.temp.(node) -. !peak_rise_k)) /. !sum
+          exp (sharpness *. (fwd.Mesh.temp.(node) -. peak_rise_k)) /. sum
       done
     done;
-    (match Mesh.solve_result ~tol ?x0 (Mesh.with_rhs p rhs) with
+    (match Mesh.solve_result (Mesh.with_rhs p rhs) with
      | Error e -> Error e
      | Ok adj ->
        (* power enters the rhs with unit coefficient at the power-layer
@@ -109,13 +102,13 @@ let solve_result ?(tol = Cg.default_tol) ?(sharpness = default_sharpness)
        Obs.Metrics.observe "thermal.adjoint.peak_sensitivity_k_per_w"
          (Geo.Grid.max_value sensitivity);
        Obs.Metrics.observe "thermal.adjoint.smoothing_gap_k"
-         (smoothed_peak_k -. !peak_rise_k);
+         (smoothed_peak_k -. peak_rise_k);
        Ok
-         { forward = fwd; sharpness; peak_rise_k = !peak_rise_k;
+         { forward = fwd; sharpness; peak_rise_k;
            smoothed_peak_k; lambda = adj.Mesh.temp; sensitivity;
            cg_iterations = adj.Mesh.cg_iterations })
 
-let solve ?tol ?sharpness ?x0 ?forward p =
-  match solve_result ?tol ?sharpness ?x0 ?forward p with
+let solve ?sharpness ?forward p =
+  match solve_result ?sharpness ?forward p with
   | Ok a -> a
   | Error e -> Robust.Error.raise_ e

@@ -5,7 +5,7 @@
     sensitivity to the power map is one extra solve of the {e same}
     system: [df/dP = G^-T (df/dT)] and [G^T = G]. The adjoint solve
     reuses the problem's operator (and, on the MG-CG path, its multigrid
-    hierarchy and warm starts) via {!Mesh.with_rhs}.
+    hierarchy) via {!Mesh.with_rhs}.
 
     The objective is a log-sum-exp smoothing of the active-layer peak,
     [f(T) = (1/beta) log sum exp(beta T_i)]: an upper bound on the true
@@ -26,9 +26,7 @@ type t = {
   sharpness : float;              (** beta actually used, 1/K *)
   peak_rise_k : float;            (** true active-layer peak of [forward] *)
   smoothed_peak_k : float;        (** f(T) — peak plus the smoothing gap *)
-  lambda : float array;
-  (** full adjoint field over every mesh node; pass as [?x0] to
-      warm-start the next adjoint solve of a nearby problem *)
+  lambda : float array;  (** full adjoint field over every mesh node *)
   sensitivity : Geo.Grid.t;
   (** per-tile [df/d(power)] in K/W: [lambda] restricted to the power
       layer, on the die extent *)
@@ -43,8 +41,7 @@ val smoothed_peak : sharpness:float -> Mesh.solution -> float
     differentiates. Raises [Invalid_argument] unless [sharpness > 0]. *)
 
 val solve_result :
-  ?tol:float -> ?sharpness:float -> ?x0:float array ->
-  ?forward:Mesh.solution -> Mesh.problem ->
+  ?sharpness:float -> ?forward:Mesh.solution -> Mesh.problem ->
   (t, Robust.Error.t) result
 (** Differentiate the smoothed peak of [problem]'s solution. Runs the
     forward solve unless [?forward] supplies one already computed (the
@@ -52,11 +49,9 @@ val solve_result :
     then one adjoint solve of the same matrix with the objective
     gradient as source. Both solves go through {!Mesh.solve_result}, so
     they take its engine rule: the modal solve on an adiabatic-walled,
-    grounded stack with no solver fault in play (exact; [?tol] and [?x0] do not
-    apply and [cg_iterations] is [0]), MG-CG on the problem's shared
-    hierarchy otherwise — escalation ladder, structured errors and
-    warm-start bookkeeping included, with [?x0] warm-starting the
-    adjoint iteration from a previous [lambda].
+    grounded stack with no solver fault in play (exact; [cg_iterations]
+    is [0]), MG-CG on the problem's shared hierarchy otherwise, with its
+    escalation ladder and structured errors.
     Telemetry: [thermal.adjoint.solves], [thermal.adjoint.iterations],
     [thermal.adjoint.peak_sensitivity_k_per_w] and
     [thermal.adjoint.smoothing_gap_k] in {!Obs.Metrics}, under a
@@ -66,6 +61,5 @@ val solve_result :
     mismatched [?forward]. *)
 
 val solve :
-  ?tol:float -> ?sharpness:float -> ?x0:float array ->
-  ?forward:Mesh.solution -> Mesh.problem -> t
+  ?sharpness:float -> ?forward:Mesh.solution -> Mesh.problem -> t
 (** {!solve_result}, raising [Robust.Error.Error] on solver failure. *)

@@ -18,7 +18,7 @@ let default_tol = 1e-10
    history lands in a small process-global ring. The ring is what the CLI
    report's "convergence" section and the tests read: the last
    [history_ring_capacity] solves, escalation rungs included, each tagged
-   with its preconditioner label and warm/cold start. *)
+   with its preconditioner label. *)
 
 let residual_log_capacity = 256
 
@@ -51,7 +51,6 @@ let log_push l r =
 
 type history = {
   h_label : string;        (* preconditioner / escalation-rung tag *)
-  h_warm : bool;
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -89,7 +88,6 @@ let clear_histories () =
 let history_json h =
   Obs.Json.Obj
     [ ("label", Obs.Json.String h.h_label);
-      ("warm_start", Obs.Json.Bool h.h_warm);
       ("iterations", Obs.Json.Int h.h_iterations);
       ("converged", Obs.Json.Bool h.h_converged);
       ("breakdown",
@@ -147,17 +145,16 @@ let record outcome =
 (* Breakdown detection: CG on an SPD system has pAp > 0 and rho > 0 at
    every step. A non-positive or non-finite curvature / rho means the
    system is not SPD (operator bug, injected perturbation) or arithmetic
-   has degenerated — dividing through would fill [x] with NaN/Inf and
-   poison every later warm start, so we stop *before* the division and
-   report [converged = false] with a breakdown reason. A residual that
-   stops improving (or explodes) for [stall_window] iterations is cut
-   off the same way. *)
+   has degenerated — dividing through would fill [x] with NaN/Inf, so we
+   stop *before* the division and report [converged = false] with a
+   breakdown reason. A residual that stops improving (or explodes) for
+   [stall_window] iterations is cut off the same way. *)
 let stall_window = 200
 let divergence_factor = 1e8
 
 (* [applies] counts preconditioner applications; under [Multigrid] each
    is one V-cycle. *)
-let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
+let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
   let rlog = log_create () in
   let n = Stencil.dim m in
   if Array.length b <> n then invalid_arg "Cg.solve: rhs dimension mismatch";
@@ -177,8 +174,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     diag;
   if Robust.Faults.consume Robust.Faults.Cg_stall then
     (* injected non-convergence: report failure with an untouched iterate *)
-    ({ x = (match x0 with Some v -> Array.copy v | None -> Array.make n 0.0);
-       iterations = 0; residual = 1.0; converged = false;
+    ({ x = Array.make n 0.0; iterations = 0; residual = 1.0; converged = false;
        breakdown = Some "injected: cg_stall" },
      rlog)
   else begin
@@ -195,15 +191,9 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
     | Ssor omega -> Stencil.ssor_apply m ~diag ~omega r z
     | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
   in
-  let x = match x0 with
-    | Some v ->
-      if Array.length v <> n then invalid_arg "Cg.solve: x0 mismatch";
-      Array.copy v
-    | None -> Array.make n 0.0
-  in
-  let r = Array.make n 0.0 in
-  Stencil.mul m x r;
-  for i = 0 to n - 1 do r.(i) <- b.(i) -. r.(i) done;
+  (* from the zero start, so the first residual is [b] itself *)
+  let x = Array.make n 0.0 in
+  let r = Array.copy b in
   let bnorm = norm b in
   if bnorm = 0.0 then
     ({ x = Array.make n 0.0; iterations = 0; residual = 0.0;
@@ -287,9 +277,7 @@ let solve_raw m ~b ~tol ?max_iter ?x0 ?(precond = Jacobi) ~applies () =
       if not (Float.is_finite x.(i)) then finite := false
     done;
     if not !finite then begin
-      (match x0 with
-       | Some v -> Array.blit v 0 x 0 n
-       | None -> Array.fill x 0 n 0.0);
+      Array.fill x 0 n 0.0;
       converged := false;
       if !breakdown = None then breakdown := Some "non-finite iterate"
     end;
@@ -311,14 +299,14 @@ let precond_label = function
   | Some (Ssor _) -> "ssor"
   | Some (Multigrid _) -> "mg"
 
-let solve m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond ?label () =
+let solve m ~b ?(tol = default_tol) ?max_iter ?precond ?label () =
   Obs.Trace.with_span "thermal.cg.solve" (fun () ->
       let label =
         match label with Some l -> l | None -> precond_label precond
       in
       let applies = ref 0 in
       let out, rlog =
-        solve_raw m ~b ~tol ?max_iter ?x0 ?precond ~applies ()
+        solve_raw m ~b ~tol ?max_iter ?precond ~applies ()
       in
       let out = record out in
       (* one V-cycle-count sample per MG-preconditioned solve *)
@@ -327,9 +315,9 @@ let solve m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond ?label () =
          Obs.Metrics.observe "thermal.mg.solve.cycles" (float_of_int !applies)
        | _ -> ());
       push_history
-        { h_label = label; h_warm = Option.is_some x0;
-          h_iterations = out.iterations; h_converged = out.converged;
-          h_breakdown = out.breakdown; h_stride = rlog.rl_stride;
+        { h_label = label; h_iterations = out.iterations;
+          h_converged = out.converged; h_breakdown = out.breakdown;
+          h_stride = rlog.rl_stride;
           h_residuals = Array.sub rlog.rl_buf 0 rlog.rl_len };
       (* residual-trajectory metrics: initial and final relative residual
          plus the geometric per-iteration reduction rate, so sweeps can
@@ -344,14 +332,6 @@ let solve m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond ?label () =
       end;
       Obs.Trace.add_metric "cg.iterations" (float_of_int out.iterations);
       Obs.Trace.add_metric "cg.residual" out.residual;
-      (* Warm-start savings are measured against cold solves of the same
-         system (Mesh tracks the pairing); here we just split the
-         iteration histogram by start kind. *)
-      let key =
-        if Option.is_none x0 then "thermal.cg.cold.iterations"
-        else "thermal.cg.warm.iterations"
-      in
-      Obs.Metrics.observe key (float_of_int out.iterations);
       out)
 
 type status = Clean | Recovered of string | Degraded
@@ -370,25 +350,22 @@ type escalation = {
                 preconditioner shrinks the iteration count on the mesh
                 stencil and sidesteps Jacobi-specific stagnation;
      restart  — cold Jacobi with a quadrupled budget, the last resort
-                for slow-but-sound systems.
-   Each rung starts from a fresh x0: a warm start that led the first
-   attempt into breakdown must not steer the retries too. *)
-let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?x0 ?precond () =
+                for slow-but-sound systems. *)
+let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?precond () =
   let n = Stencil.dim m in
   let base_iter = match max_iter with Some k -> k | None -> 4 * n in
-  let first = solve m ~b ~tol ~max_iter:base_iter ?x0 ?precond () in
+  let first = solve m ~b ~tol ~max_iter:base_iter ?precond () in
   if first.converged then
     { esc_outcome = first; esc_status = Clean; esc_rungs = [] }
   else begin
     Obs.Metrics.count "thermal.cg.escalations";
-    let requested_jacobi_cold =
-      (match precond with
-       | None | Some Jacobi -> true
-       | Some (Ssor _ | Multigrid _) -> false)
-      && Option.is_none x0
+    let requested_jacobi =
+      match precond with
+      | None | Some Jacobi -> true
+      | Some (Ssor _ | Multigrid _) -> false
     in
     let rungs =
-      (if requested_jacobi_cold then []
+      (if requested_jacobi then []
        else
          [ ("jacobi",
             fun () ->

@@ -15,7 +15,7 @@ type outcome = {
       SPD), a vanishing or non-finite rho, a non-finite residual, or a
       residual that stagnated/diverged for a long window. The guard
       fires {e before} the offending division, so [x] is always finite:
-      either the best iterate reached or the untouched start vector. *)
+      either the best iterate reached or the zero start vector. *)
 }
 
 type precond =
@@ -50,7 +50,6 @@ type history = {
   h_label : string;
   (** preconditioner ("jacobi" / "ssor" / "mg"), an escalation rung
       ("esc:jacobi", ...) or a caller-supplied [?label] *)
-  h_warm : bool;           (** was an [x0] supplied? *)
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -71,33 +70,30 @@ val clear_histories : unit -> unit
 
 val histories_json : unit -> Obs.Json.t
 (** {!recent_histories} as a JSON list of
-    [{"label","warm_start","iterations","converged","breakdown",
-      "residual_stride","residuals"}]. *)
+    [{"label","iterations","converged","breakdown","residual_stride",
+      "residuals"}]. *)
 
 val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
-  ?x0:float array -> ?precond:precond -> ?label:string -> unit -> outcome
-(** Defaults: [tol] {!default_tol}, [max_iter] 4 * dim, [x0] zero,
-    [precond] {!Jacobi}. Raises [Invalid_argument] on dimension mismatch,
-    a non-positive diagonal entry (the preconditioners need positivity,
-    and a thermal conductance operator always satisfies it), or an SSOR
-    omega outside (0, 2).
+  ?precond:precond -> ?label:string -> unit -> outcome
+(** CG from the zero vector. Defaults: [tol] {!default_tol}, [max_iter]
+    4 * dim, [precond] {!Jacobi}. Raises [Invalid_argument] on dimension
+    mismatch, a non-positive diagonal entry (the preconditioners need
+    positivity, and a thermal conductance operator always satisfies it),
+    or an SSOR omega outside (0, 2).
 
     Telemetry: every solve records [thermal.cg.iterations] and
     [thermal.cg.residual] observations and bumps the [thermal.cg.solves]
-    counter in {!Obs.Metrics}; the iteration count additionally lands in
-    [thermal.cg.cold.iterations] or [thermal.cg.warm.iterations]
-    depending on whether [x0] was supplied. Under {!Multigrid} the
-    solve's V-cycle count (its preconditioner applications) is one
-    sample of the [thermal.mg.solve.cycles] histogram. A solve that
-    exits at [max_iter] without converging bumps
-    [thermal.cg.nonconverged] and emits an {!Obs.Log} warning, so
-    silent max-iter exits cannot
+    counter in {!Obs.Metrics}. Under {!Multigrid} the solve's V-cycle
+    count (its preconditioner applications) is one sample of the
+    [thermal.mg.solve.cycles] histogram. A solve that exits at
+    [max_iter] without converging bumps [thermal.cg.nonconverged] and
+    emits an {!Obs.Log} warning, so silent max-iter exits cannot
     masquerade as valid temperatures in sweeps; a detected breakdown
     additionally bumps [thermal.cg.breakdown]. The solve body runs under
     a ["thermal.cg.solve"] trace span.
 
     Fault injection: an armed {!Robust.Faults.Cg_stall} makes the next
-    solve return immediately with [converged = false] and the start
+    solve return immediately with [converged = false] and the zero start
     vector as [x] — used by tests and the fault-injection harness to
     exercise the escalation ladder. *)
 
@@ -117,11 +113,11 @@ type escalation = {
 }
 
 val solve_escalating : Stencil.t -> b:float array -> ?tol:float ->
-  ?max_iter:int -> ?x0:float array -> ?precond:precond -> unit -> escalation
+  ?max_iter:int -> ?precond:precond -> unit -> escalation
 (** {!solve} wrapped in a breakdown-recovery ladder. A failed first
-    attempt (breakdown or max-iter exit) is retried cold through
+    attempt (breakdown or max-iter exit) is retried through
     progressively heavier rungs: Jacobi at the requested budget (skipped
-    when the first attempt was already a cold Jacobi solve; an SSOR- or
+    when the first attempt was already a Jacobi solve; an SSOR- or
     multigrid-preconditioned first attempt always gets it), SSOR(1.2)
     at twice the budget, then a Jacobi restart at four times the budget.
     The first converging rung wins ([Recovered]); if all fail the

@@ -9,6 +9,9 @@ let default_config = { nx = 40; ny = 40; stack = Stack.default_9layer }
 type problem = {
   p_config : config;
   p_extent : Geo.Rect.t;
+  p_shift : float array;
+  (* per layer, W/(m^2 K): the extra ground of every tile ({!shifted});
+     zeros for a steady problem *)
   p_stencil : Stencil.t;
   p_rhs : float array;
   p_poisoned : bool;
@@ -45,9 +48,11 @@ let um_to_m v = v *. 1.0e-6
    iz every east coupling is [g_x.(iz)] and every north one [g_y.(iz)]
    (uniform k, full cell pitch); the vertical coupling of every tile to
    layer iz + 1 is [g_v.(iz)] (half-cell resistances
-   R = (thickness/2) / (k * A) in series); and each tile of the bottom
-   and top layers grounds through [g_bottom] and [g_top]. Side walls
-   ground only boundary tiles and stay with the stencil's diagonal. *)
+   R = (thickness/2) / (k * A) in series); each tile of the bottom and
+   top layers grounds through [g_bottom] and [g_top]; and each tile of
+   layer iz also grounds through [g_shift.(iz)], the problem's shift
+   times the tile area. Side walls ground only boundary tiles and stay
+   with the stencil's diagonal. *)
 type conductances = {
   dx_m : float;
   dy_m : float;
@@ -56,9 +61,10 @@ type conductances = {
   g_v : float array; (* nz - 1 entries *)
   g_bottom : float;
   g_top : float;
+  g_shift : float array;
 }
 
-let conductances cfg ~extent =
+let conductances cfg ~extent ~shift =
   let stack = cfg.stack in
   let layers = stack.Stack.layers in
   let nz = Array.length layers in
@@ -75,27 +81,31 @@ let conductances cfg ~extent =
     g_v =
       Array.init (nz - 1) (fun iz -> 1.0 /. (r_half iz +. r_half (iz + 1)));
     g_bottom = stack.Stack.h_bottom_w_m2k *. tile_area;
-    g_top = stack.Stack.h_top_w_m2k *. tile_area }
+    g_top = stack.Stack.h_top_w_m2k *. tile_area;
+    g_shift = Array.map (fun w -> w *. tile_area) shift }
 
-(* Each layer's face ground per tile: the bottom face on layer 0, the top
-   face on the last layer, both on a one-layer stack. *)
+(* Each layer's ground per tile: the bottom face on layer 0, the top face
+   on the last layer (both on a one-layer stack), then the shift. *)
 let face_grounds c =
   let nz = Array.length c.g_x in
   Array.init nz (fun iz ->
-      (if iz = 0 then c.g_bottom else 0.0)
-      +. if iz = nz - 1 then c.g_top else 0.0)
+      ((if iz = 0 then c.g_bottom else 0.0)
+       +. if iz = nz - 1 then c.g_top else 0.0)
+      +. c.g_shift.(iz))
 
 (* The conductance matrix as a stencil. A diagonal entry sums every
    conductance touching its node in a fixed order — below, south, west,
    east, north, above, then the bottom face, the top face and the x and
-   y side walls, each ground only when positive. Reordering the sum moves
-   temperatures in the last bit; the pins in test_thermal.ml hold it.
-   [poisoned] replaces layer 0's lateral couplings with NaN and leaves
-   the diagonal alone (the Perturb_matrix fault). *)
-let stencil_of cfg ~extent ~poisoned =
+   y side walls, each ground only when positive — and the shift is added
+   last ([Stencil.shift]; adding a zero shift leaves every entry as it
+   was). Reordering the sum moves temperatures in the last bit; the pins
+   in test_thermal.ml hold it. [poisoned] replaces layer 0's lateral
+   couplings with NaN and leaves the diagonal alone (the Perturb_matrix
+   fault). *)
+let stencil_of cfg ~extent ~shift ~poisoned =
   let stack = cfg.stack in
   let nz = Stack.num_layers stack in
-  let c = conductances cfg ~extent in
+  let c = conductances cfg ~extent ~shift in
   let h_side = stack.Stack.h_side_w_m2k in
   let diag ~xc ~yc ~iz =
     let dz = um_to_m stack.Stack.layers.(iz).Stack.thickness_um in
@@ -120,10 +130,15 @@ let stencil_of cfg ~extent ~poisoned =
     if poisoned then Array.mapi (fun iz v -> if iz = 0 then Float.nan else v) g
     else g
   in
-  Stencil.make ~nx:cfg.nx ~ny:cfg.ny ~gx:(lateral c.g_x) ~gy:(lateral c.g_y)
-    ~gz:c.g_v ~diag
+  Stencil.shift
+    (Stencil.make ~nx:cfg.nx ~ny:cfg.ny ~gx:(lateral c.g_x)
+       ~gy:(lateral c.g_y) ~gz:c.g_v ~diag)
+    c.g_shift
 
-let operator cfg ~extent = stencil_of cfg ~extent ~poisoned:false
+let no_shift cfg = Array.make (Stack.num_layers cfg.stack) 0.0
+
+let operator cfg ~extent =
+  stencil_of cfg ~extent ~shift:(no_shift cfg) ~poisoned:false
 
 let build cfg ~power =
   Obs.Trace.with_span "thermal.mesh.build" @@ fun () ->
@@ -140,13 +155,25 @@ let build cfg ~power =
     cfg.nx * cfg.ny > 1
     && Robust.Faults.consume Robust.Faults.Perturb_matrix
   in
-  let stencil = stencil_of cfg ~extent ~poisoned in
+  let shift = no_shift cfg in
+  let stencil = stencil_of cfg ~extent ~shift ~poisoned in
   let rhs = Array.make (Stencil.dim stencil) 0.0 in
   let zp = cfg.stack.Stack.power_layer in
   Geo.Grid.iteri power ~f:(fun ~ix ~iy w ->
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
-  { p_config = cfg; p_extent = extent; p_stencil = stencil; p_rhs = rhs;
-    p_poisoned = poisoned; p_mg = ref None; p_blur = ref None }
+  { p_config = cfg; p_extent = extent; p_shift = shift; p_stencil = stencil;
+    p_rhs = rhs; p_poisoned = poisoned; p_mg = ref None; p_blur = ref None }
+
+(* A new operator, so a new hierarchy and blur transfer; the poisoning
+   of the build it derives from carries over. *)
+let shifted p ~w_m2k =
+  let shift = Array.map2 ( +. ) p.p_shift w_m2k in
+  { p with
+    p_shift = shift;
+    p_stencil =
+      stencil_of p.p_config ~extent:p.p_extent ~shift ~poisoned:p.p_poisoned;
+    p_mg = ref None;
+    p_blur = ref None }
 
 let multigrid p =
   match !(p.p_mg) with
@@ -155,7 +182,8 @@ let multigrid p =
     let h =
       Multigrid.build ~fine:p.p_stencil
         ~coarse:(fun ~nx ~ny ->
-            operator { p.p_config with nx; ny } ~extent:p.p_extent)
+            stencil_of { p.p_config with nx; ny } ~extent:p.p_extent
+              ~shift:p.p_shift ~poisoned:false)
         ()
     in
     (* benign race: two domains may build concurrently and the later write
@@ -201,7 +229,7 @@ let relative_residual stencil ~b x =
 let modal_solution p =
   Obs.Trace.with_span "thermal.modal.solve" @@ fun () ->
   let cfg = p.p_config in
-  let c = conductances cfg ~extent:p.p_extent in
+  let c = conductances cfg ~extent:p.p_extent ~shift:p.p_shift in
   let temp =
     Modal.solve ~nx:cfg.nx ~ny:cfg.ny ~face:(face_grounds c) ~g_x:c.g_x
       ~g_y:c.g_y ~g_v:c.g_v p.p_rhs
@@ -226,14 +254,12 @@ let modal_applies ?precond p =
 
 (* The hierarchy is built before the span opens, so a first solve bills
    it to [thermal.mg.build] beside [thermal.solve], not inside it. *)
-let cg_solution ~tol ?max_iter ?precond ?x0 p =
+let cg_solution ?precond p =
   let precond =
     match precond with Some pc -> pc | None -> Cg.Multigrid (multigrid p)
   in
   Obs.Trace.with_span "thermal.solve" @@ fun () ->
-  let esc =
-    Cg.solve_escalating p.p_stencil ~b:p.p_rhs ~tol ?max_iter ~precond ?x0 ()
-  in
+  let esc = Cg.solve_escalating p.p_stencil ~b:p.p_rhs ~precond () in
   let outcome = esc.Cg.esc_outcome in
   match esc.Cg.esc_status with
   | Cg.Degraded ->
@@ -253,7 +279,7 @@ let cg_solution ~tol ?max_iter ?precond ?x0 p =
          cg_residual = outcome.Cg.residual;
          cg_rungs = esc.Cg.esc_rungs }
 
-let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
+let solve_result ?precond p =
   let modal =
     if modal_applies ?precond p then
       Obs.Trace.with_span "thermal.solve" (fun () -> modal_solution p)
@@ -264,10 +290,10 @@ let solve_result ?(tol = Cg.default_tol) ?max_iter ?precond ?x0 p =
     (* the deadline checkpoint CG's iterations would have passed *)
     Robust.Cancel.check ();
     Ok s
-  | None -> cg_solution ~tol ?max_iter ?precond ?x0 p
+  | None -> cg_solution ?precond p
 
-let solve ?tol ?max_iter ?precond ?x0 p =
-  match solve_result ?tol ?max_iter ?precond ?x0 p with
+let solve ?precond p =
+  match solve_result ?precond p with
   | Ok s -> s
   | Error e -> Robust.Error.raise_ e
 
@@ -297,7 +323,7 @@ let blur p =
   | Some b when Blur.nx b = cfg.nx && Blur.ny b = cfg.ny -> b
   | _ ->
     Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
-    let c = conductances cfg ~extent:p.p_extent in
+    let c = conductances cfg ~extent:p.p_extent ~shift:p.p_shift in
     let nz = Stack.num_layers cfg.stack in
     let pl = cfg.stack.Stack.power_layer in
     if not (blur_exact cfg) then

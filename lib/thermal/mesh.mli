@@ -30,15 +30,14 @@ val build : config -> power:Geo.Grid.t -> problem
     diagonal is left alone — so the solve fails through CG's breakdown
     guards and [Checks.mesh_matrix] reports it. The build consumes the
     fault, so the problem remembers it: every solve of a poisoned
-    problem (and of its {!with_rhs} copies) takes the CG path, never the
-    modal engine, which would solve the unpoisoned conductances cleanly.
-    Derived operators ({!operator}) never consume it. *)
+    problem (and of its {!with_rhs} and {!shifted} copies) takes the CG
+    path, never the modal engine, which would solve the unpoisoned
+    conductances cleanly. Derived operators ({!operator} and the coarse
+    multigrid levels) never consume it. *)
 
 val operator : config -> extent:Geo.Rect.t -> Stencil.t
-(** The fault-free conductance operator of a config on a die extent. For
-    derived operators — [Transient]'s backward-Euler shift and the
-    coarse multigrid levels — that rediscretize the same stack without
-    consuming faults aimed at the primary solve path. *)
+(** The fault-free conductance operator of a config on a die extent,
+    the operator {!build} makes when no fault is armed. *)
 
 val stencil : problem -> Stencil.t
 val rhs : problem -> float array
@@ -51,11 +50,24 @@ val with_rhs : problem -> float array -> problem
     the objective gradient as a source term into the same SPD operator.
     Raises [Invalid_argument] on a dimension mismatch. *)
 
+val shifted : problem -> w_m2k:float array -> problem
+(** The same problem with every tile of layer [iz] also grounded through
+    [w_m2k.(iz)] W/(m^2 K) times its tile area: the backward-Euler
+    operator [G + C/dt] when [w_m2k.(iz)] is layer [iz]'s heat capacity
+    per unit area over the step. The shift enters the stencil (added to
+    each diagonal entry last, as {!Stencil.shift} does), the modal
+    engine's per-layer grounds and every coarse multigrid level (at that
+    level's tile area), so {!solve_result} takes the same engine rule on
+    it; a non-negative shift keeps the operator SPD. Shifts add up. The
+    result has its own multigrid hierarchy and blur transfer, and is
+    poisoned when [problem] is. Raises [Invalid_argument] unless there
+    is one value per layer. *)
+
 val multigrid : problem -> Multigrid.t
 (** The geometric multigrid hierarchy for this problem's operator, built
     on first use and kept on the problem (and its {!with_rhs} copies).
-    Coarse levels are fault-free {!operator}s of the same stack and
-    extent at halved lateral resolution. A fault-free solve of a stack
+    Coarse levels are fault-free operators of the same stack, extent and
+    shift at halved lateral resolution. A fault-free solve of a stack
     where {!blur_exact} holds never builds it. *)
 
 type precond_choice = Pc_mg
@@ -78,8 +90,8 @@ type solution = {
       for a clean first-attempt convergence and for a modal solve *)
 }
 
-val solve_result : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
-  ?x0:float array -> problem -> (solution, Robust.Error.t) result
+val solve_result : ?precond:Cg.precond -> problem ->
+  (solution, Robust.Error.t) result
 (** The steady-state solve. Two engines, one rule:
 
     - {b Modal.} When no [?precond] is given, {!blur_exact} holds for the
@@ -90,31 +102,26 @@ val solve_result : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
       DCT-II basis: a 2-D DCT of each layer's right-hand side (skipped for
       an all-zero layer), one nz x nz tridiagonal solve per lateral mode
       and the inverse transforms, built from the same per-layer
-      conductances as the stencil and the blur. It is exact to rounding,
-      so [?tol], [?x0] and [?max_iter] do not apply to it; [cg_iterations]
-      is [0], [cg_rungs] [[]] and [cg_residual] is measured with one
-      {!Stencil.mul}. A result whose measured residual is not finite (a
-      NaN or infinite source) is handed to MG-CG, whose ladder reports
-      the structured failure. Traced as a [thermal.modal.solve] span
-      under [thermal.solve] and counted in [thermal.modal.solves]; a
-      {!Robust.Cancel.check} follows it.
+      conductances as the stencil and the blur. It is exact to rounding:
+      [cg_iterations] is [0], [cg_rungs] [[]] and [cg_residual] is
+      measured with one {!Stencil.mul}. A result whose measured residual
+      is not finite (a NaN or infinite source) is handed to MG-CG, whose
+      ladder reports the structured failure. Traced as a
+      [thermal.modal.solve] span under [thermal.solve] and counted in
+      [thermal.modal.solves]; a {!Robust.Cancel.check} follows it.
     - {b MG-CG.} Every other solve — side-walled or ungrounded stacks,
       poisoned builds, an armed [Cg_stall], non-finite sources and
-      explicit [?precond] reference solves — is
-      preconditioned CG. Defaults: [tol] {!Cg.default_tol}, [precond]
-      [Cg.Multigrid] over this problem's {!multigrid} hierarchy (built on
-      first use, outside the [thermal.solve] span), [max_iter] / [x0] as
-      in {!Cg.solve}; [x0] warm-starts CG from a previous temperature
-      field (the optimizer's exact tier seeds candidate solves with the
-      incumbent solution). The solve runs through
+      explicit [?precond] reference solves — is preconditioned CG from
+      a zero start to {!Cg.default_tol}, by default under [Cg.Multigrid]
+      over this problem's {!multigrid} hierarchy (built on first use,
+      outside the [thermal.solve] span). The solve runs through
       {!Cg.solve_escalating}: a first-attempt failure is retried down the
       Jacobi / SSOR / restart ladder, a recovery is logged as a warning
       and recorded in [cg_rungs], and only when every rung fails does
       this return [Error (Solver_diverged { rungs; _ })] with the full
       attempt list. *)
 
-val solve : ?tol:float -> ?max_iter:int -> ?precond:Cg.precond ->
-  ?x0:float array -> problem -> solution
+val solve : ?precond:Cg.precond -> problem -> solution
 (** {!solve_result}, raising [Robust.Error.Error (Solver_diverged _)]
     instead of returning [Error]. Never observed on a valid stack; guards
     against operator bugs and injected faults. *)

@@ -23,10 +23,6 @@ type response = {
   peak_rise_k : float array;    (** peak rise at each instant *)
   steady_peak_k : float;        (** the steady-state solve's peak *)
   tau_63_s : float;             (** time to reach 63.2% of steady peak *)
-  cg_iterations : int;
-  (** total CG iterations across the steady solve (0 when it was modal)
-      and every implicit step — the regression guard for the
-      preconditioned solve path *)
 }
 
 val step_response :
@@ -35,15 +31,12 @@ val step_response :
 (** Apply the power map as a step at t=0 from ambient and integrate.
     Defaults: [dt_s] 2e-6, [steps] 60 (covering ~0.12 ms).
 
-    The steady-state normalization solve goes through {!Mesh.solve}, so
-    it takes that solve's engine rule: modal on an adiabatic-walled,
-    grounded stack with no solver fault in play, MG-CG with the escalation
-    ladder otherwise. Each implicit step is multigrid-preconditioned CG:
-    it solves
-    [(G + C/dt) T' = P + (C/dt) T] against one shifted operator for the
-    whole window — [G]'s stencil with the per-layer [C/dt] added to its
-    diagonal — under a dedicated hierarchy built on that operator (coarse
-    levels rediscretize [G + C/dt], not [G]). Step solves warm-start from
-    the previous instant and are labelled ["transient"] in the CG history
-    ring. Counters: [thermal.transient.steps] and
-    [thermal.transient.iterations]. *)
+    The steady-state normalization is {!Mesh.solve} of the problem, and
+    each implicit step [(G + C/dt) T' = P + (C/dt) T] is {!Mesh.solve}
+    of one {!Mesh.shifted} problem for the whole window (every tile of
+    layer [iz] grounded through its heat capacity over [dt]) with the
+    step's right-hand side ({!Mesh.with_rhs}). Every solve so takes
+    {!Mesh.solve_result}'s engine rule: modal on an adiabatic-walled,
+    grounded stack with no solver fault in play, MG-CG on the shifted
+    problem's own hierarchy (coarse levels carry the shift) otherwise.
+    Counter: [thermal.transient.steps]. *)

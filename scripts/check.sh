@@ -2,10 +2,10 @@
 # Full repository gate: build everything, run the test suites and the
 # quickstart example, smoke-run the solve bench (the modal engine and
 # MG-CG, the blur, the adjoint, both guides and the pool) and the serve
-# bench
-# and gate them against the committed bench/baselines via bench_diff
-# (wall-clock regressions, changed counts and invariant flips fail the
-# run),
+# bench, run the paper suites, and gate the solve and serve benches and
+# the guide and optimizer suites' counts against the committed
+# bench/baselines via bench_diff (wall-clock regressions, changed counts
+# and invariant flips fail the run),
 # smoke the CLI with --report, --perfetto and --prom, validate the JSON
 # all three write, exercise the invariant-check subcommand and the
 # fault-injection harness (structured exit codes), prove the sweep
@@ -98,10 +98,17 @@ dune exec bin/bench_diff.exe -- --threshold 0.60 --json "$verdict" \
 dune exec bin/json_check.exe -- "$verdict" baseline fresh ok failed keys
 dune exec bin/bench_diff.exe -- --threshold 0.60 \
   bench/baselines/serve.json BENCH_serve.json >/dev/null
+# The paper suites' counts: the guides' exact, blur and adjoint solves
+# and the optimizer's coarse solves per budget (their floats are
+# informational).
+for name in guide optimizer; do
+  dune exec bin/bench_diff.exe -- \
+    "bench/baselines/$name.json" "BENCH_$name.json" >/dev/null
+done
 # Sanity of the gate itself: clean against itself, trips on a simulated
 # +100% slowdown (medians compared, so this holds for statistics
-# baselines exactly as it did for legacy scalars) and on one doubled
-# iteration count.
+# baselines exactly as it did for legacy scalars), on one doubled
+# iteration count and on one extra exact solve of a guide.
 dune exec bin/bench_diff.exe -- \
   bench/baselines/solve.json bench/baselines/solve.json >/dev/null
 rc=0
@@ -126,6 +133,22 @@ dune exec bin/bench_diff.exe -- \
   bench/baselines/solve.json "$doubled" >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "bench_diff: expected exit 1 on a doubled iteration count, got $rc" >&2
+  exit 1
+fi
+solves=$(sed -n 's/.*"exact_solves": \([0-9]*\).*/\1/p' \
+  bench/baselines/guide.json | head -n 1)
+awk -v n="$solves" '!done && sub("\"exact_solves\": " n ",",
+  "\"exact_solves\": " (n + 1) ",") { done = 1 } { print }' \
+  bench/baselines/guide.json >"$doubled"
+if cmp -s "$doubled" bench/baselines/guide.json; then
+  echo "bench_diff self-check: no guide solve count to bump" >&2
+  exit 1
+fi
+rc=0
+dune exec bin/bench_diff.exe -- \
+  bench/baselines/guide.json "$doubled" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "bench_diff: expected exit 1 on a bumped guide solve count, got $rc" >&2
   exit 1
 fi
 rm -f "$verdict" "$doubled"

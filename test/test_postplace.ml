@@ -707,8 +707,8 @@ let test_optimizer_side_wall_stack_exact_tier () =
          r.Postplace.Optimizer.predicted_peak_k;
        Alcotest.(check int) (name ^ ": never blurs") 0
          r.Postplace.Optimizer.blur_evaluations;
-       Alcotest.(check int) (name ^ ": seed, every candidate, re-score")
-         (2 + priced fl ~rows:4 ~chunk:2 ~stride:2)
+       Alcotest.(check int) (name ^ ": every candidate, then the re-score")
+         (1 + priced fl ~rows:4 ~chunk:2 ~stride:2)
          r.Postplace.Optimizer.evaluations)
     [ ("side walls alone",
        { stack0 with

@@ -188,14 +188,6 @@ let test_cg_telemetry () =
        Alcotest.(check int) "warning retained" 1
          (List.length (Obs.Log.warnings ())))
 
-let test_cg_warm_start () =
-  let m = poisson_1d 50 in
-  let rhs = Array.init 50 (fun i -> float_of_int (i mod 5)) in
-  let cold = Thermal.Cg.solve m ~b:rhs ~tol:1e-12 () in
-  let warm = Thermal.Cg.solve m ~b:rhs ~tol:1e-12 ~x0:cold.Thermal.Cg.x () in
-  Alcotest.(check bool) "warm start immediate" true
-    (warm.Thermal.Cg.iterations <= 1)
-
 let test_cg_ssor_matches_jacobi () =
   let n = 80 in
   let m = poisson_1d n in
@@ -302,7 +294,7 @@ let test_mesh_energy_balance () =
      sum(G T) = sum(P) directly. *)
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.05 in
   let problem = Thermal.Mesh.build small_cfg ~power:p in
-  let s = Thermal.Mesh.solve ~tol:1e-12 problem in
+  let s = Thermal.Mesh.solve problem in
   let m = Thermal.Mesh.stencil problem in
   let gt = Array.make (Thermal.Stencil.dim m) 0.0 in
   Thermal.Stencil.mul m s.Thermal.Mesh.temp gt;
@@ -409,41 +401,31 @@ let test_mesh_1d_analytic () =
 
 let test_mesh_solve_options_threaded () =
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
-  (* max_iter reaches Cg: an impossible budget must fail through the
-     whole escalation ladder and surface as a structured error *)
+  (* a stall on every attempt must fail through the whole escalation
+     ladder (the MG first attempt earns the Jacobi rung) and surface as
+     a structured error *)
   (match
-     Thermal.Mesh.solve ~tol:1e-14 ~max_iter:1 ~precond:Thermal.Cg.Jacobi
-       (Thermal.Mesh.build small_cfg ~power:p)
+     Robust.Faults.with_fault ~times:4 Robust.Faults.Cg_stall (fun () ->
+         Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p))
    with
-   | _ -> Alcotest.fail "capped solve did not fail"
+   | _ -> Alcotest.fail "stalled solve did not fail"
    | exception
        Robust.Error.Error (Robust.Error.Solver_diverged { rungs; _ }) ->
      Alcotest.(check (list string)) "full ladder attempted"
-       [ "requested"; "ssor"; "restart" ] rungs);
+       [ "requested"; "jacobi"; "ssor"; "restart" ] rungs);
   (* precond reaches Cg: SSOR solve agrees with Jacobi *)
   let jac =
-    Thermal.Mesh.solve ~tol:1e-12 ~precond:Thermal.Cg.Jacobi
+    Thermal.Mesh.solve ~precond:Thermal.Cg.Jacobi
       (Thermal.Mesh.build small_cfg ~power:p)
   in
   let ssor =
-    Thermal.Mesh.solve ~tol:1e-12 ~precond:(Thermal.Cg.Ssor 1.5)
+    Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.5)
       (Thermal.Mesh.build small_cfg ~power:p)
   in
   Array.iteri
     (fun i v -> check_float ~eps:1e-8 "ssor mesh solve" v
         ssor.Thermal.Mesh.temp.(i))
-    jac.Thermal.Mesh.temp;
-  (* x0 reaches Cg: restarting from the answer converges immediately.
-     This stack's default solve is modal, which takes no x0, so both
-     solves name the problem's MG hierarchy *)
-  let prob = Thermal.Mesh.build small_cfg ~power:p in
-  let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid prob) in
-  let cold = Thermal.Mesh.solve ~precond prob in
-  let warm = Thermal.Mesh.solve ~precond ~x0:cold.Thermal.Mesh.temp prob in
-  Alcotest.(check bool) "cold mesh solve iterates" true
-    (cold.Thermal.Mesh.cg_iterations > 1);
-  Alcotest.(check bool) "warm mesh solve immediate" true
-    (warm.Thermal.Mesh.cg_iterations <= 1)
+    jac.Thermal.Mesh.temp
 
 (* Without [?precond] a mesh solve on the default (adiabatic-walled,
    grounded) stack is modal: no CG history entry, one
@@ -539,7 +521,7 @@ let test_dense_cross_checks_mesh () =
   let problem = Thermal.Mesh.build cfg ~power:p in
   let m = Thermal.Mesh.stencil problem in
   let x_direct = dense_solve m (Thermal.Mesh.rhs problem) in
-  let s = Thermal.Mesh.solve ~tol:1e-12 problem in
+  let s = Thermal.Mesh.solve problem in
   Array.iteri
     (fun i v ->
        if Float.abs (v -. s.Thermal.Mesh.temp.(i))
@@ -622,44 +604,51 @@ let test_transient_flat_tau_is_finite () =
 (* Backward Euler written out against the dense Cholesky oracle on a
    6x6x9 stack: the shifted operator [G + C/dt] from [Mesh.operator] and
    [Stencil.shift], factored once, stepped from ambient. [step_response]
-   (MG-CG at 1e-10) must follow it to 1e-9 of each instant's peak. *)
+   must follow it to 1e-9 of each instant's peak: on the default stack
+   its steps are modal, and with side walls MG-CG on the shifted
+   problem's own hierarchy, whose coarse levels carry the shift. *)
 let test_transient_matches_backward_euler () =
   let nx = 6 and dt_s = 2e-5 and steps = 20 in
-  let cfg =
-    { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
-  in
-  let power = lopsided_power ~nx ~ny:nx ~total:0.02 in
-  let r = Thermal.Transient.step_response cfg ~power ~dt_s ~steps () in
-  let extent = Geo.Grid.extent power in
-  let tile_m2 =
-    (Geo.Grid.tile_width power *. 1e-6) *. (Geo.Grid.tile_height power *. 1e-6)
-  in
-  let c_dt =
-    Array.map
-      (fun l ->
-         Thermal.Transient.default_capacitance
-           .Thermal.Transient.volumetric_heat_j_m3k
-         *. tile_m2 *. (l.Thermal.Stack.thickness_um *. 1e-6) /. dt_s)
-      cfg.Thermal.Mesh.stack.Thermal.Stack.layers
-  in
-  let chol =
-    Thermal.Dense.of_stencil
-      (Thermal.Stencil.shift (Thermal.Mesh.operator cfg ~extent) c_dt)
-  in
-  let p = Thermal.Mesh.rhs (Thermal.Mesh.build cfg ~power) in
-  let n = Array.length p in
-  let temp = Array.make n 0.0 and rhs = Array.make n 0.0 in
-  for k = 1 to steps do
-    Array.iteri
-      (fun i t -> rhs.(i) <- p.(i) +. (c_dt.(i / (nx * nx)) *. t))
-      temp;
-    Thermal.Dense.solve_into chol rhs temp;
-    let want = Array.fold_left Float.max 0.0 temp in
-    let got = r.Thermal.Transient.peak_rise_k.(k) in
-    if Float.abs (got -. want) > 1e-9 *. want then
-      Alcotest.failf "step %d: step_response %.15g vs backward Euler %.15g" k
-        got want
-  done
+  let default = Thermal.Mesh.default_config.Thermal.Mesh.stack in
+  List.iter
+    (fun (name, stack) ->
+       let cfg = { Thermal.Mesh.nx = nx; ny = nx; stack } in
+       let power = lopsided_power ~nx ~ny:nx ~total:0.02 in
+       let r = Thermal.Transient.step_response cfg ~power ~dt_s ~steps () in
+       let extent = Geo.Grid.extent power in
+       let tile_m2 =
+         (Geo.Grid.tile_width power *. 1e-6)
+         *. (Geo.Grid.tile_height power *. 1e-6)
+       in
+       let c_dt =
+         Array.map
+           (fun l ->
+              Thermal.Transient.default_capacitance
+                .Thermal.Transient.volumetric_heat_j_m3k
+              *. tile_m2 *. (l.Thermal.Stack.thickness_um *. 1e-6) /. dt_s)
+           stack.Thermal.Stack.layers
+       in
+       let chol =
+         Thermal.Dense.of_stencil
+           (Thermal.Stencil.shift (Thermal.Mesh.operator cfg ~extent) c_dt)
+       in
+       let p = Thermal.Mesh.rhs (Thermal.Mesh.build cfg ~power) in
+       let n = Array.length p in
+       let temp = Array.make n 0.0 and rhs = Array.make n 0.0 in
+       for k = 1 to steps do
+         Array.iteri
+           (fun i t -> rhs.(i) <- p.(i) +. (c_dt.(i / (nx * nx)) *. t))
+           temp;
+         Thermal.Dense.solve_into chol rhs temp;
+         let want = Array.fold_left Float.max 0.0 temp in
+         let got = r.Thermal.Transient.peak_rise_k.(k) in
+         if Float.abs (got -. want) > 1e-9 *. want then
+           Alcotest.failf
+             "%s, step %d: step_response %.15g vs backward Euler %.15g" name k
+             got want
+       done)
+    [ ("adiabatic walls", default);
+      ("side-walled", { default with Thermal.Stack.h_side_w_m2k = 2e4 }) ]
 
 (* Random adiabatic stacks (1-6 layers, 8x8 to 16x16, random sinks and
    power): the step response never cools, and its last instant reaches
@@ -864,31 +853,102 @@ let test_adjoint_fault_structured_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fault-armed adjoint solve reported success"
 
-let test_adjoint_warm_start () =
-  (* warm-starting the adjoint from a previous lambda must converge to
-     the same field in fewer iterations. Side walls keep both adjoint
-     solves on MG-CG, the path that takes x0 *)
-  let nx = 8 in
-  let stack =
-    { Thermal.Mesh.default_config.Thermal.Mesh.stack with
-      Thermal.Stack.h_side_w_m2k = 2e4 }
+(* The central difference of the smoothed peak along u = G^-1 e_tile (a
+   unit source in tile (ix, iy)), by superposition:
+   f(T0 + s u) - f(T0 - s u) is
+   (1/beta) [log sum_j w_j e^(beta s u_j) - log sum_j w_j e^(-beta s u_j)]
+   over the active layer, w being T0's softmax weights. Written through
+   expm1 and log1p, the difference keeps its relative precision however
+   hot T0 is, and a step with beta s max|u| = 1e-6 leaves a truncation
+   error near 1e-13 of it. *)
+let fd_sensitivity problem (adj : Thermal.Adjoint.t) ~ix ~iy =
+  let cfg = Thermal.Mesh.config problem in
+  let zp = cfg.Thermal.Mesh.stack.Thermal.Stack.power_layer in
+  let nodes =
+    Array.init (cfg.Thermal.Mesh.nx * cfg.Thermal.Mesh.ny) (fun i ->
+        Thermal.Mesh.node_index cfg ~ix:(i mod cfg.Thermal.Mesh.nx)
+          ~iy:(i / cfg.Thermal.Mesh.nx) ~iz:zp)
   in
-  let cfg = { Thermal.Mesh.nx = nx; ny = nx; stack } in
-  let power = lopsided_power ~nx ~ny:nx ~total:0.05 in
-  let problem = Thermal.Mesh.build cfg ~power in
-  let cold = Thermal.Adjoint.solve problem in
-  let warm =
-    Thermal.Adjoint.solve ~x0:cold.Thermal.Adjoint.lambda
-      ~forward:cold.Thermal.Adjoint.forward problem
+  let e = Array.make (Array.length adj.Thermal.Adjoint.lambda) 0.0 in
+  e.(Thermal.Mesh.node_index cfg ~ix ~iy ~iz:zp) <- 1.0;
+  let u =
+    (Thermal.Mesh.solve (Thermal.Mesh.with_rhs problem e)).Thermal.Mesh.temp
   in
-  Array.iteri
-    (fun i v ->
-       check_float ~eps:1e-8 (Printf.sprintf "lambda %d" i) v
-         warm.Thermal.Adjoint.lambda.(i))
-    cold.Thermal.Adjoint.lambda;
-  Alcotest.(check bool) "warm restart takes fewer iterations" true
-    (warm.Thermal.Adjoint.cg_iterations
-     < cold.Thermal.Adjoint.cg_iterations)
+  let t0 = adj.Thermal.Adjoint.forward.Thermal.Mesh.temp in
+  let beta = adj.Thermal.Adjoint.sharpness in
+  let max_over f = Array.fold_left (fun m j -> Float.max m (f j)) 0.0 nodes in
+  let tmax = max_over (fun j -> t0.(j)) in
+  let w = Array.map (fun j -> exp (beta *. (t0.(j) -. tmax))) nodes in
+  let total = Array.fold_left ( +. ) 0.0 w in
+  let s = 1e-6 /. (beta *. max_over (fun j -> Float.abs u.(j))) in
+  let side sign =
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun k j ->
+         acc := !acc +. (w.(k) /. total *. expm1 (sign *. beta *. s *. u.(j))))
+      nodes;
+    log1p !acc
+  in
+  (side 1.0 -. side (-1.0)) /. (2.0 *. beta *. s)
+
+(* Random stacks and power maps, drawn as in [transient rises
+   monotonically] (1-6 layers, 8x8 to 16x16, random sinks), a third of
+   them side-walled so the adjoint runs on MG-CG as well as on the modal
+   engine: the sensitivity at the argmax tile and at one random tile
+   must match the central difference to 1e-6 of the map's peak — at the
+   argmax tile that is its own relative error. A tile far from the hot
+   spots can sit many orders below the peak, under what either field
+   resolves (each is exact only to rounding of its largest entries). *)
+let prop_adjoint_matches_fd =
+  QCheck.Test.make ~name:"adjoint matches central differences on random stacks"
+    ~count:30
+    QCheck.(triple (int_range 8 16) (int_range 8 16) (int_range 0 100000))
+    (fun (nx, ny, seed) ->
+       let rng = Geo.Rng.create seed in
+       let uniform lo hi = lo +. Geo.Rng.float rng (hi -. lo) in
+       let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
+       let nz = 1 + Geo.Rng.int rng 6 in
+       let layers =
+         Array.init nz (fun i ->
+             { Thermal.Stack.layer_name = Printf.sprintf "l%d" i;
+               thickness_um = uniform 1.0 20.0;
+               conductivity_w_mk = log_uniform 0.5 400.0 })
+       in
+       let h_top = log_uniform 1e2 1e6 in
+       let h_bottom = if Geo.Rng.bool rng then 0.0 else log_uniform 1e2 1e6 in
+       let h_side =
+         if Geo.Rng.int rng 3 = 0 then log_uniform 1e3 1e6 else 0.0
+       in
+       let stack =
+         { Thermal.Stack.layers; power_layer = Geo.Rng.int rng nz;
+           h_top_w_m2k = h_top; h_bottom_w_m2k = h_bottom;
+           h_side_w_m2k = h_side }
+       in
+       let extent =
+         Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:(uniform 50.0 400.0)
+           ~h:(uniform 50.0 400.0)
+       in
+       let power = Geo.Grid.create ~nx ~ny ~extent in
+       Geo.Grid.iteri power ~f:(fun ~ix ~iy _ ->
+           Geo.Grid.set power ~ix ~iy (Geo.Rng.float rng 0.01));
+       let problem =
+         Thermal.Mesh.build { Thermal.Mesh.nx; ny; stack } ~power
+       in
+       let adj = Thermal.Adjoint.solve problem in
+       let sens = adj.Thermal.Adjoint.sensitivity in
+       let peak = Geo.Grid.max_value sens in
+       let check (ix, iy) =
+         let fd = fd_sensitivity problem adj ~ix ~iy in
+         let got = Geo.Grid.get sens ~ix ~iy in
+         if not (Float.abs (got -. fd) <= 1e-6 *. peak) then
+           QCheck.Test.fail_reportf
+             "nz=%d %dx%d h_side=%g: tile (%d,%d) adjoint %.12g K/W vs \
+              central difference %.12g K/W (peak %.6g)"
+             nz nx ny h_side ix iy got fd peak
+       in
+       check (Geo.Grid.argmax sens);
+       check (Geo.Rng.int rng nx, Geo.Rng.int rng ny);
+       true)
 
 (* --- spice export ------------------------------------------------------------ *)
 
@@ -991,8 +1051,7 @@ let test_pin_solves_40 () =
         ("jacobi", (fun _ -> Jacobi), "c243fb86f0309c5ebb5f521556348733");
         ("ssor", (fun _ -> Ssor 1.2), "49b8740ee3cb5eb86caad3a9342146c5") ]
 
-(* The MG trajectory, as it was when the transient also offered Jacobi
-   and SSOR. *)
+(* The trajectory of modal backward-Euler steps ({!Thermal.Mesh.shifted}). *)
 let test_pin_transient_16 () =
   let power = lopsided_power ~nx:16 ~ny:16 ~total:0.05 in
   let r =
@@ -1000,7 +1059,7 @@ let test_pin_transient_16 () =
       ()
   in
   Alcotest.(check string) "peak trajectory"
-    "1bc92eba8256494ba51e0ec40d5e0562"
+    "4677c4a589557fe0bc53419c0f5a8b2a"
     (digest_floats r.Thermal.Transient.peak_rise_k)
 
 let test_pin_spice_10 () =
@@ -1211,7 +1270,7 @@ let prop_mesh_superposition =
              Geo.Grid.add g ~ix:(5 - ax) ~iy:(5 - ay) 0.006)
        in
        let solve p =
-         (Thermal.Mesh.solve ~tol:1e-12 (Thermal.Mesh.build cfg ~power:p))
+         (Thermal.Mesh.solve (Thermal.Mesh.build cfg ~power:p))
            .Thermal.Mesh.temp
        in
        let t1 = solve p1 and t2 = solve p2 and t12 = solve p12 in
@@ -1411,8 +1470,7 @@ let prop_mg_matches_dense =
        let problem = Thermal.Mesh.build { Thermal.Mesh.nx; ny; stack } ~power in
        let h = Thermal.Mesh.multigrid problem in
        let s =
-         Thermal.Mesh.solve ~tol:1e-10 ~precond:(Thermal.Cg.Multigrid h)
-           problem
+         Thermal.Mesh.solve ~precond:(Thermal.Cg.Multigrid h) problem
        in
        let direct =
          dense_solve (Thermal.Mesh.stencil problem) (Thermal.Mesh.rhs problem)
@@ -1505,23 +1563,20 @@ let test_cg_history_ring () =
   Alcotest.(check int) "ring starts empty" 0
     (List.length (Thermal.Cg.recent_histories ()));
   let m, rhs = chain_system 16 in
-  let cold = Thermal.Cg.solve m ~b:rhs () in
-  let _warm = Thermal.Cg.solve m ~b:rhs ~x0:cold.Thermal.Cg.x () in
+  let out = Thermal.Cg.solve m ~b:rhs () in
   (match Thermal.Cg.recent_histories () with
-   | [ h_cold; h_warm ] ->
+   | [ h ] ->
      Alcotest.(check string) "label defaults to the preconditioner"
-       "jacobi" h_cold.Thermal.Cg.h_label;
-     Alcotest.(check bool) "cold marked cold" false h_cold.Thermal.Cg.h_warm;
-     Alcotest.(check bool) "warm marked warm" true h_warm.Thermal.Cg.h_warm;
-     Alcotest.(check bool) "converged" true h_cold.Thermal.Cg.h_converged;
+       "jacobi" h.Thermal.Cg.h_label;
+     Alcotest.(check bool) "converged" true h.Thermal.Cg.h_converged;
      Alcotest.(check int) "iterations recorded"
-       cold.Thermal.Cg.iterations h_cold.Thermal.Cg.h_iterations;
-     let r = h_cold.Thermal.Cg.h_residuals in
+       out.Thermal.Cg.iterations h.Thermal.Cg.h_iterations;
+     let r = h.Thermal.Cg.h_residuals in
      Alcotest.(check bool) "residual trajectory present" true
        (Array.length r >= 2);
      Alcotest.(check bool) "trajectory ends far below its start" true
        (r.(Array.length r - 1) < r.(0) /. 1e6)
-   | hs -> Alcotest.failf "expected 2 histories, got %d" (List.length hs));
+   | hs -> Alcotest.failf "expected 1 history, got %d" (List.length hs));
   (* residual metrics land in the registry *)
   (match Obs.Metrics.histogram "thermal.cg.residual.rate" with
    | Some h ->
@@ -1567,7 +1622,7 @@ let test_cg_history_ring () =
          (fun k ->
             if Obs.Json.member k entry = None then
               Alcotest.failf "history json missing key %s" k)
-         [ "label"; "warm_start"; "iterations"; "converged"; "breakdown";
+         [ "label"; "iterations"; "converged"; "breakdown";
            "residual_stride"; "residuals" ]
      | [] -> ())
   | _ -> Alcotest.fail "histories_json is not a list"
@@ -2104,7 +2159,6 @@ let () =
          Alcotest.test_case "zero rhs" `Quick test_cg_zero_rhs;
          Alcotest.test_case "bad diagonal rejected" `Quick
            test_cg_rejects_bad_diagonal;
-         Alcotest.test_case "warm start" `Quick test_cg_warm_start;
          Alcotest.test_case "ssor matches jacobi and direct" `Quick
            test_cg_ssor_matches_jacobi;
          Alcotest.test_case "ssor rejects bad omega" `Quick
@@ -2160,7 +2214,7 @@ let () =
          Alcotest.test_case "validation" `Quick test_adjoint_validation;
          Alcotest.test_case "fault -> structured error" `Quick
            test_adjoint_fault_structured_error;
-         Alcotest.test_case "warm start" `Quick test_adjoint_warm_start ]);
+         QCheck_alcotest.to_alcotest prop_adjoint_matches_fd ]);
       ("multigrid",
        [ Alcotest.test_case "precond parity and iterations" `Quick
            test_mg_precond_parity_and_iterations;
