@@ -35,6 +35,9 @@ let j_i v = Obs.Json.Int v
 let j_s v = Obs.Json.String v
 let j_b v = Obs.Json.Bool v
 
+(* A metrics counter; one never bumped reads 0. *)
+let count name = Option.value ~default:0 (Obs.Metrics.counter_value name)
+
 (* The "rows" table of a summary: one flat object per row. *)
 let rows_field f rows = ("rows", j_list (List.map (fun r -> j_obj (f r)) rows))
 
@@ -71,7 +74,10 @@ let run_fig5 () =
 
 let run_fig6 () =
   let fl = Lazy.force flow1 in
+  let solves () = count "thermal.modal.solves" + count "thermal.cg.solves" in
+  let solves0 = solves () in
   let fig6 = Postplace.Experiment.run_fig6 fl in
+  let thermal_solves = solves () - solves0 in
   let base = fig6.Postplace.Experiment.base_eval in
   let pl = base.Postplace.Flow.placement in
   let fp = pl.Place.Placement.fp in
@@ -104,6 +110,8 @@ let run_fig6 () =
            ("hpwl_um", j_f (Place.Placement.hpwl pl)) ]);
       ("base_thermal", Thermal.Metrics.to_json base.Postplace.Flow.metrics);
       ("hotspots", j_i (List.length base.Postplace.Flow.hotspots));
+      (* one per evaluation: the base and every point *)
+      ("thermal_solves", j_i thermal_solves);
       ("points", j_list (List.map Postplace.Experiment.point_to_json points));
       ("checks",
        j_obj
@@ -359,10 +367,10 @@ let time f =
 let ms t = j_f (t *. 1e3)
 
 (* Mean seconds per call of [f] over [reps] calls, each on its own input
-   from [fresh], made untimed: [Mesh.multigrid] and [Mesh.blur] cache
-   their result on the problem, so a repeat on one problem would time a
-   lookup. Metrics are off meanwhile, so the telemetry block counts one
-   pass per grid size whatever [reps] is. *)
+   from [fresh], made untimed: [Mesh.multigrid] caches its hierarchy on
+   the problem, so a repeat on one problem would time a lookup. Metrics
+   are off meanwhile, so the telemetry block counts one pass per grid
+   size whatever [reps] is. *)
 let mean_time ~reps fresh f =
   let saved = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled false;
@@ -388,8 +396,7 @@ let plan_of (r : Postplace.Optimizer.result) =
   r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
 
 (* Registry reads for the telemetry block: a counter never bumped reads
-   0, a histogram its sum. *)
-let count name = Option.value ~default:0 (Obs.Metrics.counter_value name)
+   0 ([count]), a histogram its sum. *)
 let counter name = j_i (count name)
 
 let hist_sum name =
@@ -463,8 +470,11 @@ let run_solve () =
                 Float.max !modal_gap
                   (Float.abs (modal.Thermal.Mesh.temp.(i) -. v)))
            sol.Thermal.Mesh.temp;
-         let kernel = Thermal.Mesh.blur problem in
-         let t_char = mean_time ~reps:char_reps build Thermal.Mesh.blur in
+         let characterize () =
+           Thermal.Mesh.blur (grid fl nx) ~extent:(Geo.Grid.extent power)
+         in
+         let kernel = characterize () in
+         let t_char = mean_time ~reps:char_reps Fun.id characterize in
          let field = Thermal.Blur.field kernel ~power in
          let t_blur =
            mean_time ~reps:eval_reps

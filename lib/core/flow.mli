@@ -123,9 +123,9 @@ val evaluate_result : t -> Place.Placement.t ->
     hotspots, run temperature-derated STA. Invariant checks guard the
     stage boundaries: the power map must be finite and non-negative
     before the solve, the temperature field finite and bounded after it
-    — a violation (or a solve degraded through the whole escalation
-    ladder) is returned as a structured {!Robust.Error.t} instead of
-    propagating NaNs into downstream metrics. *)
+    — a violation (or a solve whose retry failed too) is returned as a
+    structured {!Robust.Error.t} instead of propagating NaNs into
+    downstream metrics. *)
 
 val evaluate : t -> Place.Placement.t -> evaluation
 (** {!evaluate_result}, raising [Robust.Error.Error] on failure. *)

@@ -52,20 +52,12 @@ let evaluate_plan flow ~after ~nx =
   in
   fst (eval_trial flow ~power ~nx)
 
-(* Pricing is not a choice: the blur prices every candidate wherever it
-   is exact, and solves price them everywhere else. The blur
-   is computed from the stack alone, never from the (possibly
-   fault-injected) solve path, and then trusted for every candidate, so
-   any armed fault — whichever stage it targets — takes the solves:
-   injected faults must reach the solve path they are aimed at, not be
-   blurred away. A stack the blur is not exact for (side walls, or no
-   grounded face) takes the solves too. *)
-let screening_enabled flow =
-  Thermal.Mesh.blur_exact flow.Flow.mesh_config
-  && not (List.exists Robust.Faults.armed Robust.Faults.all)
-
-(* The paper's scheme: rank candidates by their predicted peak, blurred
-   (exact, no solve) when screening is enabled, solved otherwise. *)
+(* The paper's scheme: rank candidates by their predicted peak. Pricing
+   is not a choice: the blur prices every candidate wherever it is exact,
+   and solves price them on any other stack (side walls, or no grounded
+   face). The blur is computed from the stack and the die alone, so no
+   armed fault can reach it; each fault still reaches its target, the
+   pool's chunks or the re-score's build and solve. *)
 let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   Obs.Trace.with_span "optimizer.greedy_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
@@ -77,7 +69,8 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
     collect 0 []
   in
   let num_cands = List.length candidates in
-  let screen = screening_enabled flow in
+  let cfg = coarse_config flow ~nx:coarse_nx in
+  let screen = Thermal.Mesh.blur_exact cfg in
   let trial_power = trial_pricer flow ~nx:coarse_nx in
   let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
@@ -93,12 +86,14 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
     in
     let price =
       if screen then begin
-        (* every trial in this round shares (config, extent), so the
-           transfer of the first candidate's mesh serves all of them *)
+        (* every trial of this round is the die with the same number of
+           extra rows, so one transfer serves all of them *)
         let kernel =
-          Thermal.Mesh.blur
-            (Thermal.Mesh.build (coarse_config flow ~nx:coarse_nx)
-               ~power:(trial_power (trial_of (List.hd candidates))))
+          Thermal.Mesh.blur cfg
+            ~extent:
+              (Place.Floorplan.with_extra_rows base.Place.Placement.fp
+                 (List.length !rev_plan + step))
+                .Place.Floorplan.core
         in
         blur_evaluations := !blur_evaluations + num_cands;
         fun power -> Thermal.Blur.peak kernel ~power

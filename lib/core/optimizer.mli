@@ -46,21 +46,22 @@ val greedy_rows :
     Raises [Invalid_argument] on a non-positive budget or parameter.
 
     Under {!Flow.Guide_peak} the tier is not a choice. Where the blur is
-    exact for the flow's stack ({!Thermal.Mesh.blur_exact}) and no fault
-    is armed, each round builds the blur kernel of its die extent once
+    exact for the flow's stack ({!Thermal.Mesh.blur_exact}), each round
+    computes the blur kernel of its die extent once
     ({!Thermal.Mesh.blur}) and prices every candidate by
     {!Thermal.Blur.peak}: the exact active-layer peak of its trial power
-    map, with no solve. Otherwise (a side-walled stack, no grounded
-    face, or an armed fault, which must reach the solve path it
-    targets) every candidate gets a thermal solve
-    ({!Flow.solve_power}). Each round picks one of the two prices and
-    runs one selection walk: candidates are priced concurrently on the
-    {!Parallel.Pool}, and selection walks them in their fixed order with
-    a strict-improvement tie-break, so the chosen plan is identical for
-    any pool size (including sequential). Both tiers end with the same
-    single solve of the committed plan, so [predicted_peak_k] is a solve
-    result. A run spends [1] exact solve with the blur and
-    [rounds * candidates + 1] without it.
+    map, with no solve. On any other stack (side walls, or no grounded
+    face) every candidate gets a thermal solve ({!Flow.solve_power}).
+    No armed fault changes the tier; each reaches its own target, the
+    candidate map's pool chunks or the re-score's build and solve. Each
+    round picks one of the two prices and runs one selection walk:
+    candidates are priced concurrently on the {!Parallel.Pool}, and
+    selection walks them in their fixed order with a strict-improvement
+    tie-break, so the chosen plan is identical for any pool size
+    (including sequential). Both tiers end with the same single solve of
+    the committed plan, so [predicted_peak_k] is a solve result. A run
+    spends [1] exact solve with the blur and [rounds * candidates + 1]
+    without it.
 
     Under {!Flow.Guide_gradient} the per-candidate pricing disappears
     entirely: each round runs one adjoint sensitivity

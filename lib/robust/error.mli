@@ -10,12 +10,14 @@
 
 type t =
   | Solver_diverged of {
-      residual : float;     (** best relative residual over all rungs *)
+      residual : float;     (** best relative residual of the attempts *)
       iterations : int;     (** iterations of the best attempt *)
-      rungs : string list;  (** escalation rungs attempted, in order *)
+      rungs : string list;
+      (** the attempts, in order: [["requested"; "restart"]] for an
+          MG-CG solve and its cold-Jacobi retry *)
     }
-  (** Every rung of the CG escalation ladder failed; the temperature
-      field is untrustworthy and must not steer placement decisions. *)
+  (** A CG solve and its retry both failed; the temperature field is
+      untrustworthy and must not steer placement decisions. *)
   | Invariant_violation of {
       check : string;   (** dotted check name, e.g. ["power.finite_nonneg"] *)
       detail : string;
@@ -55,7 +57,7 @@ val raise_ : t -> 'a
 
 val to_string : t -> string
 (** One-line human-readable rendering, e.g.
-    ["solver diverged after rungs requested,jacobi,ssor,restart \
+    ["solver diverged after rungs requested,restart \
       (residual 3.1e-02, 5760 iters)"]. *)
 
 val to_json : t -> Obs.Json.t

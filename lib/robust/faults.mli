@@ -6,19 +6,19 @@
     armed and every hook is a single relaxed [Atomic.get]. The test suite
     and the [scripts/check.sh] smoke arm faults (via {!arm} or the
     [THERMOPLACE_FAULTS] environment variable) and then prove that each
-    injected fault is either recovered (escalation ladder) or surfaced as
+    injected fault is either recovered (the CG retry) or surfaced as
     a structured {!Error.t} — never a silent wrong answer.
 
     Faults are armed with a count and consumed one shot at a time, so a
     single armed fault perturbs exactly one site; arming with a larger
-    count defeats multi-attempt recovery (e.g. [Cg_stall] armed 4x fails
-    every rung of the escalation ladder). *)
+    count defeats multi-attempt recovery (e.g. [Cg_stall] armed 2x fails
+    an MG-CG solve and its cold-Jacobi retry). *)
 
 type fault =
   | Nan_power         (** corrupt the flow's power map with NaN tiles *)
   | Perturb_matrix
   (** build the next mesh operator with NaN lateral couplings in layer 0
-      (its diagonal left intact), which every CG rung and the
+      (its diagonal left intact), which every CG attempt and the
       [mesh.spd_structure] check must reject *)
   | Cg_stall          (** force one [Cg.solve_raw] call to report
                           non-convergence without iterating *)

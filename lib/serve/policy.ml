@@ -1,7 +1,7 @@
 (* Retry policy: exponential backoff with seeded, deterministic jitter.
 
    Only transient failure classes are retryable — a CG breakdown that
-   escalated through every rung, or a worker death, can succeed on a
+   its retry did not recover, or a worker death, can succeed on a
    clean re-run (the injected fault or numerical bad luck is gone).
    Validation errors are facts about the request and retrying them only
    burns server time, so they never retry. Jitter is drawn from a

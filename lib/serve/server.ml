@@ -136,7 +136,7 @@ let run ?(config = default_config) ~input ~output () =
      fully successful prepare+evaluate that ran with no fault armed, so
      a fault- or deadline-poisoned job can never cache a tainted flow for
      its batch mates — not even one its fault left intact but solved by
-     another path (a stalled CG recovered on a later rung). *)
+     another path (a stalled CG recovered by its cold-Jacobi retry). *)
   let cache : (string * (Flow.t * Flow.evaluation)) list ref = ref [] in
   let lineno = ref 0 in
   let respond json =

@@ -51,7 +51,7 @@ val solve_result :
     they take its engine rule: the modal solve on an adiabatic-walled,
     grounded stack with no solver fault in play (exact; [cg_iterations]
     is [0]), MG-CG on the problem's shared hierarchy otherwise, with its
-    escalation ladder and structured errors.
+    cold-Jacobi retry and structured errors.
     Telemetry: [thermal.adjoint.solves], [thermal.adjoint.iterations],
     [thermal.adjoint.peak_sensitivity_k_per_w] and
     [thermal.adjoint.smoothing_gap_k] in {!Obs.Metrics}, under a

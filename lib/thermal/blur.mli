@@ -11,7 +11,8 @@
     per layer, so each lateral mode (kx, ky) decouples into one small
     vertical system ({!Modal}), and the transfer G(kx, ky) is the
     power-layer response of that system ({!Mesh.blur} computes it in
-    closed form). The blur is the one-layer case of {!Modal}'s transform
+    closed form from a mesh config and a die extent: it depends on no
+    power map). The blur is the one-layer case of {!Modal}'s transform
     pipeline, with a diagonal product where {!Modal.solve} runs one
     tridiagonal solve per mode. Evaluation is T = IDCT(G * DCT(P)) on
     the nx x ny die itself — no mirror extension, no padding — and

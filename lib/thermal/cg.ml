@@ -6,7 +6,7 @@ type outcome = {
   breakdown : string option;
 }
 
-type precond = Jacobi | Ssor of float | Multigrid of Multigrid.t
+type precond = Jacobi | Multigrid of Multigrid.t
 
 let default_tol = 1e-10
 
@@ -17,8 +17,8 @@ let default_tol = 1e-10
    trajectory shape survives at any iteration count), and the finished
    history lands in a small process-global ring. The ring is what the CLI
    report's "convergence" section and the tests read: the last
-   [history_ring_capacity] solves, escalation rungs included, each tagged
-   with its preconditioner label. *)
+   [history_ring_capacity] solves, escalation retries included, each
+   tagged with its preconditioner label. *)
 
 let residual_log_capacity = 256
 
@@ -50,7 +50,7 @@ let log_push l r =
   l.rl_seen <- l.rl_seen + 1
 
 type history = {
-  h_label : string;        (* preconditioner / escalation-rung tag *)
+  h_label : string;        (* preconditioner / escalation-retry tag *)
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -160,9 +160,6 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
   if Array.length b <> n then invalid_arg "Cg.solve: rhs dimension mismatch";
   (match precond with
    | Jacobi -> ()
-   | Ssor omega ->
-     if omega <= 0.0 || omega >= 2.0 then
-       invalid_arg "Cg.solve: SSOR omega must be in (0, 2)"
    | Multigrid h ->
      if Multigrid.fine_dim h <> n then
        invalid_arg "Cg.solve: multigrid hierarchy dimension mismatch");
@@ -188,7 +185,6 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
     incr applies;
     match precond with
     | Jacobi -> for i = 0 to n - 1 do z.(i) <- r.(i) /. diag.(i) done
-    | Ssor omega -> Stencil.ssor_apply m ~diag ~omega r z
     | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
   in
   (* from the zero start, so the first residual is [b] itself *)
@@ -296,14 +292,10 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
 
 let precond_label = function
   | None | Some Jacobi -> "jacobi"
-  | Some (Ssor _) -> "ssor"
   | Some (Multigrid _) -> "mg"
 
-let solve m ~b ?(tol = default_tol) ?max_iter ?precond ?label () =
+let solve_labeled m ~b ~tol ?max_iter ?precond ~label () =
   Obs.Trace.with_span "thermal.cg.solve" (fun () ->
-      let label =
-        match label with Some l -> l | None -> precond_label precond
-      in
       let applies = ref 0 in
       let out, rlog =
         solve_raw m ~b ~tol ?max_iter ?precond ~applies ()
@@ -334,7 +326,10 @@ let solve m ~b ?(tol = default_tol) ?max_iter ?precond ?label () =
       Obs.Trace.add_metric "cg.residual" out.residual;
       out)
 
-type status = Clean | Recovered of string | Degraded
+let solve m ~b ?(tol = default_tol) ?max_iter ?precond () =
+  solve_labeled m ~b ~tol ?max_iter ?precond ~label:(precond_label precond) ()
+
+type status = Clean | Recovered | Degraded
 
 type escalation = {
   esc_outcome : outcome;
@@ -342,62 +337,31 @@ type escalation = {
   esc_rungs : string list;
 }
 
-(* Escalation ladder. A failed solve (breakdown or max-iter exit) is
-   retried with progressively heavier configurations:
-     jacobi   — cold Jacobi restart at the requested iteration budget
-                (skipped when that is exactly what just failed);
-     ssor     — SSOR(1.2) with a doubled budget: a stronger
-                preconditioner shrinks the iteration count on the mesh
-                stencil and sidesteps Jacobi-specific stagnation;
-     restart  — cold Jacobi with a quadrupled budget, the last resort
-                for slow-but-sound systems. *)
-let solve_escalating m ~b ?(tol = default_tol) ?max_iter ?precond () =
-  let n = Stencil.dim m in
-  let base_iter = match max_iter with Some k -> k | None -> 4 * n in
-  let first = solve m ~b ~tol ~max_iter:base_iter ?precond () in
+(* One recovery path. A failed first attempt (breakdown or max-iter
+   exit) is retried once, from cold, under Jacobi with four times the
+   budget: the cheapest preconditioner sidesteps whatever broke the
+   requested one, and the larger budget covers slow-but-sound systems.
+   The iterates do not depend on the budget, so wherever the retry
+   converges inside the first attempt's budget its answer is the one a
+   plain Jacobi solve gives. *)
+let solve_escalating m ~b ?precond () =
+  let budget = 4 * Stencil.dim m in
+  let first = solve m ~b ~max_iter:budget ?precond () in
   if first.converged then
     { esc_outcome = first; esc_status = Clean; esc_rungs = [] }
   else begin
     Obs.Metrics.count "thermal.cg.escalations";
-    let requested_jacobi =
-      match precond with
-      | None | Some Jacobi -> true
-      | Some (Ssor _ | Multigrid _) -> false
+    let retry =
+      solve_labeled m ~b ~tol:default_tol ~max_iter:(4 * budget)
+        ~precond:Jacobi ~label:"esc:restart" ()
     in
-    let rungs =
-      (if requested_jacobi then []
-       else
-         [ ("jacobi",
-            fun () ->
-              solve m ~b ~tol ~max_iter:base_iter ~precond:Jacobi
-                ~label:"esc:jacobi" ()) ])
-      @ [ ("ssor",
-           fun () ->
-             solve m ~b ~tol ~max_iter:(2 * base_iter)
-               ~precond:(Ssor 1.2) ~label:"esc:ssor" ());
-          ("restart",
-           fun () ->
-             solve m ~b ~tol ~max_iter:(4 * base_iter)
-               ~precond:Jacobi ~label:"esc:restart" ()) ]
-    in
-    let rec go attempted best = function
-      | [] ->
-        Obs.Metrics.count "thermal.cg.escalation.degraded";
-        { esc_outcome = best; esc_status = Degraded;
-          esc_rungs = List.rev attempted }
-      | (name, run) :: rest ->
-        Obs.Metrics.count ("thermal.cg.escalation.rung." ^ name);
-        let out = run () in
-        let attempted = name :: attempted in
-        if out.converged then begin
-          Obs.Metrics.count "thermal.cg.escalation.recovered";
-          { esc_outcome = out; esc_status = Recovered name;
-            esc_rungs = List.rev attempted }
-        end
-        else begin
-          let best = if out.residual < best.residual then out else best in
-          go attempted best rest
-        end
-    in
-    go [] first rungs
+    if retry.converged then begin
+      Obs.Metrics.count "thermal.cg.escalation.recovered";
+      { esc_outcome = retry; esc_status = Recovered; esc_rungs = [ "restart" ] }
+    end
+    else begin
+      Obs.Metrics.count "thermal.cg.escalation.degraded";
+      { esc_outcome = (if retry.residual < first.residual then retry else first);
+        esc_status = Degraded; esc_rungs = [ "restart" ] }
+    end
   end

@@ -19,12 +19,9 @@ type outcome = {
 }
 
 type precond =
-  | Jacobi        (** diagonal scaling — cheapest apply, default *)
-  | Ssor of float
-  (** symmetric successive over-relaxation with the given omega in
-      (0, 2); [Ssor 1.0] is symmetric Gauss-Seidel. Stronger than Jacobi
-      on the mesh stencil (fewer iterations) at the cost of two
-      triangular sweeps per apply. *)
+  | Jacobi
+  (** diagonal scaling — the cheapest apply, the default, and the
+      escalation retry's preconditioner *)
   | Multigrid of Multigrid.t
   (** one geometric V-cycle per apply (see {!Multigrid}). The heaviest
       apply but near-resolution-independent iteration counts — the
@@ -42,14 +39,14 @@ val default_tol : float
     into a bounded per-solve buffer (stride-doubling downsample, at most
     {!residual_log_capacity} points whatever the iteration count) and
     publishes the finished history into a process-global ring holding
-    the last {!history_ring_capacity} solves — escalation-ladder rungs
+    the last {!history_ring_capacity} solves — escalation retries
     included, each tagged with its label. The CLI report's
     ["convergence"] section is {!histories_json}. *)
 
 type history = {
   h_label : string;
-  (** preconditioner ("jacobi" / "ssor" / "mg"), an escalation rung
-      ("esc:jacobi", ...) or a caller-supplied [?label] *)
+  (** the preconditioner ("jacobi" / "mg"), or ["esc:restart"] for the
+      escalation retry *)
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -74,12 +71,11 @@ val histories_json : unit -> Obs.Json.t
       "residuals"}]. *)
 
 val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
-  ?precond:precond -> ?label:string -> unit -> outcome
+  ?precond:precond -> unit -> outcome
 (** CG from the zero vector. Defaults: [tol] {!default_tol}, [max_iter]
     4 * dim, [precond] {!Jacobi}. Raises [Invalid_argument] on dimension
-    mismatch, a non-positive diagonal entry (the preconditioners need
-    positivity, and a thermal conductance operator always satisfies it),
-    or an SSOR omega outside (0, 2).
+    mismatch or a non-positive diagonal entry (the preconditioners need
+    positivity, and a thermal conductance operator always satisfies it).
 
     Telemetry: every solve records [thermal.cg.iterations] and
     [thermal.cg.residual] observations and bumps the [thermal.cg.solves]
@@ -95,36 +91,32 @@ val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
     Fault injection: an armed {!Robust.Faults.Cg_stall} makes the next
     solve return immediately with [converged = false] and the zero start
     vector as [x] — used by tests and the fault-injection harness to
-    exercise the escalation ladder. *)
+    exercise the escalation retry. *)
 
 type status =
-  | Clean             (** the first attempt converged *)
-  | Recovered of string
-  (** a retry rung converged; the payload names it ("jacobi", "ssor",
-      "restart") *)
-  | Degraded          (** every rung failed; the outcome is best-effort *)
+  | Clean       (** the first attempt converged *)
+  | Recovered   (** the first attempt failed and the retry converged *)
+  | Degraded    (** both failed; the outcome is best-effort *)
 
 type escalation = {
   esc_outcome : outcome;
   esc_status : status;
   esc_rungs : string list;
-  (** retry rungs attempted after the first solve, in order; [[]] when
-      the first attempt converged *)
+  (** [["restart"]] when the first attempt failed and was retried; [[]]
+      when it converged *)
 }
 
-val solve_escalating : Stencil.t -> b:float array -> ?tol:float ->
-  ?max_iter:int -> ?precond:precond -> unit -> escalation
-(** {!solve} wrapped in a breakdown-recovery ladder. A failed first
-    attempt (breakdown or max-iter exit) is retried through
-    progressively heavier rungs: Jacobi at the requested budget (skipped
-    when the first attempt was already a Jacobi solve; an SSOR- or
-    multigrid-preconditioned first attempt always gets it), SSOR(1.2)
-    at twice the budget, then a Jacobi restart at four times the budget.
-    The first converging rung wins ([Recovered]); if all fail the
-    best-residual outcome is returned with [Degraded] and the caller
+val solve_escalating : Stencil.t -> b:float array -> ?precond:precond ->
+  unit -> escalation
+(** {!solve} to {!default_tol} within 4 * dim iterations, with one
+    recovery path: a failed first attempt (breakdown or max-iter exit)
+    is retried once, from the zero vector, under {!Jacobi} at four times
+    that budget (labelled ["esc:restart"] in the history ring). Where the
+    retry converges within the first budget its result is bit for bit a
+    plain Jacobi solve's. A converged retry is [Recovered]; otherwise the
+    better-residual outcome is returned with [Degraded] and the caller
     decides whether that is an error.
 
-    Telemetry: a failed first attempt bumps [thermal.cg.escalations] and
-    each rung [thermal.cg.escalation.rung.<name>]; the terminal state
-    bumps [thermal.cg.escalation.recovered] or
+    Telemetry: a failed first attempt bumps [thermal.cg.escalations], and
+    the retry's outcome [thermal.cg.escalation.recovered] or
     [thermal.cg.escalation.degraded]. *)

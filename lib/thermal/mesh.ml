@@ -19,8 +19,6 @@ type problem = {
      armed, so only this flag keeps the solve on the CG path it targets *)
   p_mg : Multigrid.t option ref;
   (* the multigrid hierarchy, built on first use *)
-  p_blur : Blur.t option ref;
-  (* the power-blurring transfer, computed on first use *)
 }
 
 let stencil p = p.p_stencil
@@ -28,9 +26,8 @@ let rhs p = p.p_rhs
 let config p = p.p_config
 let extent p = p.p_extent
 
-(* Same operator (and hierarchy / blur transfer), different right-hand
-   side — the adjoint solve injects its custom source into the same
-   operator. *)
+(* Same operator (and hierarchy), different right-hand side — the
+   adjoint solve injects its custom source into the same operator. *)
 let with_rhs p rhs =
   if Array.length rhs <> Array.length p.p_rhs then
     invalid_arg "Mesh.with_rhs: rhs dimension mismatch";
@@ -162,18 +159,17 @@ let build cfg ~power =
   Geo.Grid.iteri power ~f:(fun ~ix ~iy w ->
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
   { p_config = cfg; p_extent = extent; p_shift = shift; p_stencil = stencil;
-    p_rhs = rhs; p_poisoned = poisoned; p_mg = ref None; p_blur = ref None }
+    p_rhs = rhs; p_poisoned = poisoned; p_mg = ref None }
 
-(* A new operator, so a new hierarchy and blur transfer; the poisoning
-   of the build it derives from carries over. *)
+(* A new operator, so a new hierarchy; the poisoning of the build it
+   derives from carries over. *)
 let shifted p ~w_m2k =
   let shift = Array.map2 ( +. ) p.p_shift w_m2k in
   { p with
     p_shift = shift;
     p_stencil =
       stencil_of p.p_config ~extent:p.p_extent ~shift ~poisoned:p.p_poisoned;
-    p_mg = ref None;
-    p_blur = ref None }
+    p_mg = ref None }
 
 let multigrid p =
   match !(p.p_mg) with
@@ -224,8 +220,9 @@ let relative_residual stencil ~b x =
   if !bb = 0.0 then 0.0 else sqrt (!rr /. !bb)
 
 (* The modal solve of [p]'s system, or [None] when its measured residual
-   is not finite (a NaN or infinite source): the CG ladder then reports
-   the structured failure, as it would have without the engine. *)
+   is not finite (a NaN or infinite source): MG-CG and its retry then
+   report the structured failure, as they would have without the
+   engine. *)
 let modal_solution p =
   Obs.Trace.with_span "thermal.modal.solve" @@ fun () ->
   let cfg = p.p_config in
@@ -268,12 +265,9 @@ let cg_solution ?precond p =
          { residual = outcome.Cg.residual;
            iterations = outcome.Cg.iterations;
            rungs = "requested" :: esc.Cg.esc_rungs })
-  | Cg.Clean | Cg.Recovered _ ->
-    (match esc.Cg.esc_status with
-     | Cg.Recovered rung ->
-       Obs.Log.warn
-         (Printf.sprintf "Mesh.solve: recovered via %s escalation rung" rung)
-     | _ -> ());
+  | Cg.Clean | Cg.Recovered ->
+    if esc.Cg.esc_status = Cg.Recovered then
+      Obs.Log.warn "Mesh.solve: recovered by the cold Jacobi restart";
     Ok { config = p.p_config; extent = p.p_extent; temp = outcome.Cg.x;
          cg_iterations = outcome.Cg.iterations;
          cg_residual = outcome.Cg.residual;
@@ -317,45 +311,35 @@ let active_layer_grid s =
    plus what presents to it from further below — which is the same
    recurrence without subtracting nearly equal numbers. It is defined
    where [blur_exact] holds. *)
-let blur p =
-  let cfg = p.p_config in
-  match !(p.p_blur) with
-  | Some b when Blur.nx b = cfg.nx && Blur.ny b = cfg.ny -> b
-  | _ ->
-    Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
-    let c = conductances cfg ~extent:p.p_extent ~shift:p.p_shift in
-    let nz = Stack.num_layers cfg.stack in
-    let pl = cfg.stack.Stack.power_layer in
-    if not (blur_exact cfg) then
-      invalid_arg "Mesh.blur: the modal transfer needs adiabatic side walls \
-                   and a grounded top or bottom face";
-    let face = face_grounds c in
-    (* the sweeps are written out so no float crosses a call *)
-    let transfer ~lx ~ly =
-      let below = ref 0.0 in
-      for iz = 0 to pl - 1 do
-        let s =
-          face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !below
-        in
-        let g = c.g_v.(iz) in
-        below := g *. s /. (g +. s)
-      done;
-      let above = ref 0.0 in
-      for iz = nz - 1 downto pl + 1 do
-        let s =
-          face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !above
-        in
-        let g = c.g_v.(iz - 1) in
-        above := g *. s /. (g +. s)
-      done;
-      1.0
-      /. (face.(pl) +. (c.g_x.(pl) *. lx) +. (c.g_y.(pl) *. ly) +. !below
-          +. !above)
-    in
-    let b =
-      Blur.of_modes ~nx:cfg.nx ~ny:cfg.ny ~extent:p.p_extent ~transfer
-    in
-    (* benign race, as in [multigrid]: concurrent characterizers derive
-       the same transfer, so the last write wins *)
-    p.p_blur := Some b;
-    b
+let blur cfg ~extent =
+  Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
+  if not (blur_exact cfg) then
+    invalid_arg "Mesh.blur: the modal transfer needs adiabatic side walls \
+                 and a grounded top or bottom face";
+  let c = conductances cfg ~extent ~shift:(no_shift cfg) in
+  let nz = Stack.num_layers cfg.stack in
+  let pl = cfg.stack.Stack.power_layer in
+  let face = face_grounds c in
+  (* the sweeps are written out so no float crosses a call *)
+  let transfer ~lx ~ly =
+    let below = ref 0.0 in
+    for iz = 0 to pl - 1 do
+      let s =
+        face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !below
+      in
+      let g = c.g_v.(iz) in
+      below := g *. s /. (g +. s)
+    done;
+    let above = ref 0.0 in
+    for iz = nz - 1 downto pl + 1 do
+      let s =
+        face.(iz) +. (c.g_x.(iz) *. lx) +. (c.g_y.(iz) *. ly) +. !above
+      in
+      let g = c.g_v.(iz - 1) in
+      above := g *. s /. (g +. s)
+    done;
+    1.0
+    /. (face.(pl) +. (c.g_x.(pl) *. lx) +. (c.g_y.(pl) *. ly) +. !below
+        +. !above)
+  in
+  Blur.of_modes ~nx:cfg.nx ~ny:cfg.ny ~extent ~transfer

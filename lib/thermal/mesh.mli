@@ -45,10 +45,10 @@ val config : problem -> config
 val extent : problem -> Geo.Rect.t
 
 val with_rhs : problem -> float array -> problem
-(** The same problem (operator, multigrid hierarchy and blur transfer
-    shared) with a custom right-hand side — how the adjoint solve injects
-    the objective gradient as a source term into the same SPD operator.
-    Raises [Invalid_argument] on a dimension mismatch. *)
+(** The same problem (operator and multigrid hierarchy shared) with a
+    custom right-hand side — how the adjoint solve injects the objective
+    gradient as a source term into the same SPD operator. Raises
+    [Invalid_argument] on a dimension mismatch. *)
 
 val shifted : problem -> w_m2k:float array -> problem
 (** The same problem with every tile of layer [iz] also grounded through
@@ -59,9 +59,9 @@ val shifted : problem -> w_m2k:float array -> problem
     engine's per-layer grounds and every coarse multigrid level (at that
     level's tile area), so {!solve_result} takes the same engine rule on
     it; a non-negative shift keeps the operator SPD. Shifts add up. The
-    result has its own multigrid hierarchy and blur transfer, and is
-    poisoned when [problem] is. Raises [Invalid_argument] unless there
-    is one value per layer. *)
+    result has its own multigrid hierarchy, and is poisoned when
+    [problem] is. Raises [Invalid_argument] unless there is one value
+    per layer. *)
 
 val multigrid : problem -> Multigrid.t
 (** The geometric multigrid hierarchy for this problem's operator, built
@@ -86,8 +86,8 @@ type solution = {
   (** the measured relative residual [||b - A x|| / ||b||] of [temp]
       ([0] for a zero right-hand side), from either engine *)
   cg_rungs : string list;
-  (** escalation rungs CG went through to produce this solution; [[]]
-      for a clean first-attempt convergence and for a modal solve *)
+  (** [["restart"]] when CG's cold-Jacobi retry produced this solution;
+      [[]] for a clean first-attempt convergence and for a modal solve *)
 }
 
 val solve_result : ?precond:Cg.precond -> problem ->
@@ -105,21 +105,23 @@ val solve_result : ?precond:Cg.precond -> problem ->
       conductances as the stencil and the blur. It is exact to rounding:
       [cg_iterations] is [0], [cg_rungs] [[]] and [cg_residual] is
       measured with one {!Stencil.mul}. A result whose measured residual
-      is not finite (a NaN or infinite source) is handed to MG-CG, whose
-      ladder reports the structured failure. Traced as a
-      [thermal.modal.solve] span under [thermal.solve] and counted in
-      [thermal.modal.solves]; a {!Robust.Cancel.check} follows it.
+      is not finite (a NaN or infinite source) is handed to MG-CG, which
+      reports the structured failure. Traced as a [thermal.modal.solve]
+      span under [thermal.solve] and counted in [thermal.modal.solves];
+      a {!Robust.Cancel.check} follows it.
     - {b MG-CG.} Every other solve — side-walled or ungrounded stacks,
       poisoned builds, an armed [Cg_stall], non-finite sources and
       explicit [?precond] reference solves — is preconditioned CG from
       a zero start to {!Cg.default_tol}, by default under [Cg.Multigrid]
       over this problem's {!multigrid} hierarchy (built on first use,
       outside the [thermal.solve] span). The solve runs through
-      {!Cg.solve_escalating}: a first-attempt failure is retried down the
-      Jacobi / SSOR / restart ladder, a recovery is logged as a warning
-      and recorded in [cg_rungs], and only when every rung fails does
-      this return [Error (Solver_diverged { rungs; _ })] with the full
-      attempt list. *)
+      {!Cg.solve_escalating}: a first-attempt failure is retried once,
+      cold, under Jacobi at four times the budget; a recovery is logged
+      as a warning and recorded in [cg_rungs] ([["restart"]]), and only
+      when the retry fails too does this return
+      [Error (Solver_diverged { rungs = ["requested"; "restart"]; _ })].
+
+    This is the only place that decides when MG-CG runs. *)
 
 val solve : ?precond:Cg.precond -> problem -> solution
 (** {!solve_result}, raising [Robust.Error.Error (Solver_diverged _)]
@@ -142,13 +144,14 @@ val blur_exact : config -> bool
     lateral modes do not see, and a die with neither face grounded has no
     heat path for its uniform mode; only MG-CG handles those stacks. *)
 
-val blur : problem -> Blur.t
-(** The power-blurring kernel for this problem's mesh: the modal transfer
-    of the stack on the die's DCT-II basis (see {!Blur}). For each
-    lateral mode it is the power-layer diagonal entry of the inverse of
-    one nz x nz tridiagonal system, computed in closed form from the same
-    per-layer conductances the stencil is built from — no solve runs and
-    no preconditioner is involved — so it is exact, never an estimate.
-    Computed on first use, O(nx ny nz), and kept on the problem next to
-    the multigrid hierarchy. Traced as [thermal.blur.characterize].
-    Raises [Invalid_argument] unless {!blur_exact}. *)
+val blur : config -> extent:Geo.Rect.t -> Blur.t
+(** The power-blurring kernel of the config's mesh on a die extent: the
+    modal transfer of the stack on the die's DCT-II basis (see {!Blur}).
+    For each lateral mode it is the power-layer diagonal entry of the
+    inverse of one nz x nz tridiagonal system, computed in closed form
+    from the same per-layer conductances {!operator}'s stencil is built
+    from — no solve runs, no problem is built and no preconditioner is
+    involved — so it is exact, never an estimate, and no fault can reach
+    it. O(nx ny nz) per call; nothing is cached. Traced as
+    [thermal.blur.characterize]. Raises [Invalid_argument] unless
+    {!blur_exact}. *)

@@ -100,49 +100,3 @@ let mul t x y =
       done
     done
   done
-
-(* z <- M^-1 r for the SSOR splitting M = (D/w + L) ((2-w)/w D)^-1
-   (D/w + U): a forward sweep, a diagonal scaling, a backward sweep. Each
-   sweep sums a row's off-diagonal products in the order the row is
-   stored, walking away from the diagonal on the backward sweep. *)
-let ssor_apply t ~diag ~omega r z =
-  let n = dim t in
-  if Array.length r <> n || Array.length z <> n then
-    invalid_arg "Stencil.ssor_apply: dimension mismatch";
-  let nx = t.nx and ny = t.ny and nz = t.nz in
-  let nxy = nx * ny in
-  (* forward: (D/w + L) u = r, u accumulated in z *)
-  for iz = 0 to nz - 1 do
-    let gx = t.gx.(iz) and gy = t.gy.(iz) in
-    let g_below = if iz > 0 then t.gz.(iz - 1) else 0.0 in
-    for iy = 0 to ny - 1 do
-      for ix = 0 to nx - 1 do
-        let i = (iz * nxy) + (iy * nx) + ix in
-        let acc = ref 0.0 in
-        if iz > 0 then acc := !acc -. (g_below *. z.(i - nxy));
-        if iy > 0 then acc := !acc -. (gy *. z.(i - nx));
-        if ix > 0 then acc := !acc -. (gx *. z.(i - 1));
-        z.(i) <- (r.(i) -. !acc) *. omega /. diag.(i)
-      done
-    done
-  done;
-  (* scale by ((2-w)/w D) *)
-  let s = (2.0 -. omega) /. omega in
-  for i = 0 to n - 1 do
-    z.(i) <- z.(i) *. diag.(i) *. s
-  done;
-  (* backward: (D/w + U) z = u, in place (rows above i are final) *)
-  for iz = nz - 1 downto 0 do
-    let gx = t.gx.(iz) and gy = t.gy.(iz) in
-    let g_above = if iz < nz - 1 then t.gz.(iz) else 0.0 in
-    for iy = ny - 1 downto 0 do
-      for ix = nx - 1 downto 0 do
-        let i = (iz * nxy) + (iy * nx) + ix in
-        let acc = ref 0.0 in
-        if iz < nz - 1 then acc := !acc -. (g_above *. z.(i + nxy));
-        if iy < ny - 1 then acc := !acc -. (gy *. z.(i + nx));
-        if ix < nx - 1 then acc := !acc -. (gx *. z.(i + 1));
-        z.(i) <- (z.(i) -. !acc) *. omega /. diag.(i)
-      done
-    done
-  done

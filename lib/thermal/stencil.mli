@@ -60,11 +60,3 @@ val iter_row : t -> int -> f:(int -> float -> unit) -> unit
 val mul : t -> float array -> float array -> unit
 (** [mul a x y] computes [y <- A x]; each row sums its entries in
     {!iter_row} order, starting from 0. *)
-
-val ssor_apply : t -> diag:float array -> omega:float ->
-  float array -> float array -> unit
-(** [ssor_apply a ~diag ~omega r z] computes [z <- M^-1 r] for the SSOR
-    splitting [M = (D/w + L) ((2-w)/w D)^-1 (D/w + U)], where [diag] is
-    the (positive) diagonal, one entry per node, and [w = omega]. Forward
-    sweep, diagonal scale, backward sweep — all sequential. [z] is used
-    as scratch; its input value is ignored. *)

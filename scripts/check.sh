@@ -3,7 +3,7 @@
 # quickstart example, smoke-run the solve bench (the modal engine and
 # MG-CG, the blur, the adjoint, both guides and the pool) and the serve
 # bench, run the paper suites, and gate the solve and serve benches and
-# the guide and optimizer suites' counts against the committed
+# the fig6, guide and optimizer suites' counts against the committed
 # bench/baselines via bench_diff (wall-clock regressions, changed counts
 # and invariant flips fail the run),
 # smoke the CLI with --report, --perfetto and --prom, validate the JSON
@@ -98,10 +98,10 @@ dune exec bin/bench_diff.exe -- --threshold 0.60 --json "$verdict" \
 dune exec bin/json_check.exe -- "$verdict" baseline fresh ok failed keys
 dune exec bin/bench_diff.exe -- --threshold 0.60 \
   bench/baselines/serve.json BENCH_serve.json >/dev/null
-# The paper suites' counts: the guides' exact, blur and adjoint solves
-# and the optimizer's coarse solves per budget (their floats are
-# informational).
-for name in guide optimizer; do
+# The paper suites' counts: the Fig. 6 sweep's thermal solves (one per
+# evaluation), the guides' exact, blur and adjoint solves and the
+# optimizer's coarse solves per budget (their floats are informational).
+for name in fig6 guide optimizer; do
   dune exec bin/bench_diff.exe -- \
     "bench/baselines/$name.json" "BENCH_$name.json" >/dev/null
 done
@@ -192,10 +192,12 @@ dune exec bin/json_check.exe -- \
 grep -q '"name": "flow.activity"' "$report"
 
 echo "== perfetto trace smoke"
-# A parallel optimizer run must yield a valid Chrome trace-event file with
-# spans from more than one domain (json_check --trace checks both).
+# A parallel sweep must yield a valid Chrome trace-event file with spans
+# from more than one domain (json_check --trace checks both). Each of its
+# pool chunks is a whole evaluation, long enough that a second domain
+# takes one even on a loaded host.
 dune exec bin/thermoplace.exe -- \
-  optimize --test-set small --cycles 200 --rows 2 --jobs 4 \
+  sweep --test-set small --cycles 200 --jobs 4 \
   --perfetto "$perfetto" >/dev/null
 dune exec bin/json_check.exe -- --trace "$perfetto" 2
 
@@ -269,8 +271,8 @@ if [ "$rc" -ne 11 ]; then
   echo "fault smoke: expected exit 11 for nan_power, got $rc" >&2
   exit 1
 fi
-# Stalling every rung of the CG escalation ladder must surface as solver
-# divergence (exit 10).
+# Stalling an MG-CG attempt and its cold-Jacobi retry must surface as
+# solver divergence (exit 10); two stalls are enough.
 rc=0
 THERMOPLACE_FAULTS=cg_stall:8 dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 >/dev/null 2>&1 || rc=$?
@@ -278,9 +280,8 @@ if [ "$rc" -ne 10 ]; then
   echo "fault smoke: expected exit 10 for cg_stall, got $rc" >&2
   exit 1
 fi
-# A single stall of an MG-CG solve must be recovered by the escalation
-# ladder (the MG first attempt earns the cold-Jacobi rung), so the flow
-# still exits 0.
+# A single stall of an MG-CG solve must be recovered by the cold-Jacobi
+# retry, so the flow still exits 0.
 rc=0
 THERMOPLACE_FAULTS=cg_stall dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 >/dev/null 2>&1 || rc=$?
@@ -388,8 +389,8 @@ dune exec bin/thermoplace.exe -- \
   sweep --test-set small --cycles 200 --checkpoint "$ckpt" >/dev/null
 
 echo "== run ledger + history smoke"
-# Every run above — 2 benches, 8 thermoplace runs (2 of them
-# fault-injected failures) and the 2 sweeps — appended exactly one
+# Every run above — 2 benches, 7 thermoplace runs (2 of them
+# fault-injected failures) and the 3 sweeps — appended exactly one
 # record to the scratch ledger (the serve smokes wrote to their own
 # explicit --ledger files, which beat THERMOPLACE_LEDGER).
 dune exec bin/json_check.exe -- --jsonl "$ledger" 12

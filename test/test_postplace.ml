@@ -667,19 +667,66 @@ let test_optimizer_fft_screening_parity () =
   Alcotest.(check (pair int int)) "blur tier runs one modal solve, no CG"
     (1, 0) (modal, cg)
 
-let test_optimizer_fault_forces_exact_tier () =
+(* The blur builds no problem and runs no solve, so no armed fault can
+   be blurred away and the optimizer routes none: on the 20x20 greedy
+   each fault reaches its own target under the blur tier. A [Cg_stall]
+   stalls the re-score's MG-CG attempt and the cold-Jacobi retry
+   recovers it; [Nan_power] aims at the flow's power map, which
+   greedy_rows never bins, so the run is the clean one bit for bit;
+   [Perturb_matrix] poisons the re-score's build, which both attempts
+   reject; [Kill_worker] fails a chunk of the candidate map. *)
+let test_optimizer_faults_reach_targets () =
   let fl = Lazy.force flow in
   Parallel.Pool.set_jobs 1;
-  (* any armed fault must take the exact tier: injected faults have to
-     reach the solve path they target. One stall is absorbed by the
-     first solve's escalation ladder. *)
-  let r =
-    Robust.Faults.with_fault Robust.Faults.Cg_stall (fun () ->
-        Postplace.Optimizer.greedy_rows fl ~rows:2 ~chunk:2 ~stride:2
-          ~coarse_nx:16 ())
+  Obs.Metrics.set_enabled true;
+  let run () = Postplace.Optimizer.greedy_rows fl ~rows:2 ~chunk:2 ~stride:2 () in
+  let clean = run () in
+  let recovered () =
+    Option.value ~default:0
+      (Obs.Metrics.counter_value "thermal.cg.escalation.recovered")
   in
-  Alcotest.(check int) "no blur under armed faults" 0
-    r.Postplace.Optimizer.blur_evaluations
+  let bits (r : Postplace.Optimizer.result) =
+    ( inserted r,
+      Int64.bits_of_float r.Postplace.Optimizer.predicted_peak_k,
+      r.Postplace.Optimizer.evaluations,
+      r.Postplace.Optimizer.blur_evaluations )
+  in
+  let peak = clean.Postplace.Optimizer.predicted_peak_k in
+  List.iter
+    (fun (fault, expect) ->
+       let name = Robust.Faults.to_string fault in
+       let recovered0 = recovered () in
+       let outcome =
+         match Robust.Faults.with_fault fault run with
+         | r -> Ok r
+         | exception Robust.Error.Error e -> Error e
+       in
+       match (expect, outcome) with
+       | `Recovered, Ok r ->
+         Alcotest.(check (list int)) (name ^ ": clean plan") (inserted clean)
+           (inserted r);
+         Alcotest.(check (float (1e-9 *. peak))) (name ^ ": re-scored peak")
+           peak r.Postplace.Optimizer.predicted_peak_k;
+         Alcotest.(check int) (name ^ ": blurs every candidate")
+           (priced fl ~rows:2 ~chunk:2 ~stride:2)
+           r.Postplace.Optimizer.blur_evaluations;
+         Alcotest.(check int) (name ^ ": one re-score solve") 1
+           r.Postplace.Optimizer.evaluations;
+         Alcotest.(check int) (name ^ ": one recovery") 1
+           (recovered () - recovered0)
+       | `Clean, Ok r ->
+         Alcotest.(check bool) (name ^ ": the clean run bit for bit") true
+           (bits r = bits clean)
+       | `Diverged, Error (Robust.Error.Solver_diverged { rungs; _ }) ->
+         Alcotest.(check (list string)) (name ^ ": attempt and retry")
+           [ "requested"; "restart" ] rungs
+       | `Worker, Error (Robust.Error.Worker_failed _) -> ()
+       | _, Ok _ -> Alcotest.failf "%s: unexpected success" name
+       | _, Error e ->
+         Alcotest.failf "%s: unexpected %s" name (Robust.Error.to_string e))
+    Robust.Faults.
+      [ (Cg_stall, `Recovered); (Nan_power, `Clean);
+        (Perturb_matrix, `Diverged); (Kill_worker, `Worker) ]
 
 let test_optimizer_side_wall_stack_exact_tier () =
   let fl = Lazy.force flow in
@@ -1052,8 +1099,8 @@ let () =
            test_optimizer_parallel_identical;
          Alcotest.test_case "fft screening parity" `Quick
            test_optimizer_fft_screening_parity;
-         Alcotest.test_case "faults force the exact tier" `Quick
-           test_optimizer_fault_forces_exact_tier;
+         Alcotest.test_case "faults reach their targets" `Quick
+           test_optimizer_faults_reach_targets;
          Alcotest.test_case "side-wall-only stack takes the exact tier"
            `Quick test_optimizer_side_wall_stack_exact_tier;
          Alcotest.test_case "20x20 plans pinned" `Quick

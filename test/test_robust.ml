@@ -20,10 +20,11 @@ let test_error_rendering () =
   let e =
     E.Solver_diverged
       { residual = 0.031; iterations = 5760;
-        rungs = [ "requested"; "ssor"; "restart" ] }
+        rungs = [ "requested"; "restart" ] }
   in
   let s = E.to_string e in
-  Alcotest.(check bool) "mentions rungs" true (contains ~needle:"ssor" s);
+  Alcotest.(check bool) "mentions rungs" true
+    (contains ~needle:"requested,restart" s);
   Alcotest.(check int) "solver exit code" 10 (E.exit_code e);
   Alcotest.(check int) "invariant exit code" 11
     (E.exit_code (E.Invariant_violation { check = "c"; detail = "d" }));
@@ -221,7 +222,7 @@ let test_flow_cg_stall_recovered_and_degraded () =
     | Ok ev -> ev
     | Error e -> Alcotest.failf "clean evaluation failed: %s" (E.to_string e)
   in
-  (* one stall: the escalation ladder absorbs it and the evaluation
+  (* one stall: the cold-Jacobi retry absorbs it and the evaluation
      succeeds with a near-identical temperature field *)
   (match
      F.with_fault F.Cg_stall (fun () ->
@@ -235,16 +236,16 @@ let test_flow_cg_stall_recovered_and_degraded () =
        (Float.abs (p0 -. p1) <= 1e-6 *. (1.0 +. Float.abs p0))
    | Error e ->
      Alcotest.failf "single stall not recovered: %s" (E.to_string e));
-  (* enough stalls to exhaust every rung: structured divergence error.
-     The requested MG attempt earns the cold-Jacobi rung too. *)
+  (* a stall on the MG attempt and one on its retry exhaust the one
+     recovery path: structured divergence error *)
   (match
-     F.with_fault ~times:8 F.Cg_stall (fun () ->
+     F.with_fault ~times:2 F.Cg_stall (fun () ->
          Postplace.Flow.evaluate_result flow
            flow.Postplace.Flow.base_placement)
    with
    | Error (E.Solver_diverged { rungs; _ }) ->
-     Alcotest.(check (list string)) "all rungs attempted"
-       [ "requested"; "jacobi"; "ssor"; "restart" ] rungs
+     Alcotest.(check (list string)) "attempt and retry"
+       [ "requested"; "restart" ] rungs
    | Ok _ -> Alcotest.fail "flooded stalls evaluated silently"
    | Error e -> Alcotest.failf "wrong error class: %s" (E.to_string e));
   F.clear ()

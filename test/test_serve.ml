@@ -411,9 +411,9 @@ let test_fault_isolation () =
   Alcotest.(check int) "one batch" 1 s1.Server.batches;
   (* a faulted job that leads the batch pays the flow-cache miss, and
      prepares its flow while its fault is armed: a stalled CG recovered
-     on a later rung solves the base by another path, and a fault aimed
-     at the pool leaves it alone. Either way its mates get the base a
-     clean batch caches *)
+     by its cold-Jacobi retry solves the base by another path, and a
+     fault aimed at the pool leaves it alone. Either way its mates get
+     the base a clean batch caches *)
   List.iter
     (fun fault ->
        let s2, r2 =

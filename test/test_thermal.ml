@@ -188,37 +188,6 @@ let test_cg_telemetry () =
        Alcotest.(check int) "warning retained" 1
          (List.length (Obs.Log.warnings ())))
 
-let test_cg_ssor_matches_jacobi () =
-  let n = 80 in
-  let m = poisson_1d n in
-  let rhs = Array.init n (fun i -> sin (float_of_int i /. 5.0)) in
-  let jac = Thermal.Cg.solve m ~b:rhs ~tol:1e-12 () in
-  let ssor = Thermal.Cg.solve m ~b:rhs ~tol:1e-12
-      ~precond:(Thermal.Cg.Ssor 1.3) () in
-  Alcotest.(check bool) "ssor converged" true ssor.Thermal.Cg.converged;
-  let direct = dense_solve m rhs in
-  Array.iteri
-    (fun i v ->
-       check_float ~eps:1e-8 "ssor vs direct" v ssor.Thermal.Cg.x.(i);
-       check_float ~eps:1e-8 "jacobi vs direct" v jac.Thermal.Cg.x.(i))
-    direct;
-  (* the preconditioner's entire point: fewer iterations than Jacobi *)
-  Alcotest.(check bool)
-    (Printf.sprintf "ssor %d iters < jacobi %d" ssor.Thermal.Cg.iterations
-       jac.Thermal.Cg.iterations)
-    true
-    (ssor.Thermal.Cg.iterations < jac.Thermal.Cg.iterations)
-
-let test_cg_ssor_rejects_bad_omega () =
-  let m = poisson_1d 10 in
-  let rhs = Array.make 10 1.0 in
-  List.iter
-    (fun omega ->
-       match Thermal.Cg.solve m ~b:rhs ~precond:(Thermal.Cg.Ssor omega) () with
-       | _ -> Alcotest.failf "omega %g accepted" omega
-       | exception Invalid_argument _ -> ())
-    [ 0.0; 2.0; -0.5; 2.7 ]
-
 (* --- stack ------------------------------------------------------------------- *)
 
 let test_stack_default_valid () =
@@ -401,31 +370,18 @@ let test_mesh_1d_analytic () =
 
 let test_mesh_solve_options_threaded () =
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
-  (* a stall on every attempt must fail through the whole escalation
-     ladder (the MG first attempt earns the Jacobi rung) and surface as
-     a structured error *)
-  (match
-     Robust.Faults.with_fault ~times:4 Robust.Faults.Cg_stall (fun () ->
-         Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p))
-   with
-   | _ -> Alcotest.fail "stalled solve did not fail"
-   | exception
-       Robust.Error.Error (Robust.Error.Solver_diverged { rungs; _ }) ->
-     Alcotest.(check (list string)) "full ladder attempted"
-       [ "requested"; "jacobi"; "ssor"; "restart" ] rungs);
-  (* precond reaches Cg: SSOR solve agrees with Jacobi *)
-  let jac =
-    Thermal.Mesh.solve ~precond:Thermal.Cg.Jacobi
-      (Thermal.Mesh.build small_cfg ~power:p)
-  in
-  let ssor =
-    Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.5)
-      (Thermal.Mesh.build small_cfg ~power:p)
-  in
-  Array.iteri
-    (fun i v -> check_float ~eps:1e-8 "ssor mesh solve" v
-        ssor.Thermal.Mesh.temp.(i))
-    jac.Thermal.Mesh.temp
+  (* a stall on the MG attempt and on its cold-Jacobi retry exhausts the
+     one recovery path and surfaces as a structured error ([?precond]
+     reaching Cg is [multigrid precond parity and iterations]) *)
+  match
+    Robust.Faults.with_fault ~times:2 Robust.Faults.Cg_stall (fun () ->
+        Thermal.Mesh.solve (Thermal.Mesh.build small_cfg ~power:p))
+  with
+  | _ -> Alcotest.fail "stalled solve did not fail"
+  | exception
+      Robust.Error.Error (Robust.Error.Solver_diverged { rungs; _ }) ->
+    Alcotest.(check (list string)) "attempt and retry"
+      [ "requested"; "restart" ] rungs
 
 (* Without [?precond] a mesh solve on the default (adiabatic-walled,
    grounded) stack is modal: no CG history entry, one
@@ -836,8 +792,9 @@ let test_adjoint_validation () =
 
 let test_adjoint_fault_structured_error () =
   (* a clean forward passed in, the adjoint solve itself fault-armed:
-     four stalls defeat the whole escalation ladder, and the failure must
-     surface as a structured error, not an exception or a silent NaN *)
+     two stalls defeat the attempt and its cold-Jacobi retry, and the
+     failure must surface as a structured error, not an exception or a
+     silent NaN *)
   let nx = 8 in
   let cfg =
     { Thermal.Mesh.default_config with Thermal.Mesh.nx = nx; ny = nx }
@@ -846,7 +803,7 @@ let test_adjoint_fault_structured_error () =
   let problem = Thermal.Mesh.build cfg ~power in
   let fwd = Thermal.Mesh.solve problem in
   let r =
-    Robust.Faults.with_fault ~times:4 Robust.Faults.Cg_stall (fun () ->
+    Robust.Faults.with_fault ~times:2 Robust.Faults.Cg_stall (fun () ->
         Thermal.Adjoint.solve_result ~forward:fwd problem)
   in
   match r with
@@ -1048,8 +1005,7 @@ let test_pin_solves_40 () =
     Thermal.Cg.
       [ ("mg", (fun p -> Multigrid (Thermal.Mesh.multigrid p)),
          "06e4e9f6fe7dc7c1ddab67e0e5015560");
-        ("jacobi", (fun _ -> Jacobi), "c243fb86f0309c5ebb5f521556348733");
-        ("ssor", (fun _ -> Ssor 1.2), "49b8740ee3cb5eb86caad3a9342146c5") ]
+        ("jacobi", (fun _ -> Jacobi), "c243fb86f0309c5ebb5f521556348733") ]
 
 (* The trajectory of modal backward-Euler steps ({!Thermal.Mesh.shifted}). *)
 let test_pin_transient_16 () =
@@ -1288,17 +1244,17 @@ let test_mg_precond_parity_and_iterations () =
     { Thermal.Mesh.default_config with Thermal.Mesh.nx = 40; ny = 40 }
   in
   let problem = Thermal.Mesh.build cfg ~power:p in
-  let ssor = Thermal.Mesh.solve ~precond:(Thermal.Cg.Ssor 1.2) problem in
+  let jacobi = Thermal.Mesh.solve ~precond:Thermal.Cg.Jacobi problem in
   let mg =
     Thermal.Mesh.solve
       ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
       problem
   in
   Alcotest.(check bool)
-    (Printf.sprintf "mg iterations (%d) below ssor (%d)"
-       mg.Thermal.Mesh.cg_iterations ssor.Thermal.Mesh.cg_iterations)
+    (Printf.sprintf "mg iterations (%d) below jacobi (%d)"
+       mg.Thermal.Mesh.cg_iterations jacobi.Thermal.Mesh.cg_iterations)
     true
-    (mg.Thermal.Mesh.cg_iterations < ssor.Thermal.Mesh.cg_iterations);
+    (mg.Thermal.Mesh.cg_iterations < jacobi.Thermal.Mesh.cg_iterations);
   (* z-line smoothing handles the stack's vertical-over-lateral
      anisotropy: at most 10 V-cycle-preconditioned iterations to 1e-10 *)
   Alcotest.(check bool)
@@ -1309,9 +1265,9 @@ let test_mg_precond_parity_and_iterations () =
     (fun i v ->
        if Float.abs (v -. mg.Thermal.Mesh.temp.(i))
           > 1e-6 *. (1.0 +. Float.abs v)
-       then Alcotest.failf "node %d: ssor %g vs mg %g" i v
+       then Alcotest.failf "node %d: jacobi %g vs mg %g" i v
            mg.Thermal.Mesh.temp.(i))
-    ssor.Thermal.Mesh.temp
+    jacobi.Thermal.Mesh.temp
 
 let test_mg_hierarchy_cached () =
   Obs.Metrics.set_enabled true;
@@ -1365,13 +1321,12 @@ let test_mg_escalation_recovers () =
           (Thermal.Mesh.stencil problem)
           ~b:(Thermal.Mesh.rhs problem) ~precond ())
   in
+  (* the stalled MG attempt is retried under cold Jacobi *)
   (match esc.Thermal.Cg.esc_status with
-   | Thermal.Cg.Recovered rung ->
-     (* an MG-preconditioned first attempt gets the cold-Jacobi rung *)
-     Alcotest.(check string) "recovering rung" "jacobi" rung
+   | Thermal.Cg.Recovered -> ()
    | Thermal.Cg.Clean -> Alcotest.fail "stall not injected"
-   | Thermal.Cg.Degraded -> Alcotest.fail "ladder failed to recover");
-  Alcotest.(check (list string)) "rungs recorded" [ "jacobi" ]
+   | Thermal.Cg.Degraded -> Alcotest.fail "retry failed to recover");
+  Alcotest.(check (list string)) "retry recorded" [ "restart" ]
     esc.Thermal.Cg.esc_rungs;
   Alcotest.(check bool) "recovered outcome converged" true
     esc.Thermal.Cg.esc_outcome.Thermal.Cg.converged
@@ -1526,18 +1481,16 @@ let test_cg_breakdown_indefinite () =
 let test_cg_escalation_recovers () =
   let m = chain ~d:2.0 ~g:1.0 2 in
   (* one injected stall fails the first attempt only; the cold-Jacobi
-     rung is skipped (the first attempt already was one), so SSOR is the
-     recovering rung *)
+     retry recovers *)
   let esc =
     Robust.Faults.with_fault Robust.Faults.Cg_stall (fun () ->
         Thermal.Cg.solve_escalating m ~b:[| 1.0; 0.0 |] ())
   in
   (match esc.Thermal.Cg.esc_status with
-   | Thermal.Cg.Recovered rung ->
-     Alcotest.(check string) "recovering rung" "ssor" rung
+   | Thermal.Cg.Recovered -> ()
    | Thermal.Cg.Clean -> Alcotest.fail "stall not injected"
-   | Thermal.Cg.Degraded -> Alcotest.fail "ladder failed to recover");
-  Alcotest.(check (list string)) "rungs recorded" [ "ssor" ]
+   | Thermal.Cg.Degraded -> Alcotest.fail "retry failed to recover");
+  Alcotest.(check (list string)) "retry recorded" [ "restart" ]
     esc.Thermal.Cg.esc_rungs;
   Alcotest.(check bool) "recovered outcome converged" true
     esc.Thermal.Cg.esc_outcome.Thermal.Cg.converged;
@@ -1593,16 +1546,13 @@ let test_cg_history_ring () =
         Thermal.Cg.solve_escalating m ~b:rhs ())
   in
   (match esc.Thermal.Cg.esc_status with
-   | Thermal.Cg.Recovered _ -> ()
+   | Thermal.Cg.Recovered -> ()
    | _ -> Alcotest.fail "stall not recovered");
   let labels =
     List.map (fun h -> h.Thermal.Cg.h_label) (Thermal.Cg.recent_histories ())
   in
-  Alcotest.(check bool) "escalation rung labeled" true
-    (List.exists
-       (fun l ->
-          String.length l > 4 && String.sub l 0 4 = "esc:")
-       labels);
+  Alcotest.(check (list string)) "the retry is labelled"
+    [ "jacobi"; "esc:restart" ] labels;
   (* the ring is bounded: overfill it and count *)
   Thermal.Cg.clear_histories ();
   let m16, rhs16 = chain_system 8 in
@@ -1657,9 +1607,9 @@ let small_flow =
        (Logicsim.Workload.make ~default:0.05 ~hot:[ (0, 0.5) ]))
 
 (* A Perturb_matrix fault poisons exactly the next mesh build: the solve
-   fails loudly down the whole escalation ladder under Jacobi and under
-   the multigrid default, the structure check names it, and the next
-   healthy build solves. *)
+   fails loudly, its first attempt under Jacobi or the multigrid default
+   and then its cold-Jacobi retry, the structure check names it, and the
+   next healthy build solves. *)
 let test_mesh_perturbed_matrix_fails () =
   let p = uniform_power ~nx:10 ~ny:10 ~total:0.02 in
   let diverges precond_of =
@@ -1671,8 +1621,8 @@ let test_mesh_perturbed_matrix_fails () =
     | _ -> Alcotest.fail "perturbed matrix solved silently"
     | exception
         Robust.Error.Error (Robust.Error.Solver_diverged { rungs; _ }) ->
-      Alcotest.(check bool) "full ladder attempted" true
-        (List.mem "restart" rungs)
+      Alcotest.(check (list string)) "attempt and retry"
+        [ "requested"; "restart" ] rungs
   in
   diverges (fun _ -> Some Thermal.Cg.Jacobi);
   diverges (fun _ -> None);
@@ -1881,6 +1831,9 @@ let point_power sources =
   List.iter (fun (ix, iy, w) -> Geo.Grid.set g ~ix ~iy w) sources;
   g
 
+(* The blur kernel of [cfg] on [power]'s die. *)
+let blur_of cfg power = Thermal.Mesh.blur cfg ~extent:(Geo.Grid.extent power)
+
 let test_blur_reproduces_impulse_response () =
   (* a 1 W delta in the middle of the die: the modal transfer is exact
      for the discrete operator, so the blurred field must match a full
@@ -1888,7 +1841,7 @@ let test_blur_reproduces_impulse_response () =
      transform with the blur *)
   let power = point_power [ (12, 12, 1.0) ] in
   let problem = Thermal.Mesh.build blur_cfg ~power in
-  let kernel = Thermal.Mesh.blur problem in
+  let kernel = blur_of blur_cfg power in
   let exact =
     Thermal.Mesh.solve
       ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
@@ -1911,7 +1864,7 @@ let test_blur_screens_composed_sources () =
      exact transfer must not care. The reference is MG-CG, as above *)
   let power = point_power [ (8, 14, 0.5); (16, 10, 0.3); (2, 4, 0.4) ] in
   let problem = Thermal.Mesh.build blur_cfg ~power in
-  let kernel = Thermal.Mesh.blur problem in
+  let kernel = blur_of blur_cfg power in
   let exact =
     Thermal.Mesh.solve
       ~precond:(Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem))
@@ -1933,7 +1886,7 @@ let test_blur_linearity () =
   let p1 = point_power [ (6, 6, 0.4) ] in
   let p2 = point_power [ (18, 15, 0.7) ] in
   let sum = Geo.Grid.map2 p1 p2 ~f:( +. ) in
-  let kernel = Thermal.Mesh.blur (Thermal.Mesh.build blur_cfg ~power:sum) in
+  let kernel = blur_of blur_cfg sum in
   let f1 = Thermal.Blur.field kernel ~power:p1 in
   let f2 = Thermal.Blur.field kernel ~power:p2 in
   let fs = Thermal.Blur.field kernel ~power:sum in
@@ -1948,7 +1901,7 @@ let test_blur_linearity () =
 
 let test_blur_validation () =
   let power = point_power [ (12, 12, 1.0) ] in
-  let kernel = Thermal.Mesh.blur (Thermal.Mesh.build blur_cfg ~power) in
+  let kernel = blur_of blur_cfg power in
   let extent = Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:200.0 ~h:200.0 in
   let wrong = Geo.Grid.create ~nx:10 ~ny:10 ~extent in
   (match Thermal.Blur.field kernel ~power:wrong with
@@ -1964,7 +1917,7 @@ let test_blur_validation () =
        let cfg = { blur_cfg with Thermal.Mesh.stack } in
        Alcotest.(check bool) (name ^ " is not blur-exact") false
          (Thermal.Mesh.blur_exact cfg);
-       match Thermal.Mesh.blur (Thermal.Mesh.build cfg ~power) with
+       match blur_of cfg power with
        | _ -> Alcotest.failf "%s: inexact modal transfer accepted" name
        | exception Invalid_argument _ -> ())
     [ ("side walls alone",
@@ -1976,28 +1929,19 @@ let test_blur_validation () =
   Alcotest.(check bool) "the default stack is blur-exact" true
     (Thermal.Mesh.blur_exact blur_cfg)
 
-let test_blur_kernel_cached () =
-  let power = point_power [ (12, 12, 1.0) ] in
-  let p1 = Thermal.Mesh.build blur_cfg ~power in
-  let k1 = Thermal.Mesh.blur p1 in
-  Alcotest.(check bool) "same problem reuses the kernel" true
-    (k1 == Thermal.Mesh.blur p1);
-  (* a custom right-hand side keeps the operator, so the kernel too *)
-  let p2 = Thermal.Mesh.with_rhs p1 (Array.copy (Thermal.Mesh.rhs p1)) in
-  Alcotest.(check bool) "with_rhs shares the kernel" true
-    (k1 == Thermal.Mesh.blur p2)
-
-(* The transfer is closed-form: characterizing it runs no CG solve. *)
+(* The transfer is closed-form: characterizing it runs no solve, and
+   builds no problem, so an armed fault stays armed for the solve path
+   it targets. *)
 let test_blur_runs_no_solve () =
   Obs.Metrics.set_enabled true;
   let solves () =
     Option.value ~default:0 (Obs.Metrics.counter_value "thermal.cg.solves")
   in
-  let problem =
-    Thermal.Mesh.build blur_cfg ~power:(point_power [ (12, 12, 1.0) ])
-  in
   let before = solves () in
-  ignore (Thermal.Mesh.blur problem : Thermal.Blur.t);
+  Robust.Faults.with_fault Robust.Faults.Perturb_matrix (fun () ->
+      ignore (blur_of blur_cfg (point_power [ (12, 12, 1.0) ]) : Thermal.Blur.t);
+      Alcotest.(check bool) "perturb_matrix left for the next build" true
+        (Robust.Faults.consume Robust.Faults.Perturb_matrix));
   Alcotest.(check int) "no CG solve" before (solves ())
 
 (* After warm-up (plans memoized), one screening evaluation allocates
@@ -2009,7 +1953,7 @@ let test_blur_peak_allocation () =
          { Thermal.Mesh.default_config with Thermal.Mesh.nx = n; ny = n }
        in
        let power = uniform_power ~nx:n ~ny:n ~total:0.02 in
-       let kernel = Thermal.Mesh.blur (Thermal.Mesh.build cfg ~power) in
+       let kernel = blur_of cfg power in
        ignore (Thermal.Blur.peak kernel ~power : float);
        let words () =
          let minor, promoted, major = Gc.counters () in
@@ -2112,7 +2056,7 @@ let prop_blur_matches_dense =
          dense_solve_refined (Thermal.Mesh.stencil problem)
            (Thermal.Mesh.rhs problem) ~ground
        in
-       let field = Thermal.Blur.field (Thermal.Mesh.blur problem) ~power in
+       let field = Thermal.Blur.field (blur_of cfg power) ~power in
        let peak = ref 0.0 and err = ref 0.0 in
        Geo.Grid.iteri field ~f:(fun ~ix ~iy v ->
            let d =
@@ -2159,10 +2103,6 @@ let () =
          Alcotest.test_case "zero rhs" `Quick test_cg_zero_rhs;
          Alcotest.test_case "bad diagonal rejected" `Quick
            test_cg_rejects_bad_diagonal;
-         Alcotest.test_case "ssor matches jacobi and direct" `Quick
-           test_cg_ssor_matches_jacobi;
-         Alcotest.test_case "ssor rejects bad omega" `Quick
-           test_cg_ssor_rejects_bad_omega;
          Alcotest.test_case "telemetry" `Quick test_cg_telemetry ]);
       ("stack",
        [ Alcotest.test_case "default valid" `Quick test_stack_default_valid;
@@ -2247,8 +2187,6 @@ let () =
            test_blur_screens_composed_sources;
          Alcotest.test_case "linearity" `Quick test_blur_linearity;
          Alcotest.test_case "validation" `Quick test_blur_validation;
-         Alcotest.test_case "kernel cached on mesh entry" `Quick
-           test_blur_kernel_cached;
          Alcotest.test_case "characterization runs no solve" `Quick
            test_blur_runs_no_solve;
          Alcotest.test_case "peak allocation bounded" `Quick
