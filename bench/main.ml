@@ -366,31 +366,27 @@ let time f =
 
 let ms t = j_f (t *. 1e3)
 
-(* Mean seconds per call of [f] over [reps] calls, each on its own input
-   from [fresh], made untimed: [Mesh.multigrid] caches its hierarchy on
-   the problem, so a repeat on one problem would time a lookup. Metrics
-   are off meanwhile, so the telemetry block counts one pass per grid
-   size whatever [reps] is. *)
-let mean_time ~reps fresh f =
+(* Mean seconds per call of [f] over [reps] calls. Metrics are off
+   meanwhile, so the telemetry block counts one pass per grid size
+   whatever [reps] is. *)
+let mean_time ~reps f =
   let saved = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled false;
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled saved) @@ fun () ->
   let total = ref 0.0 in
   for _ = 1 to reps do
-    let x = fresh () in
-    total := !total +. snd (time (fun () -> f x))
+    total := !total +. snd (time f)
   done;
   !total /. float_of_int reps
 
-(* Repetitions of the MG build, the blur characterization, one blur
-   evaluation and one modal solve per grid size: each step's timed total
-   clears 10 ms, so one GC slice moves its mean by a fraction of
-   Obs.Gate's 1 ms floor. *)
+(* Repetitions of the blur characterization, one blur evaluation and one
+   modal solve per grid size: each step's timed total clears 10 ms, so
+   one GC slice moves its mean by a fraction of Obs.Gate's 1 ms floor. *)
 let reps_at = function
-  | 20 -> (128, 1024, 512, 64)
-  | 40 -> (128, 256, 128, 16)
-  | 80 -> (128, 64, 32, 4)
-  | _ -> (128, 16, 8, 1)
+  | 20 -> (1024, 512, 64)
+  | 40 -> (256, 128, 16)
+  | 80 -> (64, 32, 4)
+  | _ -> (16, 8, 1)
 
 let plan_of (r : Postplace.Optimizer.result) =
   r.Postplace.Optimizer.plan.Postplace.Technique.inserted_after
@@ -425,11 +421,11 @@ let fft_parity_err n =
   done;
   !err /. !scale
 
-(* The two steady-state engines and what is priced on them, on test set
-   1's base power map: per grid size the MG hierarchy build, a cold MG-CG
-   solve, the modal solve every fault-free flow solve runs and the exact
-   blur, both checked against MG-CG; the adjoint on the default path with
-   a central-difference check; greedy_rows under both guides at the
+(* The steady-state engine and what is priced on it, on test set 1's
+   base power map: per grid size the modal solve every fault-free flow
+   solve runs, held to its own measured residual, and the exact blur,
+   held to that solve; the adjoint on the default path with a
+   central-difference check; greedy_rows under both guides at the
    production grid, and on 1 against 2 domains at 40x40; FFT parity.
    Every count is exact, so bench_diff holds it to its baseline. Each
    trial runs on a fresh metrics registry and a 1-domain pool, restored
@@ -447,57 +443,36 @@ let run_solve () =
     List.map
       (fun nx ->
          let power = power_at fl ~nx base in
-         let build () = Thermal.Mesh.build (grid fl nx) ~power in
-         let problem = build () in
-         let mg_reps, char_reps, eval_reps, modal_reps = reps_at nx in
-         let t_build = mean_time ~reps:mg_reps build Thermal.Mesh.multigrid in
-         (* the timed MG-CG solve below runs on a ready hierarchy *)
-         let precond = Thermal.Cg.Multigrid (Thermal.Mesh.multigrid problem) in
-         let cycles0 = count "thermal.mg.cycles" in
-         let sol, t_solve =
-           time (fun () -> Thermal.Mesh.solve ~precond problem)
-         in
-         let vcycles = count "thermal.mg.cycles" - cycles0 in
+         let problem = Thermal.Mesh.build (grid fl nx) ~power in
+         let char_reps, eval_reps, modal_reps = reps_at nx in
          let modal = Thermal.Mesh.solve problem in
          let t_modal =
-           mean_time ~reps:modal_reps (fun () -> problem) Thermal.Mesh.solve
+           mean_time ~reps:modal_reps (fun () -> Thermal.Mesh.solve problem)
          in
-         let peak = Array.fold_left Float.max 0.0 sol.Thermal.Mesh.temp in
-         let modal_gap = ref 0.0 in
-         Array.iteri
-           (fun i v ->
-              modal_gap :=
-                Float.max !modal_gap
-                  (Float.abs (modal.Thermal.Mesh.temp.(i) -. v)))
-           sol.Thermal.Mesh.temp;
          let characterize () =
            Thermal.Mesh.blur (grid fl nx) ~extent:(Geo.Grid.extent power)
          in
          let kernel = characterize () in
-         let t_char = mean_time ~reps:char_reps Fun.id characterize in
+         let t_char = mean_time ~reps:char_reps characterize in
          let field = Thermal.Blur.field kernel ~power in
          let t_blur =
-           mean_time ~reps:eval_reps
-             (fun () -> kernel)
-             (fun k -> Thermal.Blur.field k ~power)
+           mean_time ~reps:eval_reps (fun () -> Thermal.Blur.field kernel ~power)
          in
-         let mg = Thermal.Mesh.active_layer_grid sol in
+         let solved = Thermal.Mesh.active_layer_grid modal in
          let gap = ref 0.0 in
-         Geo.Grid.iteri mg ~f:(fun ~ix ~iy v ->
+         Geo.Grid.iteri solved ~f:(fun ~ix ~iy v ->
              gap :=
                Float.max !gap (Float.abs (Geo.Grid.get field ~ix ~iy -. v)));
          if nx = 40 then at40 := Some (problem, modal, t_modal);
          j_obj
            [ ("nx", j_i nx);
-             ("mg_build_ms", ms t_build);
-             ("solve_ms", ms t_solve);
-             ("iterations", j_i sol.Thermal.Mesh.cg_iterations);
-             ("vcycles", j_i vcycles);
              ("modal_ms", ms t_modal);
-             ("modal_within_1e9", j_b (!modal_gap <= 1e-9 *. peak));
+             ("modal_residual_within_1e10",
+              j_b (modal.Thermal.Mesh.cg_residual <= 1e-10));
              ("characterize_ms", ms t_char);
              ("blur_eval_ms", ms t_blur);
-             ("blur_within_1e9", j_b (!gap <= 1e-9 *. Geo.Grid.max_value mg)) ])
+             ("blur_within_1e9",
+              j_b (!gap <= 1e-9 *. Geo.Grid.max_value solved)) ])
       [ 20; 40; 80; 160 ]
   in
   (* the adjoint of the smoothed peak at 40x40 on the default path,
@@ -505,10 +480,10 @@ let run_solve () =
      is linear, so the perturbed field is T0 +/- eps u with
      u = G^-1 e_tile, solved once *)
   let problem, fwd, t_fwd = Option.get !at40 in
-  let _, _, _, modal_reps = reps_at 40 in
+  let _, _, modal_reps = reps_at 40 in
   let adjoint () = Thermal.Adjoint.solve ~forward:fwd problem in
   let adj = adjoint () in
-  let t_adj = mean_time ~reps:modal_reps Fun.id adjoint in
+  let t_adj = mean_time ~reps:modal_reps adjoint in
   let fd_rel =
     let cfg = Thermal.Mesh.config problem in
     let zp = cfg.Thermal.Mesh.stack.Thermal.Stack.power_layer in
@@ -600,7 +575,6 @@ let run_solve () =
          [ ("cg_solves", counter "thermal.cg.solves");
            ("modal_solves", counter "thermal.modal.solves");
            ("cg_iterations", hist_sum "thermal.cg.iterations");
-           ("mg_cycles", counter "thermal.mg.cycles");
            ("blur_evals", counter "thermal.blur.evals");
            ("adjoint_solves", counter "thermal.adjoint.solves");
            ("fft_radix2", counter "thermal.fft.radix2");
@@ -611,9 +585,9 @@ let run_solve () =
 
 (* The batch server's two load-bearing claims, measured:
    - same-fingerprint batching: N jobs sharing a config pay one flow
-     prepare (mesh + multigrid + blur state) instead of N, so a batched
-     run must beat a one-process-per-job baseline that cold-prepares
-     every job;
+     prepare (activity, placement and the base evaluation) instead of N,
+     so a batched run must beat a one-process-per-job baseline that
+     cold-prepares every job;
    - fault isolation: adding one poisoned job to the batch changes
      nothing — bit for bit — about its mates' result payloads, and the
      poisoned job itself fails with the structured invariant exit. *)
@@ -962,12 +936,12 @@ let suites =
     suite ~paper:false "perf" "PERF -- kernel micro-benchmarks (bechamel)"
       engineering run_perf;
     suite ~paper:false "solve"
-      "SOLVE -- modal and MG-CG solves, the blur, the adjoint and the \
-       optimizer on them"
+      "SOLVE -- the modal solve, the blur, the adjoint and the optimizer \
+       on them"
       (engineering
-       ^ ": the modal engine against MG-CG across grid sizes, the exact blur \
-          against MG-CG, the adjoint against its central difference, both \
-          guides at 160x160")
+       ^ ": the modal engine against its measured residual across grid \
+          sizes, the exact blur against the modal solve, the adjoint \
+          against its central difference, both guides at 160x160")
       run_solve;
     suite ~paper:false "serve"
       "BATCH SERVE -- same-fingerprint batching, fault isolation, retry"

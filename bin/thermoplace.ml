@@ -174,12 +174,10 @@ let guide_arg =
     "Optimizer candidate-ranking signal: $(b,peak) (price each \
      candidate's predicted peak temperature — the paper's scheme — by \
      the exact modal power blur, then re-score the committed plan with \
-     one solve; on a stack with side-wall cooling, a thermal solve per \
-     candidate instead) or $(b,gradient) \
-     (one adjoint sensitivity solve per round prices every candidate \
-     from the dT_peak/d(power) map; a seed solve and one confirmation \
-     solve per round, the last of which scores the plan: rounds + 1 \
-     solves plus one adjoint per round)."
+     one solve) or $(b,gradient) (one adjoint sensitivity solve per \
+     round prices every candidate from the dT_peak/d(power) map; a seed \
+     solve and one confirmation solve per round, the last of which \
+     scores the plan: rounds + 1 solves plus one adjoint per round)."
   in
   Arg.(value & opt (names Flow.guide_names) "peak"
        & info [ "guide" ] ~docv:"G" ~doc)

@@ -160,10 +160,10 @@ let rows_for_overhead = Flow.rows_for_overhead ~nearest:true
 (* The key names everything a checkpointed point depends on, including
    the solver (points are equal only to solver tolerance across solvers;
    a key naming a precond other than mg is from an older solver; the
-   modal engine that now solves the sweep agrees with MG-CG inside MG-CG's
-   1e-10 tolerance, so the key stayed) and the job layout (what one entry
-   holds), so a checkpoint from another solver or an older layout is
-   refused, not mixed in. *)
+   modal engine that now solves the sweep agrees with the multigrid
+   solver that wrote [precond=mg] inside its 1e-10 tolerance, so the key
+   stayed) and the job layout (what one entry holds), so a checkpoint
+   from another solver or an older layout is refused, not mixed in. *)
 let fig6_key flow ~overheads =
   Printf.sprintf
     "fig6 layout=default+hw,eri seed=%d mesh=%s precond=mg util=%h \

@@ -173,9 +173,9 @@ type guide_row = {
 
 val run_guide : ?rows:int -> Flow.t -> guide_row list
 (** Head-to-head at one row budget (default 8): the greedy optimizer
-    under the peak guide (blur-priced on the default stack: 1 solve),
-    the same optimizer under the adjoint gradient guide (rounds + 2
-    solves and one adjoint per round), and the paper's ERI and HW
+    under the peak guide (blur-priced: 1 solve), the same optimizer
+    under the adjoint gradient guide (rounds + 1 solves and one adjoint
+    per round), and the paper's ERI and HW
     heuristics as controls. All four placements are re-evaluated on the
     flow's full mesh, so the rows compare end temperature, area overhead
     and the budget spent to get there. *)

@@ -100,7 +100,7 @@ let prepare ?(seed = 42) ?(utilization = 0.85) ?(sim_cycles = 1000)
     Place.Global.place nl tech ~regions ~cells_of_region:cells_of
   in
   let base_placement =
-    Place.Legalize.run nl fp ~regions ~cells_of_region:cells_of ~positions
+    Technique.legalize nl fp ~regions ~cells_of_region:cells_of ~positions
   in
   let power =
     Obs.Trace.with_span "flow.power" @@ fun () ->

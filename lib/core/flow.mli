@@ -11,17 +11,15 @@
 
 type screen_choice = Screen_auto
 (** Nothing reads this type. Pricing is not a choice: the optimizer
-    prices candidates by the exact modal blur where it is defined and by
-    thermal solves otherwise ({!Optimizer.greedy_rows}). It survives, with
-    {!Experiment.test_set_1}'s ignored [?screen], only for callers that
-    still name [Screen_auto]. *)
+    prices candidates by the exact modal blur ({!Optimizer.greedy_rows}).
+    It survives, with {!Experiment.test_set_1}'s ignored [?screen], only
+    for callers that still name [Screen_auto]. *)
 
 type guide_choice = Guide_peak | Guide_gradient
 (** How the optimizer ranks whitespace-allocation candidates (its
     [?guide] argument, {!Optimizer.greedy_rows}). [Guide_peak] (the
     paper's scheme) prices every candidate by its predicted peak
-    temperature: a blur, or a thermal solve where the blur is not
-    exact. [Guide_gradient] ranks every candidate from one adjoint
+    temperature, from the exact blur. [Guide_gradient] ranks every candidate from one adjoint
     sensitivity solve per round at the incumbent ({!Thermal.Adjoint}):
     the per-tile [dT_peak/d(power)] map prices each candidate's power
     redistribution without any per-candidate solve, and only the
@@ -50,9 +48,8 @@ type t = {
   base_utilization : float;
   mesh_config : Thermal.Mesh.config;
   (** the mesh every thermal solve of this flow runs on; each solve is
-      {!Thermal.Mesh.solve_result}'s default: the modal engine on an
-      adiabatic-walled stack with a grounded face when no solver fault
-      is in play, MG-preconditioned CG otherwise *)
+      {!Thermal.Mesh.solve_result}: the modal engine, or Jacobi-CG when
+      a solver fault is in play *)
 }
 (** The prepared problem of the paper's Fig. 2: activity, placement,
     per-cell power and the RC network. It carries no run option; what
@@ -108,8 +105,8 @@ val solve_power_result :
   ?mesh_config:Thermal.Mesh.config -> t -> Geo.Grid.t ->
   (Thermal.Mesh.solution, Robust.Error.t) result
 (** Build the mesh for a W-per-tile power map and solve it
-    ({!Thermal.Mesh.solve_result}: modal where that is exact, MG-CG
-    otherwise). [mesh_config] overrides the flow's mesh (the optimizer
+    ({!Thermal.Mesh.solve_result}: modal, or Jacobi-CG when a solver
+    fault is in play). [mesh_config] overrides the flow's mesh (the optimizer
     ranks on its own grid). *)
 
 val solve_power :

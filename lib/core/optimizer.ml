@@ -52,12 +52,11 @@ let evaluate_plan flow ~after ~nx =
   in
   fst (eval_trial flow ~power ~nx)
 
-(* The paper's scheme: rank candidates by their predicted peak. Pricing
-   is not a choice: the blur prices every candidate wherever it is exact,
-   and solves price them on any other stack (side walls, or no grounded
-   face). The blur is computed from the stack and the die alone, so no
-   armed fault can reach it; each fault still reaches its target, the
-   pool's chunks or the re-score's build and solve. *)
+(* The paper's scheme: rank candidates by their predicted peak, each
+   priced by the exact modal blur. The blur is computed from the stack
+   and the die alone, so no armed fault can reach it; each fault still
+   reaches its target, the pool's chunks or the re-score's build and
+   solve. *)
 let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   Obs.Trace.with_span "optimizer.greedy_rows" @@ fun () ->
   let base = flow.Flow.base_placement in
@@ -70,9 +69,7 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   in
   let num_cands = List.length candidates in
   let cfg = coarse_config flow ~nx:coarse_nx in
-  let screen = Thermal.Mesh.blur_exact cfg in
   let trial_power = trial_pricer flow ~nx:coarse_nx in
-  let evaluations = ref 0 in
   let blur_evaluations = ref 0 in
   (* the plan is kept reversed: committing a chunk is a prepend, and a
      plan's order is free to both [Technique.shifted_rows] and
@@ -84,32 +81,23 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
     let trial_of cand =
       List.rev_append (List.init step (fun _ -> cand)) !rev_plan
     in
-    let price =
-      if screen then begin
-        (* every trial of this round is the die with the same number of
-           extra rows, so one transfer serves all of them *)
-        let kernel =
-          Thermal.Mesh.blur cfg
-            ~extent:
-              (Place.Floorplan.with_extra_rows base.Place.Placement.fp
-                 (List.length !rev_plan + step))
-                .Place.Floorplan.core
-        in
-        blur_evaluations := !blur_evaluations + num_cands;
-        fun power -> Thermal.Blur.peak kernel ~power
-      end
-      else begin
-        evaluations := !evaluations + num_cands;
-        fun power -> fst (eval_trial flow ~power ~nx:coarse_nx)
-      end
+    (* every trial of this round is the die with the same number of
+       extra rows, so one transfer serves all of them *)
+    let kernel =
+      Thermal.Mesh.blur cfg
+        ~extent:
+          (Place.Floorplan.with_extra_rows base.Place.Placement.fp
+             (List.length !rev_plan + step))
+            .Place.Floorplan.core
     in
+    blur_evaluations := !blur_evaluations + num_cands;
     (* candidate trials are independent: price them on the pool. The
        list order is preserved, and selection below walks it sequentially
        (strict improvement wins, first wins ties), so parallel and
        sequential runs pick identical plans. *)
     let priced =
       Parallel.Pool.map_list candidates ~f:(fun cand ->
-          price (trial_power (trial_of cand)))
+          Thermal.Blur.peak kernel ~power:(trial_power (trial_of cand)))
     in
     let best = ref None in
     List.iter2
@@ -123,11 +111,10 @@ let peak_rows flow ~rows ~chunk ~stride ~coarse_nx =
   done;
   let plan_list = List.rev !rev_plan in
   let final = Technique.apply_row_insertions base plan_list in
-  (* re-score the committed plan: the same solve under either tier, so
-     equal plans report bit-identical peaks *)
+  (* re-score the committed plan with one solve, so [predicted_peak_k]
+     is a solve result *)
   let peak, _ = eval_trial flow ~power:(trial_power plan_list) ~nx:coarse_nx in
-  incr evaluations;
-  { plan = final; predicted_peak_k = peak; evaluations = !evaluations;
+  { plan = final; predicted_peak_k = peak; evaluations = 1;
     blur_evaluations = !blur_evaluations; adjoint_evaluations = 0 }
 
 (* ---- Gradient guide ----------------------------------------------------

@@ -5,10 +5,9 @@
 
     The optimizer spends an empty-row budget one chunk at a time: each round
     prices every candidate insertion position on a coarse mesh, by the
-    exact modal blur (no solve) where it is defined, by a thermal solve
-    where it is not, or by the gradient guide's one adjoint solve (see
-    {!greedy_rows}), and commits the chunk with the lowest predicted
-    peak.
+    exact modal blur (no solve) or by the gradient guide's one adjoint
+    solve (see {!greedy_rows}), and commits the chunk with the lowest
+    predicted peak.
     Each trial's power map is built from the base placement's row profiles
     ({!Power.Map.of_row_profile}), binned once per run; only the committed
     plan becomes a placement. This is slower than plain ERI but needs no
@@ -18,12 +17,11 @@ type result = {
   plan : Technique.eri_result;      (** the chosen insertions applied *)
   predicted_peak_k : float;         (** coarse-mesh peak of the final plan *)
   evaluations : int;
-  (** exact thermal solves spent: the final re-score alone when every
-      candidate was blurred, plus the candidate solves when they were
-      solved; under the gradient guide the incumbent's seed solve and one
-      confirmation per round *)
+  (** exact thermal solves spent: the final re-score alone under the
+      peak guide; under the gradient guide the incumbent's seed solve and
+      one confirmation per round *)
   blur_evaluations : int;
-  (** candidates priced by the blur; 0 when the exact tier ran *)
+  (** candidates priced by the blur; 0 under the gradient guide *)
   adjoint_evaluations : int;
   (** adjoint sensitivity solves spent; 0 under [Guide_peak] *)
 }
@@ -45,23 +43,18 @@ val greedy_rows :
     [coarse_nx] x [coarse_nx] thermal grid (default 20).
     Raises [Invalid_argument] on a non-positive budget or parameter.
 
-    Under {!Flow.Guide_peak} the tier is not a choice. Where the blur is
-    exact for the flow's stack ({!Thermal.Mesh.blur_exact}), each round
-    computes the blur kernel of its die extent once
-    ({!Thermal.Mesh.blur}) and prices every candidate by
+    Under {!Flow.Guide_peak} each round computes the blur kernel of its
+    die extent once ({!Thermal.Mesh.blur}) and prices every candidate by
     {!Thermal.Blur.peak}: the exact active-layer peak of its trial power
-    map, with no solve. On any other stack (side walls, or no grounded
-    face) every candidate gets a thermal solve ({!Flow.solve_power}).
-    No armed fault changes the tier; each reaches its own target, the
-    candidate map's pool chunks or the re-score's build and solve. Each
-    round picks one of the two prices and runs one selection walk:
-    candidates are priced concurrently on the {!Parallel.Pool}, and
-    selection walks them in their fixed order with a strict-improvement
-    tie-break, so the chosen plan is identical for any pool size
-    (including sequential). Both tiers end with the same single solve of
-    the committed plan, so [predicted_peak_k] is a solve result. A run
-    spends [1] exact solve with the blur and [rounds * candidates + 1]
-    without it.
+    map, with no solve. No armed fault can reach the blur; each reaches
+    its own target, the candidate map's pool chunks or the re-score's
+    build and solve. Candidates are priced concurrently on the
+    {!Parallel.Pool}, and selection walks them in their fixed order with
+    a strict-improvement tie-break, so the chosen plan is identical for
+    any pool size (including sequential). The run ends with one solve of
+    the committed plan ({!Flow.solve_power}), so [predicted_peak_k] is a
+    solve result: a run spends [1] exact solve and
+    [rounds * candidates] blurs.
 
     Under {!Flow.Guide_gradient} the per-candidate pricing disappears
     entirely: each round runs one adjoint sensitivity

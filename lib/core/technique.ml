@@ -5,6 +5,16 @@ let area_overhead_pct ~base pl =
   let a0 = FP.core_area_um2 base.P.fp in
   100.0 *. (FP.core_area_um2 pl.P.fp -. a0) /. a0
 
+let legalize nl fp ~regions ~cells_of_region ~positions =
+  try Place.Legalize.run nl fp ~regions ~cells_of_region ~positions
+  with Place.Legalize.Region_overflow tag ->
+    Robust.Error.raise_
+      (Robust.Error.Invariant_violation
+         { check = "place.legalize";
+           detail =
+             Printf.sprintf "the rows of unit %d's region cannot hold its \
+                             cells" tag })
+
 let uniform_slack ?(aspect = 1.0) nl tech ~unit_areas ~cells_of_region
     ~positions ~from_core ~utilization =
   let cell_area =
@@ -16,7 +26,7 @@ let uniform_slack ?(aspect = 1.0) nl tech ~unit_areas ~cells_of_region
   let positions =
     Place.Global.scaled positions ~from_core ~to_core:fp.FP.core
   in
-  Place.Legalize.run nl fp ~regions ~cells_of_region ~positions
+  legalize nl fp ~regions ~cells_of_region ~positions
 
 let power_aware_slack ?(aspect = 1.0) nl tech ~unit_areas ~unit_powers
     ~cells_of_region ~positions ~from_core ~utilization =
@@ -45,7 +55,7 @@ let power_aware_slack ?(aspect = 1.0) nl tech ~unit_areas ~unit_powers
   let positions =
     Place.Global.scaled positions ~from_core ~to_core:fp.FP.core
   in
-  Place.Legalize.run nl fp ~regions ~cells_of_region ~positions
+  legalize nl fp ~regions ~cells_of_region ~positions
 
 (* --- Empty row insertion ------------------------------------------------ *)
 

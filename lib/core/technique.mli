@@ -12,6 +12,20 @@
 val area_overhead_pct : base:Place.Placement.t -> Place.Placement.t -> float
 (** Core-area increase in percent relative to [base]. *)
 
+val legalize :
+  Netlist.Types.t ->
+  Place.Floorplan.t ->
+  regions:Place.Regions.region array ->
+  cells_of_region:(int -> Netlist.Types.cell_id array) ->
+  positions:Place.Global.positions ->
+  Place.Placement.t
+(** {!Place.Legalize.run}, the one row legalizer of the flow's
+    placements. A unit region whose rows cannot hold its cells (a
+    utilization near 1 leaves no room to round cell widths into whole
+    rows) raises [Robust.Error.Error (Invariant_violation { check =
+    "place.legalize"; _ })] instead of {!Place.Legalize.Region_overflow},
+    so the CLI exits 11 and a served job fails without a retry. *)
+
 val uniform_slack :
   ?aspect:float ->
   Netlist.Types.t ->

@@ -2,7 +2,7 @@
 
     A process-global registry: any layer records under a dotted metric name
     ("thermal.cg.iterations") plus an optional [(key, value)] label set
-    (e.g. [("precond", "mg")]), and the CLI / bench harness snapshots the
+    (e.g. [("technique", "eri")]), and the CLI / bench harness snapshots the
     whole registry into a report. Labels are canonicalized (sorted by key)
     so recording order never splits a series; each distinct
     (name, label set) pair is its own series, which is exactly the per-job

@@ -13,8 +13,8 @@ type t =
       residual : float;     (** best relative residual of the attempts *)
       iterations : int;     (** iterations of the best attempt *)
       rungs : string list;
-      (** the attempts, in order: [["requested"; "restart"]] for an
-          MG-CG solve and its cold-Jacobi retry *)
+      (** the attempts, in order: [["requested"; "restart"]] for a
+          CG solve and its cold retry *)
     }
   (** A CG solve and its retry both failed; the temperature field is
       untrustworthy and must not steer placement decisions. *)

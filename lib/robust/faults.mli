@@ -12,7 +12,7 @@
     Faults are armed with a count and consumed one shot at a time, so a
     single armed fault perturbs exactly one site; arming with a larger
     count defeats multi-attempt recovery (e.g. [Cg_stall] armed 2x fails
-    an MG-CG solve and its cold-Jacobi retry). *)
+    a CG solve and its cold retry). *)
 
 type fault =
   | Nan_power         (** corrupt the flow's power map with NaN tiles *)

@@ -4,8 +4,8 @@
     admits them into a bounded {!Queue} (rejecting with a structured
     [Robust.Error.Queue_full] when full — backpressure, not unbounded
     buffering), pops them in same-fingerprint batches so one prepared
-    flow and its cached mesh/multigrid/blur state amortize across the
-    batch, and writes one JSON response line per request to [output].
+    flow and its cached base evaluation amortize across the batch, and
+    writes one JSON response line per request to [output].
 
     Fault isolation is the contract: each job's armed faults, deadline
     and retry loop are scoped to that job alone. A deadline

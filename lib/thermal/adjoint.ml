@@ -5,9 +5,8 @@
    df/dP = G^-T (df/dT) = G^-1 (df/dT) — the transpose solve IS a plain
    solve because G is self-adjoint — so the full per-tile sensitivity map
    costs exactly one extra solve of the same problem through
-   Mesh.solve_result: modal where that is exact (the source sits in the
-   power layer alone, so one forward transform), MG-CG on the shared
-   hierarchy otherwise.
+   Mesh.solve_result: modal (the source sits in the power layer alone,
+   so one forward transform) unless a solver fault routes it to CG.
 
    The objective is a log-sum-exp smoothing of the active-layer peak:
 

@@ -4,8 +4,7 @@
     conductance matrix, so for a differentiable objective [f(T)] the
     sensitivity to the power map is one extra solve of the {e same}
     system: [df/dP = G^-T (df/dT)] and [G^T = G]. The adjoint solve
-    reuses the problem's operator (and, on the MG-CG path, its multigrid
-    hierarchy) via {!Mesh.with_rhs}.
+    reuses the problem's operator via {!Mesh.with_rhs}.
 
     The objective is a log-sum-exp smoothing of the active-layer peak,
     [f(T) = (1/beta) log sum exp(beta T_i)]: an upper bound on the true
@@ -48,10 +47,9 @@ val solve_result :
     optimizer reuses its incumbent solution; dimensions are validated),
     then one adjoint solve of the same matrix with the objective
     gradient as source. Both solves go through {!Mesh.solve_result}, so
-    they take its engine rule: the modal solve on an adiabatic-walled,
-    grounded stack with no solver fault in play (exact; [cg_iterations]
-    is [0]), MG-CG on the problem's shared hierarchy otherwise, with its
-    cold-Jacobi retry and structured errors.
+    they take its engine rule: the modal solve when no solver fault is
+    in play (exact; [cg_iterations] is [0]), Jacobi-CG otherwise, with
+    its cold retry and structured errors.
     Telemetry: [thermal.adjoint.solves], [thermal.adjoint.iterations],
     [thermal.adjoint.peak_sensitivity_k_per_w] and
     [thermal.adjoint.smoothing_gap_k] in {!Obs.Metrics}, under a

@@ -6,12 +6,11 @@
     candidate power map then costs two 2-D DCTs ({!Modal.forward} and
     {!Modal.inverse}) instead of a solve.
 
-    The die walls are adiabatic ([h_side_w_m2k = 0]; {!Mesh.blur}
-    refuses any other stack) and the stack's conductances are uniform
-    per layer, so each lateral mode (kx, ky) decouples into one small
-    vertical system ({!Modal}), and the transfer G(kx, ky) is the
-    power-layer response of that system ({!Mesh.blur} computes it in
-    closed form from a mesh config and a die extent: it depends on no
+    The die walls are adiabatic ({!Stack}) and the stack's conductances
+    are uniform per layer, so each lateral mode (kx, ky) decouples into
+    one small vertical system ({!Modal}), and the transfer G(kx, ky) is
+    the power-layer response of that system ({!Mesh.blur} computes it
+    in closed form from a mesh config and a die extent: it depends on no
     power map). The blur is the one-layer case of {!Modal}'s transform
     pipeline, with a diagonal product where {!Modal.solve} runs one
     tridiagonal solve per mode. Evaluation is T = IDCT(G * DCT(P)) on

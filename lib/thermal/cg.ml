@@ -6,8 +6,6 @@ type outcome = {
   breakdown : string option;
 }
 
-type precond = Jacobi | Multigrid of Multigrid.t
-
 let default_tol = 1e-10
 
 (* --- convergence telemetry ------------------------------------------------
@@ -18,7 +16,7 @@ let default_tol = 1e-10
    history lands in a small process-global ring. The ring is what the CLI
    report's "convergence" section and the tests read: the last
    [history_ring_capacity] solves, escalation retries included, each
-   tagged with its preconditioner label. *)
+   tagged with its label. *)
 
 let residual_log_capacity = 256
 
@@ -50,7 +48,7 @@ let log_push l r =
   l.rl_seen <- l.rl_seen + 1
 
 type history = {
-  h_label : string;        (* preconditioner / escalation-retry tag *)
+  h_label : string;        (* "jacobi", or the escalation retry's tag *)
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -152,17 +150,10 @@ let record outcome =
 let stall_window = 200
 let divergence_factor = 1e8
 
-(* [applies] counts preconditioner applications; under [Multigrid] each
-   is one V-cycle. *)
-let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
+let solve_raw m ~b ~tol ?max_iter () =
   let rlog = log_create () in
   let n = Stencil.dim m in
   if Array.length b <> n then invalid_arg "Cg.solve: rhs dimension mismatch";
-  (match precond with
-   | Jacobi -> ()
-   | Multigrid h ->
-     if Multigrid.fine_dim h <> n then
-       invalid_arg "Cg.solve: multigrid hierarchy dimension mismatch");
   let max_iter = match max_iter with Some k -> k | None -> 4 * n in
   let diag = Stencil.diagonal m in
   Array.iter
@@ -176,16 +167,8 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
      rlog)
   else begin
   let norm a = sqrt (dot a a) in
-  (* The hierarchy is immutable and shared; the scratch vectors are ours
-     alone, so concurrent pooled solves do not race. *)
-  let mg_ws =
-    match precond with Multigrid h -> Some (Multigrid.workspace h) | _ -> None
-  in
-  let apply_precond r z =
-    incr applies;
-    match precond with
-    | Jacobi -> for i = 0 to n - 1 do z.(i) <- r.(i) /. diag.(i) done
-    | Multigrid h -> Multigrid.apply h (Option.get mg_ws) r z
+  let apply_jacobi r z =
+    for i = 0 to n - 1 do z.(i) <- r.(i) /. diag.(i) done
   in
   (* from the zero start, so the first residual is [b] itself *)
   let x = Array.make n 0.0 in
@@ -197,7 +180,7 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
      rlog)
   else begin
     let z = Array.make n 0.0 in
-    apply_precond r z;
+    apply_jacobi r z;
     let p = Array.copy z in
     let ap = Array.make n 0.0 in
     let rz = ref (dot r z) in
@@ -249,7 +232,7 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
           if !breakdown = None then begin
             if rn /. bnorm <= tol then converged := true
             else begin
-              apply_precond r z;
+              apply_jacobi r z;
               let rz' = dot r z in
               if not (Float.is_finite rz') || Float.abs rz' <= 1e-300 then
                 breakdown :=
@@ -290,22 +273,10 @@ let solve_raw m ~b ~tol ?max_iter ?(precond = Jacobi) ~applies () =
   end
   end
 
-let precond_label = function
-  | None | Some Jacobi -> "jacobi"
-  | Some (Multigrid _) -> "mg"
-
-let solve_labeled m ~b ~tol ?max_iter ?precond ~label () =
+let solve_labeled m ~b ~tol ?max_iter ~label () =
   Obs.Trace.with_span "thermal.cg.solve" (fun () ->
-      let applies = ref 0 in
-      let out, rlog =
-        solve_raw m ~b ~tol ?max_iter ?precond ~applies ()
-      in
+      let out, rlog = solve_raw m ~b ~tol ?max_iter () in
       let out = record out in
-      (* one V-cycle-count sample per MG-preconditioned solve *)
-      (match precond with
-       | Some (Multigrid _) ->
-         Obs.Metrics.observe "thermal.mg.solve.cycles" (float_of_int !applies)
-       | _ -> ());
       push_history
         { h_label = label; h_iterations = out.iterations;
           h_converged = out.converged; h_breakdown = out.breakdown;
@@ -326,8 +297,8 @@ let solve_labeled m ~b ~tol ?max_iter ?precond ~label () =
       Obs.Trace.add_metric "cg.residual" out.residual;
       out)
 
-let solve m ~b ?(tol = default_tol) ?max_iter ?precond () =
-  solve_labeled m ~b ~tol ?max_iter ?precond ~label:(precond_label precond) ()
+let solve m ~b ?(tol = default_tol) ?max_iter () =
+  solve_labeled m ~b ~tol ?max_iter ~label:"jacobi" ()
 
 type status = Clean | Recovered | Degraded
 
@@ -338,22 +309,21 @@ type escalation = {
 }
 
 (* One recovery path. A failed first attempt (breakdown or max-iter
-   exit) is retried once, from cold, under Jacobi with four times the
-   budget: the cheapest preconditioner sidesteps whatever broke the
-   requested one, and the larger budget covers slow-but-sound systems.
-   The iterates do not depend on the budget, so wherever the retry
-   converges inside the first attempt's budget its answer is the one a
-   plain Jacobi solve gives. *)
-let solve_escalating m ~b ?precond () =
+   exit) is retried once, from cold, with four times the budget: a
+   transient failure (an injected stall) does not repeat, and the larger
+   budget covers slow-but-sound systems. The iterates do not depend on
+   the budget, so wherever the retry converges inside the first
+   attempt's budget its answer is the one a plain solve gives. *)
+let solve_escalating m ~b () =
   let budget = 4 * Stencil.dim m in
-  let first = solve m ~b ~max_iter:budget ?precond () in
+  let first = solve m ~b ~max_iter:budget () in
   if first.converged then
     { esc_outcome = first; esc_status = Clean; esc_rungs = [] }
   else begin
     Obs.Metrics.count "thermal.cg.escalations";
     let retry =
       solve_labeled m ~b ~tol:default_tol ~max_iter:(4 * budget)
-        ~precond:Jacobi ~label:"esc:restart" ()
+        ~label:"esc:restart" ()
     in
     if retry.converged then begin
       Obs.Metrics.count "thermal.cg.escalation.recovered";

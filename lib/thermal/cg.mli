@@ -1,8 +1,12 @@
-(** Preconditioned conjugate gradients for SPD systems.
+(** Conjugate gradients with diagonal (Jacobi) scaling, for SPD systems.
 
     At steady state the paper's SPICE netlist of resistors, current sources
     and voltage sources reduces to the linear system [G T = P] with an SPD
-    conductance matrix; CG computes the identical operating point. *)
+    conductance matrix; CG computes the identical operating point. Flow
+    solves are modal ([Mesh.solve_result]); CG is the path the solver
+    faults ([Robust.Faults.Cg_stall], [Perturb_matrix]) target, and the
+    tests' iterative reference, which shares no transform with the modal
+    engine or the blur. *)
 
 type outcome = {
   x : float array;
@@ -17,17 +21,6 @@ type outcome = {
       fires {e before} the offending division, so [x] is always finite:
       either the best iterate reached or the zero start vector. *)
 }
-
-type precond =
-  | Jacobi
-  (** diagonal scaling — the cheapest apply, the default, and the
-      escalation retry's preconditioner *)
-  | Multigrid of Multigrid.t
-  (** one geometric V-cycle per apply (see {!Multigrid}). The heaviest
-      apply but near-resolution-independent iteration counts — the
-      choice for large grids. The hierarchy must be built for the exact
-      system being solved ([Multigrid.fine_dim] must equal the matrix
-      dimension); [Mesh.multigrid] caches one per problem. *)
 
 val default_tol : float
 (** 1e-10 relative — the single convergence default shared by {!solve}
@@ -45,8 +38,8 @@ val default_tol : float
 
 type history = {
   h_label : string;
-  (** the preconditioner ("jacobi" / "mg"), or ["esc:restart"] for the
-      escalation retry *)
+  (** ["jacobi"] for a plain solve, ["esc:restart"] for the escalation
+      retry *)
   h_iterations : int;
   h_converged : bool;
   h_breakdown : string option;
@@ -71,22 +64,21 @@ val histories_json : unit -> Obs.Json.t
       "residuals"}]. *)
 
 val solve : Stencil.t -> b:float array -> ?tol:float -> ?max_iter:int ->
-  ?precond:precond -> unit -> outcome
-(** CG from the zero vector. Defaults: [tol] {!default_tol}, [max_iter]
-    4 * dim, [precond] {!Jacobi}. Raises [Invalid_argument] on dimension
-    mismatch or a non-positive diagonal entry (the preconditioners need
-    positivity, and a thermal conductance operator always satisfies it).
+  unit -> outcome
+(** CG from the zero vector under diagonal (Jacobi) scaling. Defaults:
+    [tol] {!default_tol}, [max_iter] 4 * dim. Raises [Invalid_argument]
+    on dimension mismatch or a non-positive diagonal entry (the scaling
+    needs positivity, and a thermal conductance operator always
+    satisfies it).
 
     Telemetry: every solve records [thermal.cg.iterations] and
     [thermal.cg.residual] observations and bumps the [thermal.cg.solves]
-    counter in {!Obs.Metrics}. Under {!Multigrid} the solve's V-cycle
-    count (its preconditioner applications) is one sample of the
-    [thermal.mg.solve.cycles] histogram. A solve that exits at
-    [max_iter] without converging bumps [thermal.cg.nonconverged] and
-    emits an {!Obs.Log} warning, so silent max-iter exits cannot
-    masquerade as valid temperatures in sweeps; a detected breakdown
-    additionally bumps [thermal.cg.breakdown]. The solve body runs under
-    a ["thermal.cg.solve"] trace span.
+    counter in {!Obs.Metrics}. A solve that exits at [max_iter] without
+    converging bumps [thermal.cg.nonconverged] and emits an {!Obs.Log}
+    warning, so silent max-iter exits cannot masquerade as valid
+    temperatures in sweeps; a detected breakdown additionally bumps
+    [thermal.cg.breakdown]. The solve body runs under a
+    ["thermal.cg.solve"] trace span.
 
     Fault injection: an armed {!Robust.Faults.Cg_stall} makes the next
     solve return immediately with [converged = false] and the zero start
@@ -106,14 +98,13 @@ type escalation = {
       when it converged *)
 }
 
-val solve_escalating : Stencil.t -> b:float array -> ?precond:precond ->
-  unit -> escalation
+val solve_escalating : Stencil.t -> b:float array -> unit -> escalation
 (** {!solve} to {!default_tol} within 4 * dim iterations, with one
     recovery path: a failed first attempt (breakdown or max-iter exit)
-    is retried once, from the zero vector, under {!Jacobi} at four times
-    that budget (labelled ["esc:restart"] in the history ring). Where the
-    retry converges within the first budget its result is bit for bit a
-    plain Jacobi solve's. A converged retry is [Recovered]; otherwise the
+    is retried once, from the zero vector, at four times that budget
+    (labelled ["esc:restart"] in the history ring). Where the retry
+    converges within the first budget its result is bit for bit a plain
+    {!solve}'s. A converged retry is [Recovered]; otherwise the
     better-residual outcome is returned with [Degraded] and the caller
     decides whether that is an error.
 

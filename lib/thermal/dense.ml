@@ -3,8 +3,6 @@ type t = {
   l : float array;  (* lower-triangular factor, row-major *)
 }
 
-let dim t = t.n
-
 (* Standard Cholesky: A = L L^T, in-place on a dense copy. *)
 let of_stencil m =
   Obs.Trace.with_span "thermal.dense.factorize" @@ fun () ->

@@ -1,8 +1,8 @@
-(** Dense Cholesky factorization — an independent direct solver.
+(** Dense Cholesky factorization: the tests' direct-solver oracle.
 
-    CG is the production path; this O(n³) solver exists to cross-validate
-    it on small meshes (tests) and to solve the coarsest level of every
-    {!Multigrid} V-cycle. *)
+    No flow solves through it. The test suites factor small stencils with
+    it to check the modal engine, the blur, CG and the transient's
+    backward-Euler steps against an independent O(n³) solve. *)
 
 type t
 (** A factored SPD matrix. *)
@@ -14,6 +14,5 @@ val of_stencil : Stencil.t -> t
 val solve_into : t -> float array -> float array -> unit
 (** [solve_into chol b x] writes the solution of [A x = b] into [x] and
     allocates nothing; [x] may be [b] itself (solve in place). Raises
-    [Invalid_argument] if either length differs from {!dim}. *)
-
-val dim : t -> int
+    [Invalid_argument] if either length differs from the factored
+    matrix's dimension. *)

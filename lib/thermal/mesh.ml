@@ -17,8 +17,6 @@ type problem = {
   p_poisoned : bool;
   (* the build consumed a Perturb_matrix fault: the fault is no longer
      armed, so only this flag keeps the solve on the CG path it targets *)
-  p_mg : Multigrid.t option ref;
-  (* the multigrid hierarchy, built on first use *)
 }
 
 let stencil p = p.p_stencil
@@ -26,8 +24,8 @@ let rhs p = p.p_rhs
 let config p = p.p_config
 let extent p = p.p_extent
 
-(* Same operator (and hierarchy), different right-hand side — the
-   adjoint solve injects its custom source into the same operator. *)
+(* Same operator, different right-hand side — the adjoint solve injects
+   its custom source into the same operator. *)
 let with_rhs p rhs =
   if Array.length rhs <> Array.length p.p_rhs then
     invalid_arg "Mesh.with_rhs: rhs dimension mismatch";
@@ -48,11 +46,8 @@ let um_to_m v = v *. 1.0e-6
    R = (thickness/2) / (k * A) in series); each tile of the bottom and
    top layers grounds through [g_bottom] and [g_top]; and each tile of
    layer iz also grounds through [g_shift.(iz)], the problem's shift
-   times the tile area. Side walls ground only boundary tiles and stay
-   with the stencil's diagonal. *)
+   times the tile area. *)
 type conductances = {
-  dx_m : float;
-  dy_m : float;
   g_x : float array;
   g_y : float array;
   g_v : float array; (* nz - 1 entries *)
@@ -71,9 +66,7 @@ let conductances cfg ~extent ~shift =
   let k iz = layers.(iz).Stack.conductivity_w_mk in
   let dz iz = um_to_m layers.(iz).Stack.thickness_um in
   let r_half iz = dz iz /. 2.0 /. (k iz *. tile_area) in
-  { dx_m = dx;
-    dy_m = dy;
-    g_x = Array.init nz (fun iz -> k iz *. (dy *. dz iz) /. dx);
+  { g_x = Array.init nz (fun iz -> k iz *. (dy *. dz iz) /. dx);
     g_y = Array.init nz (fun iz -> k iz *. (dx *. dz iz) /. dy);
     g_v =
       Array.init (nz - 1) (fun iz -> 1.0 /. (r_half iz +. r_half (iz + 1)));
@@ -92,20 +85,17 @@ let face_grounds c =
 
 (* The conductance matrix as a stencil. A diagonal entry sums every
    conductance touching its node in a fixed order — below, south, west,
-   east, north, above, then the bottom face, the top face and the x and
-   y side walls, each ground only when positive — and the shift is added
-   last ([Stencil.shift]; adding a zero shift leaves every entry as it
-   was). Reordering the sum moves temperatures in the last bit; the pins
-   in test_thermal.ml hold it. [poisoned] replaces layer 0's lateral
+   east, north, above, then the bottom face and the top face, each
+   ground only when positive — and the shift is added last
+   ([Stencil.shift]; adding a zero shift leaves every entry as it was).
+   Reordering the sum moves temperatures in the last bit; the pins in
+   test_thermal.ml hold it. [poisoned] replaces layer 0's lateral
    couplings with NaN and leaves the diagonal alone (the Perturb_matrix
    fault). *)
 let stencil_of cfg ~extent ~shift ~poisoned =
-  let stack = cfg.stack in
-  let nz = Stack.num_layers stack in
+  let nz = Stack.num_layers cfg.stack in
   let c = conductances cfg ~extent ~shift in
-  let h_side = stack.Stack.h_side_w_m2k in
   let diag ~xc ~yc ~iz =
-    let dz = um_to_m stack.Stack.layers.(iz).Stack.thickness_um in
     let d = ref 0.0 in
     let add g = d := !d +. g in
     let ground g = if g > 0.0 then add g in
@@ -117,10 +107,6 @@ let stencil_of cfg ~extent ~shift ~poisoned =
     if iz < nz - 1 then add c.g_v.(iz);
     if iz = 0 then ground c.g_bottom;
     if iz = nz - 1 then ground c.g_top;
-    if h_side > 0.0 then begin
-      if xc <> 3 then ground (h_side *. c.dy_m *. dz);
-      if yc <> 3 then ground (h_side *. c.dx_m *. dz)
-    end;
     !d
   in
   let lateral g =
@@ -134,15 +120,14 @@ let stencil_of cfg ~extent ~shift ~poisoned =
 
 let no_shift cfg = Array.make (Stack.num_layers cfg.stack) 0.0
 
-let operator cfg ~extent =
-  stencil_of cfg ~extent ~shift:(no_shift cfg) ~poisoned:false
+let check_stack ~fn cfg =
+  match Stack.validate cfg.stack with
+  | Ok () -> ()
+  | Error msg -> invalid_arg (fn ^ ": " ^ msg)
 
 let build cfg ~power =
   Obs.Trace.with_span "thermal.mesh.build" @@ fun () ->
-  begin match Stack.validate cfg.stack with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Mesh.build: " ^ msg)
-  end;
+  check_stack ~fn:"Mesh.build" cfg;
   if Geo.Grid.nx power <> cfg.nx || Geo.Grid.ny power <> cfg.ny then
     invalid_arg "Mesh.build: power grid dimensions mismatch";
   let extent = Geo.Grid.extent power in
@@ -159,33 +144,15 @@ let build cfg ~power =
   Geo.Grid.iteri power ~f:(fun ~ix ~iy w ->
       rhs.(node_index cfg ~ix ~iy ~iz:zp) <- w);
   { p_config = cfg; p_extent = extent; p_shift = shift; p_stencil = stencil;
-    p_rhs = rhs; p_poisoned = poisoned; p_mg = ref None }
+    p_rhs = rhs; p_poisoned = poisoned }
 
-(* A new operator, so a new hierarchy; the poisoning of the build it
-   derives from carries over. *)
+(* The poisoning of the build it derives from carries over. *)
 let shifted p ~w_m2k =
   let shift = Array.map2 ( +. ) p.p_shift w_m2k in
   { p with
     p_shift = shift;
     p_stencil =
-      stencil_of p.p_config ~extent:p.p_extent ~shift ~poisoned:p.p_poisoned;
-    p_mg = ref None }
-
-let multigrid p =
-  match !(p.p_mg) with
-  | Some h -> h
-  | None ->
-    let h =
-      Multigrid.build ~fine:p.p_stencil
-        ~coarse:(fun ~nx ~ny ->
-            stencil_of { p.p_config with nx; ny } ~extent:p.p_extent
-              ~shift:p.p_shift ~poisoned:false)
-        ()
-    in
-    (* benign race: two domains may build concurrently and the later write
-       wins, but both hierarchies come from the same operator *)
-    p.p_mg := Some h;
-    h
+      stencil_of p.p_config ~extent:p.p_extent ~shift ~poisoned:p.p_poisoned }
 
 type precond_choice = Pc_mg
 
@@ -197,15 +164,6 @@ type solution = {
   cg_residual : float;
   cg_rungs : string list;
 }
-
-(* Where the operator is block-diagonal on the DCT-II basis, which makes
-   the blur and the modal solve exact: adiabatic side walls (a side wall
-   grounds boundary tiles the lateral modes do not see) and a grounded
-   face (otherwise the uniform mode has no heat path). *)
-let blur_exact cfg =
-  let s = cfg.stack in
-  s.Stack.h_side_w_m2k = 0.0
-  && (s.Stack.h_top_w_m2k > 0.0 || s.Stack.h_bottom_w_m2k > 0.0)
 
 (* ||b - A x|| / ||b||, 0 for a zero right-hand side. *)
 let relative_residual stencil ~b x =
@@ -220,9 +178,8 @@ let relative_residual stencil ~b x =
   if !bb = 0.0 then 0.0 else sqrt (!rr /. !bb)
 
 (* The modal solve of [p]'s system, or [None] when its measured residual
-   is not finite (a NaN or infinite source): MG-CG and its retry then
-   report the structured failure, as they would have without the
-   engine. *)
+   is not finite (a NaN or infinite source): CG and its retry then
+   report the structured failure. *)
 let modal_solution p =
   Obs.Trace.with_span "thermal.modal.solve" @@ fun () ->
   let cfg = p.p_config in
@@ -239,24 +196,18 @@ let modal_solution p =
         cg_residual = residual; cg_rungs = [] }
   else None
 
-(* The modal engine solves unless a preconditioner asks for a CG
-   reference solve or a fault aimed at the solver is in play: an armed
-   [Cg_stall], or a [Perturb_matrix] this build consumed, must reach the
-   CG path it targets. The other faults do not route: [Nan_power]
-   reaches CG through the non-finite residual, and [Kill_worker] aims at
-   the pool, so a job carrying it solves as its clean batch mates do. *)
-let modal_applies ?precond p =
-  Option.is_none precond && (not p.p_poisoned) && blur_exact p.p_config
-  && not (Robust.Faults.armed Robust.Faults.Cg_stall)
+(* The modal engine solves unless a fault aimed at the solver is in
+   play: an armed [Cg_stall], or a [Perturb_matrix] this build consumed,
+   must reach the CG path it targets. The other faults do not route:
+   [Nan_power] reaches CG through the non-finite residual, and
+   [Kill_worker] aims at the pool, so a job carrying it solves as its
+   clean batch mates do. *)
+let modal_applies p =
+  (not p.p_poisoned) && not (Robust.Faults.armed Robust.Faults.Cg_stall)
 
-(* The hierarchy is built before the span opens, so a first solve bills
-   it to [thermal.mg.build] beside [thermal.solve], not inside it. *)
-let cg_solution ?precond p =
-  let precond =
-    match precond with Some pc -> pc | None -> Cg.Multigrid (multigrid p)
-  in
+let cg_solution p =
   Obs.Trace.with_span "thermal.solve" @@ fun () ->
-  let esc = Cg.solve_escalating p.p_stencil ~b:p.p_rhs ~precond () in
+  let esc = Cg.solve_escalating p.p_stencil ~b:p.p_rhs () in
   let outcome = esc.Cg.esc_outcome in
   match esc.Cg.esc_status with
   | Cg.Degraded ->
@@ -273,9 +224,9 @@ let cg_solution ?precond p =
          cg_residual = outcome.Cg.residual;
          cg_rungs = esc.Cg.esc_rungs }
 
-let solve_result ?precond p =
+let solve_result p =
   let modal =
-    if modal_applies ?precond p then
+    if modal_applies p then
       Obs.Trace.with_span "thermal.solve" (fun () -> modal_solution p)
     else None
   in
@@ -284,10 +235,10 @@ let solve_result ?precond p =
     (* the deadline checkpoint CG's iterations would have passed *)
     Robust.Cancel.check ();
     Ok s
-  | None -> cg_solution ?precond p
+  | None -> cg_solution p
 
-let solve ?precond p =
-  match solve_result ?precond p with
+let solve p =
+  match solve_result p with
   | Ok s -> s
   | Error e -> Robust.Error.raise_ e
 
@@ -309,13 +260,10 @@ let active_layer_grid s =
    conductances in series — the layers below present
    g_v s / (g_v + s) to the next one up, s being a layer's own ground
    plus what presents to it from further below — which is the same
-   recurrence without subtracting nearly equal numbers. It is defined
-   where [blur_exact] holds. *)
+   recurrence without subtracting nearly equal numbers. *)
 let blur cfg ~extent =
   Obs.Trace.with_span "thermal.blur.characterize" @@ fun () ->
-  if not (blur_exact cfg) then
-    invalid_arg "Mesh.blur: the modal transfer needs adiabatic side walls \
-                 and a grounded top or bottom face";
+  check_stack ~fn:"Mesh.blur" cfg;
   let c = conductances cfg ~extent ~shift:(no_shift cfg) in
   let nz = Stack.num_layers cfg.stack in
   let pl = cfg.stack.Stack.power_layer in

@@ -3,9 +3,10 @@
     The die footprint is tiled [nx] x [ny] per layer (the paper's grid is
     40 x 40 x 9 = 14400 cells); each thermal cell couples to its six
     neighbours through series half-cell resistances, boundary faces couple
-    to the ambient reference through the stack's effective conductances,
-    and the power map injects current into the active layer. Temperatures
-    are kelvins of rise over ambient. *)
+    to the ambient reference through the stack's effective top and bottom
+    conductances (the side walls are adiabatic), and the power map
+    injects current into the active layer. Temperatures are kelvins of
+    rise over ambient. *)
 
 type config = {
   nx : int;
@@ -22,8 +23,10 @@ val build : config -> power:Geo.Grid.t -> problem
 (** [power] is a W-per-tile grid whose extent is the die footprint and
     whose dimensions must equal [nx] x [ny]. The operator depends only on
     the config and the grid extent — power enters through the right-hand
-    side alone — and building it is O(layers): {!operator}'s per-layer
-    couplings and diagonal table. Traced as [thermal.mesh.build].
+    side alone — and building it is O(layers): the stencil's per-layer
+    couplings and diagonal table. Raises [Invalid_argument] when the
+    stack fails {!Stack.validate} or the grid does not match. Traced as
+    [thermal.mesh.build].
 
     Fault hook: an armed {!Robust.Faults.Perturb_matrix} poisons this
     build's operator — layer 0's lateral couplings become NaN, the
@@ -32,12 +35,7 @@ val build : config -> power:Geo.Grid.t -> problem
     fault, so the problem remembers it: every solve of a poisoned
     problem (and of its {!with_rhs} and {!shifted} copies) takes the CG
     path, never the modal engine, which would solve the unpoisoned
-    conductances cleanly. Derived operators ({!operator} and the coarse
-    multigrid levels) never consume it. *)
-
-val operator : config -> extent:Geo.Rect.t -> Stencil.t
-(** The fault-free conductance operator of a config on a die extent,
-    the operator {!build} makes when no fault is armed. *)
+    conductances cleanly. *)
 
 val stencil : problem -> Stencil.t
 val rhs : problem -> float array
@@ -45,30 +43,21 @@ val config : problem -> config
 val extent : problem -> Geo.Rect.t
 
 val with_rhs : problem -> float array -> problem
-(** The same problem (operator and multigrid hierarchy shared) with a
-    custom right-hand side — how the adjoint solve injects the objective
-    gradient as a source term into the same SPD operator. Raises
-    [Invalid_argument] on a dimension mismatch. *)
+(** The same problem (operator shared) with a custom right-hand side —
+    how the adjoint solve injects the objective gradient as a source
+    term into the same SPD operator. Raises [Invalid_argument] on a
+    dimension mismatch. *)
 
 val shifted : problem -> w_m2k:float array -> problem
 (** The same problem with every tile of layer [iz] also grounded through
     [w_m2k.(iz)] W/(m^2 K) times its tile area: the backward-Euler
     operator [G + C/dt] when [w_m2k.(iz)] is layer [iz]'s heat capacity
     per unit area over the step. The shift enters the stencil (added to
-    each diagonal entry last, as {!Stencil.shift} does), the modal
-    engine's per-layer grounds and every coarse multigrid level (at that
-    level's tile area), so {!solve_result} takes the same engine rule on
-    it; a non-negative shift keeps the operator SPD. Shifts add up. The
-    result has its own multigrid hierarchy, and is poisoned when
-    [problem] is. Raises [Invalid_argument] unless there is one value
-    per layer. *)
-
-val multigrid : problem -> Multigrid.t
-(** The geometric multigrid hierarchy for this problem's operator, built
-    on first use and kept on the problem (and its {!with_rhs} copies).
-    Coarse levels are fault-free operators of the same stack, extent and
-    shift at halved lateral resolution. A fault-free solve of a stack
-    where {!blur_exact} holds never builds it. *)
+    each diagonal entry last, as {!Stencil.shift} does) and the modal
+    engine's per-layer grounds, so {!solve_result} takes the same engine
+    rule on it; a non-negative shift keeps the operator SPD. Shifts add
+    up. The result is poisoned when [problem] is. Raises
+    [Invalid_argument] unless there is one value per layer. *)
 
 type precond_choice = Pc_mg
 (** Nothing in the library reads it: the solver is not a choice
@@ -90,40 +79,33 @@ type solution = {
       [[]] for a clean first-attempt convergence and for a modal solve *)
 }
 
-val solve_result : ?precond:Cg.precond -> problem ->
-  (solution, Robust.Error.t) result
-(** The steady-state solve. Two engines, one rule:
+val solve_result : problem -> (solution, Robust.Error.t) result
+(** The steady-state solve, modal unless a solver fault is in play:
 
-    - {b Modal.} When no [?precond] is given, {!blur_exact} holds for the
-      config (adiabatic side walls, a grounded face), the operator is not
-      poisoned (see {!build}) and no {!Robust.Faults.Cg_stall} is armed
-      (the one armed fault aimed at the solve; [Kill_worker] targets the
-      pool and does not route), the solve is {!Modal.solve} on the die's
-      DCT-II basis: a 2-D DCT of each layer's right-hand side (skipped for
-      an all-zero layer), one nz x nz tridiagonal solve per lateral mode
-      and the inverse transforms, built from the same per-layer
-      conductances as the stencil and the blur. It is exact to rounding:
-      [cg_iterations] is [0], [cg_rungs] [[]] and [cg_residual] is
-      measured with one {!Stencil.mul}. A result whose measured residual
-      is not finite (a NaN or infinite source) is handed to MG-CG, which
-      reports the structured failure. Traced as a [thermal.modal.solve]
-      span under [thermal.solve] and counted in [thermal.modal.solves];
-      a {!Robust.Cancel.check} follows it.
-    - {b MG-CG.} Every other solve — side-walled or ungrounded stacks,
-      poisoned builds, an armed [Cg_stall], non-finite sources and
-      explicit [?precond] reference solves — is preconditioned CG from
-      a zero start to {!Cg.default_tol}, by default under [Cg.Multigrid]
-      over this problem's {!multigrid} hierarchy (built on first use,
-      outside the [thermal.solve] span). The solve runs through
-      {!Cg.solve_escalating}: a first-attempt failure is retried once,
-      cold, under Jacobi at four times the budget; a recovery is logged
-      as a warning and recorded in [cg_rungs] ([["restart"]]), and only
-      when the retry fails too does this return
+    - {b Modal.} Every valid stack is block-diagonal on the die's DCT-II
+      basis, so the solve is {!Modal.solve}: a 2-D DCT of each layer's
+      right-hand side (skipped for an all-zero layer), one nz x nz
+      tridiagonal solve per lateral mode and the inverse transforms,
+      built from the same per-layer conductances as the stencil and the
+      blur. It is exact to rounding: [cg_iterations] is [0], [cg_rungs]
+      [[]] and [cg_residual] is measured with one {!Stencil.mul}. Traced
+      as a [thermal.modal.solve] span under [thermal.solve] and counted
+      in [thermal.modal.solves]; a {!Robust.Cancel.check} follows it.
+    - {b Jacobi-CG.} When the build was poisoned (see {!build}), a
+      {!Robust.Faults.Cg_stall} is armed (the one armed fault aimed at
+      the solve; [Kill_worker] targets the pool and does not route) or
+      the modal result's measured residual is not finite (a NaN or
+      infinite source), the solve is {!Cg.solve_escalating} on the
+      stencil from a zero start to {!Cg.default_tol}: a first-attempt
+      failure is retried once, cold, at four times the budget; a
+      recovery is logged as a warning and recorded in [cg_rungs]
+      ([["restart"]]), and only when the retry fails too does this
+      return
       [Error (Solver_diverged { rungs = ["requested"; "restart"]; _ })].
 
-    This is the only place that decides when MG-CG runs. *)
+    This is the only place that decides when CG runs. *)
 
-val solve : ?precond:Cg.precond -> problem -> solution
+val solve : problem -> solution
 (** {!solve_result}, raising [Robust.Error.Error (Solver_diverged _)]
     instead of returning [Error]. Never observed on a valid stack; guards
     against operator bugs and injected faults. *)
@@ -136,22 +118,13 @@ val layer_grid : solution -> iz:int -> Geo.Grid.t
 val active_layer_grid : solution -> Geo.Grid.t
 (** The thermal map of the paper's figures: the power-injection layer. *)
 
-val blur_exact : config -> bool
-(** Whether the operator is block-diagonal on the die's DCT-II basis, so
-    {!blur} is defined and {!solve_result} may solve modally: the side
-    walls are adiabatic ([h_side_w_m2k = 0]) and the stack grounds its
-    top or its bottom face. A side wall grounds boundary tiles the
-    lateral modes do not see, and a die with neither face grounded has no
-    heat path for its uniform mode; only MG-CG handles those stacks. *)
-
 val blur : config -> extent:Geo.Rect.t -> Blur.t
 (** The power-blurring kernel of the config's mesh on a die extent: the
     modal transfer of the stack on the die's DCT-II basis (see {!Blur}).
     For each lateral mode it is the power-layer diagonal entry of the
     inverse of one nz x nz tridiagonal system, computed in closed form
-    from the same per-layer conductances {!operator}'s stencil is built
-    from — no solve runs, no problem is built and no preconditioner is
-    involved — so it is exact, never an estimate, and no fault can reach
-    it. O(nx ny nz) per call; nothing is cached. Traced as
-    [thermal.blur.characterize]. Raises [Invalid_argument] unless
-    {!blur_exact}. *)
+    from the same per-layer conductances the stencil is built from — no
+    solve runs and no problem is built — so it is exact, never an
+    estimate, and no fault can reach it. O(nx ny nz) per call; nothing
+    is cached. Traced as [thermal.blur.characterize]. Raises
+    [Invalid_argument] when the stack fails {!Stack.validate}. *)

@@ -6,8 +6,8 @@
     boundary resistors (the ambient voltage source collapses to ground when
     temperatures are expressed as rises), and one current source per
     power-carrying node. Feeding the file to any SPICE gives, as node
-    voltages, the same temperatures our CG solver computes — a one-command
-    external validation path. *)
+    voltages, the same temperatures the modal solver computes — a
+    one-command external validation path. *)
 
 val to_string : ?title:string -> Mesh.problem -> string
 (** Node [i] becomes SPICE node [n<i>]; units: volts = kelvin rise,

@@ -9,7 +9,6 @@ type t = {
   power_layer : int;
   h_top_w_m2k : float;
   h_bottom_w_m2k : float;
-  h_side_w_m2k : float;
 }
 
 let layer layer_name thickness_um conductivity_w_mk =
@@ -35,7 +34,6 @@ let default_9layer = {
   power_layer = 3;
   h_top_w_m2k = 5.0e5;
   h_bottom_w_m2k = 5.0e2;
-  h_side_w_m2k = 0.0;
 }
 
 let with_sink t ~h_top_w_m2k = { t with h_top_w_m2k }
@@ -53,7 +51,6 @@ let validate t =
       (fun l -> l.thickness_um <= 0.0 || l.conductivity_w_mk <= 0.0)
       t.layers
   then Error "non-positive layer thickness or conductivity"
-  else if t.h_top_w_m2k <= 0.0 && t.h_bottom_w_m2k <= 0.0
-          && t.h_side_w_m2k <= 0.0
-  then Error "no heat removal path (all boundary conductances zero)"
+  else if t.h_top_w_m2k <= 0.0 && t.h_bottom_w_m2k <= 0.0 then
+    Error "no heat removal path (neither face grounded)"
   else Ok ()

@@ -2,11 +2,14 @@
 
     Following the paper, the z direction is discretized into 9 layers with
     per-layer thermal conductivities (ballpark values after Sato et al.,
-    ASP-DAC'05); heat leaves through effective boundary conductances that
-    stand in for the package and heat sink. The defaults are calibrated so
-    that a ~12k-cell 65 nm die shows peak rises of a few to ~25 kelvin with
-    hotspot features of a few tens of µm — the regime of the paper's
-    experiments (see DESIGN.md). *)
+    ASP-DAC'05); heat leaves through the top and bottom faces' effective
+    conductances, which stand in for the package and heat sink. The side
+    walls are adiabatic: with one conductivity per layer and no side-wall
+    ground, every lateral mode of the die's DCT-II basis decouples, which
+    is what {!Modal} and {!Blur} solve exactly. The defaults are
+    calibrated so that a ~12k-cell 65 nm die shows peak rises of a few to
+    ~25 kelvin with hotspot features of a few tens of µm — the regime of
+    the paper's experiments (see DESIGN.md). *)
 
 type layer = {
   layer_name : string;
@@ -19,7 +22,6 @@ type t = {
   power_layer : int;          (** index of the active-silicon layer *)
   h_top_w_m2k : float;        (** effective sink conductance per die area *)
   h_bottom_w_m2k : float;     (** board-side conductance per area *)
-  h_side_w_m2k : float;       (** per side-wall area; 0 = adiabatic *)
 }
 
 val default_9layer : t
@@ -33,3 +35,7 @@ val with_sink : t -> h_top_w_m2k:float -> t
 val num_layers : t -> int
 val total_thickness_um : t -> float
 val validate : t -> (unit, string) result
+(** [Ok ()] for a non-empty stack with its power layer in range, positive
+    layer thicknesses and conductivities, and a grounded top or bottom
+    face: the face gives every lateral mode, the uniform one included, a
+    path to ambient. *)

@@ -8,12 +8,13 @@ type t = {
   diag : float array;
 }
 
+(* The boundary class of index [i] on an axis of [n] cells: bit 0 for
+   a neighbour below, bit 1 for one above. *)
 let boundary_class n i =
   (if i > 0 then 1 else 0) + if i < n - 1 then 2 else 0
 
+(* the classes that occur on an axis of [n] cells *)
 let classes n = if n = 1 then [ 0 ] else if n = 2 then [ 2; 1 ] else [ 2; 3; 1 ]
-
-let first_cell n c = match c with 1 -> n - 1 | 3 -> 1 | _ -> 0
 
 (* four x-classes by four y-classes per layer; the classes that cannot
    occur on the grid are left at 0 *)

@@ -36,7 +36,6 @@ val step_response :
     of one {!Mesh.shifted} problem for the whole window (every tile of
     layer [iz] grounded through its heat capacity over [dt]) with the
     step's right-hand side ({!Mesh.with_rhs}). Every solve so takes
-    {!Mesh.solve_result}'s engine rule: modal on an adiabatic-walled,
-    grounded stack with no solver fault in play, MG-CG on the shifted
-    problem's own hierarchy (coarse levels carry the shift) otherwise.
-    Counter: [thermal.transient.steps]. *)
+    {!Mesh.solve_result}'s engine rule: modal when no solver fault is in
+    play, Jacobi-CG on the shifted stencil otherwise. Counter:
+    [thermal.transient.steps]. *)

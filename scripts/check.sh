@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full repository gate: build everything, run the test suites and the
-# quickstart example, smoke-run the solve bench (the modal engine and
-# MG-CG, the blur, the adjoint, both guides and the pool) and the serve
+# quickstart example, smoke-run the solve bench (the modal engine, the
+# blur, the adjoint, both guides and the pool) and the serve
 # bench, run the paper suites, and gate the solve and serve benches and
 # the fig6, guide and optimizer suites' counts against the committed
 # bench/baselines via bench_diff (wall-clock regressions, changed counts
@@ -78,8 +78,8 @@ for name in fig5 fig6 table1 timing congestion ablation optimizer \
 done
 # The paper's shape checks (ERI and HW above Default, monotone in
 # overhead), the steady-state justification and the solve checks (the
-# modal solve and the blur match MG-CG at every size, the adjoint its
-# central difference,
+# modal solve's measured residual within 1e-10 and the blur within 1e-9
+# of the modal solve at every size, the adjoint its central difference,
 # the gradient guide's peak the peak guide's, 2 domains 1, FFT parity,
 # no Bluestein transform on the screening grids) must all hold.
 if grep -q false BENCH_fig6.json BENCH_transient.json BENCH_solve.json; then
@@ -90,8 +90,8 @@ fi
 echo "== bench regression gate (bench_diff vs committed baselines)"
 # A generous threshold absorbs machine-to-machine noise on top of the
 # baselines' own measured IQR; invariant flips (plans_agree,
-# parallel_bit_identical, ...) and changed counts (iterations, V-cycles,
-# evaluations, solves, jobs, batches) fail at any threshold.
+# parallel_bit_identical, ...) and changed counts (evaluations, solves,
+# jobs, batches) fail at any threshold.
 verdict=$(mktemp "${TMPDIR:-/tmp}/thermoplace-verdict.XXXXXX.json")
 dune exec bin/bench_diff.exe -- --threshold 0.60 --json "$verdict" \
   bench/baselines/solve.json BENCH_solve.json >/dev/null
@@ -108,7 +108,7 @@ done
 # Sanity of the gate itself: clean against itself, trips on a simulated
 # +100% slowdown (medians compared, so this holds for statistics
 # baselines exactly as it did for legacy scalars), on one doubled
-# iteration count and on one extra exact solve of a guide.
+# solve count and on one extra exact solve of a guide.
 dune exec bin/bench_diff.exe -- \
   bench/baselines/solve.json bench/baselines/solve.json >/dev/null
 rc=0
@@ -120,19 +120,19 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 doubled=$(mktemp "${TMPDIR:-/tmp}/thermoplace-doubled.XXXXXX.json")
-iters=$(sed -n 's/.*"cg_iterations": \([0-9]*\).*/\1/p' \
+solves=$(sed -n 's/.*"modal_solves": \([0-9]*\).*/\1/p' \
   bench/baselines/solve.json)
-sed "s/\"cg_iterations\": $iters,/\"cg_iterations\": $((iters * 2)),/" \
+sed "s/\"modal_solves\": $solves,/\"modal_solves\": $((solves * 2)),/" \
   bench/baselines/solve.json >"$doubled"
 if cmp -s "$doubled" bench/baselines/solve.json; then
-  echo "bench_diff self-check: no iteration count to double" >&2
+  echo "bench_diff self-check: no solve count to double" >&2
   exit 1
 fi
 rc=0
 dune exec bin/bench_diff.exe -- \
   bench/baselines/solve.json "$doubled" >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
-  echo "bench_diff: expected exit 1 on a doubled iteration count, got $rc" >&2
+  echo "bench_diff: expected exit 1 on a doubled solve count, got $rc" >&2
   exit 1
 fi
 solves=$(sed -n 's/.*"exact_solves": \([0-9]*\).*/\1/p' \
@@ -271,8 +271,8 @@ if [ "$rc" -ne 11 ]; then
   echo "fault smoke: expected exit 11 for nan_power, got $rc" >&2
   exit 1
 fi
-# Stalling an MG-CG attempt and its cold-Jacobi retry must surface as
-# solver divergence (exit 10); two stalls are enough.
+# Stalling a CG attempt and its cold retry must surface as solver
+# divergence (exit 10); two stalls are enough.
 rc=0
 THERMOPLACE_FAULTS=cg_stall:8 dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 >/dev/null 2>&1 || rc=$?
@@ -280,13 +280,24 @@ if [ "$rc" -ne 10 ]; then
   echo "fault smoke: expected exit 10 for cg_stall, got $rc" >&2
   exit 1
 fi
-# A single stall of an MG-CG solve must be recovered by the cold-Jacobi
-# retry, so the flow still exits 0.
+# A single stall routes the solve to CG and stalls its first attempt;
+# the cold retry must recover it, so the flow still exits 0.
 rc=0
 THERMOPLACE_FAULTS=cg_stall dune exec bin/thermoplace.exe -- \
   flow --test-set small --cycles 200 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 0 ]; then
-  echo "fault smoke: expected exit 0 for recovered cg_stall under mg, got $rc" >&2
+  echo "fault smoke: expected exit 0 for a recovered cg_stall, got $rc" >&2
+  exit 1
+fi
+# A utilization whose unit regions cannot hold their cells is an
+# invariant violation (exit 11), never an uncaught exception (Cmdliner's
+# 125). --ledger none keeps every ledger count below unchanged.
+rc=0
+dune exec bin/thermoplace.exe -- \
+  flow --test-set small --cycles 50 --utilization 0.95 --ledger none \
+  >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 11 ]; then
+  echo "fault smoke: expected exit 11 for --utilization 0.95, got $rc" >&2
   exit 1
 fi
 

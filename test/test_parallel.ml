@@ -1,6 +1,6 @@
 (* Tests for the domain pool: coverage, ordering, failure propagation,
    nesting, and the bit-identical-across-pool-sizes contract on a real
-   MG-preconditioned solve. *)
+   thermal solve. *)
 
 let with_jobs n f =
   Parallel.Pool.set_jobs n;
@@ -151,8 +151,8 @@ let test_set_jobs_validation () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "default >= 1" true (Parallel.Pool.default_jobs () >= 1)
 
-(* The multigrid-preconditioned solve is sequential by design; a pool
-   of any size around it must leave the whole solve bit-identical. *)
+(* The default (modal) solve is sequential by design; a pool of any size
+   around it must leave the whole solve bit-identical. *)
 let test_mg_bit_identical_across_jobs () =
   let nx = 40 in
   let extent = Geo.Rect.of_corner ~x:0.0 ~y:0.0 ~w:200.0 ~h:200.0 in
@@ -162,13 +162,10 @@ let test_mg_bit_identical_across_jobs () =
         (1e-4 *. (1.0 +. sin (float_of_int ((ix * nx) + iy)))));
   let cfg = { Thermal.Mesh.default_config with Thermal.Mesh.nx; ny = nx } in
   let problem = Thermal.Mesh.build cfg ~power in
-  let h = Thermal.Mesh.multigrid problem in
   Parallel.Pool.set_jobs 1;
-  let seq = Thermal.Mesh.solve ~precond:(Thermal.Cg.Multigrid h) problem in
+  let seq = Thermal.Mesh.solve problem in
   with_jobs 4 (fun () ->
-      let par =
-        Thermal.Mesh.solve ~precond:(Thermal.Cg.Multigrid h) problem
-      in
+      let par = Thermal.Mesh.solve problem in
       Alcotest.(check int) "same iteration count"
         seq.Thermal.Mesh.cg_iterations par.Thermal.Mesh.cg_iterations;
       Alcotest.(check bool) "bit-identical solution" true

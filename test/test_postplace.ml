@@ -663,14 +663,14 @@ let test_optimizer_fft_screening_parity () =
     r.Postplace.Optimizer.blur_evaluations;
   Alcotest.(check int) "blur tier solves only the re-score" 1
     r.Postplace.Optimizer.evaluations;
-  (* that solve is the adiabatic stack's modal solve, not MG-CG *)
+  (* that solve is modal, not CG *)
   Alcotest.(check (pair int int)) "blur tier runs one modal solve, no CG"
     (1, 0) (modal, cg)
 
 (* The blur builds no problem and runs no solve, so no armed fault can
    be blurred away and the optimizer routes none: on the 20x20 greedy
    each fault reaches its own target under the blur tier. A [Cg_stall]
-   stalls the re-score's MG-CG attempt and the cold-Jacobi retry
+   stalls the re-score's CG attempt and the cold retry
    recovers it; [Nan_power] aims at the flow's power map, which
    greedy_rows never bins, so the run is the clean one bit for bit;
    [Perturb_matrix] poisons the re-score's build, which both attempts
@@ -727,42 +727,6 @@ let test_optimizer_faults_reach_targets () =
     Robust.Faults.
       [ (Cg_stall, `Recovered); (Nan_power, `Clean);
         (Perturb_matrix, `Diverged); (Kill_worker, `Worker) ]
-
-let test_optimizer_side_wall_stack_exact_tier () =
-  let fl = Lazy.force flow in
-  Parallel.Pool.set_jobs 1;
-  (* the blur is exact only for adiabatic side walls and a grounded face:
-     on any other stack pricing must take the exact tier, not raise and
-     not estimate *)
-  let cfg = fl.Postplace.Flow.mesh_config in
-  let stack0 = cfg.Thermal.Mesh.stack in
-  List.iter
-    (fun (name, stack) ->
-       let fl =
-         { fl with
-           Postplace.Flow.mesh_config = { cfg with Thermal.Mesh.stack } }
-       in
-       let r =
-         Postplace.Optimizer.greedy_rows fl ~rows:4 ~chunk:2 ~stride:2
-           ~coarse_nx:16 ()
-       in
-       let plan, peak = reference_greedy fl ~rows:4 ~chunk:2 ~stride:2 ~nx:16 in
-       Alcotest.(check (list int)) (name ^ ": the reference greedy's plan")
-         plan (inserted r);
-       Alcotest.(check (float (1e-12 *. peak)))
-         (name ^ ": the reference greedy's peak") peak
-         r.Postplace.Optimizer.predicted_peak_k;
-       Alcotest.(check int) (name ^ ": never blurs") 0
-         r.Postplace.Optimizer.blur_evaluations;
-       Alcotest.(check int) (name ^ ": every candidate, then the re-score")
-         (1 + priced fl ~rows:4 ~chunk:2 ~stride:2)
-         r.Postplace.Optimizer.evaluations)
-    [ ("side walls alone",
-       { stack0 with
-         Thermal.Stack.h_top_w_m2k = 0.0; h_bottom_w_m2k = 0.0;
-         h_side_w_m2k = 1e6 });
-      ("side-walled, grounded",
-       { stack0 with Thermal.Stack.h_side_w_m2k = 2e4 }) ]
 
 (* The plans greedy_rows commits at the default 20x20 grid under each
    guide, and the reference greedy's, recorded with cell-by-cell trial
@@ -983,7 +947,7 @@ let prop_overhead_nonnegative =
        if r1 <= r2 then ov r1 <= ov r2 +. 1e-9
        else ov r2 <= ov r1 +. 1e-9)
 
-(* A flow solve on this adiabatic stack is modal; Jacobi-CG solves the
+(* A flow solve is modal; Jacobi-CG on the problem's stencil solves the
    same system to a 1e-10 relative residual, so an evaluation's thermal
    map must match a Jacobi solve of its own power map. Random small
    designs: seed, hot unit, utilization and mesh size vary; the base and
@@ -1006,9 +970,18 @@ let prop_mg_default_matches_jacobi =
        let agree pl =
          let ev = F.evaluate fl pl in
          let jacobi =
-           Thermal.Mesh.active_layer_grid
-             (Thermal.Mesh.solve ~precond:Thermal.Cg.Jacobi
-                (Thermal.Mesh.build fl.F.mesh_config ~power:ev.F.power_map))
+           let cfg = fl.F.mesh_config in
+           let p = Thermal.Mesh.build cfg ~power:ev.F.power_map in
+           let x =
+             (Thermal.Cg.solve (Thermal.Mesh.stencil p)
+                ~b:(Thermal.Mesh.rhs p) ())
+               .Thermal.Cg.x
+           in
+           Geo.Grid.of_function ~nx:cfg.Thermal.Mesh.nx
+             ~ny:cfg.Thermal.Mesh.ny ~extent:(Thermal.Mesh.extent p)
+             ~f:(fun ~ix ~iy ->
+                 x.(Thermal.Mesh.node_index cfg ~ix ~iy
+                      ~iz:cfg.Thermal.Mesh.stack.Thermal.Stack.power_layer))
          in
          let peak = Geo.Grid.max_value jacobi in
          let worst = ref 0.0 in
@@ -1101,8 +1074,6 @@ let () =
            test_optimizer_fft_screening_parity;
          Alcotest.test_case "faults reach their targets" `Quick
            test_optimizer_faults_reach_targets;
-         Alcotest.test_case "side-wall-only stack takes the exact tier"
-           `Quick test_optimizer_side_wall_stack_exact_tier;
          Alcotest.test_case "20x20 plans pinned" `Quick
            test_optimizer_plans_pinned ]);
       ("gradient-guide",

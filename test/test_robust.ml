@@ -236,7 +236,7 @@ let test_flow_cg_stall_recovered_and_degraded () =
        (Float.abs (p0 -. p1) <= 1e-6 *. (1.0 +. Float.abs p0))
    | Error e ->
      Alcotest.failf "single stall not recovered: %s" (E.to_string e));
-  (* a stall on the MG attempt and one on its retry exhaust the one
+  (* a stall on the CG attempt and one on its retry exhaust the one
      recovery path: structured divergence error *)
   (match
      F.with_fault ~times:2 F.Cg_stall (fun () ->
@@ -322,7 +322,7 @@ let test_fig6_checkpoint_resume_bit_identical () =
        | exception E.Error (E.Checkpoint_corrupt _) -> ());
       (* so must one a sweep under another solver wrote (the retired
          --precond jacobi keyed it precond=jacobi): its points agree with
-         MG-CG's only to solver tolerance *)
+         the modal engine's only to solver tolerance *)
       let key, _, _ = truncate_checkpoint path ~keep:4 in
       let jacobi_key =
         String.concat " "
@@ -520,6 +520,22 @@ let test_cli_serve_unreadable_input () =
     Alcotest.(check bool) "names the input" true (contains ~needle:dir l)
   | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines)
 
+(* A utilization so close to 1 that a unit region's rows cannot hold its
+   cells is an invariant violation: exit 11 and one stderr line, not an
+   uncaught exception. *)
+let test_cli_legalize_overflow () =
+  let code, lines =
+    run_cli
+      [ "flow"; "--test-set"; "small"; "--cycles"; "50"; "--utilization";
+        "0.95" ]
+  in
+  Alcotest.(check int) "exit 11" 11 code;
+  match lines with
+  | [ l ] ->
+    Alcotest.(check bool) "names the check" true
+      (contains ~needle:"place.legalize" l)
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length lines)
+
 let () =
   Obs.Metrics.set_enabled true;
   Alcotest.run "robust"
@@ -549,7 +565,9 @@ let () =
        [ Alcotest.test_case "nan power surfaced" `Quick
            test_flow_nan_power_surfaced;
          Alcotest.test_case "cg stall recovered then degraded" `Quick
-           test_flow_cg_stall_recovered_and_degraded ]);
+           test_flow_cg_stall_recovered_and_degraded;
+         Alcotest.test_case "legalization overflow exits 11" `Quick
+           test_cli_legalize_overflow ]);
       ("resume",
        [ Alcotest.test_case "fig6 resume bit-identical" `Quick
            test_fig6_checkpoint_resume_bit_identical;

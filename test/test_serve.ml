@@ -512,6 +512,24 @@ let test_retry_recovers_transient () =
   Alcotest.(check int) "solver exit class" 10
     (int_field (find_response r2 "doomed") "exit_code")
 
+(* A utilization the legalizer cannot honour is a property of the
+   request, not a transient: the job fails as an invariant violation
+   (exit class 11) on its first attempt, and its batch mate still
+   runs. *)
+let test_legalize_overflow_not_retried () =
+  let s, r =
+    run_server
+      [ job "fits";
+        {|{"id":"full","cycles":50,"technique":"default","overhead":0.0,"utilization":1.0}|} ]
+  in
+  Alcotest.(check int) "one failed" 1 s.Server.failed;
+  Alcotest.(check int) "no retry" 0 s.Server.retries;
+  Alcotest.(check int) "the other ok" 1 s.Server.succeeded;
+  let full = find_response r "full" in
+  Alcotest.(check string) "outcome" "failed" (outcome full);
+  Alcotest.(check int) "invariant exit class" 11 (int_field full "exit_code");
+  Alcotest.(check int) "one attempt" 1 (int_field full "attempts")
+
 let test_invalid_lines_and_summary () =
   let s, r =
     run_server
@@ -589,6 +607,8 @@ let () =
          Alcotest.test_case "backpressure" `Quick test_backpressure;
          Alcotest.test_case "retry recovers transient" `Quick
            test_retry_recovers_transient;
+         Alcotest.test_case "legalization overflow not retried" `Quick
+           test_legalize_overflow_not_retried;
          Alcotest.test_case "invalid lines and summary" `Quick
            test_invalid_lines_and_summary;
          Alcotest.test_case "per-job ledger" `Quick test_per_job_ledger ]) ]
